@@ -21,10 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as Fn
 
-from repro.graphs.schema import canonical_edges, degrees, degrees_spark
+from repro.graphs.schema import canonical_edges, degrees
 
 
 @dataclass(frozen=True)
@@ -84,24 +82,6 @@ class Algorithm:
         else:  # pragma: no cover - presets only
             raise ValueError(self.name)
         return canonical_edges(out)
-
-    def prepare_spark(self, edges: DataFrame) -> DataFrame:
-        """Spark dual of :meth:`prepare` (same output rows)."""
-        if self.name == "sssp":
-            return edges
-        if self.name == "bfs":
-            return edges.withColumn("w", Fn.lit(1.0))
-        deg = degrees_spark(edges)
-        j = edges.join(deg, edges.src == deg.id, "left")
-        if self.name == "pagerank":
-            out = j.select("src", "dst", (Fn.lit(self.damping) / Fn.col("out_deg")).alias("w"))
-        elif self.name == "php":
-            out = j.select(
-                "src", "dst", (Fn.lit(self.damping) * Fn.col("w") / Fn.col("out_wsum")).alias("w")
-            ).where(Fn.col("dst") != Fn.lit(self.source))
-        else:  # pragma: no cover
-            raise ValueError(self.name)
-        return out
 
     # ---- initial conditions -----------------------------------------------
     def root_messages(self, vertex_ids: np.ndarray) -> pd.Series:

@@ -1,7 +1,7 @@
 """Local (numpy) vertex-centric kernel.
 
-This is the compute core that ``applyInPandas`` runs *inside each dense
-subgraph in parallel* — the paper's per-subgraph local iterations (shortcut
+This is the compute core that ``layph.dispatch.per_subgraph`` runs *inside
+each dense subgraph in parallel* — the paper's per-subgraph local iterations (shortcut
 deduction §IV-A2, message upload §V-A) — and the reference push engine that
 the Spark superstep loop must agree with.
 

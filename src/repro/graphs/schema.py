@@ -1,4 +1,4 @@
-"""Edge-list schema and basic graph queries, with Spark and pandas duals.
+"""Edge-list schema and basic graph queries.
 
 All graphs in the reproduction are **directed, weighted, simple** (at most
 one edge per ordered pair). Edges live in a frame with columns
@@ -6,7 +6,7 @@ one edge per ordered pair). Edges live in a frame with columns
     src: int64    dst: int64    w: float64
 
 Pandas frames are the in-memory/local representation (the paper's
-per-subgraph local computations run on them inside ``applyInPandas``);
+per-subgraph local computations run on them, see ``layph/dispatch.py``);
 Spark DataFrames are the distributed representation for global work.
 """
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as Fn
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 EDGE_COLUMNS = ["src", "dst", "w"]
@@ -63,23 +62,6 @@ def degrees(pdf: pd.DataFrame) -> pd.DataFrame:
     d["out_deg"] = d["out_deg"].astype(np.int64)
     d["in_deg"] = d["in_deg"].astype(np.int64)
     return d.sort_values("id").reset_index(drop=True)
-
-
-def degrees_spark(edges: DataFrame) -> DataFrame:
-    """Spark dual of :func:`degrees` — same columns, same semantics."""
-    out = edges.groupBy(Fn.col("src").alias("id")).agg(
-        Fn.count("*").alias("out_deg"), Fn.sum("w").alias("out_wsum")
-    )
-    inn = edges.groupBy(Fn.col("dst").alias("id")).agg(Fn.count("*").alias("in_deg"))
-    return (
-        out.join(inn, "id", "full_outer")
-        .select(
-            "id",
-            Fn.coalesce("out_deg", Fn.lit(0)).cast(LongType()).alias("out_deg"),
-            Fn.coalesce("in_deg", Fn.lit(0)).cast(LongType()).alias("in_deg"),
-            Fn.coalesce("out_wsum", Fn.lit(0.0)).alias("out_wsum"),
-        )
-    )
 
 
 def graph_stats(pdf: pd.DataFrame) -> dict:

@@ -15,7 +15,7 @@ comparable across systems:
   inserts short-circuit at the cost of one F each) before Ingress-style
   push propagation.
 * ``graphbolt``    — sum only: iteration-synchronous dependency replay;
-  modeled by propagating far smaller deltas (tol/1000) — GraphBolt refines
+  modeled by propagating far smaller deltas (tol/100) — GraphBolt refines
   every memoized iteration, firing changed vertices' edges long after the
   change magnitude stopped mattering.
 * ``dzig``         — sum only: GraphBolt + sparsity awareness; modeled with
@@ -28,8 +28,9 @@ import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as Fn
 
+from repro.engine import batch
 from repro.engine.algorithms import Algorithm
-from repro.engine.batch import LOOP_PARTITIONS, run_batch
+from repro.engine.batch import run_batch
 from repro.graphs.schema import edges_to_spark
 from repro.graphs.updates import GraphDelta, apply_delta
 from repro.incremental.ingress import (
@@ -91,7 +92,7 @@ def _pull_min_jacobi(
     each round; vertices whose value changes add their out-neighbors to the
     affected set. Counts one activation per in-edge scanned."""
     old_parts = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", str(LOOP_PARTITIONS))
+    spark.conf.set("spark.sql.shuffle.partitions", str(batch.LOOP_PARTITIONS))
     try:
         edges = edges_to_spark(spark, prepared).persist()
         states = spark.createDataFrame(

@@ -131,7 +131,6 @@ def min_revision(
     # Edge deleted or weight increased -> the old support may be invalid.
     worse = diff[diff.w_new.isna() | (diff.w_new > diff.w_old)]
     parents = min_parents(old_prepared, states, algo)
-    pkey = parents.set_index("id").parent
     dep = worse.merge(parents, left_on=["src", "dst"], right_on=["parent", "id"])
     seeds = dep.dst.unique().astype(np.int64)
     if extra_seeds is not None and len(extra_seeds):
@@ -162,5 +161,4 @@ def min_revision(
     )
     seed_msgs = pd.concat([seed_msgs, root_rows])
     seed_msgs = seed_msgs.groupby(level=0).min()
-    _ = pkey  # retained for debuggability
     return reset, seed_msgs, acts

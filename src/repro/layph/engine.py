@@ -255,28 +255,3 @@ class LayphEngine:
             self.caches = caches
         return x
 
-
-def layph_system(
-    spark: SparkSession,
-    old_edges: pd.DataFrame,
-    delta: GraphDelta,
-    old_states: pd.Series,
-    algo: Algorithm,
-    *,
-    tol: float | None = None,
-    membership: pd.DataFrame | None = None,
-    replicate: bool = True,
-    K: int = 1000,
-) -> tuple[pd.Series, RunStats]:
-    """One-shot adapter with the same signature as the baseline systems.
-
-    Builds the layered graph and adopts the converged states, then runs one
-    incremental round (the offline cost is reported separately by the
-    engine; experiment harnesses use :class:`LayphEngine` directly when they
-    need amortization across rounds)."""
-    eng = LayphEngine(
-        spark, old_edges, algo, membership=membership, replicate=replicate,
-        K=K, tol=tol,
-    ).initialize()
-    _ = old_states  # Layph adopts its own layer-graph convergence
-    return eng.run_delta(delta)

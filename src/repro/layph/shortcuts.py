@@ -1,16 +1,15 @@
-"""Shortcut deduction over Spark: one ``applyInPandas`` task per dense subgraph.
+"""Shortcut deduction over Spark: one task per dense subgraph.
 
 The subgraphs are disjoint, so shortcut calculation "can be parallelized
-well" (§IV) — exactly what grouping the intra-subgraph edges by ``sub`` and
-running the local kernel per group gives us. The same machinery recomputes
-only the ΔG-affected subgraphs during layered-graph update (§IV-B).
+well" (§IV) — each subgraph's intra edges and entries go to the local kernel
+through :func:`repro.layph.dispatch.per_subgraph`. The same dispatch
+recomputes only the ΔG-affected subgraphs during layered-graph update (§IV-B).
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from repro.engine.algorithms import Algorithm
 from repro.engine.local import (
@@ -18,26 +17,14 @@ from repro.engine.local import (
     shortcut_update_sum,
     shortcut_weights,
 )
+from repro.layph.dispatch import per_subgraph
 
-_IN_SCHEMA = StructType(
-    [
-        StructField("sub", LongType(), False),
-        StructField("kind", LongType(), False),  # 0 = edge, 1 = entry marker
-        StructField("src", LongType(), False),
-        StructField("dst", LongType(), False),
-        StructField("w", DoubleType(), False),
-    ]
-)
+_SC_COLUMNS = ["sub", "entry", "dst", "w"]
 
-_OUT_SCHEMA = StructType(
-    [
-        StructField("sub", LongType(), False),
-        StructField("kind", LongType(), False),  # 0 = shortcut row, 1 = stats row
-        StructField("entry", LongType(), False),
-        StructField("dst", LongType(), False),
-        StructField("w", DoubleType(), False),
-    ]
-)
+
+def _shortcut_table(out: dict[str, pd.DataFrame]) -> pd.DataFrame:
+    sc = out.get("sc", pd.DataFrame(columns=_SC_COLUMNS))
+    return sc.astype({"sub": np.int64, "entry": np.int64, "dst": np.int64})
 
 
 def compute_shortcuts(
@@ -54,74 +41,24 @@ def compute_shortcuts(
     Returns a frame with columns ``sub, entry, dst, w`` covering, per Def. 3,
     every (entry, subgraph-vertex) pair reachable through subgraph edges.
     """
-    if subs is not None:
-        subs = np.asarray(subs, np.int64)
-        intra_edges = intra_edges[intra_edges["sub"].isin(subs)]
-        entries = entries[entries["sub"].isin(subs)]
-    if len(entries) == 0:
-        return pd.DataFrame(columns=["sub", "entry", "dst", "w"]), 0
-
-    e_rows = intra_edges.assign(kind=0)[["sub", "kind", "src", "dst", "w"]]
-    m_rows = pd.DataFrame(
-        {
-            "sub": entries["sub"].to_numpy(np.int64),
-            "kind": 1,
-            "src": entries["id"].to_numpy(np.int64),
-            "dst": -1,
-            "w": 0.0,
-        }
-    )
-    inp = spark.createDataFrame(
-        pd.concat([e_rows, m_rows], ignore_index=True), schema=_IN_SCHEMA
-    )
-
-    is_min = algo.is_min
+    # A subgraph without entries gets no shortcut rows.
+    wanted = entries["sub"] if subs is None else np.intersect1d(subs, entries["sub"])
     eff_tol = algo.tol if tol is None else tol
-    algo_ref = algo  # captured in the executor closure
 
-    def kernel(pdf: pd.DataFrame) -> pd.DataFrame:
-        sub = int(pdf["sub"].iloc[0])
-        edges = pdf[pdf.kind == 0][["src", "dst", "w"]]
-        ents = pdf[pdf.kind == 1].src.to_numpy(np.int64)
+    def kernel(t):
+        edges, ents = t["edges"], t["entries"].id.to_numpy(np.int64)
         ids = np.unique(
             np.concatenate([edges.src.to_numpy(np.int64), edges.dst.to_numpy(np.int64), ents])
         )
-        sc, acts = shortcut_weights(edges, ents, ids, algo_ref, tol=eff_tol)
-        out = pd.DataFrame(
-            {
-                "sub": sub,
-                "kind": 0,
-                "entry": sc.entry.to_numpy(np.int64),
-                "dst": sc.dst.to_numpy(np.int64),
-                "w": sc.w.to_numpy(float),
-            }
-        )
-        stats = pd.DataFrame(
-            {"sub": [sub], "kind": [1], "entry": [-1], "dst": [-1], "w": [float(acts)]}
-        )
-        return pd.concat([out, stats], ignore_index=True)
+        sc, acts = shortcut_weights(edges, ents, ids, algo, tol=eff_tol)
+        return {"sc": sc}, acts
 
-    res = inp.groupby("sub").applyInPandas(kernel, schema=_OUT_SCHEMA).toPandas()
-    _ = is_min
-    acts = int(res[res.kind == 1].w.sum())
-    sc = res[res.kind == 0][["sub", "entry", "dst", "w"]].reset_index(drop=True)
-    return sc.astype({"sub": np.int64, "entry": np.int64, "dst": np.int64}), acts
-
-
-_UPD_SCHEMA = StructType(
-    [
-        StructField("sub", LongType(), False),
-        StructField("kind", LongType(), False),
-        StructField("a", LongType(), False),
-        StructField("b", LongType(), False),
-        StructField("w", DoubleType(), True),
-        StructField("w2", DoubleType(), True),
-    ]
-)
-# input kinds:  0 new edge (a=src,b=dst,w)   1 entry marker (a=id)
-#               2 old shortcut (a=entry,b=dst,w)
-#               3 changed edge (a=src,b=dst, w=w_old, w2=w_new; NULL=absent)
-# output kinds: 0 shortcut row (a=entry,b=dst,w)   1 stats (w=activations)
+    out, acts = per_subgraph(
+        spark, wanted,
+        {"edges": intra_edges[["sub", "src", "dst", "w"]], "entries": entries[["sub", "id"]]},
+        kernel,
+    )
+    return _shortcut_table(out), acts
 
 
 def update_shortcuts(
@@ -139,69 +76,25 @@ def update_shortcuts(
 
     Sum workloads correct every entry row by exact delta injection; min
     workloads recompute only entries whose old shortcut tree can be touched
-    by a changed edge. One ``applyInPandas`` task per affected subgraph.
+    by a changed edge. One Spark task per affected subgraph with entries.
     """
-    subs = np.asarray(subs, np.int64)
-    if len(subs) == 0:
-        return pd.DataFrame(columns=["sub", "entry", "dst", "w"]), 0
-    e_rows = intra_edges[intra_edges["sub"].isin(subs)].assign(kind=0).rename(
-        columns={"src": "a", "dst": "b"}
-    )[["sub", "kind", "a", "b", "w"]]
-    e_rows["w2"] = 0.0
-    ent = entries[entries["sub"].isin(subs)]
-    m_rows = pd.DataFrame(
-        {"sub": ent["sub"].to_numpy(np.int64), "kind": 1,
-         "a": ent.id.to_numpy(np.int64), "b": -1, "w": 0.0, "w2": 0.0}
-    )
-    if len(ent) == 0:
-        return pd.DataFrame(columns=["sub", "entry", "dst", "w"]), 0
-    osc = old_shortcuts[old_shortcuts["sub"].isin(subs)]
-    o_rows = pd.DataFrame(
-        {"sub": osc["sub"].to_numpy(np.int64), "kind": 2,
-         "a": osc.entry.to_numpy(np.int64), "b": osc.dst.to_numpy(np.int64),
-         "w": osc.w.to_numpy(float), "w2": 0.0}
-    )
-    chg = changed[changed["sub"].isin(subs)]
-    c_rows = pd.DataFrame(
-        {"sub": chg["sub"].to_numpy(np.int64), "kind": 3,
-         "a": chg.src.to_numpy(np.int64), "b": chg.dst.to_numpy(np.int64),
-         "w": chg.w_old.to_numpy(float), "w2": chg.w_new.to_numpy(float)}
-    )
-    inp = spark.createDataFrame(
-        pd.concat([e_rows, m_rows, o_rows, c_rows], ignore_index=True),
-        schema=_UPD_SCHEMA,
-    )
-
-    algo_ref = algo
     eff_tol = algo.tol if tol is None else tol
+    fn = shortcut_update_min if algo.is_min else shortcut_update_sum
 
-    def kernel(pdf: pd.DataFrame) -> pd.DataFrame:
-        sub = int(pdf["sub"].iloc[0])
-        edges = pdf[pdf.kind == 0].rename(columns={"a": "src", "b": "dst"})[
-            ["src", "dst", "w"]
-        ]
-        ents = pdf[pdf.kind == 1].a.to_numpy(np.int64)
-        old = pdf[pdf.kind == 2].rename(columns={"a": "entry", "b": "dst"})[
-            ["entry", "dst", "w"]
-        ]
-        ch = pdf[pdf.kind == 3].rename(
-            columns={"a": "src", "b": "dst", "w": "w_old", "w2": "w_new"}
-        )[["src", "dst", "w_old", "w_new"]]
-        fn = shortcut_update_min if algo_ref.is_min else shortcut_update_sum
-        sc, acts = fn(edges, ents, old, ch, algo_ref, tol=eff_tol)
-        out = pd.DataFrame(
-            {"sub": sub, "kind": 0, "a": sc.entry.to_numpy(np.int64),
-             "b": sc.dst.to_numpy(np.int64), "w": sc.w.to_numpy(float), "w2": 0.0}
-        )
-        st = pd.DataFrame(
-            {"sub": [sub], "kind": [1], "a": [-1], "b": [-1],
-             "w": [float(acts)], "w2": [0.0]}
-        )
-        return pd.concat([out, st], ignore_index=True)
+    def kernel(t):
+        ents = t["entries"].id.to_numpy(np.int64)
+        sc, acts = fn(t["edges"], ents, t["old"], t["changed"], algo, tol=eff_tol)
+        return {"sc": sc}, acts
 
-    res = inp.groupby("sub").applyInPandas(kernel, schema=_UPD_SCHEMA).toPandas()
-    acts = int(res[res.kind == 1].w.sum())
-    sc = res[res.kind == 0].rename(columns={"a": "entry", "b": "dst"})[
-        ["sub", "entry", "dst", "w"]
-    ].reset_index(drop=True)
-    return sc.astype({"sub": np.int64, "entry": np.int64, "dst": np.int64}), acts
+    # A subgraph without entries gets no shortcut rows.
+    out, acts = per_subgraph(
+        spark, np.intersect1d(subs, entries["sub"]),
+        {
+            "edges": intra_edges[["sub", "src", "dst", "w"]],
+            "entries": entries[["sub", "id"]],
+            "old": old_shortcuts[_SC_COLUMNS],
+            "changed": changed[["sub", "src", "dst", "w_old", "w_new"]],
+        },
+        kernel,
+    )
+    return _shortcut_table(out), acts

@@ -1,34 +1,21 @@
 """Revision-message upload (§V-A): local per-subgraph convergence in Spark.
 
 Revision deltas targeting subgraph members are propagated *inside* the
-subgraph (one ``applyInPandas`` task per affected subgraph — they are
-independent, Eq. 7 note) until quiescence. Member states absorb the local
-effects; boundary vertices additionally report the G-aggregate of everything
-they received — the uploaded initial messages for the L_up iteration.
+subgraph until quiescence, one :func:`repro.layph.dispatch.per_subgraph`
+task per affected subgraph (they are independent, Eq. 7 note). Member
+states absorb the local effects; boundary vertices additionally report the
+G-aggregate of everything they received — the uploaded initial messages for
+the L_up iteration.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from repro.engine.algorithms import Algorithm
 from repro.engine.local import converge
-
-_IO_SCHEMA = StructType(
-    [
-        StructField("sub", LongType(), False),
-        StructField("kind", LongType(), False),
-        StructField("a", LongType(), False),
-        StructField("b", LongType(), False),
-        StructField("w", DoubleType(), False),
-    ]
-)
-# input kinds:  0 edge (a=src, b=dst, w)   1 state (a=id, w=x)
-#               2 injection (a=id, w=val)  3 boundary marker (a=id)
-# output kinds: 0 new state (a=id, w=x)    1 upload (a=id, w=msg)
-#               2 stats (w=activations)
+from repro.layph.dispatch import per_subgraph
 
 
 def upload_messages(
@@ -48,86 +35,44 @@ def upload_messages(
     every member of an affected sub, and the uploaded (aggregated) message
     per boundary vertex of those subs.
     """
-    if len(injections) == 0:
-        return pd.Series(dtype=float), pd.Series(dtype=float), 0
     sub_of = members.set_index("id")["sub"]
     inj_subs = np.unique(sub_of.reindex(injections.index).dropna().to_numpy(np.int64))
     if len(inj_subs) == 0:
         return pd.Series(dtype=float), pd.Series(dtype=float), 0
 
-    mem = members[members["sub"].isin(inj_subs)]
-    edg = intra_edges[intra_edges["sub"].isin(inj_subs)]
-    bnd = boundary[boundary["sub"].isin(inj_subs)]
-    inj = injections[injections.index.isin(set(mem.id))]
-    inj_sub = sub_of.reindex(inj.index).to_numpy(np.int64)
-
-    rows = [
-        edg.assign(kind=0).rename(columns={"src": "a", "dst": "b"})[
-            ["sub", "kind", "a", "b", "w"]
-        ],
-        pd.DataFrame(
-            {
-                "sub": mem["sub"].to_numpy(np.int64),
-                "kind": 1,
-                "a": mem.id.to_numpy(np.int64),
-                "b": -1,
-                "w": states.reindex(mem.id).fillna(algo.zero_state).to_numpy(float),
-            }
+    inj = injections[injections.index.isin(set(members.id))]
+    tables = {
+        "edges": intra_edges[["sub", "src", "dst", "w"]],
+        "states": members[["sub", "id"]].assign(
+            x=states.reindex(members.id).fillna(algo.zero_state).to_numpy(float)
         ),
-        pd.DataFrame(
-            {
-                "sub": inj_sub,
-                "kind": 2,
-                "a": inj.index.to_numpy(np.int64),
-                "b": -1,
-                "w": inj.to_numpy(float),
-            }
+        "injections": pd.DataFrame(
+            {"sub": sub_of.reindex(inj.index).to_numpy(np.int64),
+             "id": inj.index.to_numpy(np.int64), "m": inj.to_numpy(float)}
         ),
-        pd.DataFrame(
-            {
-                "sub": bnd["sub"].to_numpy(np.int64),
-                "kind": 3,
-                "a": bnd.id.to_numpy(np.int64),
-                "b": -1,
-                "w": 0.0,
-            }
-        ),
-    ]
-    inp = spark.createDataFrame(pd.concat(rows, ignore_index=True), schema=_IO_SCHEMA)
-
-    algo_ref = algo
+        "boundary": boundary[["sub", "id"]],
+    }
     eff_tol = algo.tol if tol is None else tol
 
-    def kernel(pdf: pd.DataFrame) -> pd.DataFrame:
-        sub = int(pdf["sub"].iloc[0])
-        edges = pdf[pdf.kind == 0].rename(columns={"a": "src", "b": "dst"})[
-            ["src", "dst", "w"]
-        ]
-        st = pdf[pdf.kind == 1]
-        x0 = pd.Series(st.w.to_numpy(float), index=st.a.to_numpy(np.int64))
-        ij = pdf[pdf.kind == 2]
-        m0 = pd.Series(ij.w.to_numpy(float), index=ij.a.to_numpy(np.int64))
-        m0 = m0.groupby(level=0).sum() if algo_ref.is_sum else m0.groupby(level=0).min()
-        b_ids = pdf[pdf.kind == 3].a.to_numpy(np.int64)
-        run = converge(edges, x0, m0, algo_ref, tol=eff_tol)
-        out_states = pd.DataFrame(
-            {"sub": sub, "kind": 0, "a": run.states.index, "b": -1, "w": run.states.to_numpy()}
-        )
-        up = run.arrivals.reindex(b_ids)
-        if algo_ref.is_sum:
+    def kernel(t):
+        st, ij = t["states"], t["injections"]
+        x0 = pd.Series(st.x.to_numpy(float), index=st.id.to_numpy(np.int64))
+        m0 = pd.Series(ij.m.to_numpy(float), index=ij.id.to_numpy(np.int64))
+        m0 = m0.groupby(level=0).sum() if algo.is_sum else m0.groupby(level=0).min()
+        run = converge(t["edges"], x0, m0, algo, tol=eff_tol)
+        up = run.arrivals.reindex(t["boundary"].id.to_numpy(np.int64))
+        if algo.is_sum:
             up = up[up.abs() > 0]
         else:
             up = up[np.isfinite(up.to_numpy(float))]
-        out_up = pd.DataFrame({"sub": sub, "kind": 1, "a": up.index, "b": -1, "w": up.to_numpy()})
-        out_stats = pd.DataFrame(
-            {"sub": [sub], "kind": [2], "a": [-1], "b": [-1], "w": [float(run.activations)]}
-        )
-        return pd.concat([out_states, out_up, out_stats], ignore_index=True)
+        frames = {
+            "states": pd.DataFrame({"id": run.states.index, "x": run.states.to_numpy()}),
+            "uploads": pd.DataFrame({"id": up.index, "m": up.to_numpy()}),
+        }
+        return frames, run.activations
 
-    res = inp.groupby("sub").applyInPandas(kernel, schema=_IO_SCHEMA).toPandas()
-    st = res[res.kind == 0]
-    member_states = pd.Series(st.w.to_numpy(float), index=st.a.to_numpy(np.int64))
-    up = res[res.kind == 1]
-    uploads = pd.Series(up.w.to_numpy(float), index=up.a.to_numpy(np.int64))
-    acts = int(res[res.kind == 2].w.sum())
+    out, acts = per_subgraph(spark, inj_subs, tables, kernel)
+    st, up = out["states"], out["uploads"]
+    member_states = pd.Series(st.x.to_numpy(float), index=st.id.to_numpy(np.int64))
+    uploads = pd.Series(up.m.to_numpy(float), index=up.id.to_numpy(np.int64))
     return member_states, uploads, acts

@@ -27,8 +27,8 @@ from pyspark.sql.types import (
     StructType,
 )
 
+from repro.engine import batch
 from repro.engine.algorithms import Algorithm
-from repro.engine.batch import LOOP_PARTITIONS
 from repro.metrics import RunStats
 
 INF = float("inf")
@@ -85,7 +85,9 @@ def upper_min_loop(
     edges = spark.createDataFrame(
         up_graph[["src", "dst", "w"]], schema=None
     )
-    out, _ = superstep_loop(states, edges, algo, stats=stats)
+    out, _ = superstep_loop(
+        states, edges, algo, stats=stats, max_supersteps=max_supersteps
+    )
     return states_to_series(out)
 
 
@@ -114,7 +116,7 @@ def upper_sum_loop(
     if len(pend_orig) == 0 and len(pend_sc) == 0:
         return x_up, pd.Series(dtype=float)
     old_parts = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", str(LOOP_PARTITIONS))
+    spark.conf.set("spark.sql.shuffle.partitions", str(batch.LOOP_PARTITIONS))
     try:
         edges = spark.createDataFrame(up_graph, schema=_UPEDGE_SCHEMA).persist()
         ids = x_up.index.to_numpy(np.int64)

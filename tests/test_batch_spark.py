@@ -6,7 +6,7 @@ import pytest
 from repro.engine import algorithms as alg
 from repro.engine.batch import run_batch
 from repro.graphs.generators import fig2_graph, planted_partition
-from repro.graphs.schema import degrees, degrees_spark, edges_to_spark
+from repro.graphs.schema import degrees
 from repro.oracle import assert_equivalent
 from repro.reference import (
     assert_states_close,
@@ -58,10 +58,10 @@ def test_spark_fig2_sssp(spark):
     assert_states_close(states, expected)
 
 
-def test_degrees_spark_matches_duckdb(spark):
-    """Degrees are SQL — check the Spark version against the DuckDB oracle."""
+def test_degrees_matches_duckdb(spark):
+    """Degrees are SQL — check the pandas version against the DuckDB oracle."""
     edges = tiny_graph(5)
-    got = degrees_spark(edges_to_spark(spark, edges))
+    got = spark.createDataFrame(degrees(edges))
     assert_equivalent(
         got,
         """
@@ -76,28 +76,6 @@ def test_degrees_spark_matches_duckdb(spark):
         """,
         edges=edges,
     )
-
-
-def test_degrees_pandas_matches_spark(spark):
-    edges = tiny_graph(6)
-    p = degrees(edges)
-    s = degrees_spark(edges_to_spark(spark, edges)).toPandas()
-    s = s.sort_values("id").reset_index(drop=True)[p.columns]
-    pd.testing.assert_frame_equal(p, s, check_dtype=False)
-
-
-@pytest.mark.parametrize("name", ["sssp", "bfs", "pagerank", "php"])
-def test_prepare_spark_matches_pandas(spark, name):
-    edges = tiny_graph(7)
-    algo = alg.ALGORITHMS[name](source=0, **({"d": 0.7} if name in ("pagerank", "php") else {}))
-    p = algo.prepare(edges).sort_values(["src", "dst"]).reset_index(drop=True)
-    s = (
-        algo.prepare_spark(edges_to_spark(spark, edges))
-        .toPandas()
-        .sort_values(["src", "dst"])
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(p, s[p.columns], check_dtype=False, atol=1e-12)
 
 
 def test_pagerank_total_mass(spark):

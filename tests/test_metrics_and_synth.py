@@ -1,13 +1,8 @@
-"""Metrics plumbing + the provided TPC-H-lite generators (with the oracle)."""
+"""Metrics plumbing + the provided TPC-H-lite generators."""
 import time
-
-import numpy as np
-import pandas as pd
-import pytest
 
 from repro import synth_data
 from repro.metrics import PhaseTimer, RunStats
-from repro.oracle import assert_equivalent
 
 
 def test_runstats_add_phase_accumulates():
@@ -34,29 +29,6 @@ def test_phase_timer_records_wall_time():
         time.sleep(0.01)
     assert s.phase_seconds["p"] >= 0.01
     assert s.wall_seconds >= 0.01
-
-
-def test_lineitem_deterministic(spark):
-    a = synth_data.lineitem(spark, sf=0.001, seed=3).toPandas()
-    b = synth_data.lineitem(spark, sf=0.001, seed=3).toPandas()
-    pd.testing.assert_frame_equal(a, b)
-
-
-def test_lineitem_orders_join_via_oracle(spark):
-    li = synth_data.lineitem(spark, sf=0.002)
-    o = synth_data.orders(spark, sf=0.002)
-    got = li.join(o, li.l_orderkey == o.o_orderkey).groupBy("o_orderpriority").count()
-    got = got.withColumnRenamed("count", "n")
-    assert_equivalent(
-        got,
-        """
-        SELECT o_orderpriority, COUNT(*) AS n
-        FROM li JOIN o ON l_orderkey = o_orderkey
-        GROUP BY o_orderpriority
-        """,
-        li=li,
-        o=o,
-    )
 
 
 def test_zipf_keys_are_skewed(spark):

@@ -8,6 +8,8 @@ from repro.layph.upload import upload_messages
 from repro.layph.upper import upper_min_loop, upper_sum_loop
 from repro.metrics import RunStats
 
+INF = float("inf")
+
 
 def test_upload_empty_injections(spark):
     intra = pd.DataFrame({"src": [0], "dst": [1], "w": [1.0], "sub": [0]})
@@ -144,3 +146,47 @@ def test_upper_sum_uploads_forward_only_via_orig(spark):
     assert xs[2] == 0.0  # shortcut NOT fired for the upload
     assert abs(xs[3] - 0.5) < 1e-9  # orig edge fired
     assert len(dc) == 0
+
+
+def test_loop_partitions_read_at_call_time(spark, monkeypatch):
+    """Setting ``batch.LOOP_PARTITIONS`` (the T5 sweep) reaches both loops."""
+    from repro.engine import batch
+    from repro.incremental.baselines import _pull_min_jacobi
+
+    conf_cls = type(spark.conf)
+    real_set = conf_cls.set
+    seen = []
+
+    def spy(self, key, value):
+        if key == "spark.sql.shuffle.partitions":
+            seen.append(value)
+        return real_set(self, key, value)
+
+    monkeypatch.setattr(batch, "LOOP_PARTITIONS", 3)
+    monkeypatch.setattr(conf_cls, "set", spy)
+    up = pd.DataFrame({"src": [0], "dst": [1], "w": [0.5], "etype": [0]})
+    upper_sum_loop(
+        spark, up, pd.Series(0.0, index=[0, 1]), pd.Series({0: 1.0}),
+        pd.Series(dtype=float), np.array([1]), alg.pagerank(d=0.5), stats=RunStats(),
+    )
+    assert seen[0] == "3"
+    seen.clear()
+    edges = pd.DataFrame({"src": [0, 1], "dst": [1, 2], "w": [1.0, 1.0]})
+    x = pd.Series({0: 0.0, 1: INF, 2: INF})
+    out = _pull_min_jacobi(spark, edges, x, np.array([1, 2]), alg.sssp(source=0), RunStats())
+    assert seen[0] == "3"
+    assert out[2] == 2.0
+
+
+def test_upper_min_loop_honours_max_supersteps(spark):
+    up = pd.DataFrame(
+        {"src": [0, 1, 2], "dst": [1, 2, 3], "w": [1.0, 1.0, 1.0], "etype": [0, 0, 0]}
+    )
+    x = pd.Series(INF, index=[0, 1, 2, 3])
+    stats = RunStats()
+    out = upper_min_loop(
+        spark, up, x, pd.Series({0: 0.0}), alg.sssp(source=0), stats=stats,
+        max_supersteps=1,
+    )
+    assert stats.supersteps == 1
+    assert out[1] == 1.0 and out[2] == INF and out[3] == INF
