@@ -7,8 +7,10 @@ group-by-aggregated per destination (G), and states fold the aggregate in.
 runs do not blow up the planner.
 
 This engine is the Restart baseline, computes the initial converged states
-every incremental engine starts from, and is reused (via ``run_states``)
-by the incremental baselines and Layph's upper-layer loop.
+every incremental engine starts from, and is the loop behind Ingress, the
+competitor models and both of Layph's upper-layer loops. The L_up sum loop
+adds the original/shortcut message channels of DESIGN.md §6, which live
+here too (see ``superstep_loop``).
 """
 from __future__ import annotations
 
@@ -30,25 +32,46 @@ STATE_SCHEMA = StructType(
     ]
 )
 
+#: States of the channel-aware sum loop on L_up: ``pend`` is the pending
+#: mass that arrived over original edges, ``pend_sc`` the mass that arrived
+#: over shortcuts, ``recv`` the running sum of original-channel arrivals
+#: (an entry's Δcache, Eq. 9).
+CHANNEL_STATE_SCHEMA = StructType(
+    STATE_SCHEMA.fields
+    + [
+        StructField("pend_sc", DoubleType(), True),
+        StructField("recv", DoubleType(), False),
+    ]
+)
+
 #: Shuffle partitions used inside superstep loops — graphs at our SF are
 #: small; AQE coalesces further. Overridable for the thread-scaling study.
 LOOP_PARTITIONS = 8
 
 
-def states_to_spark(spark: SparkSession, x: pd.Series, pend: pd.Series) -> DataFrame:
+def states_to_spark(
+    spark: SparkSession, x: pd.Series, pend: pd.Series, pend_sc: pd.Series | None = None
+) -> DataFrame:
     """Build the (id, x, pend) state relation from id-indexed series.
 
-    ``pend`` is sparse: ids absent from it are inactive (NULL pend).
+    ``pend`` is sparse: ids absent from it are inactive (NULL pend). Passing
+    ``pend_sc`` (the shortcut channel, same rule) builds the channel states
+    of ``CHANNEL_STATE_SCHEMA`` with ``recv`` zero.
     """
     pdf = pd.DataFrame({"id": x.index.to_numpy(np.int64), "x": x.to_numpy(float)})
-    pdf = pdf.merge(
-        pd.DataFrame({"id": pend.index.to_numpy(np.int64), "pend": pend.to_numpy(float)}),
-        on="id",
-        how="left",
-    )
-    # NaN must become SQL NULL regardless of whether Arrow is enabled.
-    pdf["pend"] = pdf.pend.astype(object).where(pdf.pend.notna(), None)
-    return spark.createDataFrame(pdf, schema=STATE_SCHEMA)
+    pendings = {"pend": pend} if pend_sc is None else {"pend": pend, "pend_sc": pend_sc}
+    for col, s in pendings.items():
+        pdf = pdf.merge(
+            pd.DataFrame({"id": s.index.to_numpy(np.int64), col: s.to_numpy(float)}),
+            on="id",
+            how="left",
+        )
+        # NaN must become SQL NULL regardless of whether Arrow is enabled.
+        pdf[col] = pdf[col].astype(object).where(pdf[col].notna(), None)
+    if pend_sc is None:
+        return spark.createDataFrame(pdf, schema=STATE_SCHEMA)
+    pdf["recv"] = 0.0
+    return spark.createDataFrame(pdf, schema=CHANNEL_STATE_SCHEMA)
 
 
 def initial_states(spark: SparkSession, edges: pd.DataFrame, algo: Algorithm) -> DataFrame:
@@ -81,47 +104,71 @@ def superstep_loop(
 
     ``edges`` must be prepared and is cached here. Activation accounting:
     ``messages.count()`` per superstep — one row per F application.
+
+    A sum workload whose ``edges`` carry an ``etype`` column (0 original,
+    1 shortcut) runs the L_up channel rule of DESIGN.md §6 on channel states
+    (``states_to_spark`` with ``pend_sc``): mass that arrived over a
+    shortcut already served the subgraph interior, so it leaves over
+    original edges only; mass that arrived over an original edge leaves
+    over both and adds to ``recv``. Min is idempotent and ignores ``etype``.
     """
     spark = states.sparkSession
     tol = algo.tol if tol is None else tol
     stats = stats or RunStats()
+    channels = algo.is_sum and "etype" in edges.columns
+    pend, m, w, zero = Fn.col("pend"), Fn.col("m"), Fn.col("w"), Fn.lit(0.0)
+    is_active = pend.isNotNull()
+    if algo.is_min:
+        msg_val = pend + w
+        aggs = [Fn.min("m").alias("m")]
+        new_cols = [
+            Fn.least(Fn.col("x"), m).alias("x"),
+            Fn.when(m < Fn.col("x"), m).alias("pend"),
+        ]
+    elif not channels:
+        msg_val = pend * w
+        aggs = [Fn.sum("m").alias("m")]
+        new_cols = [
+            (Fn.col("x") + Fn.coalesce(m, zero)).alias("x"),
+            Fn.when(Fn.abs(m) > Fn.lit(tol), m).alias("pend"),
+        ]
+    else:
+        pend_sc, m_sc, orig = Fn.col("pend_sc"), Fn.col("m_sc"), Fn.col("etype") == 0
+        is_active = is_active | pend_sc.isNotNull()
+        # Shortcuts carry only original-channel mass.
+        sends = orig | pend.isNotNull()
+        both = Fn.coalesce(pend, zero) + Fn.coalesce(pend_sc, zero)
+        msg_val = Fn.when(orig, both * w).otherwise(pend * w)
+        aggs = [Fn.sum(Fn.when(orig, m)).alias("m"), Fn.sum(Fn.when(~orig, m)).alias("m_sc")]
+        new_cols = [
+            (Fn.col("x") + Fn.coalesce(m, zero) + Fn.coalesce(m_sc, zero)).alias("x"),
+            Fn.when(Fn.abs(m) > Fn.lit(tol), m).alias("pend"),
+            Fn.when(Fn.abs(m_sc) > Fn.lit(tol), m_sc).alias("pend_sc"),
+            (Fn.col("recv") + Fn.coalesce(m, zero)).alias("recv"),
+        ]
+    msg_cols = [Fn.col("dst").alias("mid"), msg_val.alias("m")]
     old_parts = spark.conf.get("spark.sql.shuffle.partitions")
     spark.conf.set("spark.sql.shuffle.partitions", str(LOOP_PARTITIONS))
     edges = edges.persist()
     states = states.localCheckpoint(eager=True)
     try:
         for _ in range(max_supersteps):
-            active = states.where(Fn.col("pend").isNotNull())
-            msg_val = (
-                Fn.col("pend") + Fn.col("w") if algo.is_min else Fn.col("pend") * Fn.col("w")
-            )
-            msgs = (
-                active.join(edges, active.id == edges.src)
-                .select(Fn.col("dst").alias("mid"), msg_val.alias("m"))
-                .persist()
-            )
+            active = states.where(is_active)
+            msgs = active.join(edges, active.id == edges.src)
+            if channels:
+                msgs = msgs.where(sends).select(*msg_cols, "etype")
+            else:
+                msgs = msgs.select(*msg_cols)
+            msgs = msgs.persist()
             n_msgs = msgs.count()
             if n_msgs == 0:
                 msgs.unpersist()
                 break
             stats.activations += n_msgs
             stats.supersteps += 1
-            agg_fn = Fn.min("m") if algo.is_min else Fn.sum("m")
-            agg = msgs.groupBy("mid").agg(agg_fn.alias("m"))
+            agg = msgs.groupBy("mid").agg(*aggs)
             j = states.join(agg, states.id == agg.mid, "left")
-            if algo.is_min:
-                new = j.select(
-                    "id",
-                    Fn.least(Fn.col("x"), Fn.col("m")).alias("x"),
-                    Fn.when(Fn.col("m") < Fn.col("x"), Fn.col("m")).alias("pend"),
-                )
-            else:
-                new = j.select(
-                    "id",
-                    (Fn.col("x") + Fn.coalesce(Fn.col("m"), Fn.lit(0.0))).alias("x"),
-                    Fn.when(Fn.abs(Fn.col("m")) > Fn.lit(tol), Fn.col("m")).alias("pend"),
-                )
-            states = new.localCheckpoint(eager=True)
+            states = j.select("id", *new_cols).localCheckpoint(eager=True)
             msgs.unpersist()
     finally:
         edges.unpersist()

@@ -29,22 +29,15 @@ from repro.incremental.baselines import SYSTEMS
 from repro.layph.engine import LayphEngine
 from repro.metrics import RunStats
 
-#: Paper-faithful damping for the iteration workloads.
-DAMPING = 0.85
-
 ALL_SYSTEMS = ["restart", "kickstarter", "risgraph", "graphbolt", "dzig", "ingress", "layph"]
 
 
 def make_algo(name: str, source: int = 0, tol: float = 1e-6) -> alg.Algorithm:
-    if name == "sssp":
-        return alg.sssp(source=source, tol=tol)
-    if name == "bfs":
-        return alg.bfs(source=source, tol=tol)
-    if name == "pagerank":
-        return alg.pagerank(d=DAMPING, tol=tol)
-    if name == "php":
-        return alg.php(source=source, d=DAMPING, tol=tol)
-    raise ValueError(name)
+    """Build a workload from ``alg.ALGORITHMS``; the iteration workloads take
+    the registry's paper-faithful damping d = 0.85."""
+    if name not in alg.ALGORITHMS:
+        raise ValueError(f"unknown algorithm {name!r}; choose from {sorted(alg.ALGORITHMS)}")
+    return alg.ALGORITHMS[name](source=source, tol=tol)
 
 
 def systems_for(algo: alg.Algorithm, requested: list[str]) -> list[str]:

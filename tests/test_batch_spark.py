@@ -4,9 +4,9 @@ import pandas as pd
 import pytest
 
 from repro.engine import algorithms as alg
-from repro.engine.batch import run_batch
+from repro.engine.batch import run_batch, states_to_series, states_to_spark, superstep_loop
 from repro.graphs.generators import fig2_graph, planted_partition
-from repro.graphs.schema import degrees
+from repro.graphs.schema import degrees, edges_to_spark, vertex_ids
 from repro.oracle import assert_equivalent
 from repro.reference import (
     assert_states_close,
@@ -56,6 +56,47 @@ def test_spark_fig2_sssp(spark):
     states, _ = run_batch(spark, edges, alg.sssp(source=0))
     expected = pd.Series([0, 1, 4, 1, 2, 5, 6, 7, 7], index=range(9), dtype=float)
     assert_states_close(states, expected)
+
+
+def _from_roots(spark, edges, algo, etype=None, pend_sc=None):
+    """superstep_loop from the root messages; ``etype`` tags the edges."""
+    ids = vertex_ids(edges)
+    pend = algo.root_messages(ids)
+    x = algo.initial_states(ids)
+    x = np.minimum(x, pend.reindex(ids).fillna(x)) if algo.is_min else x.add(pend, fill_value=0.0)
+    prepared = algo.prepare(edges)
+    if etype is None:
+        e = edges_to_spark(spark, prepared)
+    else:
+        e = spark.createDataFrame(prepared.assign(etype=etype))
+    out, stats = superstep_loop(states_to_spark(spark, x, pend, pend_sc), e, algo)
+    return x, out, stats
+
+
+def test_channel_path_with_original_edges_only_equals_flat_path(spark):
+    """All-original edges and no shortcut mass reduce the channel rule to
+    the flat sum loop, and ``recv`` then holds every arrival."""
+    edges = tiny_graph(3)
+    algo = alg.pagerank(d=0.5, tol=1e-8)
+    _, flat, s_flat = _from_roots(spark, edges, algo)
+    x0, ch, s_ch = _from_roots(spark, edges, algo, etype=0, pend_sc=pd.Series(dtype=float))
+    assert set(ch.columns) == {"id", "x", "pend", "pend_sc", "recv"}
+    pd.testing.assert_series_equal(states_to_series(ch), states_to_series(flat))
+    assert (s_ch.supersteps, s_ch.activations) == (s_flat.supersteps, s_flat.activations)
+    pdf = ch.select("id", "recv").toPandas()
+    recv = pd.Series(pdf.recv.to_numpy(), index=pdf.id.to_numpy(np.int64)).sort_index()
+    assert_states_close(recv, states_to_series(ch) - x0, atol=1e-12, rtol=1e-12)
+
+
+def test_min_ignores_etype(spark):
+    """Min is idempotent, so shortcut tags change nothing."""
+    edges = tiny_graph(0)
+    algo = alg.sssp(source=0)
+    _, flat, s_flat = _from_roots(spark, edges, algo)
+    etype = np.random.default_rng(0).integers(0, 2, len(edges))
+    _, tagged, s_tag = _from_roots(spark, edges, algo, etype=etype)
+    pd.testing.assert_series_equal(states_to_series(tagged), states_to_series(flat))
+    assert (s_tag.supersteps, s_tag.activations) == (s_flat.supersteps, s_flat.activations)
 
 
 def test_degrees_matches_duckdb(spark):

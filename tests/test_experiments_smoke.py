@@ -25,6 +25,16 @@ def test_datasets_table_shape():
     assert "Table" not in datasets_table.report(df)  # plain rows
 
 
+def test_make_algo_uses_registry_defaults():
+    from repro.engine import algorithms as alg
+
+    assert make_algo("pagerank", tol=1e-4) == alg.pagerank(d=0.85, tol=1e-4)
+    assert make_algo("php", source=3) == alg.php(source=3, d=0.85)
+    assert make_algo("bfs", source=2) == alg.bfs(source=2)
+    with pytest.raises(ValueError, match="unknown algorithm 'wcc'"):
+        make_algo("wcc")
+
+
 def test_systems_for_respects_workload_class():
     mn = systems_for(make_algo("sssp"), ALL_SYSTEMS)
     sm = systems_for(make_algo("pagerank"), ALL_SYSTEMS)

@@ -1,7 +1,6 @@
-"""Metrics plumbing + the provided TPC-H-lite generators."""
+"""Metrics plumbing."""
 import time
 
-from repro import synth_data
 from repro.metrics import PhaseTimer, RunStats
 
 
@@ -29,22 +28,3 @@ def test_phase_timer_records_wall_time():
         time.sleep(0.01)
     assert s.phase_seconds["p"] >= 0.01
     assert s.wall_seconds >= 0.01
-
-
-def test_zipf_keys_are_skewed(spark):
-    df = synth_data.zipf_keys(spark, n=5000, n_keys=100, alpha=1.5).toPandas()
-    counts = df.k.value_counts()
-    assert counts.iloc[0] > 5 * counts.iloc[-1]
-
-
-def test_uniform_keys_cover_range(spark):
-    df = synth_data.uniform_keys(spark, n=2000, n_keys=50).toPandas()
-    assert df.k.min() >= 1 and df.k.max() <= 50
-    assert df.k.nunique() > 40
-
-
-def test_customer_part_shapes(spark):
-    c = synth_data.customer(spark, sf=0.002).toPandas()
-    p = synth_data.part(spark, sf=0.002).toPandas()
-    assert c.c_custkey.is_unique and p.p_partkey.is_unique
-    assert set(c.columns) >= {"c_custkey", "c_nationkey", "c_acctbal"}
