@@ -1,12 +1,15 @@
-"""Global iterative computation as a Spark DataFrame superstep loop.
+"""Global iterative computation: the superstep loop, run in the driver or on
+Spark by one size rule.
 
-Each superstep is one Catalyst-planned round: active vertices join the
-(prepared, cached) edge relation to generate messages (F), messages are
-group-by-aggregated per destination (G), and states fold the aggregate in.
-``localCheckpoint`` truncates lineage every superstep so hundred-iteration
-runs do not blow up the planner.
+Each superstep, active vertices send an F message along every out-edge of
+the (prepared) edge relation, messages are G-aggregated per destination,
+and states fold the aggregate in. Inputs that fit (``on_driver``) run as
+numpy array passes in the driver; larger ones run as one Catalyst-planned
+round per superstep, with ``localCheckpoint`` truncating lineage so
+hundred-iteration runs do not blow up the planner. Both backends keep the
+contract spelled out in ``superstep_loop``.
 
-This engine is the Restart baseline, computes the initial converged states
+This loop is the Restart baseline, computes the initial converged states
 every incremental engine starts from, and is the loop behind Ingress, the
 competitor models and both of Layph's upper-layer loops. The L_up sum loop
 adds the original/shortcut message channels of DESIGN.md §6, which live
@@ -21,7 +24,7 @@ from pyspark.sql import functions as Fn
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from repro.engine.algorithms import Algorithm
-from repro.graphs.schema import vertex_ids
+from repro.graphs.schema import EDGE_COLUMNS, EDGE_SCHEMA, vertex_ids
 from repro.metrics import RunStats
 
 STATE_SCHEMA = StructType(
@@ -44,15 +47,177 @@ CHANNEL_STATE_SCHEMA = StructType(
     ]
 )
 
-#: Shuffle partitions used inside superstep loops — graphs at our SF are
-#: small; AQE coalesces further. Overridable for the thread-scaling study.
+_CHANNEL_EDGE_SCHEMA = StructType(
+    EDGE_SCHEMA.fields + [StructField("etype", LongType(), False)]  # 0 original, 1 shortcut
+)
+
+#: Shuffle partitions used inside Spark superstep loops — graphs at our SF
+#: are small; AQE coalesces further. Overridable for the thread-scaling study.
 LOOP_PARTITIONS = 8
 
+#: Largest input (edge or table rows) that runs in the driver instead of as
+#: Spark jobs. It guards driver memory, not speed: numpy beats a Spark
+#: superstep at every size measured (DESIGN.md §5.6). Overridable, like
+#: ``LOOP_PARTITIONS``; 0 sends every non-empty input to Spark.
+DRIVER_MAX_EDGES = 2_000_000
 
-def states_to_spark(
-    spark: SparkSession, x: pd.Series, pend: pd.Series, pend_sc: pd.Series | None = None
+
+def on_driver(n_rows: int) -> bool:
+    """The size rule: work over ``n_rows`` rows runs in the driver process.
+
+    Reads ``DRIVER_MAX_EDGES`` at call time.
+    """
+    return n_rows <= DRIVER_MAX_EDGES
+
+
+def initial_states(edges: pd.DataFrame, algo: Algorithm) -> tuple[pd.Series, pd.Series]:
+    """X⁰ with root messages M⁰ applied, and M⁰ pending (Eq. 1 start)."""
+    ids = vertex_ids(edges)
+    if algo.source is not None and algo.source not in ids:
+        ids = np.unique(np.append(ids, algo.source))
+    x0 = algo.initial_states(ids)
+    m0 = algo.root_messages(ids)
+    if algo.is_min:
+        x = x0.copy()
+        x.loc[m0.index] = np.minimum(x.loc[m0.index], m0)
+        pend = m0[m0 <= x0.reindex(m0.index)]
+    else:
+        x = x0.add(m0.reindex(x0.index).fillna(0.0))
+        pend = m0
+    return x, pend
+
+
+def superstep_loop(
+    spark: SparkSession,
+    x: pd.Series,
+    pend: pd.Series,
+    edges: pd.DataFrame,
+    algo: Algorithm,
+    *,
+    pend_sc: pd.Series | None = None,
+    tol: float | None = None,
+    max_supersteps: int = 10_000,
+    stats: RunStats | None = None,
+) -> tuple[pd.DataFrame, RunStats]:
+    """Iterate (F, G) until no messages remain.
+
+    Returns ``(states, stats)``; ``states`` is an id-indexed frame, sorted
+    by id, with the converged ``x``, plus ``recv`` when the channel rule is
+    on. Both backends keep one contract:
+
+    * ``x`` covers the whole state set and already includes ``pend`` (and
+      ``pend_sc``); ``edges`` (``src, dst, w``) must be prepared.
+    * Every id of the state set present in ``pend`` is active on superstep
+      1, even when its value is 0 or does not improve ``x``.
+    * Activations count one per message sent. Messages to ids outside the
+      state set are counted, then dropped.
+    * A superstep is counted only when it sends messages.
+    * Reaching ``max_supersteps`` with messages still pending raises
+      ``RuntimeError`` rather than returning unconverged states.
+
+    A sum workload whose ``edges`` carry an ``etype`` column (0 original,
+    1 shortcut) runs the L_up channel rule of DESIGN.md §6, with
+    ``pend_sc`` pending in the shortcut channel: mass that arrived over a
+    shortcut already served the subgraph interior, so it leaves over
+    original edges only; mass that arrived over an original edge leaves
+    over both and adds to ``recv``. Min is idempotent and ignores ``etype``.
+
+    ``edges`` of at most ``DRIVER_MAX_EDGES`` rows run in the driver, larger
+    ones on Spark.
+    """
+    tol = algo.tol if tol is None else tol
+    stats = stats or RunStats()
+    if algo.is_sum and "etype" in edges.columns:
+        pend_sc = pd.Series(dtype=float) if pend_sc is None else pend_sc
+    else:
+        pend_sc = None
+    if on_driver(len(edges)):
+        states = _driver_loop(x, pend, pend_sc, edges, algo, tol, max_supersteps, stats)
+    else:
+        states = _spark_loop(spark, x, pend, pend_sc, edges, algo, tol, max_supersteps, stats)
+    return states, stats
+
+
+def _over_cap(max_supersteps: int) -> RuntimeError:
+    return RuntimeError(
+        f"superstep_loop: messages still pending after max_supersteps={max_supersteps}"
+    )
+
+
+def _driver_loop(x, pend, pend_sc, edges, algo, tol, max_supersteps, stats):
+    """numpy backend: one pass over the edge arrays per superstep. Pending
+    values are NaN where inactive, as the Spark states hold NULL."""
+    channels = pend_sc is not None
+    ids = pd.Index(x.index.to_numpy(np.int64))
+    n = len(ids)
+    xs = x.to_numpy(float).copy()
+
+    def pending(s: pd.Series) -> np.ndarray:
+        at = ids.get_indexer(s.index.to_numpy(np.int64))
+        p = np.full(n, np.nan)
+        p[at[at >= 0]] = s.to_numpy(float)[at >= 0]
+        return p
+
+    src = ids.get_indexer(edges.src.to_numpy(np.int64))
+    dst = ids.get_indexer(edges.dst.to_numpy(np.int64))
+    fires = src >= 0  # ids outside the state set never send (the join drops them)
+    src, dst, w = src[fires], dst[fires], edges.w.to_numpy(float)[fires]
+    inside = dst >= 0
+    p = pending(pend)
+    if channels:
+        orig = edges.etype.to_numpy()[fires] == 0
+        psc, recv = pending(pend_sc), np.zeros(n)
+
+    def gsum(d: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-destination sum, and whether any message arrived."""
+        return np.bincount(d, v, minlength=n), np.bincount(d, minlength=n) > 0
+
+    steps = 0
+    while True:
+        fire = ~np.isnan(p)[src]
+        if channels:
+            # Shortcuts carry only original-channel mass.
+            fire |= orig & ~np.isnan(psc)[src]
+        n_msgs = int(fire.sum())
+        if n_msgs == 0:
+            break
+        if steps == max_supersteps:
+            raise _over_cap(max_supersteps)
+        steps += 1
+        stats.activations += n_msgs
+        stats.supersteps += 1
+        sel = fire & inside
+        s, d, ws = src[sel], dst[sel], w[sel]
+        if algo.is_min:
+            m = np.full(n, np.inf)
+            np.minimum.at(m, d, p[s] + ws)
+            p = np.where(m < xs, m, np.nan)
+            xs = np.minimum(xs, m)
+        elif not channels:
+            m, got = gsum(d, p[s] * ws)
+            xs = xs + m
+            p = np.where(got & (np.abs(m) > tol), m, np.nan)
+        else:
+            o = orig[sel]
+            ps = np.where(np.isnan(p[s]), 0.0, p[s])
+            both = ps + np.where(np.isnan(psc[s]), 0.0, psc[s])
+            val = np.where(o, both, ps) * ws
+            m, got = gsum(d[o], val[o])
+            m_sc, got_sc = gsum(d[~o], val[~o])
+            xs = xs + m + m_sc
+            p = np.where(got & (np.abs(m) > tol), m, np.nan)
+            psc = np.where(got_sc & (np.abs(m_sc) > tol), m_sc, np.nan)
+            recv = recv + m
+    out = pd.DataFrame({"x": xs}, index=ids)
+    if channels:
+        out["recv"] = recv
+    return out.sort_index()
+
+
+def _states_to_spark(
+    spark: SparkSession, x: pd.Series, pend: pd.Series, pend_sc: pd.Series | None
 ) -> DataFrame:
-    """Build the (id, x, pend) state relation from id-indexed series.
+    """The (id, x, pend) state relation from id-indexed series.
 
     ``pend`` is sparse: ids absent from it are inactive (NULL pend). Passing
     ``pend_sc`` (the shortcut channel, same rule) builds the channel states
@@ -74,48 +239,15 @@ def states_to_spark(
     return spark.createDataFrame(pdf, schema=CHANNEL_STATE_SCHEMA)
 
 
-def initial_states(spark: SparkSession, edges: pd.DataFrame, algo: Algorithm) -> DataFrame:
-    """X⁰ with root messages M⁰ applied and pending (Eq. 1 start)."""
-    ids = vertex_ids(edges)
-    if algo.source is not None and algo.source not in ids:
-        ids = np.unique(np.append(ids, algo.source))
-    x0 = algo.initial_states(ids)
-    m0 = algo.root_messages(ids)
-    if algo.is_min:
-        x = x0.copy()
-        x.loc[m0.index] = np.minimum(x.loc[m0.index], m0)
-        pend = m0[m0 <= x0.reindex(m0.index)]
+def _spark_loop(spark, x, pend, pend_sc, edges, algo, tol, max_supersteps, stats):
+    """Spark backend: one message join, ``count()``, ``groupBy`` and state
+    join per superstep; ``edges`` is cached for the loop."""
+    channels = pend_sc is not None
+    states = _states_to_spark(spark, x, pend, pend_sc)
+    if channels:
+        edges = spark.createDataFrame(edges[EDGE_COLUMNS + ["etype"]], schema=_CHANNEL_EDGE_SCHEMA)
     else:
-        x = x0.add(m0.reindex(x0.index).fillna(0.0))
-        pend = m0
-    return states_to_spark(spark, x, pend)
-
-
-def superstep_loop(
-    states: DataFrame,
-    edges: DataFrame,
-    algo: Algorithm,
-    *,
-    tol: float | None = None,
-    max_supersteps: int = 10_000,
-    stats: RunStats | None = None,
-) -> tuple[DataFrame, RunStats]:
-    """Iterate (F, G) until no messages remain. Returns converged states.
-
-    ``edges`` must be prepared and is cached here. Activation accounting:
-    ``messages.count()`` per superstep — one row per F application.
-
-    A sum workload whose ``edges`` carry an ``etype`` column (0 original,
-    1 shortcut) runs the L_up channel rule of DESIGN.md §6 on channel states
-    (``states_to_spark`` with ``pend_sc``): mass that arrived over a
-    shortcut already served the subgraph interior, so it leaves over
-    original edges only; mass that arrived over an original edge leaves
-    over both and adds to ``recv``. Min is idempotent and ignores ``etype``.
-    """
-    spark = states.sparkSession
-    tol = algo.tol if tol is None else tol
-    stats = stats or RunStats()
-    channels = algo.is_sum and "etype" in edges.columns
+        edges = spark.createDataFrame(edges[EDGE_COLUMNS], schema=EDGE_SCHEMA)
     pend, m, w, zero = Fn.col("pend"), Fn.col("m"), Fn.col("w"), Fn.lit(0.0)
     is_active = pend.isNotNull()
     if algo.is_min:
@@ -151,8 +283,9 @@ def superstep_loop(
     spark.conf.set("spark.sql.shuffle.partitions", str(LOOP_PARTITIONS))
     edges = edges.persist()
     states = states.localCheckpoint(eager=True)
+    steps = 0
     try:
-        for _ in range(max_supersteps):
+        while True:
             active = states.where(is_active)
             msgs = active.join(edges, active.id == edges.src)
             if channels:
@@ -164,6 +297,10 @@ def superstep_loop(
             if n_msgs == 0:
                 msgs.unpersist()
                 break
+            if steps == max_supersteps:
+                msgs.unpersist()
+                raise _over_cap(max_supersteps)
+            steps += 1
             stats.activations += n_msgs
             stats.supersteps += 1
             agg = msgs.groupBy("mid").agg(*aggs)
@@ -173,7 +310,9 @@ def superstep_loop(
     finally:
         edges.unpersist()
         spark.conf.set("spark.sql.shuffle.partitions", old_parts)
-    return states, stats
+    cols = ["x", "recv"] if channels else ["x"]
+    pdf = states.select("id", *cols).toPandas()
+    return pdf[cols].set_axis(pdf.id.to_numpy(np.int64)).sort_index()
 
 
 def run_batch(
@@ -187,24 +326,6 @@ def run_batch(
 
     Returns converged states as an id-indexed pandas Series plus run stats.
     """
-    prepared = algo.prepare(edges)
-    states = initial_states(spark, edges, algo)
-    edges_df = spark.createDataFrame(
-        prepared,
-        schema=StructType(
-            [
-                StructField("src", LongType(), False),
-                StructField("dst", LongType(), False),
-                StructField("w", DoubleType(), False),
-            ]
-        ),
-    )
-    out, stats = superstep_loop(states, edges_df, algo, tol=tol)
-    pdf = out.select("id", "x").toPandas()
-    return pd.Series(pdf.x.to_numpy(), index=pdf.id.to_numpy(np.int64)).sort_index(), stats
-
-
-def states_to_series(states: DataFrame) -> pd.Series:
-    """Collect a state relation to an id-indexed series (driver-side)."""
-    pdf = states.select("id", "x").toPandas()
-    return pd.Series(pdf.x.to_numpy(), index=pdf.id.to_numpy(np.int64)).sort_index()
+    x, pend = initial_states(edges, algo)
+    states, stats = superstep_loop(spark, x, pend, algo.prepare(edges), algo, tol=tol)
+    return states.x, stats

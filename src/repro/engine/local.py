@@ -1,9 +1,10 @@
 """Local (numpy) vertex-centric kernel.
 
 This is the compute core that ``layph.dispatch.per_subgraph`` runs *inside
-each dense subgraph in parallel* — the paper's per-subgraph local iterations (shortcut
-deduction §IV-A2, message upload §V-A) — and the reference push engine that
-the Spark superstep loop must agree with.
+each dense subgraph* (in the driver, or one Spark task each) — the paper's
+per-subgraph local iterations (shortcut deduction §IV-A2, message upload
+§V-A) — and the reference push engine that the superstep loop must agree
+with.
 
 Everything operates on *prepared* edges (see ``engine.algorithms``): min
 workloads relax ``m + w`` under ``min``; sum workloads propagate deltas

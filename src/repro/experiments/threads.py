@@ -2,7 +2,8 @@
 
 A shared ``local[*]`` session cannot change its worker-thread count, so the
 in-session sweep varies the superstep loop's shuffle-partition count as a
-parallelism proxy; ``jobs/exp_threads.py`` additionally supports true
+parallelism proxy, with every loop and per-subgraph kernel held on Spark
+(``DRIVER_MAX_EDGES`` = 0); ``jobs/exp_threads.py`` additionally supports true
 ``--master local[k]`` runs when launched standalone (one JVM per k).
 """
 from __future__ import annotations
@@ -27,7 +28,8 @@ def run(
 ) -> pd.DataFrame:
     algos = algos or ["sssp", "pagerank"]
     rows = []
-    saved = batch_mod.LOOP_PARTITIONS
+    saved = batch_mod.LOOP_PARTITIONS, batch_mod.DRIVER_MAX_EDGES
+    batch_mod.DRIVER_MAX_EDGES = 0
     try:
         for algo_name in algos:
             req = systems or (
@@ -55,7 +57,7 @@ def run(
                     rows.append(r)
                     print(f"  {r}", flush=True)
     finally:
-        batch_mod.LOOP_PARTITIONS = saved
+        batch_mod.LOOP_PARTITIONS, batch_mod.DRIVER_MAX_EDGES = saved
     return pd.DataFrame(rows)
 
 

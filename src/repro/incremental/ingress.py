@@ -2,7 +2,7 @@
 
 This is the system Layph is built on top of (§VI: Layph = Ingress +
 layered graph). Given the old converged states and ΔG it deduces revision
-messages (``incremental.revision``) and propagates them with the same Spark
+messages (``incremental.revision``) and propagates them with the same
 superstep loop used for batch runs — min workloads first trim the
 dependency tree, sum workloads inject cancellation/compensation deltas.
 """
@@ -13,8 +13,8 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.engine.algorithms import Algorithm
-from repro.engine.batch import states_to_series, states_to_spark, superstep_loop
-from repro.graphs.schema import edges_to_spark, vertex_ids
+from repro.engine.batch import superstep_loop
+from repro.graphs.schema import vertex_ids
 from repro.graphs.updates import GraphDelta, apply_delta
 from repro.incremental.revision import min_revision, sum_revision
 from repro.metrics import PhaseTimer, RunStats
@@ -77,8 +77,5 @@ def ingress_incremental(
             x.loc[seeds.index] = np.minimum(x.loc[seeds.index], seeds)
             pend = seeds
 
-        states = states_to_spark(spark, x, pend)
-        edges_df = edges_to_spark(spark, new_prepared)
-        out, stats = superstep_loop(states, edges_df, algo, tol=tol, stats=stats)
-        result = states_to_series(out)
-    return result, stats
+        out, stats = superstep_loop(spark, x, pend, new_prepared, algo, tol=tol, stats=stats)
+    return out.x, stats

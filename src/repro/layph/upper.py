@@ -21,16 +21,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.engine import batch
 from repro.engine.algorithms import Algorithm
-from repro.graphs.schema import EDGE_SCHEMA, edges_to_spark
 from repro.metrics import RunStats
-
-_UPEDGE_SCHEMA = StructType(
-    EDGE_SCHEMA.fields + [StructField("etype", LongType(), False)]  # 0 original, 1 shortcut
-)
 
 
 def upper_min_loop(
@@ -54,12 +48,10 @@ def upper_min_loop(
         return x_up
     x = x_up.copy()
     x.loc[seeds.index] = np.minimum(x.loc[seeds.index], seeds)
-    states = batch.states_to_spark(spark, x, seeds)
-    edges = edges_to_spark(spark, up_graph)
     out, _ = batch.superstep_loop(
-        states, edges, algo, stats=stats, max_supersteps=max_supersteps
+        spark, x, seeds, up_graph, algo, stats=stats, max_supersteps=max_supersteps
     )
-    return batch.states_to_series(out)
+    return out.x
 
 
 def upper_sum_loop(
@@ -86,13 +78,9 @@ def upper_sum_loop(
     pend_sc = pend_sc[pend_sc.abs() > 0] if len(pend_sc) else pend_sc
     if len(pend_orig) == 0 and len(pend_sc) == 0:
         return x_up, pd.Series(dtype=float)
-    states = batch.states_to_spark(spark, x_up, pend_orig, pend_sc)
-    edges = spark.createDataFrame(up_graph, schema=_UPEDGE_SCHEMA)
     out, _ = batch.superstep_loop(
-        states, edges, algo, tol=tol, stats=stats, max_supersteps=max_supersteps
+        spark, x_up, pend_orig, up_graph, algo,
+        pend_sc=pend_sc, tol=tol, stats=stats, max_supersteps=max_supersteps,
     )
-    pdf = out.select("id", "x", "recv").toPandas()
-    ids = pdf.id.to_numpy(np.int64)
-    x = pd.Series(pdf.x.to_numpy(), index=ids).sort_index()
-    dc = pd.Series(pdf.recv.to_numpy(), index=ids).sort_index()
-    return x, dc[dc.index.isin(entry_ids) & (dc.abs() > 0)]
+    dc = out.recv
+    return out.x, dc[dc.index.isin(entry_ids) & (dc.abs() > 0)]

@@ -16,7 +16,7 @@ class RunStats:
     """Counters reported by one engine run.
 
     ``activations``: number of F applications (edge or shortcut traversals).
-    ``supersteps``: number of global Spark supersteps (0 for purely local runs).
+    ``supersteps``: number of global supersteps (0 for purely local runs).
     ``phase_seconds``: wall-clock per named phase (Layph reports its four
     phases here; flat engines report a single ``"total"`` entry).
     ``wall_seconds``: total wall-clock of the run.

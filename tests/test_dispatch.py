@@ -1,4 +1,5 @@
-"""The per-subgraph dispatch: Spark results equal the kernel run in-process."""
+"""The per-subgraph dispatch: driver and Spark results both equal the kernel
+run in-process."""
 import numpy as np
 import pandas as pd
 
@@ -43,7 +44,7 @@ def _tables():
     }
 
 
-def test_matches_in_process_kernel_on_sparse_tables(spark):
+def test_matches_in_process_kernel_on_sparse_tables(spark, on_each_backend):
     def kernel(t):
         e = t["edges"]
         out = pd.DataFrame(
@@ -52,50 +53,47 @@ def test_matches_in_process_kernel_on_sparse_tables(spark):
         return {"summary": out, "changed": t["changed"]}, len(e) + len(t["changed"])
 
     tables, subs = _tables(), np.array([3, 0, 2, 1, 2])
-    got, acts = per_subgraph(spark, subs, tables, kernel)
     want, want_acts = _in_process(subs, tables, kernel)
-    assert acts == want_acts == 6
-    assert set(got) == {"summary", "changed"}
-    for name in want:
-        pd.testing.assert_frame_equal(got[name], want[name])
-    # Sub 2 ran with an empty edge frame; sub 3 with no entries at all.
-    assert got["summary"].set_index("sub").loc[2, "wsum"] == 0.0
-    assert 3 not in set(got["summary"]["sub"])
-    # Insert / delete rows keep their NaN through the round trip.
-    ch = got["changed"].set_index("sub")
-    assert np.isnan(ch.loc[0, "w_old"]) and np.isnan(ch.loc[3, "w_new"])
-    assert ch.loc[1, "w_old"] == 1.0
+    for got, acts in on_each_backend(lambda: per_subgraph(spark, subs, tables, kernel)).values():
+        assert acts == want_acts == 6
+        assert set(got) == {"summary", "changed"}
+        for name in want:
+            pd.testing.assert_frame_equal(got[name], want[name])
+        # Sub 2 ran with an empty edge frame; sub 3 with no entries at all.
+        assert got["summary"].set_index("sub").loc[2, "wsum"] == 0.0
+        assert 3 not in set(got["summary"]["sub"])
+        # Insert / delete rows keep their NaN through the round trip.
+        ch = got["changed"].set_index("sub")
+        assert np.isnan(ch.loc[0, "w_old"]) and np.isnan(ch.loc[3, "w_new"])
+        assert ch.loc[1, "w_old"] == 1.0
+    # The kernel handed back its input frame; the caller's table is untouched.
+    pd.testing.assert_frame_equal(_tables()["changed"], tables["changed"])
 
 
-def test_subs_outside_the_list_are_not_run(spark):
+def test_subs_outside_the_list_are_not_run(spark, on_each_backend):
     def kernel(t):
         return {"edges": t["edges"]}, len(t["edges"])
 
-    got, acts = per_subgraph(spark, [1], _tables(), kernel)
-    assert acts == 1
-    assert got["edges"]["sub"].tolist() == [1]
+    for got, acts in on_each_backend(lambda: per_subgraph(spark, [1], _tables(), kernel)).values():
+        assert acts == 1
+        assert got["edges"]["sub"].tolist() == [1]
 
 
-def test_empty_output_for_every_subgraph(spark):
+def test_empty_output_for_every_subgraph(spark, on_each_backend):
     def kernel(t):
         return {"sc": pd.DataFrame({"entry": pd.Series(dtype=np.int64),
                                     "w": pd.Series(dtype=float)})}, 0
 
     tables = _tables()
-    got, acts = per_subgraph(spark, [0, 1, 2], tables, kernel)
     want, _ = _in_process([0, 1, 2], tables, kernel)
-    assert acts == 0
-    assert list(got["sc"].columns) == ["sub", "entry", "w"] and len(got["sc"]) == 0
-    pd.testing.assert_frame_equal(got["sc"], want["sc"])
+    for got, acts in on_each_backend(lambda: per_subgraph(spark, [0, 1, 2], tables, kernel)).values():
+        assert acts == 0
+        assert list(got["sc"].columns) == ["sub", "entry", "w"] and len(got["sc"]) == 0
+        pd.testing.assert_frame_equal(got["sc"], want["sc"])
 
 
-class _NoSpark:
-    def __getattr__(self, name):
-        raise AssertionError(f"Spark touched: {name}")
-
-
-def test_empty_subs_start_no_spark_job():
+def test_empty_subs_start_no_spark_job(no_spark):
     def kernel(t):
         raise AssertionError("kernel ran")
 
-    assert per_subgraph(_NoSpark(), np.array([], np.int64), _tables(), kernel) == ({}, 0)
+    assert per_subgraph(no_spark, np.array([], np.int64), _tables(), kernel) == ({}, 0)

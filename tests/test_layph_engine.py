@@ -8,6 +8,7 @@ from repro.engine.local import converge
 from repro.graphs.generators import dataset, fig2_delta, fig2_graph
 from repro.graphs.schema import vertex_ids
 from repro.graphs.updates import GraphDelta, apply_delta, random_edge_delta, random_vertex_delta
+from repro.incremental.ingress import ingress_incremental
 from repro.layph.engine import LayphEngine
 from repro.reference import assert_states_close
 
@@ -174,3 +175,21 @@ def test_layph_pure_deletions(spark):
     delta = random_edge_delta(edges, n_add=0, n_del=8, seed=10)
     got, _ = eng.run_delta(delta)
     check(got, edges, algo, delta)
+
+
+@pytest.mark.parametrize("name", ["sssp", "pagerank"])
+def test_driver_path_starts_no_spark_job(no_spark, name):
+    """Inputs under the size rule's limit never touch Spark: two Layph rounds
+    and two Ingress rounds run with a session that fails on any use."""
+    edges, membership = dataset("uk_lite", sf=0.003, seed=9)
+    algo = make_algo(name)
+    eng = LayphEngine(no_spark, edges, algo, membership=membership).initialize()
+    cur, x = edges, local_batch(edges, algo)
+    for r in range(2):
+        delta = random_edge_delta(cur, n_add=3, n_del=3, seed=2000 + r)
+        got, _ = eng.run_delta(delta)
+        x, _ = ingress_incremental(no_spark, cur, delta, x, algo)
+        cur = apply_delta(cur, delta)
+        none = GraphDelta(added=cur.iloc[0:0], deleted=cur.iloc[0:0][["src", "dst"]])
+        check(got, cur, algo, none)
+        check(x, cur, algo, none)

@@ -149,7 +149,8 @@ def test_upper_sum_uploads_forward_only_via_orig(spark):
 
 
 def test_loop_partitions_read_at_call_time(spark, monkeypatch):
-    """Setting ``batch.LOOP_PARTITIONS`` (the T5 sweep) reaches both loops."""
+    """Setting ``batch.LOOP_PARTITIONS`` (the T5 sweep, which also holds
+    every loop on Spark) reaches both loops."""
     from repro.engine import batch
     from repro.incremental.baselines import _pull_min_jacobi
 
@@ -163,6 +164,7 @@ def test_loop_partitions_read_at_call_time(spark, monkeypatch):
         return real_set(self, key, value)
 
     monkeypatch.setattr(batch, "LOOP_PARTITIONS", 3)
+    monkeypatch.setattr(batch, "DRIVER_MAX_EDGES", 0)
     monkeypatch.setattr(conf_cls, "set", spy)
     up = pd.DataFrame({"src": [0], "dst": [1], "w": [0.5], "etype": [0]})
     upper_sum_loop(
@@ -178,15 +180,24 @@ def test_loop_partitions_read_at_call_time(spark, monkeypatch):
     assert out[2] == 2.0
 
 
-def test_upper_min_loop_honours_max_supersteps(spark):
+def test_upper_min_loop_honours_max_supersteps(spark, on_each_backend):
+    """Reaching the cap with messages still pending is an error; reaching it
+    as the last messages are delivered is not."""
     up = pd.DataFrame(
         {"src": [0, 1, 2], "dst": [1, 2, 3], "w": [1.0, 1.0, 1.0], "etype": [0, 0, 0]}
     )
     x = pd.Series(INF, index=[0, 1, 2, 3])
-    stats = RunStats()
-    out = upper_min_loop(
-        spark, up, x, pd.Series({0: 0.0}), alg.sssp(source=0), stats=stats,
-        max_supersteps=1,
-    )
-    assert stats.supersteps == 1
-    assert out[1] == 1.0 and out[2] == INF and out[3] == INF
+
+    def run(cap):
+        return upper_min_loop(
+            spark, up, x, pd.Series({0: 0.0}), alg.sssp(source=0), stats=RunStats(),
+            max_supersteps=cap,
+        )
+
+    def both_caps():
+        with pytest.raises(RuntimeError, match="max_supersteps=2"):
+            run(2)
+        return run(3)
+
+    for out in on_each_backend(both_caps).values():
+        assert out.tolist() == [0.0, 1.0, 2.0, 3.0]
