@@ -55,15 +55,17 @@ _CHANNEL_EDGE_SCHEMA = StructType(
 #: are small; AQE coalesces further. Overridable for the thread-scaling study.
 LOOP_PARTITIONS = 8
 
-#: Largest input (edge or table rows) that runs in the driver instead of as
-#: Spark jobs. It guards driver memory, not speed: numpy beats a Spark
-#: superstep at every size measured (DESIGN.md §5.6). Overridable, like
-#: ``LOOP_PARTITIONS``; 0 sends every non-empty input to Spark.
+#: Largest edge count whose superstep loop runs in the driver instead of as
+#: Spark jobs: the largest input the driver backend was measured on. It is
+#: neither a speed crossover nor a memory guard; numpy was faster at every
+#: size, and the Spark backend's driver process peaked no lower (DESIGN.md
+#: §5.6). Overridable, like ``LOOP_PARTITIONS``; 0 sends every non-empty
+#: loop to Spark.
 DRIVER_MAX_EDGES = 2_000_000
 
 
 def on_driver(n_rows: int) -> bool:
-    """The size rule: work over ``n_rows`` rows runs in the driver process.
+    """The size rule: a loop over ``n_rows`` edges runs in the driver process.
 
     Reads ``DRIVER_MAX_EDGES`` at call time.
     """

@@ -2,7 +2,7 @@
 
 A shared ``local[*]`` session cannot change its worker-thread count, so the
 in-session sweep varies the superstep loop's shuffle-partition count as a
-parallelism proxy, with every loop and per-subgraph kernel held on Spark
+parallelism proxy, with every superstep loop held on Spark
 (``DRIVER_MAX_EDGES`` = 0); ``jobs/exp_threads.py`` additionally supports true
 ``--master local[k]`` runs when launched standalone (one JVM per k).
 """

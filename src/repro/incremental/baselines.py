@@ -1,9 +1,12 @@
 """Behavioral models of the competitor systems (see DESIGN.md §5.2).
 
 The real competitors are C++ systems; we reproduce each one's published
-*algorithmic strategy* on the shared Spark substrate so that edge
-activations (the paper's own hardware-independent metric) and runtime are
-comparable across systems:
+*algorithmic strategy* so that edge activations (the paper's own
+hardware-independent metric) are comparable across systems. Runtimes are
+comparable except KickStarter's: every other model runs the superstep loop
+of ``engine.batch``, in the driver when the graph fits (``on_driver``),
+while KickStarter's pull loop (``_pull_min_jacobi``) always runs as Spark
+jobs, so compare KickStarter by activations only.
 
 * ``restart``      — recompute A(G ⊕ ΔG) from scratch (paper's Restart).
 * ``ingress``      — delta-based async propagation (the engine Layph extends).

@@ -1,9 +1,11 @@
-"""Shortcut deduction over Spark: one task per dense subgraph.
+"""Shortcut deduction: one kernel call per dense subgraph.
 
 The subgraphs are disjoint, so shortcut calculation "can be parallelized
 well" (§IV) — each subgraph's intra edges and entries go to the local kernel
 through :func:`repro.layph.dispatch.per_subgraph`. The same dispatch
 recomputes only the ΔG-affected subgraphs during layered-graph update (§IV-B).
+Both entry points run in the driver; their ``spark`` argument is unused and
+kept because ``perfbench/tracing.py`` reads the later arguments by position.
 """
 from __future__ import annotations
 
@@ -54,7 +56,7 @@ def compute_shortcuts(
         return {"sc": sc}, acts
 
     out, acts = per_subgraph(
-        spark, wanted,
+        wanted,
         {"edges": intra_edges[["sub", "src", "dst", "w"]], "entries": entries[["sub", "id"]]},
         kernel,
     )
@@ -76,7 +78,7 @@ def update_shortcuts(
 
     Sum workloads correct every entry row by exact delta injection; min
     workloads recompute only entries whose old shortcut tree can be touched
-    by a changed edge. One Spark task per affected subgraph with entries.
+    by a changed edge. One kernel call per affected subgraph with entries.
     """
     eff_tol = algo.tol if tol is None else tol
     fn = shortcut_update_min if algo.is_min else shortcut_update_sum
@@ -88,7 +90,7 @@ def update_shortcuts(
 
     # A subgraph without entries gets no shortcut rows.
     out, acts = per_subgraph(
-        spark, np.intersect1d(subs, entries["sub"]),
+        np.intersect1d(subs, entries["sub"]),
         {
             "edges": intra_edges[["sub", "src", "dst", "w"]],
             "entries": entries[["sub", "id"]],

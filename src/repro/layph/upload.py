@@ -1,11 +1,13 @@
-"""Revision-message upload (§V-A): local per-subgraph convergence in Spark.
+"""Revision-message upload (§V-A): local per-subgraph convergence.
 
 Revision deltas targeting subgraph members are propagated *inside* the
 subgraph until quiescence, one :func:`repro.layph.dispatch.per_subgraph`
-task per affected subgraph (they are independent, Eq. 7 note). Member
+kernel call per affected subgraph (they are independent, Eq. 7 note). Member
 states absorb the local effects; boundary vertices additionally report the
 G-aggregate of everything they received — the uploaded initial messages for
-the L_up iteration.
+the L_up iteration. It runs in the driver; the ``spark`` argument is unused
+and kept because ``perfbench/tracing.py`` reads the later arguments by
+position.
 """
 from __future__ import annotations
 
@@ -71,7 +73,7 @@ def upload_messages(
         }
         return frames, run.activations
 
-    out, acts = per_subgraph(spark, inj_subs, tables, kernel)
+    out, acts = per_subgraph(inj_subs, tables, kernel)
     st, up = out["states"], out["uploads"]
     member_states = pd.Series(st.x.to_numpy(float), index=st.id.to_numpy(np.int64))
     uploads = pd.Series(up.m.to_numpy(float), index=up.id.to_numpy(np.int64))

@@ -1,5 +1,5 @@
-"""The per-subgraph dispatch: driver and Spark results both equal the kernel
-run in-process."""
+"""The per-subgraph dispatch equals the kernel run directly on each
+subgraph's rows."""
 import numpy as np
 import pandas as pd
 
@@ -44,7 +44,7 @@ def _tables():
     }
 
 
-def test_matches_in_process_kernel_on_sparse_tables(spark, on_each_backend):
+def test_matches_in_process_kernel_on_sparse_tables():
     def kernel(t):
         e = t["edges"]
         out = pd.DataFrame(
@@ -54,46 +54,46 @@ def test_matches_in_process_kernel_on_sparse_tables(spark, on_each_backend):
 
     tables, subs = _tables(), np.array([3, 0, 2, 1, 2])
     want, want_acts = _in_process(subs, tables, kernel)
-    for got, acts in on_each_backend(lambda: per_subgraph(spark, subs, tables, kernel)).values():
-        assert acts == want_acts == 6
-        assert set(got) == {"summary", "changed"}
-        for name in want:
-            pd.testing.assert_frame_equal(got[name], want[name])
-        # Sub 2 ran with an empty edge frame; sub 3 with no entries at all.
-        assert got["summary"].set_index("sub").loc[2, "wsum"] == 0.0
-        assert 3 not in set(got["summary"]["sub"])
-        # Insert / delete rows keep their NaN through the round trip.
-        ch = got["changed"].set_index("sub")
-        assert np.isnan(ch.loc[0, "w_old"]) and np.isnan(ch.loc[3, "w_new"])
-        assert ch.loc[1, "w_old"] == 1.0
+    got, acts = per_subgraph(subs, tables, kernel)
+    assert acts == want_acts == 6
+    assert set(got) == {"summary", "changed"}
+    for name in want:
+        pd.testing.assert_frame_equal(got[name], want[name])
+    # Sub 2 ran with an empty edge frame; sub 3 with no entries at all.
+    assert got["summary"].set_index("sub").loc[2, "wsum"] == 0.0
+    assert 3 not in set(got["summary"]["sub"])
+    # Insert / delete rows keep their NaN through the round trip.
+    ch = got["changed"].set_index("sub")
+    assert np.isnan(ch.loc[0, "w_old"]) and np.isnan(ch.loc[3, "w_new"])
+    assert ch.loc[1, "w_old"] == 1.0
     # The kernel handed back its input frame; the caller's table is untouched.
     pd.testing.assert_frame_equal(_tables()["changed"], tables["changed"])
 
 
-def test_subs_outside_the_list_are_not_run(spark, on_each_backend):
+def test_subs_outside_the_list_are_not_run():
     def kernel(t):
         return {"edges": t["edges"]}, len(t["edges"])
 
-    for got, acts in on_each_backend(lambda: per_subgraph(spark, [1], _tables(), kernel)).values():
-        assert acts == 1
-        assert got["edges"]["sub"].tolist() == [1]
+    got, acts = per_subgraph([1], _tables(), kernel)
+    assert acts == 1
+    assert got["edges"]["sub"].tolist() == [1]
 
 
-def test_empty_output_for_every_subgraph(spark, on_each_backend):
+def test_empty_output_for_every_subgraph():
     def kernel(t):
         return {"sc": pd.DataFrame({"entry": pd.Series(dtype=np.int64),
                                     "w": pd.Series(dtype=float)})}, 0
 
     tables = _tables()
     want, _ = _in_process([0, 1, 2], tables, kernel)
-    for got, acts in on_each_backend(lambda: per_subgraph(spark, [0, 1, 2], tables, kernel)).values():
-        assert acts == 0
-        assert list(got["sc"].columns) == ["sub", "entry", "w"] and len(got["sc"]) == 0
-        pd.testing.assert_frame_equal(got["sc"], want["sc"])
+    got, acts = per_subgraph([0, 1, 2], tables, kernel)
+    assert acts == 0
+    assert list(got["sc"].columns) == ["sub", "entry", "w"] and len(got["sc"]) == 0
+    pd.testing.assert_frame_equal(got["sc"], want["sc"])
 
 
-def test_empty_subs_start_no_spark_job(no_spark):
+def test_empty_subs_start_no_spark_job():
     def kernel(t):
         raise AssertionError("kernel ran")
 
-    assert per_subgraph(no_spark, np.array([], np.int64), _tables(), kernel) == ({}, 0)
+    assert per_subgraph(np.array([], np.int64), _tables(), kernel) == ({}, 0)

@@ -193,3 +193,24 @@ def test_driver_path_starts_no_spark_job(no_spark, name):
         none = GraphDelta(added=cur.iloc[0:0], deleted=cur.iloc[0:0][["src", "dst"]])
         check(got, cur, algo, none)
         check(x, cur, algo, none)
+
+
+@pytest.mark.parametrize("name", ["sssp", "pagerank"])
+def test_backends_agree_end_to_end(spark, on_each_backend, name):
+    """One Layph round and one Ingress round give the same states, supersteps
+    and activations in the driver and on Spark."""
+    edges, membership = dataset("uk_lite", sf=0.003, seed=4)
+    algo = make_algo(name)
+    delta = random_edge_delta(edges, n_add=3, n_del=3, seed=31)
+    x = local_batch(edges, algo)
+
+    def run():
+        eng = LayphEngine(spark, edges, algo, membership=membership).initialize()
+        return eng.run_delta(delta), ingress_incremental(spark, edges, delta, x, algo)
+
+    runs = on_each_backend(run)
+    same = dict(check_exact=True) if algo.is_min else dict(check_exact=False, rtol=0, atol=1e-12)
+    for (d_out, d_stats), (s_out, s_stats) in zip(runs["driver"], runs["spark"]):
+        assert (d_stats.supersteps, d_stats.activations) == (s_stats.supersteps, s_stats.activations)
+        pd.testing.assert_series_equal(d_out, s_out, **same)
+        check(d_out, edges, algo, delta)

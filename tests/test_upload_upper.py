@@ -91,7 +91,26 @@ def test_upper_sum_loop_empty_pendings(spark):
     assert len(dc) == 0 and stats.supersteps == 0
 
 
-def test_upper_sum_loop_channels_and_dcache(spark):
+def _upper_sum_on_each_backend(spark, on_each_backend, up, x, pend, pend_sc, entries):
+    """upper_sum_loop on both backends; they agree on supersteps and
+    activations, and on states and Δcache within 1e-12. Returns both runs'
+    ``(xs, dc)``."""
+    algo = alg.pagerank(d=0.5, tol=1e-9)
+
+    def run():
+        stats = RunStats()
+        xs, dc = upper_sum_loop(spark, up, x, pend, pend_sc, entries, algo, stats=stats, tol=1e-9)
+        return xs, dc, stats
+
+    runs = on_each_backend(run)
+    (d_xs, d_dc, d_st), (s_xs, s_dc, s_st) = runs["driver"], runs["spark"]
+    assert (d_st.supersteps, d_st.activations) == (s_st.supersteps, s_st.activations)
+    for d, s in ((d_xs, s_xs), (d_dc, s_dc)):
+        pd.testing.assert_series_equal(d, s, check_exact=False, rtol=0, atol=1e-12)
+    return [(xs, dc) for xs, dc, _ in runs.values()]
+
+
+def test_upper_sum_loop_channels_and_dcache(spark, on_each_backend):
     """orig arrival at the entry is cached; shortcut arrivals are not."""
     # outlier 0 --orig--> entry 1 --shortcut--> exit 2 --orig--> entry 1?
     up = pd.DataFrame(
@@ -103,18 +122,16 @@ def test_upper_sum_loop_channels_and_dcache(spark):
         }
     )
     x = pd.Series(0.0, index=[0, 1, 2, 3])
-    stats = RunStats()
-    xs, dc = upper_sum_loop(
-        spark, up, x, pd.Series({0: 1.0}), pd.Series(dtype=float),
-        np.array([1]), alg.pagerank(d=0.5, tol=1e-9), stats=stats, tol=1e-9,
-    )
-    assert abs(xs[1] - 0.5) < 1e-9  # orig arrival applied
-    assert abs(xs[2] - 0.2) < 1e-9  # via shortcut
-    assert abs(xs[3] - 0.1) < 1e-9  # exit forwards via orig edge
-    assert abs(dc[1] - 0.5) < 1e-9  # cached for assignment
+    for xs, dc in _upper_sum_on_each_backend(
+        spark, on_each_backend, up, x, pd.Series({0: 1.0}), pd.Series(dtype=float), np.array([1])
+    ):
+        assert abs(xs[1] - 0.5) < 1e-9  # orig arrival applied
+        assert abs(xs[2] - 0.2) < 1e-9  # via shortcut
+        assert abs(xs[3] - 0.1) < 1e-9  # exit forwards via orig edge
+        assert abs(dc[1] - 0.5) < 1e-9  # cached for assignment
 
 
-def test_upper_sum_shortcut_channel_not_reforwarded_through_shortcuts(spark):
+def test_upper_sum_shortcut_channel_not_reforwarded_through_shortcuts(spark, on_each_backend):
     """A shortcut arrival at an entry must NOT re-enter that sub's shortcuts."""
     # entry 1 --self shortcut w=0.5--> 1 : if ps re-fired shortcuts, mass
     # would amplify geometrically through the shortcut alone.
@@ -122,30 +139,26 @@ def test_upper_sum_shortcut_channel_not_reforwarded_through_shortcuts(spark):
         {"src": [0, 1], "dst": [1, 1], "w": [1.0, 0.5], "etype": [0, 1]}
     )
     x = pd.Series(0.0, index=[0, 1])
-    stats = RunStats()
-    xs, dc = upper_sum_loop(
-        spark, up, x, pd.Series({0: 1.0}), pd.Series(dtype=float),
-        np.array([1]), alg.pagerank(d=0.5, tol=1e-9), stats=stats, tol=1e-9,
-    )
-    # one orig arrival (1.0) + one shortcut self-arrival (0.5), then stop:
-    assert abs(xs[1] - 1.5) < 1e-9
-    assert abs(dc[1] - 1.0) < 1e-9
+    for xs, dc in _upper_sum_on_each_backend(
+        spark, on_each_backend, up, x, pd.Series({0: 1.0}), pd.Series(dtype=float), np.array([1])
+    ):
+        # one orig arrival (1.0) + one shortcut self-arrival (0.5), then stop:
+        assert abs(xs[1] - 1.5) < 1e-9
+        assert abs(dc[1] - 1.0) < 1e-9
 
 
-def test_upper_sum_uploads_forward_only_via_orig(spark):
+def test_upper_sum_uploads_forward_only_via_orig(spark, on_each_backend):
     """ps seeds at an entry skip its shortcuts (interior already served)."""
     up = pd.DataFrame(
         {"src": [1, 1], "dst": [2, 3], "w": [0.4, 0.5], "etype": [1, 0]}
     )
     x = pd.Series(0.0, index=[1, 2, 3])
-    stats = RunStats()
-    xs, dc = upper_sum_loop(
-        spark, up, x, pd.Series(dtype=float), pd.Series({1: 1.0}),
-        np.array([1]), alg.pagerank(d=0.5, tol=1e-9), stats=stats, tol=1e-9,
-    )
-    assert xs[2] == 0.0  # shortcut NOT fired for the upload
-    assert abs(xs[3] - 0.5) < 1e-9  # orig edge fired
-    assert len(dc) == 0
+    for xs, dc in _upper_sum_on_each_backend(
+        spark, on_each_backend, up, x, pd.Series(dtype=float), pd.Series({1: 1.0}), np.array([1])
+    ):
+        assert xs[2] == 0.0  # shortcut NOT fired for the upload
+        assert abs(xs[3] - 0.5) < 1e-9  # orig edge fired
+        assert len(dc) == 0
 
 
 def test_loop_partitions_read_at_call_time(spark, monkeypatch):
