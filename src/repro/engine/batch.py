@@ -60,7 +60,8 @@ LOOP_PARTITIONS = 8
 #: neither a speed crossover nor a memory guard; numpy was faster at every
 #: size, and the Spark backend's driver process peaked no lower (DESIGN.md
 #: §5.6). Overridable, like ``LOOP_PARTITIONS``; 0 sends every non-empty
-#: loop to Spark.
+#: loop to Spark. ``engine.local.shortcut_pass`` also reads it, as the most
+#: copied edges one chunk of its flattened pass may hold.
 DRIVER_MAX_EDGES = 2_000_000
 
 

@@ -1,24 +1,29 @@
-"""Local (numpy) vertex-centric kernel.
+"""Local (numpy) vertex-centric kernels, run in the driver.
 
-This is the compute core that ``layph.dispatch.per_subgraph`` runs *inside
-each dense subgraph* (in the driver, or one Spark task each) — the paper's
-per-subgraph local iterations (shortcut deduction §IV-A2, message upload
-§V-A) — and the reference push engine that the superstep loop must agree
-with.
+This is the compute core of Layph's per-subgraph phases — shortcut
+deduction (§IV-A2), shortcut update (§IV-B) and message upload (§V-A) —
+and the reference push engine that the superstep loop must agree with.
+Subgraphs are disjoint and intra edges never leave their subgraph, so the
+union of the affected subgraphs is a block-diagonal graph: the upload is
+one :func:`converge` over that union, and shortcut deduction and the sum
+update are one :func:`shortcut_pass` over every (subgraph, entry) row.
 
 Everything operates on *prepared* edges (see ``engine.algorithms``): min
 workloads relax ``m + w`` under ``min``; sum workloads propagate deltas
 ``m · w`` under ``+``. Activations are counted exactly as the paper counts
 them: one per F application (one per out-edge of an active vertex per
-iteration).
+iteration). Reaching ``max_iter`` with messages still pending raises
+``RuntimeError`` rather than returning unconverged states.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
 
+from repro.engine import batch
 from repro.engine.algorithms import Algorithm
 
 INF = float("inf")
@@ -32,6 +37,10 @@ class LocalRun:
     arrivals: pd.Series  # id -> G-aggregate of everything received this run
     activations: int
     iterations: int
+
+
+def _over_cap(where: str, max_iter: int) -> RuntimeError:
+    return RuntimeError(f"{where}: messages still pending after max_iter={max_iter}")
 
 
 def _arrays(prepared: pd.DataFrame, ids: np.ndarray):
@@ -82,11 +91,15 @@ def converge(
         improved = pend < x
         x = np.minimum(x, pend)
         pend = np.where(improved, pend, INF)
-        while iters < max_iter:
+        while True:
             active = pend < INF
             if not active.any():
                 break
             mask = active[src]
+            if iters == max_iter:
+                if mask.any():
+                    raise _over_cap("converge", max_iter)
+                break
             acts += int(mask.sum())
             iters += 1
             if not mask.any():
@@ -102,11 +115,15 @@ def converge(
         np.add.at(pend, mpos, m0.to_numpy(float))
         np.add.at(recv, mpos, m0.to_numpy(float))
         x = x + pend
-        while iters < max_iter:
+        while True:
             active = np.abs(pend) > tol
             if not active.any():
                 break
             mask = active[src]
+            if iters == max_iter:
+                if mask.any():
+                    raise _over_cap("converge", max_iter)
+                break
             acts += int(mask.sum())
             iters += 1
             nxt = np.zeros(n)
@@ -124,6 +141,249 @@ def converge(
     )
 
 
+# -- the flattened shortcut pass --------------------------------------------
+
+_TABLES = (  # the pass's input tables and the columns it reads besides ``sub``
+    ["src", "dst", "w"],  # prepared intra edges
+    ["id"],  # entries
+    ["entry", "dst", "w"],  # old shortcut rows
+    ["src", "dst", "w_old", "w_new"],  # changed prepared weights (NaN = absent)
+)
+
+
+def _grouped(subs: np.ndarray, df: pd.DataFrame | None, cols: list[str]):
+    """The rows of ``df`` whose ``sub`` is in ``subs`` (sorted, unique),
+    sub-major with table order kept inside each subgraph.
+
+    Returns ``(columns, bounds)``: ``columns[0]`` is each row's position in
+    ``subs``, followed by the named columns; ``subs[i]``'s rows are
+    ``bounds[i]:bounds[i + 1]``. ``None`` is a table without rows.
+    """
+    if df is None:
+        return [np.empty(0, np.int64)] * (len(cols) + 1), np.zeros(len(subs) + 1, np.int64)
+    sub = df["sub"].to_numpy(np.int64)
+    p = np.searchsorted(subs, sub)
+    hit = p < len(subs)
+    hit[hit] = subs[p[hit]] == sub[hit]
+    rows = np.flatnonzero(hit)
+    rows = rows[np.argsort(p[rows], kind="stable")]
+    cols = [p[rows]] + [df[c].to_numpy()[rows] for c in cols]
+    return cols, np.searchsorted(cols[0], np.arange(len(subs) + 1))
+
+
+def _block(df: pd.DataFrame | None, cols: list[str]):
+    """:func:`_grouped` for a table that is all one subgraph (no ``sub``)."""
+    if df is None:
+        return [np.empty(0, np.int64)] * (len(cols) + 1), np.zeros(2, np.int64)
+    return [np.zeros(len(df), np.int64)] + [df[c].to_numpy() for c in cols], np.array([0, len(df)])
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concat(arange(s, s + c) for s, c in zip(starts, counts))``."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _chunks(sizes: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive ``[lo, hi)`` ranges whose summed ``sizes`` stay within
+    ``batch.DRIVER_MAX_EDGES``; an item above the limit forms its own range."""
+    bounds, total = [0], 0
+    for i, c in enumerate(sizes.tolist()):
+        if total and total + c > batch.DRIVER_MAX_EDGES:
+            bounds.append(i)
+            total = 0
+        total += c
+    bounds.append(len(sizes))
+    return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+
+
+def _propagate(acc, pend, src, dst, w, algo, tol, max_iter) -> tuple[np.ndarray, int]:
+    """Iterate F/G over the copied edges until no cell fires; ``acc``
+    G-aggregates every arrival. Sum messages are summed with ``np.bincount``
+    in edge-copy order, so each cell adds its arrivals in edge order."""
+    n, acts = len(acc), 0
+    for it in itertools.count():
+        active = pend < INF if algo.is_min else np.abs(pend) > tol
+        fire = active[src]
+        n_fire = int(np.count_nonzero(fire))
+        if n_fire == 0:
+            return acc, acts
+        if it == max_iter:
+            raise _over_cap("shortcut_pass", max_iter)
+        acts += n_fire
+        s, d = src[fire], dst[fire]
+        if algo.is_min:
+            nxt = np.full(n, INF)
+            np.minimum.at(nxt, d, pend[s] + w[fire])
+            pend = np.where(nxt < acc, nxt, INF)
+            acc = np.minimum(acc, nxt)
+        else:
+            nxt = np.bincount(d, pend[s] * w[fire], minlength=n)
+            acc = acc + nxt
+            pend = nxt
+
+
+def _pass_chunk(n_subs, E, R, O, C, algo, tol, max_iter):
+    """One block-diagonal pass over the subgraphs ``0..n_subs-1`` of a chunk.
+
+    ``E`` (sub, src, dst, w), ``R`` (sub, id), ``O`` (sub, entry, dst, w)
+    and ``C`` (sub, src, dst, w_old, w_new) are column lists grouped
+    sub-major. Returns ``(sub, entry, dst, w, activations)`` of the kept
+    cells.
+    """
+    esub, esrc, edst, ew = E
+    rsub, rid = R
+    osub, oentry, odst, ow = O
+    csub, csrc, cdst, cw_old, cw_new = C[:3] + [a.astype(float) for a in C[3:]]
+    # Vertex universe: per subgraph, every id its tables name, ascending.
+    # A (sub, id) pair is keyed sub * |ids| + the id's rank among all ids.
+    parts = [esrc, edst, rid, odst, csrc, cdst, oentry]
+    cuts = np.cumsum([len(a) for a in parts])[:-1]
+    psub = np.concatenate([esub, esub, rsub, osub, csub, csub, osub]).astype(np.int64)
+    codes, uniq = pd.factorize(np.concatenate(parts).astype(np.int64), sort=True)
+    keys = psub * len(uniq) + codes
+    rkey, okey = (np.split(keys, cuts)[i] for i in (2, 6))  # entries, old entries
+    vkeys = np.unique(keys[: cuts[-1]])  # old entry ids are looked up, not vertices
+    voff = np.searchsorted(vkeys // len(uniq), np.arange(n_subs + 1))
+    vid = uniq[vkeys % len(uniq)]
+    # Each table id's position inside its own subgraph's block of vertices.
+    lsrc, ldst, lent, lodst, lcsrc, lcdst, _ = np.split(
+        np.searchsorted(vkeys, keys) - voff[psub], cuts
+    )
+
+    # One row of |ids_s| cells per entry, sub-major, entries in table order.
+    nrow = np.diff(voff)[rsub]
+    row_base = np.cumsum(nrow) - nrow
+    n_cells = int(nrow.sum())
+    ecell = row_base + lent
+    rbound = np.searchsorted(rsub, np.arange(n_subs + 1))
+    k = np.diff(rbound)
+
+    is_min = algo.is_min
+    acc = np.full(n_cells, INF if is_min else 0.0)
+    pend = acc.copy()
+    had_old = np.isin(rkey, okey)
+    if len(okey):
+        # Old rows of current entries load into their cells.
+        order = np.argsort(rkey, kind="stable")
+        at = np.minimum(np.searchsorted(rkey[order], okey), len(order) - 1)
+        found = rkey[order[at]] == okey
+        g = order[at[found]]
+        acc[row_base[g] + lodst[found]] = ow[found]
+    if len(csub):
+        # A prepared-weight change dw on (u, v) injects (D[e, u] + 1_{u=e})·dw
+        # at v in every old row e, in changed-row order.
+        dw = np.where(np.isnan(cw_new), 0.0, cw_new) - np.where(np.isnan(cw_old), 0.0, cw_old)
+        cnt = k[csub]
+        c = np.repeat(np.arange(len(csub)), cnt)
+        g = _ranges(rbound[csub], cnt)
+        u = row_base[g] + lcsrc[c]
+        unit = (ecell[g] == u).astype(float)
+        np.add.at(pend, row_base[g] + lcdst[c], (acc[u] + unit) * had_old[g] * dw[c])
+        acc += pend  # injected corrections are arrivals
+    # Rows without an old row start from a fresh unit injection (not an arrival).
+    fresh = np.repeat(~had_old, nrow)
+    acc[fresh] = INF if is_min else 0.0
+    pend[fresh] = INF if is_min else 0.0
+    pend[ecell[~had_old]] = 0.0 if is_min else 1.0  # identity of ⊗
+
+    # Every entry row gets its own copy of its subgraph's intra edges.
+    cnt = np.diff(np.searchsorted(esub, np.arange(n_subs + 1)))[rsub]
+    c = np.repeat(np.arange(len(rid)), cnt)
+    e = _ranges(np.searchsorted(esub, rsub), cnt)
+    src_cell, dst_cell = row_base[c] + lsrc[e], row_base[c] + ldst[e]
+    w = ew[e].astype(float)
+    del c, e  # one int64 per copied edge each; free them before the loop
+    acc, acts = _propagate(acc, pend, src_cell, dst_cell, w, algo, tol, max_iter)
+
+    keep = np.isfinite(acc) if is_min else np.abs(acc) > tol
+    cells = np.flatnonzero(keep)
+    g = np.searchsorted(row_base, cells, side="right") - 1
+    dst = vid[voff[rsub[g]] + cells - row_base[g]]
+    entry = rid[g].astype(np.int64)
+    # A min self-shortcut (cycle distance) can never improve any state, so
+    # drop it; a sum self-shortcut carries real cycle mass and must be kept.
+    own = (entry == dst) if is_min else np.zeros(len(cells), bool)
+    return rsub[g][~own], entry[~own], dst[~own], acc[cells][~own], acts
+
+
+def shortcut_pass(
+    edges: pd.DataFrame,  # sub, src, dst, w
+    entries: pd.DataFrame,  # sub, id
+    algo: Algorithm,
+    *,
+    old: pd.DataFrame | None = None,  # sub, entry, dst, w
+    changed: pd.DataFrame | None = None,  # sub, src, dst, w_old, w_new (NaN = absent)
+    tol: float | None = None,
+    max_iter: int = 100_000,
+) -> tuple[pd.DataFrame, int]:
+    """Shortcut tables of every subgraph in ``entries``, as one flattened
+    pass over all of them.
+
+    Deduction (Def. 3 / Eq. 6) injects the ⊗-identity unit message at every
+    entry and propagates it with the user's own F and G through the
+    subgraph's prepared ``edges`` until quiescence: min workloads keep
+    finite weights, sum workloads keep weights above ``tol`` (including
+    cycle self-weights ``w(e,e)``, which the layered engine needs).
+
+    Passing ``old`` and ``changed`` (sum workloads only) makes it the
+    incremental weight update of §IV-B, an exact delta correction: the mass
+    an entry ``e`` pushed through ``u`` per unit injection is ``D_old[e,u]``
+    (+1 when ``u == e``), so a prepared-weight change ``dw`` on ``(u,v)``
+    corrects every entry row by injecting ``(D_old[e,u] + 1_{u=e}) · dw`` at
+    ``v`` and propagating over the NEW subgraph edges. Entries without an
+    old row (newly promoted) start from a fresh unit injection.
+
+    Layout: each entry row is a block of ``|ids_s|`` cells (sub-major,
+    entries in table order, vertex ids ascending) and gets one copy of its
+    subgraph's edges, so one loop propagates every row of every subgraph.
+    Subgraphs are taken in ``sub`` order, in chunks whose copied-edge count
+    (Σ entries × intra edges) stays within ``batch.DRIVER_MAX_EDGES``.
+
+    Returns ``(sub, entry, dst, w)`` rows sorted by ``sub, entry, dst``,
+    plus the activation count.
+    """
+    subs = np.unique(entries["sub"].to_numpy(np.int64))
+    tables = [
+        _grouped(subs, df, cols) for df, cols in zip([edges, entries, old, changed], _TABLES)
+    ]
+    sub, entry, dst, w, acts = _run_pass(subs, tables, algo, tol, max_iter)
+    return pd.DataFrame({"sub": sub, "entry": entry, "dst": dst, "w": w}), acts
+
+
+def _run_pass(subs, tables, algo, tol, max_iter):
+    """:func:`shortcut_pass` on grouped ``tables``, chunk by chunk. Returns
+    the ``(sub, entry, dst, w)`` arrays sorted by ``sub, entry, dst``, and
+    the activations."""
+    tol = algo.tol if tol is None else tol
+    if algo.is_min and (len(tables[2][0][0]) or len(tables[3][0][0])):
+        raise ValueError("the shortcut pass updates sum shortcut tables only")
+    copies = np.diff(tables[1][1]) * np.diff(tables[0][1])  # entries × intra edges
+    out = [[np.empty(0, np.int64)] * 3 + [np.empty(0)]]
+    acts = 0
+    for lo, hi in _chunks(copies):
+        chunk = [
+            [cols[0][b[lo]:b[hi]] - lo] + [c[b[lo]:b[hi]] for c in cols[1:]]
+            for cols, b in tables
+        ]
+        *cols, a = _pass_chunk(hi - lo, *chunk, algo, tol, max_iter)
+        cols[0] = subs[lo:hi][cols[0]]
+        out.append(cols)
+        acts += a
+    sub, entry, dst, w = (np.concatenate(c) for c in zip(*out))
+    order = np.lexsort((dst, entry, sub))
+    return sub[order], entry[order], dst[order], w[order], acts
+
+
+def _one_subgraph(edges, entries, algo, old, changed, tol, max_iter):
+    """:func:`shortcut_pass` on one subgraph's tables (no ``sub`` column).
+    Returns its ``(entry, dst, w)`` rows and the activations."""
+    entries = pd.DataFrame({"id": np.asarray(entries, np.int64)})
+    tables = [_block(df, cols) for df, cols in zip([edges, entries, old, changed], _TABLES)]
+    _, entry, dst, w, acts = _run_pass(np.zeros(1, np.int64), tables, algo, tol, max_iter)
+    return pd.DataFrame({"entry": entry, "dst": dst, "w": w}), acts
+
+
 def shortcut_weights(
     prepared: pd.DataFrame,
     entries: np.ndarray,
@@ -133,74 +393,15 @@ def shortcut_weights(
     tol: float | None = None,
     max_iter: int = 100_000,
 ) -> tuple[pd.DataFrame, int]:
-    """Automated shortcut deduction (Def. 3 / Eq. 6).
+    """Automated shortcut deduction (Def. 3 / Eq. 6) inside one subgraph
+    whose vertex set is ``vertex_ids``: :func:`shortcut_pass` on one block.
 
-    Injects the ⊗-identity unit message at every entry simultaneously (one
-    matrix row per entry) and propagates through the subgraph's prepared
-    edges with the user's own F and G until quiescence. Returns the dense
-    shortcut table ``(entry, dst, w)`` — min workloads keep finite weights,
-    sum workloads keep weights above ``tol`` (including cycle self-weights
-    ``w(e,e)``, which the layered engine needs) — plus the activation count.
+    Returns the shortcut table ``(entry, dst, w)`` plus the activation count.
     """
-    tol = algo.tol if tol is None else tol
     ids = np.asarray(vertex_ids, np.int64)
-    entries = np.asarray(entries, np.int64)
-    k, n = len(entries), len(ids)
-    if k == 0 or len(prepared) == 0:
-        return pd.DataFrame(columns=["entry", "dst", "w"]), 0
-    src, dst, w = _arrays(prepared, ids)
-    pos = pd.Series(np.arange(n), index=ids)
-    epos = pos.reindex(entries).to_numpy(np.int64)
-    rows = np.arange(k)
-
-    acts = 0
-    if algo.is_min:
-        best = np.full((k, n), INF)
-        pend = np.full((k, n), INF)
-        pend[rows, epos] = 0.0  # the unit message (identity of +)
-        for _ in range(max_iter):
-            active = pend < INF
-            mask_cols = active[:, src]  # (k, m) — which (entry, edge) fire
-            n_fire = int(mask_cols.sum())
-            if n_fire == 0:
-                break
-            acts += n_fire
-            cand = np.where(mask_cols, pend[:, src] + w[None, :], INF)
-            nxt = np.full((k, n), INF)
-            np.minimum.at(nxt, (rows[:, None], dst[None, :]), cand)
-            improved = nxt < best
-            best = np.minimum(best, nxt)
-            pend = np.where(improved, nxt, INF)
-        weights = best
-        keep = np.isfinite(weights)
-    else:
-        acc = np.zeros((k, n))
-        pend = np.zeros((k, n))
-        pend[rows, epos] = 1.0  # the unit message (identity of ·)
-        for _ in range(max_iter):
-            active = np.abs(pend) > tol
-            mask_cols = active[:, src]
-            n_fire = int(mask_cols.sum())
-            if n_fire == 0:
-                break
-            acts += n_fire
-            moved = np.where(mask_cols, pend[:, src] * w[None, :], 0.0)
-            nxt = np.zeros((k, n))
-            np.add.at(nxt, (rows[:, None], dst[None, :]), moved)
-            acc += nxt
-            pend = nxt
-        weights = acc
-        keep = np.abs(weights) > tol
-
-    e_idx, v_idx = np.nonzero(keep)
-    out = pd.DataFrame(
-        {"entry": entries[e_idx], "dst": ids[v_idx], "w": weights[e_idx, v_idx]}
-    )
-    # A min self-shortcut (cycle distance) can never improve any state, so
-    # drop it; a sum self-shortcut carries real cycle mass and must be kept.
-    if algo.is_min:
-        out = out[out.entry != out.dst]
-    return out.sort_values(["entry", "dst"]).reset_index(drop=True), acts
+    if not (np.isin(prepared.src, ids).all() and np.isin(prepared.dst, ids).all()):
+        raise ValueError("prepared edges reference ids outside the vertex set")
+    return _one_subgraph(prepared, entries, algo, None, None, tol, max_iter)
 
 
 def _sc_matrix(
@@ -227,77 +428,11 @@ def shortcut_update_sum(
     tol: float | None = None,
     max_iter: int = 100_000,
 ) -> tuple[pd.DataFrame, int]:
-    """Incremental shortcut update for sum workloads (§IV-B weight update).
-
-    Exact delta correction: the mass an entry ``e`` pushed through vertex
-    ``u`` per unit injection is ``D_old[e,u]`` (+1 when ``u == e``), so a
-    prepared-weight change ``dw`` on ``(u,v)`` corrects every entry row by
-    injecting ``(D_old[e,u] + 1_{u=e}) · dw`` at ``v`` and propagating over
-    the NEW subgraph edges. Entries without an old row (newly promoted)
-    start from a fresh unit injection.
+    """Incremental shortcut update for sum workloads (§IV-B weight update)
+    inside one subgraph: :func:`shortcut_pass` on one block with the old
+    rows ``(entry, dst, w)`` and the prepared-weight ``changed`` rows.
     """
-    tol = algo.tol if tol is None else tol
-    entries = np.asarray(entries, np.int64)
-    ids = np.unique(
-        np.concatenate(
-            [
-                new_edges.src.to_numpy(np.int64),
-                new_edges.dst.to_numpy(np.int64),
-                entries,
-                old_sc.dst.to_numpy(np.int64),
-                changed.src.to_numpy(np.int64),
-                changed.dst.to_numpy(np.int64),
-            ]
-        )
-    )
-    k, n = len(entries), len(ids)
-    if k == 0:
-        return pd.DataFrame(columns=["entry", "dst", "w"]), 0
-    pos = pd.Series(np.arange(n), index=ids)
-    D = _sc_matrix(old_sc, entries, pos, n, 0.0)
-    epos = pos.reindex(entries).to_numpy(np.int64)
-    had_old = np.isin(entries, old_sc.entry.unique())
-
-    pend = np.zeros((k, n))
-    unit = np.zeros((k, n))
-    unit[np.arange(k), epos] = 1.0
-    for _, r in changed.iterrows():
-        u, v = int(r.src), int(r.dst)
-        dw = (0.0 if np.isnan(r.w_new) else r.w_new) - (0.0 if np.isnan(r.w_old) else r.w_old)
-        if u not in pos.index or v not in pos.index:
-            continue
-        through = (D[:, pos[u]] + unit[:, pos[u]]) * had_old  # old mass via u
-        pend[:, pos[v]] += through * dw
-    D += pend  # injected corrections are arrivals
-    # Fresh unit injections for entries with no old row (not an arrival).
-    fresh = ~had_old
-    if fresh.any():
-        D[fresh, :] = 0.0
-        pend[fresh, :] = 0.0
-        pend[fresh, epos[fresh]] = 1.0
-
-    src, dst, w = _arrays(new_edges, ids) if len(new_edges) else (
-        np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0),
-    )
-    acts = 0
-    rows_k = np.arange(k)
-    for _ in range(max_iter):
-        active = np.abs(pend) > tol
-        mask = active[:, src] if len(src) else np.zeros((k, 0), bool)
-        n_fire = int(mask.sum())
-        if n_fire == 0:
-            break
-        acts += n_fire
-        moved = np.where(mask, pend[:, src] * w[None, :], 0.0)
-        nxt = np.zeros((k, n))
-        np.add.at(nxt, (rows_k[:, None], dst[None, :]), moved)
-        D += nxt
-        pend = nxt
-
-    keep = np.abs(D) > tol
-    e_idx, v_idx = np.nonzero(keep)
-    out = pd.DataFrame({"entry": entries[e_idx], "dst": ids[v_idx], "w": D[e_idx, v_idx]})
-    return out.sort_values(["entry", "dst"]).reset_index(drop=True), acts
+    return _one_subgraph(new_edges, entries, algo, old_sc, changed, tol, max_iter)
 
 
 def shortcut_update_min(

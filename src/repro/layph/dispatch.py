@@ -3,9 +3,14 @@
 Shortcut deduction (§IV-A2), shortcut update (§IV-B) and revision-message
 upload (§V-A) each run an independent local computation inside every
 affected subgraph; subgraphs are disjoint, so these "can be parallelized
-well". :func:`per_subgraph` is the one place that splits the input tables
-by subgraph and calls the kernel on each slice. Kernels see ordinary pandas
-frames (dtypes and NaN intact) and callers need no row schema.
+well". The phases that are one propagation pass — deduction, the sum
+update and the upload — run as one flattened numpy pass over all affected
+subgraphs (``engine.local.shortcut_pass`` and ``engine.local.converge``).
+:func:`per_subgraph` is left only for the min shortcut update
+(``engine.local.shortcut_update_min``), whose kernel runs a trim-and-relax
+per affected entry rather than one propagation pass. It splits the input
+tables by subgraph and calls the kernel on each slice; kernels see ordinary
+pandas frames (dtypes and NaN intact) and callers need no row schema.
 """
 from __future__ import annotations
 

@@ -1,9 +1,11 @@
-"""Shortcut deduction: one kernel call per dense subgraph.
+"""Shortcut deduction and update: one flattened pass over the subgraphs.
 
 The subgraphs are disjoint, so shortcut calculation "can be parallelized
-well" (§IV) — each subgraph's intra edges and entries go to the local kernel
-through :func:`repro.layph.dispatch.per_subgraph`. The same dispatch
-recomputes only the ΔG-affected subgraphs during layered-graph update (§IV-B).
+well" (§IV): their intra edges form a block-diagonal graph, and
+:func:`repro.engine.local.shortcut_pass` deduces every entry row of every
+subgraph in one numpy loop. During layered-graph update (§IV-B) the same
+pass corrects the sum rows of the ΔG-affected subgraphs only; min rows are
+updated per subgraph through :func:`repro.layph.dispatch.per_subgraph`.
 Both entry points run in the driver; their ``spark`` argument is unused and
 kept because ``perfbench/tracing.py`` reads the later arguments by position.
 """
@@ -14,19 +16,10 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.engine.algorithms import Algorithm
-from repro.engine.local import (
-    shortcut_update_min,
-    shortcut_update_sum,
-    shortcut_weights,
-)
+from repro.engine.local import shortcut_pass, shortcut_update_min
 from repro.layph.dispatch import per_subgraph
 
 _SC_COLUMNS = ["sub", "entry", "dst", "w"]
-
-
-def _shortcut_table(out: dict[str, pd.DataFrame]) -> pd.DataFrame:
-    sc = out.get("sc", pd.DataFrame(columns=_SC_COLUMNS))
-    return sc.astype({"sub": np.int64, "entry": np.int64, "dst": np.int64})
 
 
 def compute_shortcuts(
@@ -43,24 +36,9 @@ def compute_shortcuts(
     Returns a frame with columns ``sub, entry, dst, w`` covering, per Def. 3,
     every (entry, subgraph-vertex) pair reachable through subgraph edges.
     """
-    # A subgraph without entries gets no shortcut rows.
-    wanted = entries["sub"] if subs is None else np.intersect1d(subs, entries["sub"])
-    eff_tol = algo.tol if tol is None else tol
-
-    def kernel(t):
-        edges, ents = t["edges"], t["entries"].id.to_numpy(np.int64)
-        ids = np.unique(
-            np.concatenate([edges.src.to_numpy(np.int64), edges.dst.to_numpy(np.int64), ents])
-        )
-        sc, acts = shortcut_weights(edges, ents, ids, algo, tol=eff_tol)
-        return {"sc": sc}, acts
-
-    out, acts = per_subgraph(
-        wanted,
-        {"edges": intra_edges[["sub", "src", "dst", "w"]], "entries": entries[["sub", "id"]]},
-        kernel,
-    )
-    return _shortcut_table(out), acts
+    if subs is not None:
+        entries = entries[entries["sub"].isin(subs)]
+    return shortcut_pass(intra_edges, entries, algo, tol=tol)
 
 
 def update_shortcuts(
@@ -76,21 +54,25 @@ def update_shortcuts(
 ) -> tuple[pd.DataFrame, int]:
     """Incremental shortcut update for the affected subgraphs (§IV-B).
 
-    Sum workloads correct every entry row by exact delta injection; min
-    workloads recompute only entries whose old shortcut tree can be touched
-    by a changed edge. One kernel call per affected subgraph with entries.
+    Sum workloads correct every entry row by exact delta injection, in one
+    flattened pass; min workloads recompute only entries whose old shortcut
+    tree can be touched by a changed edge, one kernel call per affected
+    subgraph. A subgraph without entries gets no shortcut rows.
     """
+    entries = entries[entries["sub"].isin(subs)]
+    if algo.is_sum:
+        return shortcut_pass(
+            intra_edges, entries, algo, old=old_shortcuts, changed=changed, tol=tol
+        )
     eff_tol = algo.tol if tol is None else tol
-    fn = shortcut_update_min if algo.is_min else shortcut_update_sum
 
     def kernel(t):
         ents = t["entries"].id.to_numpy(np.int64)
-        sc, acts = fn(t["edges"], ents, t["old"], t["changed"], algo, tol=eff_tol)
+        sc, acts = shortcut_update_min(t["edges"], ents, t["old"], t["changed"], algo, tol=eff_tol)
         return {"sc": sc}, acts
 
-    # A subgraph without entries gets no shortcut rows.
     out, acts = per_subgraph(
-        np.intersect1d(subs, entries["sub"]),
+        entries["sub"],
         {
             "edges": intra_edges[["sub", "src", "dst", "w"]],
             "entries": entries[["sub", "id"]],
@@ -99,4 +81,5 @@ def update_shortcuts(
         },
         kernel,
     )
-    return _shortcut_table(out), acts
+    sc = out.get("sc", pd.DataFrame(columns=_SC_COLUMNS))
+    return sc.astype({"sub": np.int64, "entry": np.int64, "dst": np.int64}), acts

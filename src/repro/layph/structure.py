@@ -1,7 +1,8 @@
 """Layered-graph structure: boundary roles (Def. 1) and the density test (Def. 2).
 
 All structure bookkeeping is driver-side pandas (it is small — membership
-and role tables), while the heavy per-subgraph compute runs in Spark.
+and role tables); the per-subgraph compute runs as flattened numpy passes
+over the affected subgraphs (``engine.local``), also in the driver.
 """
 from __future__ import annotations
 
