@@ -2,7 +2,7 @@
 
 (a) shortcut storage as a fraction of the original edge count, per dataset;
 (b) cumulative time of Layph (offline layering + k incremental rounds) vs
-Ingress (k incremental rounds), SSSP on UK — the paper's crossover after
+Ingress (k incremental rounds), PageRank on UK — the paper's crossover after
 ~9 rounds.
 """
 from __future__ import annotations
@@ -48,7 +48,7 @@ def run_amortization(
     *,
     sf: float = 0.02,
     ds: str = "uk_lite",
-    algo_name: str = "sssp",
+    algo_name: str = "pagerank",
     rounds: int = 9,
     seed: int = 0,
 ) -> pd.DataFrame:
@@ -83,6 +83,20 @@ def run_amortization(
         )
         print(f"  {rows[-1]}", flush=True)
     return pd.DataFrame(rows)
+
+
+def run(
+    spark: SparkSession,
+    *,
+    sf: float = 0.02,
+    rounds: int = 9,
+    algo_name: str = "pagerank",
+    seed: int = 0,
+) -> tuple[pd.DataFrame, pd.DataFrame]:
+    """Both halves of the table: ``(run_space, run_amortization)``."""
+    space = run_space(spark, sf=sf, seed=seed)
+    amort = run_amortization(spark, sf=sf, algo_name=algo_name, rounds=rounds, seed=seed)
+    return space, amort
 
 
 def report(space: pd.DataFrame, amort: pd.DataFrame) -> str:

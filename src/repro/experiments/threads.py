@@ -3,10 +3,11 @@
 A shared ``local[*]`` session cannot change its worker-thread count, so the
 in-session sweep varies the superstep loop's shuffle-partition count as a
 parallelism proxy, with every superstep loop held on Spark
-(``DRIVER_MAX_EDGES`` = 0); ``jobs/exp_threads.py`` additionally supports true
-``--master local[k]`` runs when launched standalone (one JVM per k). The
-flattened shortcut pass reads the same limit, so under 0 it runs one chunk
-per subgraph, still in the driver.
+(``DRIVER_MAX_EDGES`` = 0). ``python -m repro.experiments T5_threads_proxy
+--threads k`` gives a true ``local[k]`` run instead: its session starts with
+k worker threads and the sweep is just ``partition_counts=[k]`` (one process
+per k). The flattened shortcut pass reads the same limit, so under 0 it runs
+one chunk per subgraph, still in the driver.
 """
 from __future__ import annotations
 

@@ -6,7 +6,7 @@ one edge per ordered pair). Edges live in a frame with columns
     src: int64    dst: int64    w: float64
 
 Pandas frames are the in-memory/local representation (the paper's
-per-subgraph local computations run on them, see ``layph/dispatch.py``);
+per-subgraph local computations run on them, see ``engine/local.py``);
 Spark DataFrames are the distributed representation for global work.
 """
 from __future__ import annotations

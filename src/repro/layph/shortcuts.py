@@ -5,9 +5,9 @@ well" (§IV): their intra edges form a block-diagonal graph, and
 :func:`repro.engine.local.shortcut_pass` deduces every entry row of every
 subgraph in one numpy loop. During layered-graph update (§IV-B) the same
 pass corrects the sum rows of the ΔG-affected subgraphs only; min rows are
-updated per subgraph through :func:`repro.layph.dispatch.per_subgraph`.
-Both entry points run in the driver; their ``spark`` argument is unused and
-kept because ``perfbench/tracing.py`` reads the later arguments by position.
+updated by one ``shortcut_update_min`` call per affected subgraph. Both
+entry points run in the driver; their ``spark`` argument is unused and kept
+because ``perfbench/tracing.py`` reads the later arguments by position.
 """
 from __future__ import annotations
 
@@ -17,9 +17,12 @@ from pyspark.sql import SparkSession
 
 from repro.engine.algorithms import Algorithm
 from repro.engine.local import shortcut_pass, shortcut_update_min
-from repro.layph.dispatch import per_subgraph
 
-_SC_COLUMNS = ["sub", "entry", "dst", "w"]
+#: An empty shortcut table with the column types of a filled one.
+_NO_SHORTCUTS = pd.DataFrame(
+    {"sub": np.empty(0, np.int64), "entry": np.empty(0, np.int64),
+     "dst": np.empty(0, np.int64), "w": np.empty(0)}
+)
 
 
 def compute_shortcuts(
@@ -65,21 +68,28 @@ def update_shortcuts(
             intra_edges, entries, algo, old=old_shortcuts, changed=changed, tol=tol
         )
     eff_tol = algo.tol if tol is None else tol
-
-    def kernel(t):
-        ents = t["entries"].id.to_numpy(np.int64)
-        sc, acts = shortcut_update_min(t["edges"], ents, t["old"], t["changed"], algo, tol=eff_tol)
-        return {"sc": sc}, acts
-
-    out, acts = per_subgraph(
-        entries["sub"],
-        {
-            "edges": intra_edges[["sub", "src", "dst", "w"]],
-            "entries": entries[["sub", "id"]],
-            "old": old_shortcuts[_SC_COLUMNS],
-            "changed": changed[["sub", "src", "dst", "w_old", "w_new"]],
-        },
-        kernel,
-    )
-    sc = out.get("sc", pd.DataFrame(columns=_SC_COLUMNS))
-    return sc.astype({"sub": np.int64, "entry": np.int64, "dst": np.int64}), acts
+    # Split each input table by subgraph once; a subgraph a table has no rows
+    # for gets that table's typed empty slice.
+    subs = np.unique(entries["sub"].to_numpy(np.int64))
+    tables = []
+    for df, cols in (
+        (intra_edges, ["src", "dst", "w"]),
+        (old_shortcuts, ["entry", "dst", "w"]),
+        (changed, ["src", "dst", "w_old", "w_new"]),
+    ):
+        df = df[df["sub"].isin(subs)]
+        by_sub = {s: g[cols].reset_index(drop=True) for s, g in df.groupby("sub")}
+        tables.append((by_sub, df[cols].iloc[:0]))
+    parts, acts = [], 0
+    for s, ents in entries.groupby("sub"):
+        edges, old, chg = (by_sub.get(s, empty) for by_sub, empty in tables)
+        sc, a = shortcut_update_min(
+            edges, ents["id"].to_numpy(np.int64), old, chg, algo, tol=eff_tol
+        )
+        acts += int(a)
+        if len(sc):
+            parts.append(sc.assign(sub=np.int64(s)))
+    if not parts:
+        return _NO_SHORTCUTS.copy(), acts
+    sc = pd.concat(parts, ignore_index=True)[list(_NO_SHORTCUTS.columns)]
+    return sc.astype(_NO_SHORTCUTS.dtypes.to_dict()), acts

@@ -1,8 +1,11 @@
 """Experiment harnesses produce well-formed tables (tiny scale)."""
+from pathlib import Path
+
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.experiments import __main__ as cli
 from repro.experiments import batch_size, breakdown, datasets_table, overall
 from repro.experiments.common import (
     ALL_SYSTEMS,
@@ -100,3 +103,54 @@ def test_batch_size_speedup_columns(spark):
     )
     assert {"speedup", "act_ratio", "batch_size"} <= set(df.columns)
     assert (df.batch_size >= 2).all()
+
+
+def test_registry_names_are_the_results_files():
+    results = Path(__file__).resolve().parents[1] / "results"
+    assert set(cli.TABLES) == {p.stem for p in results.glob("*.txt")}
+
+
+def test_unknown_table_exits_nonzero_and_names_the_tables(capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["T9_nothing"])
+    assert e.value.code != 0
+    err = capsys.readouterr().err
+    assert "T9_nothing" in err and all(name in err for name in cli.TABLES)
+
+
+def test_flag_the_table_does_not_take_is_rejected(capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["T1_datasets", "--sf", "0.003", "--tol", "1e-4"])
+    assert e.value.code != 0
+    assert "T1_datasets does not take --tol" in capsys.readouterr().err
+
+
+def _no_session(master=None):
+    raise AssertionError("a SparkSession was started")
+
+
+def test_breakdown_table_starts_no_session(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "get_spark", _no_session)
+    assert cli.main(["T4_breakdown", "--sf", "0.003", "--algos", "sssp", "--tol", "1e-4"]) == 0
+    out = capsys.readouterr().out
+    assert "algo total layered_update(%) upload(%) upper(%) assign(%)" in out
+    assert "\nsssp " in out
+
+
+def test_all_runs_every_table_past_a_failure(monkeypatch, tmp_path, capsys):
+    def ok(spark, *, sf):
+        return sf
+
+    def broken(spark, *, sf):
+        raise ValueError("broken table")
+
+    monkeypatch.setattr(cli, "get_spark", _no_session)
+    monkeypatch.setattr(
+        cli, "TABLES", {"A": cli.Table(broken, str), "B": cli.Table(ok, lambda sf: f"sf={sf}")}
+    )
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["all", "--sf", "0.5"]) == 1
+    out = capsys.readouterr().out
+    assert out.index("=== A ===") < out.index("FAILED") < out.index("=== B ===") < out.index("ok")
+    assert (tmp_path / "results" / "B.txt").read_text() == "sf=0.5\n"
+    assert (tmp_path / "results" / "A.txt").exists()

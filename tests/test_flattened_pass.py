@@ -137,7 +137,7 @@ NEW_ENTRIES = _with_sub(pd.DataFrame({"id": [2, 0, 5, 101, 103, 200, 201, 507, 5
 ALGOS = {"sum": lambda: alg.pagerank(d=0.85, tol=1e-6), "min": lambda: alg.sssp(source=0)}
 
 
-def _per_subgraph(fn, *tables):
+def _each_subgraph(fn, *tables):
     """Concatenate ``fn(sub, *slices)`` over the subgraphs with entries."""
     parts, acts = [], 0
     for s in np.unique(tables[1]["sub"]):
@@ -174,7 +174,7 @@ def _deduce(algo):
 def test_deduction_equals_one_subgraph_calls(no_spark, branch):
     algo = ALGOS[branch]()
     prep, one = _deduce(algo)
-    want, want_acts = _per_subgraph(one, prep, OLD_ENTRIES)
+    want, want_acts = _each_subgraph(one, prep, OLD_ENTRIES)
     got, acts = shortcut_pass(prep, OLD_ENTRIES, algo)
     _assert_same(got, want)
     assert acts == want_acts > 0
@@ -204,7 +204,7 @@ def test_sum_update_equals_one_subgraph_calls(no_spark):
         assert a == dense_a
         return sc, a
 
-    want, want_acts = _per_subgraph(one, new_prep, NEW_ENTRIES, old_sc, changed)
+    want, want_acts = _each_subgraph(one, new_prep, NEW_ENTRIES, old_sc, changed)
     got, acts = shortcut_pass(new_prep, NEW_ENTRIES, algo, old=old_sc, changed=changed)
     _assert_same(got, want)
     assert acts == want_acts > 0

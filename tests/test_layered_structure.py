@@ -202,3 +202,37 @@ def test_upper_graph_has_both_edge_types(spark):
     assert (4, 5) in orig and (5, 0) in orig
     sc = set(zip(up[up.etype == 1].src, up[up.etype == 1].dst))
     assert (0, 4) in sc
+
+
+@pytest.mark.filterwarnings("error::FutureWarning")
+@pytest.mark.parametrize("subs", [(1, 2), (2,)], ids=["keep_rows", "no_rows"])
+def test_update_of_subgraph_without_entries_keeps_types(subs):
+    """A min ΔG that touches only a subgraph without entries adds no
+    shortcut rows; the shortcut table and L_up graph keep their types."""
+    from repro.graphs.updates import GraphDelta
+
+    # Sub 1 = {1..4} has entry 1 (edge 0->1); sub 2 = {5..8} only exits to 0.
+    edges = pd.DataFrame(
+        {
+            "src": [0, 1, 2, 3, 4, 1, 5, 6, 7, 8, 5, 8],
+            "dst": [1, 2, 3, 4, 1, 3, 6, 7, 8, 5, 7, 0],
+            "w": [1.0] * 12,
+        }
+    )
+    membership = pd.DataFrame({"id": np.arange(1, 9), "sub": [1] * 4 + [2] * 4})
+    membership = membership[membership["sub"].isin(subs)]
+    algo = alg.sssp(source=0)
+    lg, _ = build_layered(None, edges, algo, membership=membership, replicate=False)
+    b = int(lg.structure.sub_of[5])
+    assert b not in set(lg.structure.roles.entries()["sub"])
+    delta = GraphDelta(
+        added=pd.DataFrame({"src": [6], "dst": [8], "w": [1.0]}),
+        deleted=pd.DataFrame({"src": pd.Series(dtype=np.int64), "dst": pd.Series(dtype=np.int64)}),
+    )
+    new_lg, _, affected, _ = update_layered(None, lg, delta)
+    assert affected.tolist() == [b]
+    pd.testing.assert_frame_equal(new_lg.shortcuts, lg.shortcuts)
+    ids, w = np.dtype(np.int64), np.dtype(np.float64)
+    assert new_lg.shortcuts.dtypes.to_dict() == {"sub": ids, "entry": ids, "dst": ids, "w": w}
+    up = new_lg.upper_graph()
+    assert up.dtypes.to_dict() == {"src": ids, "dst": ids, "w": w, "etype": ids}
