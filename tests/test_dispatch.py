@@ -1,99 +1,133 @@
-"""The per-subgraph dispatch equals the kernel run directly on each
-subgraph's rows."""
+"""The per-subgraph dispatch in the min branch of ``update_shortcuts``
+equals ``shortcut_update_min`` run directly on each subgraph's rows."""
 import numpy as np
 import pandas as pd
 
-from repro.layph.dispatch import per_subgraph
+from repro.engine import algorithms as alg
+from repro.engine.local import shortcut_update_min, shortcut_weights
+from repro.graphs.schema import vertex_ids
+from repro.layph import shortcuts
+from repro.layph.shortcuts import update_shortcuts
 
 NAN = float("nan")
+ALGO = alg.sssp(source=0)
+COLS = ["sub", "entry", "dst", "w"]
 
 
-def _in_process(subs, tables, kernel):
-    """Reference: the same kernel called directly on each subgraph's rows."""
-    outs, acts = {}, 0
-    for s in sorted(set(int(v) for v in subs)):
-        t = {
-            name: df[df["sub"] == s].drop(columns="sub").reset_index(drop=True)
-            for name, df in tables.items()
-        }
-        frames, a = kernel(t)
-        acts += a
-        for name, f in frames.items():
-            f.insert(0, "sub", np.int64(s))
-            outs.setdefault(name, []).append(f)
-    nonempty = {name: [f for f in fs if len(f)] or fs[:1] for name, fs in outs.items()}
-    return {name: pd.concat(fs, ignore_index=True) for name, fs in nonempty.items()}, acts
+def _rows(df, s):
+    return df[df["sub"] == s].drop(columns="sub").reset_index(drop=True)
 
 
 def _tables():
-    return {
-        # sub 2 has entries but no intra edges; sub 3 appears only in `changed`.
-        "edges": pd.DataFrame(
-            {"sub": [0, 0, 1], "src": [10, 11, 20], "dst": [11, 10, 21], "w": [0.5, 0.25, 1.0]}
-        ),
-        "entries": pd.DataFrame({"sub": [0, 1, 2], "id": [10, 20, 30]}),
-        "changed": pd.DataFrame(
-            {
-                "sub": [0, 1, 3],
-                "src": [10, 20, 40],
-                "dst": [11, 21, 41],
-                "w_old": [NAN, 1.0, 2.0],  # insert, reweight, delete
-                "w_new": [0.5, 0.75, NAN],
-            }
-        ),
+    """Sub 0 gains an insert, sub 1 a reweight and a delete; sub 2 has an
+    entry but no intra edges; sub 3 appears only in `changed` and has no
+    entry; sub 4 has an entry and a change."""
+    old_edges = pd.DataFrame(
+        {
+            "sub": [0, 0, 1, 1, 1, 3, 4],
+            "src": [10, 11, 20, 21, 20, 50, 40],
+            "dst": [11, 12, 21, 22, 22, 51, 41],
+            "w": [1.0, 2.0, 1.0, 1.0, 5.0, 1.0, 1.0],
+        }
+    )
+    changed = pd.DataFrame(
+        {
+            "sub": [0, 1, 1, 3, 4],
+            "src": [10, 20, 21, 50, 40],
+            "dst": [12, 21, 22, 51, 42],
+            "w_old": [NAN, 1.0, 1.0, 1.0, NAN],  # insert, reweight, delete, ...
+            "w_new": [1.5, 0.5, NAN, NAN, 2.0],
+        }
+    )
+    entries = pd.DataFrame({"id": [10, 20, 30, 40], "sub": [0, 1, 2, 4]})
+    new_edges = old_edges.merge(
+        changed[["src", "dst"]], how="left", indicator=True
+    ).query("_merge == 'left_only'").drop(columns="_merge")
+    new_edges = pd.concat(
+        [new_edges, changed.dropna(subset=["w_new"]).rename(columns={"w_new": "w"})[
+            ["sub", "src", "dst", "w"]
+        ]],
+        ignore_index=True,
+    )
+    old_sc = []  # sub 2's entry has no old row, as a newly promoted entry
+    for s in (0, 1, 4):
+        e = _rows(old_edges, s)
+        sc, _ = shortcut_weights(e, _rows(entries, s).id.to_numpy(np.int64), vertex_ids(e), ALGO)
+        old_sc.append(sc.assign(sub=np.int64(s)))
+    old_sc = pd.concat(old_sc, ignore_index=True)[COLS]
+    return new_edges, entries, old_sc, changed
+
+
+def _in_process(subs, new_edges, entries, old_sc, changed):
+    """Reference: ``shortcut_update_min`` called directly per subgraph."""
+    want, acts = [], 0
+    for s in sorted(set(int(v) for v in subs) & set(entries["sub"].tolist())):
+        sc, a = shortcut_update_min(
+            _rows(new_edges, s), _rows(entries, s).id.to_numpy(np.int64),
+            _rows(old_sc, s), _rows(changed, s), ALGO,
+        )
+        want.append(sc.assign(sub=np.int64(s))[COLS])
+        acts += a
+    return pd.concat([f for f in want if len(f)] or want[:1], ignore_index=True), acts
+
+
+def _assert_typed_empty(got):
+    assert len(got) == 0 and list(got.columns) == COLS
+    assert got.dtypes.to_dict() == {
+        "sub": np.int64, "entry": np.int64, "dst": np.int64, "w": np.float64,
     }
 
 
 def test_matches_in_process_kernel_on_sparse_tables():
-    def kernel(t):
-        e = t["edges"]
-        out = pd.DataFrame(
-            {"id": t["entries"].id.to_numpy(np.int64), "wsum": float(e.w.sum())}
-        )
-        return {"summary": out, "changed": t["changed"]}, len(e) + len(t["changed"])
-
-    tables, subs = _tables(), np.array([3, 0, 2, 1, 2])
-    want, want_acts = _in_process(subs, tables, kernel)
-    got, acts = per_subgraph(subs, tables, kernel)
-    assert acts == want_acts == 6
-    assert set(got) == {"summary", "changed"}
-    for name in want:
-        pd.testing.assert_frame_equal(got[name], want[name])
-    # Sub 2 ran with an empty edge frame; sub 3 with no entries at all.
-    assert got["summary"].set_index("sub").loc[2, "wsum"] == 0.0
-    assert 3 not in set(got["summary"]["sub"])
-    # Insert / delete rows keep their NaN through the round trip.
-    ch = got["changed"].set_index("sub")
-    assert np.isnan(ch.loc[0, "w_old"]) and np.isnan(ch.loc[3, "w_new"])
-    assert ch.loc[1, "w_old"] == 1.0
-    # The kernel handed back its input frame; the caller's table is untouched.
-    pd.testing.assert_frame_equal(_tables()["changed"], tables["changed"])
+    tables = _tables()
+    subs = np.array([3, 0, 2, 1, 2])
+    want, want_acts = _in_process(subs, *tables)
+    got, acts = update_shortcuts(None, *tables, ALGO, subs=subs)
+    pd.testing.assert_frame_equal(got, want)
+    assert acts == want_acts > 0
+    # Sub 2 ran with an empty edge slice and its entry reaches nothing; sub 3
+    # has no entry at all.
+    assert set(got["sub"]) == {0, 1}
+    # The insert, reweight and delete rows of `changed` all took effect.
+    assert got.set_index(["entry", "dst"]).w.to_dict() == {
+        (10, 11): 1.0, (10, 12): 1.5, (20, 21): 0.5, (20, 22): 5.0,
+    }
+    # The caller's tables are untouched, NaN rows included.
+    for before, after in zip(_tables(), tables):
+        pd.testing.assert_frame_equal(before, after)
 
 
 def test_subs_outside_the_list_are_not_run():
-    def kernel(t):
-        return {"edges": t["edges"]}, len(t["edges"])
-
-    got, acts = per_subgraph([1], _tables(), kernel)
-    assert acts == 1
-    assert got["edges"]["sub"].tolist() == [1]
+    tables = _tables()
+    want, want_acts = _in_process([1], *tables)
+    got, acts = update_shortcuts(None, *tables, ALGO, subs=np.array([1]))
+    pd.testing.assert_frame_equal(got, want)
+    assert acts == want_acts > 0
+    assert set(got["sub"]) == {1}
+    # Sub 4 has an entry and a change, but is outside this `subs` too.
+    got, _ = update_shortcuts(None, *tables, ALGO, subs=np.array([0, 1, 2, 3]))
+    assert 4 not in set(got["sub"])
 
 
 def test_empty_output_for_every_subgraph():
-    def kernel(t):
-        return {"sc": pd.DataFrame({"entry": pd.Series(dtype=np.int64),
-                                    "w": pd.Series(dtype=float)})}, 0
-
+    # Sub 2's only entry has no intra edges: the kernel runs, but every
+    # subgraph's output is empty.
     tables = _tables()
-    want, _ = _in_process([0, 1, 2], tables, kernel)
-    got, acts = per_subgraph([0, 1, 2], tables, kernel)
-    assert acts == 0
-    assert list(got["sc"].columns) == ["sub", "entry", "w"] and len(got["sc"]) == 0
-    pd.testing.assert_frame_equal(got["sc"], want["sc"])
+    want, want_acts = _in_process([2], *tables)
+    got, acts = update_shortcuts(None, *tables, ALGO, subs=np.array([2]))
+    assert acts == want_acts
+    _assert_typed_empty(got)
+    pd.testing.assert_frame_equal(got, want.astype(got.dtypes.to_dict()))
 
 
-def test_empty_subs_start_no_spark_job():
-    def kernel(t):
+def test_empty_subs_start_no_spark_job(monkeypatch):
+    def kernel(*args, **kwargs):
         raise AssertionError("kernel ran")
 
-    assert per_subgraph(np.array([], np.int64), _tables(), kernel) == ({}, 0)
+    monkeypatch.setattr(shortcuts, "shortcut_update_min", kernel)
+    # No Spark session is given; subs that are empty or hold no entry run no
+    # kernel and return a table typed like a filled one.
+    for subs in (np.array([], np.int64), np.array([3, 5])):
+        got, acts = update_shortcuts(None, *_tables(), ALGO, subs=subs)
+        assert acts == 0
+        _assert_typed_empty(got)

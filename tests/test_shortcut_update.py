@@ -15,7 +15,6 @@ from repro.graphs.generators import planted_partition
 from repro.graphs.schema import canonical_edges, vertex_ids
 from repro.graphs.updates import GraphDelta, apply_delta, random_edge_delta
 from repro.incremental.revision import prepared_edge_diff
-from repro.layph.shortcuts import update_shortcuts
 
 
 def sub_graph(seed, n=25):
@@ -156,79 +155,3 @@ def test_min_update_matches_full_hypothesis(seed, nadd, ndel):
     pd.testing.assert_series_equal(
         got.set_index(["entry", "dst"]).w.sort_index(), expect, check_exact=False
     )
-
-
-def test_min_update_shortcuts_equals_one_call_for_each_subgraph():
-    """The min branch of ``update_shortcuts`` equals one
-    ``shortcut_update_min`` call per affected subgraph with entries."""
-    nan = float("nan")
-    algo = alg.sssp(source=0)
-    # Sub 0 gains an insert, sub 1 a reweight and a delete; sub 2 has an
-    # entry but no intra edges; sub 3 appears only in `changed`; sub 4 is
-    # outside `subs`.
-    old_edges = pd.DataFrame(
-        {
-            "sub": [0, 0, 1, 1, 1, 3, 4],
-            "src": [10, 11, 20, 21, 20, 50, 40],
-            "dst": [11, 12, 21, 22, 22, 51, 41],
-            "w": [1.0, 2.0, 1.0, 1.0, 5.0, 1.0, 1.0],
-        }
-    )
-    changed = pd.DataFrame(
-        {
-            "sub": [0, 1, 1, 3, 4],
-            "src": [10, 20, 21, 50, 40],
-            "dst": [12, 21, 22, 51, 42],
-            "w_old": [nan, 1.0, 1.0, 1.0, nan],
-            "w_new": [1.5, 0.5, nan, nan, 2.0],
-        }
-    )
-    entries = pd.DataFrame({"id": [10, 20, 30, 40], "sub": [0, 1, 2, 4]})
-    new_edges = old_edges.merge(
-        changed[["src", "dst"]], how="left", indicator=True
-    ).query("_merge == 'left_only'").drop(columns="_merge")
-    new_edges = pd.concat(
-        [new_edges, changed.dropna(subset=["w_new"]).rename(columns={"w_new": "w"})[
-            ["sub", "src", "dst", "w"]
-        ]],
-        ignore_index=True,
-    )
-
-    def rows(df, s):
-        return df[df["sub"] == s].drop(columns="sub").reset_index(drop=True)
-
-    old_sc = []  # sub 2's entry has no old row, as a newly promoted entry
-    for s in (0, 1, 4):
-        e = rows(old_edges, s)
-        sc, _ = shortcut_weights(e, rows(entries, s).id.to_numpy(np.int64), vertex_ids(e), algo)
-        old_sc.append(sc.assign(sub=np.int64(s)))
-    old_sc = pd.concat(old_sc, ignore_index=True)[["sub", "entry", "dst", "w"]]
-
-    want, want_acts = [], 0
-    for s in (0, 1, 2):
-        sc, a = shortcut_update_min(
-            rows(new_edges, s), rows(entries, s).id.to_numpy(np.int64),
-            rows(old_sc, s), rows(changed, s), algo,
-        )
-        want.append(sc.assign(sub=np.int64(s))[["sub", "entry", "dst", "w"]])
-        want_acts += a
-    want = pd.concat([f for f in want if len(f)], ignore_index=True)
-
-    got, acts = update_shortcuts(
-        None, new_edges, entries, old_sc, changed, algo, subs=np.array([0, 1, 2, 3])
-    )
-    pd.testing.assert_frame_equal(got, want)
-    assert acts == want_acts > 0
-    assert set(got["sub"]) == {0, 1}  # sub 2's entry reaches nothing
-    assert got.set_index(["entry", "dst"]).w.to_dict() == {
-        (10, 11): 1.0, (10, 12): 1.5, (20, 21): 0.5, (20, 22): 5.0,
-    }
-
-    # Subs without any entry: no rows, typed like a filled table.
-    got, acts = update_shortcuts(
-        None, new_edges, entries, old_sc, changed, algo, subs=np.array([3, 5])
-    )
-    assert len(got) == 0 and acts == 0
-    assert got.dtypes.to_dict() == {
-        "sub": np.int64, "entry": np.int64, "dst": np.int64, "w": np.float64,
-    }
