@@ -1,5 +1,6 @@
 """Experiment harnesses produce well-formed tables (tiny scale)."""
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pandas as pd
@@ -118,15 +119,87 @@ def test_unknown_table_exits_nonzero_and_names_the_tables(capsys):
     assert "T9_nothing" in err and all(name in err for name in cli.TABLES)
 
 
-def test_flag_the_table_does_not_take_is_rejected(capsys):
+def _no_table(name, spark, given):
+    raise AssertionError(f"{name} ran")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["T1_datasets", "--sf", "0.003", "--tol", "1e-4"],
+        ["T7_replication", "--tol", "1e-4"],
+        ["T6_batch_size", "--tol", "1e-4"],
+        ["T3_vertex_updates", "--systems", "layph"],
+        ["T5_threads_proxy", "--systems", "layph"],
+        ["all", "--algos", "sssp"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_flag_the_table_does_not_take_is_rejected(argv, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_table", _no_table)
     with pytest.raises(SystemExit) as e:
-        cli.main(["T1_datasets", "--sf", "0.003", "--tol", "1e-4"])
+        cli.main(argv)
     assert e.value.code != 0
-    assert "T1_datasets does not take --tol" in capsys.readouterr().err
+    assert f"{argv[0]} does not take {argv[-2]}" in capsys.readouterr().err
+
+
+def test_tol_is_set_only_where_the_committed_tables_set_it():
+    """T2 and T3 ran at tol 1e-5; every other table at its library default."""
+    with_tol = {name for name, t in cli.TABLES.items() if "tol" in t.args}
+    assert with_tol == {"T2_overall_main", "T2_overall_extra", "T3_vertex_updates"}
+    assert all(t.args["tol"] == 1e-5 for t in cli.TABLES.values() if "tol" in t.args)
+    assert "tol" not in cli.DEFAULTS
 
 
 def _no_session(master=None):
     raise AssertionError("a SparkSession was started")
+
+
+class _Builder:
+    """Stands in for ``SparkSession.builder``; records the master it is given."""
+
+    def __init__(self):
+        self.master_given = None
+
+    def appName(self, name):
+        return self
+
+    def config(self, key, value):
+        return self
+
+    def master(self, master):
+        self.master_given = master
+        return self
+
+    def getOrCreate(self):
+        sc = SimpleNamespace(master=self.master_given, setLogLevel=lambda level: None)
+        return SimpleNamespace(sparkContext=sc, stop=lambda: None)
+
+
+def test_lazy_session_starts_on_the_given_master(monkeypatch):
+    from pyspark.sql import SparkSession
+
+    monkeypatch.setenv("PYSPARK_SUBMIT_ARGS", "--master local[2] pyspark-shell")
+    monkeypatch.setattr(SparkSession, "getActiveSession", lambda: None)
+    monkeypatch.setattr(SparkSession, "builder", _Builder())
+    assert cli.LazySpark("local[1]").sparkContext.master == "local[1]"
+
+
+def test_lazy_session_leaves_a_running_session_running(monkeypatch):
+    from pyspark.sql import SparkSession
+
+    stopped = []
+    running = SimpleNamespace(
+        sparkContext=SimpleNamespace(master="local[*]"), stop=lambda: stopped.append(1)
+    )
+    monkeypatch.setattr(SparkSession, "getActiveSession", lambda: running)
+    monkeypatch.setattr(cli, "get_spark", _no_session)
+    spark = cli.LazySpark(None)
+    assert spark.sparkContext is running.sparkContext
+    spark.stop()
+    assert not stopped
+    with pytest.raises(RuntimeError, match=r"already running, not on local\[1\]"):
+        cli.LazySpark("local[1]").sparkContext
 
 
 def test_breakdown_table_starts_no_session(monkeypatch, capsys):
@@ -145,9 +218,11 @@ def test_all_runs_every_table_past_a_failure(monkeypatch, tmp_path, capsys):
         raise ValueError("broken table")
 
     monkeypatch.setattr(cli, "get_spark", _no_session)
-    monkeypatch.setattr(
-        cli, "TABLES", {"A": cli.Table(broken, str), "B": cli.Table(ok, lambda sf: f"sf={sf}")}
-    )
+    tables = {
+        "A": cli.Table(broken, str, ("sf",)),
+        "B": cli.Table(ok, lambda sf: f"sf={sf}", ("sf",)),
+    }
+    monkeypatch.setattr(cli, "TABLES", tables)
     monkeypatch.chdir(tmp_path)
     assert cli.main(["all", "--sf", "0.5"]) == 1
     out = capsys.readouterr().out
