@@ -22,7 +22,28 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
-from repro.graphs.schema import canonical_edges, degrees
+from repro.graphs.schema import canonical_edges, edge_frame
+
+
+def _nonnegative(w: np.ndarray) -> np.ndarray:
+    """``w``, after checking that shortest paths over it are defined."""
+    if (w < 0).any():
+        raise ValueError("SSSP needs non-negative edge weights")
+    return w
+
+
+def _run_sums(w: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of each run ``w[s : s + c]`` in row order with compensated
+    (Kahan) summation, the sums pandas' groupby computes, bit for bit."""
+    total = np.zeros(len(starts))
+    comp = np.zeros(len(starts))
+    for k in range(int(counts.max()) if len(counts) else 0):
+        i = np.flatnonzero(counts > k)
+        y = w[starts[i] + k] - comp[i]
+        t = total[i] + y
+        comp[i] = (t - total[i]) - y
+        total[i] = t
+    return total
 
 
 @dataclass(frozen=True)
@@ -62,26 +83,37 @@ class Algorithm:
 
     # ---- edge preparation ------------------------------------------------
     def prepare(self, edges: pd.DataFrame) -> pd.DataFrame:
-        """Pandas edge preparation (see module docstring)."""
+        """Prepared copy of an edge frame (see module docstring). Sum
+        workloads return it canonical. SSSP raises ``ValueError`` on a
+        negative weight."""
+        if self.is_min:
+            if self.name == "sssp":
+                _nonnegative(edges.w.to_numpy())
+            out = edges.reset_index(drop=True)
+            return out.assign(w=1.0) if self.name == "bfs" else out
+        e = canonical_edges(edges)
+        return edge_frame(*self.prepare_rows(e.src.to_numpy(), e.dst.to_numpy(), e.w.to_numpy()))
+
+    def prepare_rows(
+        self, src: np.ndarray, dst: np.ndarray, w: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`prepare` on arrays holding whole out-edge runs: rows sorted
+        by src, every out-edge of each source present. A prepared weight
+        depends only on its source's run, so a run can be re-prepared alone.
+        """
         if self.name == "sssp":
-            return edges.reset_index(drop=True)
+            return src, dst, _nonnegative(w)
         if self.name == "bfs":
-            out = edges.copy()
-            out["w"] = 1.0
-            return out.reset_index(drop=True)
-        deg = degrees(edges).set_index("id")
-        out = edges.copy()
+            return src, dst, np.ones(len(w))
+        starts = np.flatnonzero(np.r_[True, src[1:] != src[:-1]]) if len(src) else src[:0]
+        counts = np.diff(np.r_[starts, len(src)])
         if self.name == "pagerank":
-            out["w"] = self.damping / deg.out_deg.reindex(out.src).to_numpy()
-        elif self.name == "php":
-            out["w"] = (
-                self.damping * out.w.to_numpy()
-                / deg.out_wsum.reindex(out.src).to_numpy()
-            )
-            out = out[out.dst != self.source]
-        else:  # pragma: no cover - presets only
+            return src, dst, self.damping / np.repeat(counts, counts)
+        if self.name != "php":  # pragma: no cover - presets only
             raise ValueError(self.name)
-        return canonical_edges(out)
+        w = self.damping * w / np.repeat(_run_sums(w, starts, counts), counts)
+        keep = dst != self.source
+        return src[keep], dst[keep], w[keep]
 
     # ---- initial conditions -----------------------------------------------
     def root_messages(self, vertex_ids: np.ndarray) -> pd.Series:

@@ -40,6 +40,47 @@ def canonical_edges(pdf: pd.DataFrame) -> pd.DataFrame:
     return pdf.sort_values(["src", "dst"], kind="mergesort").reset_index(drop=True)
 
 
+def edge_frame(src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> pd.DataFrame:
+    """An edge frame over the given columns (no copy, no checks)."""
+    return pd.DataFrame({"src": src, "dst": dst, "w": w})
+
+
+def is_canonical(src: np.ndarray, dst: np.ndarray) -> bool:
+    """True when the pairs are strictly increasing in (src, dst) order and
+    hold no self-loop, as :func:`canonical_edges` leaves them."""
+    up = (src[1:] > src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] > dst[:-1]))
+    return bool(up.all() and not (src == dst).any())
+
+
+def pair_order(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Permutation that sorts rows by (src, dst). Sorting on the pair, not a
+    packed ``src·2³²+dst`` key, keeps proxy ids (≥ 2⁴⁰) from overflowing."""
+    return np.lexsort((dst, src))
+
+
+def source_rows(src: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Positions, ascending, of the rows of a src-sorted table whose ``src``
+    is in ``keys`` (sorted, unique): each key's rows are one contiguous run."""
+    lo = np.searchsorted(src, keys, "left")
+    n = np.searchsorted(src, keys, "right") - lo
+    ends = np.cumsum(n)
+    return np.repeat(lo - ends + n, n) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def pairs_in(src: np.ndarray, dst: np.ndarray, q_src: np.ndarray, q_dst: np.ndarray) -> np.ndarray:
+    """Mask over unique (src, dst) rows: the pair occurs among the queries."""
+    s = np.concatenate([src, q_src])
+    d = np.concatenate([dst, q_dst])
+    is_q = np.arange(len(s)) >= len(src)
+    o = np.lexsort((is_q, d, s))  # a row sorts right before its query copies
+    s, d, is_q = s[o], d[o], is_q[o]
+    hit = np.zeros(len(s), bool)
+    hit[:-1] = ~is_q[:-1] & is_q[1:] & (s[1:] == s[:-1]) & (d[1:] == d[:-1])
+    out = np.zeros(len(src), bool)
+    out[o[~is_q]] = hit[~is_q]
+    return out
+
+
 def edges_to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
     """Lift a pandas edge frame into a Spark DataFrame with the fixed schema."""
     return spark.createDataFrame(pdf[EDGE_COLUMNS], schema=EDGE_SCHEMA)

@@ -12,7 +12,21 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
-from repro.graphs.schema import canonical_edges, vertex_ids
+from repro.graphs.schema import (
+    canonical_edges,
+    edge_frame,
+    is_canonical,
+    pair_order,
+    pairs_in,
+    source_rows,
+    vertex_ids,
+)
+
+
+def _has_duplicate_pairs(src: np.ndarray, dst: np.ndarray) -> bool:
+    o = pair_order(src, dst)
+    s, d = src[o], dst[o]
+    return bool(((s[1:] == s[:-1]) & (d[1:] == d[:-1])).any())
 
 
 @dataclass
@@ -23,13 +37,33 @@ class GraphDelta:
     ``deleted``: edges to remove, columns ``src, dst``.
     ``added_vertices`` / ``deleted_vertices``: vertex ids for vertex-update
     batches (empty for pure edge batches). Deleted vertices' incident edges
-    must all appear in ``deleted``.
+    must all appear in ``deleted`` (:func:`apply_delta` checks this).
+
+    Raises ``ValueError`` on a pair listed twice in ``added`` or twice in
+    ``deleted``, on a self-loop in ``added`` and on an added edge that
+    touches a deleted vertex. A pair both deleted and added is a weight
+    change.
     """
 
     added: pd.DataFrame
     deleted: pd.DataFrame
     added_vertices: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     deleted_vertices: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+
+    def __post_init__(self):
+        a_src = self.added.src.to_numpy(np.int64)
+        a_dst = self.added.dst.to_numpy(np.int64)
+        if _has_duplicate_pairs(a_src, a_dst):
+            raise ValueError("GraphDelta.added lists a (src, dst) pair twice")
+        if _has_duplicate_pairs(
+            self.deleted.src.to_numpy(np.int64), self.deleted.dst.to_numpy(np.int64)
+        ):
+            raise ValueError("GraphDelta.deleted lists a (src, dst) pair twice")
+        if (a_src == a_dst).any():
+            raise ValueError("GraphDelta.added holds a self-loop")
+        gone = np.asarray(self.deleted_vertices, np.int64)
+        if len(gone) and (np.isin(a_src, gone).any() or np.isin(a_dst, gone).any()):
+            raise ValueError("GraphDelta.added touches a deleted vertex")
 
     @property
     def size(self) -> int:
@@ -49,13 +83,43 @@ class GraphDelta:
 
 
 def apply_delta(edges: pd.DataFrame, delta: GraphDelta) -> pd.DataFrame:
-    """Return ``G ⊕ ΔG``: deletions first, then insertions (insert wins on
-    re-added pairs, giving weight-change semantics)."""
-    key = edges.src.to_numpy() * (2**32) + edges.dst.to_numpy()
-    del_key = delta.deleted.src.to_numpy(np.int64) * (2**32) + delta.deleted.dst.to_numpy(np.int64)
-    kept = edges[~np.isin(key, del_key)]
-    out = pd.concat([kept, delta.added], ignore_index=True)
-    return canonical_edges(out)
+    """Return ``G ⊕ ΔG`` as a canonical frame: deletions first, then
+    insertions (insert wins on re-added pairs, giving weight-change
+    semantics).
+
+    Only the out-edge runs of the sources ΔG names are rewritten; the rest
+    of the (src, dst)-sorted table is copied around them. Raises
+    ``ValueError`` when a deleted vertex keeps an edge.
+    """
+    src, dst = edges.src.to_numpy(np.int64), edges.dst.to_numpy(np.int64)
+    if not is_canonical(src, dst):
+        edges = canonical_edges(edges)
+        src, dst = edges.src.to_numpy(), edges.dst.to_numpy()
+    w = edges.w.to_numpy(np.float64)
+    a_src, a_dst = delta.added.src.to_numpy(np.int64), delta.added.dst.to_numpy(np.int64)
+    a_w = delta.added.w.to_numpy(np.float64)
+    d_src, d_dst = delta.deleted.src.to_numpy(np.int64), delta.deleted.dst.to_numpy(np.int64)
+
+    rows = source_rows(src, np.unique(np.concatenate([a_src, d_src])))
+    gone = pairs_in(
+        src[rows], dst[rows], np.concatenate([d_src, a_src]), np.concatenate([d_dst, a_dst])
+    )
+    kept = rows[~gone]
+    ns = np.concatenate([src[kept], a_src])
+    nd = np.concatenate([dst[kept], a_dst])
+    nw = np.concatenate([w[kept], a_w])
+    o = pair_order(ns, nd)
+    rest = np.ones(len(src), bool)
+    rest[rows] = False
+    # Every rewritten source lost its whole run, so a new row goes where its
+    # src would sort among the rows left.
+    at = np.searchsorted(src[rest], ns[o])
+    out_src = np.insert(src[rest], at, ns[o])
+    out_dst = np.insert(dst[rest], at, nd[o])
+    dead = np.asarray(delta.deleted_vertices, np.int64)
+    if len(dead) and (np.isin(out_src, dead).any() or np.isin(out_dst, dead).any()):
+        raise ValueError("a deleted vertex keeps an edge that ΔG does not delete")
+    return edge_frame(out_src, out_dst, np.insert(w[rest], at, nw[o]))
 
 
 def random_edge_delta(

@@ -33,20 +33,33 @@ _EPS = 1e-9
 # --------------------------------------------------------------------------
 
 def prepared_edge_diff(old_prepared: pd.DataFrame, new_prepared: pd.DataFrame) -> pd.DataFrame:
-    """Per-(src,dst) prepared-weight diff.
+    """Per-(src,dst) prepared-weight diff of two edge frames, each holding a
+    pair at most once.
 
     Columns ``src, dst, w_old, w_new`` (NaN on the missing side) restricted
-    to pairs whose weight changed, appeared, or disappeared.
+    to pairs whose weight changed, appeared, or disappeared, in (src, dst)
+    order.
     """
-    m = old_prepared.merge(
-        new_prepared, on=["src", "dst"], how="outer", suffixes=("_old", "_new")
+    n_old = len(old_prepared)
+    src = np.concatenate([old_prepared.src.to_numpy(np.int64), new_prepared.src.to_numpy(np.int64)])
+    dst = np.concatenate([old_prepared.dst.to_numpy(np.int64), new_prepared.dst.to_numpy(np.int64)])
+    w = np.concatenate([old_prepared.w.to_numpy(np.float64), new_prepared.w.to_numpy(np.float64)])
+    is_new = np.arange(len(src)) >= n_old
+    o = np.lexsort((is_new, dst, src))
+    src, dst, w, is_new = src[o], dst[o], w[o], is_new[o]
+    first = np.ones(len(src), bool)
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    pair = np.cumsum(first) - 1
+    w_old = np.full(int(first.sum()), np.nan)
+    w_new = w_old.copy()
+    w_old[pair[~is_new]] = w[~is_new]
+    w_new[pair[is_new]] = w[is_new]
+    with np.errstate(invalid="ignore"):
+        changed = np.isnan(w_old) | np.isnan(w_new) | (np.abs(w_new - w_old) > _EPS)
+    return pd.DataFrame(
+        {"src": src[first][changed], "dst": dst[first][changed],
+         "w_old": w_old[changed], "w_new": w_new[changed]}
     )
-    changed = (
-        m.w_old.isna()
-        | m.w_new.isna()
-        | ((m.w_new - m.w_old).abs() > _EPS)
-    )
-    return m[changed][["src", "dst", "w_old", "w_new"]].reset_index(drop=True)
 
 
 def sum_revision(

@@ -25,9 +25,8 @@ from pyspark.sql import SparkSession
 
 from repro.engine.algorithms import Algorithm
 from repro.engine.local import converge
-from repro.graphs.schema import vertex_ids
 from repro.graphs.updates import GraphDelta
-from repro.incremental.revision import min_revision, prepared_edge_diff
+from repro.incremental.revision import min_revision
 from repro.layph.layered import LayeredGraph, build_layered, update_layered
 from repro.layph.upload import upload_messages
 from repro.layph.upper import upper_min_loop, upper_sum_loop
@@ -49,14 +48,15 @@ def compute_caches_min(lg: LayeredGraph, x: pd.Series) -> pd.Series:
     """Entry caches (Eq. 9, min form): per entry, the best *external* support
     — min over original L_up in-edges of ``x_u + w``, plus the root value."""
     entries = lg.structure.roles.entries().id.to_numpy(np.int64)
-    into = lg.up_edges[lg.up_edges.dst.isin(set(entries))]
+    entry_set = set(entries)
+    into = lg.up_edges[lg.up_edges.dst.isin(entry_set)]
     cand = pd.Series(
         x.reindex(into.src).to_numpy(float) + into.w.to_numpy(float),
         index=into.dst.to_numpy(np.int64),
     )
     cache = cand.groupby(level=0).min().reindex(entries, fill_value=INF)
     roots = pd.Series(
-        {v: m for v, m in lg.algo.roots.items() if v in set(entries)}, dtype=float
+        {v: m for v, m in lg.algo.roots.items() if v in entry_set}, dtype=float
     )
     if len(roots):
         cache = _series_min(cache, roots).reindex(entries)
@@ -103,7 +103,7 @@ class LayphEngine:
             )
             self.offline_stats.activations += acts
         with PhaseTimer(self.batch_stats, "batch"):
-            ids = vertex_ids(self.lg.layer_edges)
+            ids = self.lg.vertex_ids()
             if self.algo.source is not None and self.algo.source not in ids:
                 ids = np.unique(np.append(ids, self.algo.source))
             # Proxies are auxiliary relay vertices: they carry NO root
@@ -132,7 +132,6 @@ class LayphEngine:
         """Incremental computation I_A(A(G), ΔG) on the layered graph."""
         stats = RunStats()
         old_lg, old_x = self.lg, self.x
-        old_layer = old_lg.layer_edges
 
         with PhaseTimer(stats, "layered_update"):
             new_lg, diff, affected, acts = update_layered(
@@ -141,8 +140,7 @@ class LayphEngine:
             stats.activations += acts
 
         # New vertex universe (proxies persist; deleted vertices drop out).
-        ids = vertex_ids(new_lg.layer_edges)
-        ids = np.union1d(ids, delta.added_vertices)
+        ids = np.union1d(new_lg.vertex_ids(), delta.added_vertices)
         if self.algo.source is not None:
             ids = np.union1d(ids, [self.algo.source])
         if len(delta.deleted_vertices):
@@ -244,7 +242,8 @@ class LayphEngine:
 
             if len(target_subs):
                 interior = new_lg.structure.roles.interior()
-                interior = interior[interior["sub"].isin(target_subs)]
+                # A proxy whose links all vanished has no state to rebuild.
+                interior = interior[interior["sub"].isin(target_subs) & interior.id.isin(x.index)]
                 sc = new_lg.assignment_shortcuts()
                 sc = sc[sc["sub"].isin(target_subs)]
                 j = sc.merge(caches.rename("c"), left_on="entry", right_index=True)

@@ -1,100 +1,189 @@
 """Layered graph: offline construction (§IV-A) and incremental update (§IV-B).
 
-A :class:`LayeredGraph` owns
-  * the real graph (``base_edges``) and its prepared weights,
-  * the replicated ``layer_edges`` (prepared weights rerouted through
-    proxies — the physical graph all propagation runs on),
-  * the structure (membership incl. proxies, boundary roles, replication
-    plan, forced root entries),
-  * the split into upper-layer original edges (cross edges) and
-    intra-subgraph edges, and
-  * the shortcut tables (entry → every subgraph vertex).
+A :class:`LayeredGraph` holds one layer-edge table: numpy columns ``src,
+dst, w, sub`` in (src, dst) order, the prepared weights rerouted through
+the replication plan's proxies, ``sub`` the subgraph of an intra row and -1
+for a cross (upper-layer) row. Beside it sit the real graph
+(``base_edges``), the membership (real members, then proxies), the frozen
+plan, and the counts that let it be patched:
 
-Community membership is frozen across ΔG batches (DESIGN.md §5.3); roles,
-layer edges, and the shortcuts of affected subgraphs are recomputed
-incrementally.
+* rerouted rows per plan row — a host↔proxy link exists while its count is
+  above 0;
+* cross rows entering and leaving each member — Def. 1 roles.
+
+The pandas tables the engine reads (``layer_edges``, ``up_edges``,
+``intra_edges``, the structure with its roles, ``upper_graph()``,
+``assignment_shortcuts()``) are views, each built once per graph.
+
+Community membership and the plan are frozen across ΔG batches (DESIGN.md
+§5.3), and a prepared weight depends only on its source's out-edges, so
+:func:`update_layered` re-prepares and re-routes only the rows of the
+sources ΔG touches, patches them into the table, and recomputes the
+shortcuts of the affected subgraphs only. :func:`build_layered` lays out
+the whole table with the same code.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
+from functools import cached_property, wraps
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.engine.algorithms import Algorithm
-from repro.graphs.schema import vertex_ids
+from repro.graphs.schema import canonical_edges, edge_frame, pair_order, source_rows
 from repro.graphs.updates import GraphDelta, apply_delta
 from repro.incremental.revision import prepared_edge_diff
 from repro.layph.community import lpa_communities, planted_communities
-from repro.layph.replication import apply_plan, build_plan
+from repro.layph.replication import (
+    Proxies,
+    apply_plan,
+    build_plan,
+    reroute,
+    route,
+    with_proxies,
+)
 from repro.layph.shortcuts import compute_shortcuts, update_shortcuts
-from repro.layph.structure import Structure, compute_roles, density_filter
+from repro.layph.structure import (
+    Members,
+    Roles,
+    Structure,
+    compute_roles,
+    cross_degrees,
+    density_filter,
+    role_flags,
+)
 
 
-@dataclass
+def _once(view):
+    """A view method computed once per graph; every call returns that
+    result (callers must not modify it)."""
+    key = "_" + view.__name__
+
+    @wraps(view)
+    def get(self):
+        if key not in self.__dict__:
+            self.__dict__[key] = view(self)
+        return self.__dict__[key]
+
+    return get
+
+
+@dataclass(frozen=True, eq=False)
 class LayeredGraph:
+    """One layered graph; :func:`update_layered` returns a new one and
+    leaves this one valid (the engine reads both within a round)."""
+
     algo: Algorithm
-    base_edges: pd.DataFrame
-    prepared: pd.DataFrame
-    layer_edges: pd.DataFrame
-    structure: Structure
-    up_edges: pd.DataFrame  # cross edges (upper-layer originals)
-    intra_edges: pd.DataFrame  # src, dst, w, sub
+    base_edges: pd.DataFrame  # the real graph, canonical
+    src: np.ndarray  # layer-edge table, (src, dst) order
+    dst: np.ndarray
+    w: np.ndarray
+    sub: np.ndarray  # subgraph of an intra row, -1 for a cross row
+    via: np.ndarray  # plan row a rerouted row passes through, else -1
+    members: Members  # real members, then proxies
+    proxies: Proxies
+    forced_entries: frozenset
+    link_count: np.ndarray  # rerouted rows per plan row
+    cross_in: np.ndarray  # per member: cross rows into it
+    cross_out: np.ndarray  # per member: cross rows out of it
     shortcuts: pd.DataFrame  # sub, entry, dst, w
 
-    # ---- derived views ---------------------------------------------------
+    # ---- views of the edge table and structure -----------------------------
+    @cached_property
+    def layer_edges(self) -> pd.DataFrame:
+        return edge_frame(self.src, self.dst, self.w)
+
+    @cached_property
+    def up_edges(self) -> pd.DataFrame:
+        """Cross edges (upper-layer originals)."""
+        up = self.sub < 0
+        return edge_frame(self.src[up], self.dst[up], self.w[up])
+
+    @cached_property
+    def intra_edges(self) -> pd.DataFrame:
+        """Intra-subgraph edges: src, dst, w, sub."""
+        return _intra(self.src, self.dst, self.w, self.sub, self.sub >= 0)
+
+    @cached_property
+    def structure(self) -> Structure:
+        m = self.members
+        is_entry, is_exit = role_flags(m, self.cross_in, self.cross_out, self.forced_entries)
+        roles = pd.DataFrame({"id": m.id, "sub": m.sub, "is_entry": is_entry, "is_exit": is_exit})
+        return Structure(m.frame(), Roles(roles), self.proxies.plan, set(self.forced_entries))
+
+    @_once
+    def vertex_ids(self) -> np.ndarray:
+        """Sorted ids of every endpoint of the layer graph."""
+        return np.unique(np.concatenate([self.src, self.dst]))
+
+    @_once
     def boundary_ids(self) -> np.ndarray:
         return self.structure.roles.boundary().id.to_numpy(np.int64)
 
+    @_once
     def interior_ids(self) -> np.ndarray:
         return self.structure.roles.interior().id.to_numpy(np.int64)
 
+    @_once
     def upper_vertex_ids(self) -> np.ndarray:
         """L_up vertices: boundary members plus every non-member endpoint."""
-        all_ids = vertex_ids(self.layer_edges)
-        members = self.structure.membership.id.to_numpy(np.int64)
-        outliers = np.setdiff1d(all_ids, members)
+        outliers = np.setdiff1d(self.vertex_ids(), self.members.id)
         return np.union1d(outliers, self.boundary_ids())
 
+    # ---- views that read the shortcut tables -------------------------------
+    @_once
     def upper_shortcut_edges(self) -> pd.DataFrame:
         """Shortcut rows whose target is boundary — these live on L_up."""
-        b = set(self.boundary_ids())
         sc = self.shortcuts
-        return sc[sc.dst.isin(b)].reset_index(drop=True)
+        return sc[np.isin(sc.dst.to_numpy(), self.boundary_ids())].reset_index(drop=True)
 
+    @_once
     def assignment_shortcuts(self) -> pd.DataFrame:
         """Shortcut rows whose target is interior — the cross-layer table."""
-        i = set(self.interior_ids())
         sc = self.shortcuts
-        return sc[sc.dst.isin(i)].reset_index(drop=True)
+        return sc[np.isin(sc.dst.to_numpy(), self.interior_ids())].reset_index(drop=True)
 
+    @_once
     def upper_graph(self) -> pd.DataFrame:
         """Combined L_up propagation graph: columns src, dst, w, etype
         (0 = original cross edge, 1 = shortcut)."""
-        o = self.up_edges.assign(etype=0)[["src", "dst", "w", "etype"]]
+        o = self.up_edges.assign(etype=0)
         sc = self.upper_shortcut_edges()
-        s = pd.DataFrame(
-            {"src": sc.entry, "dst": sc.dst, "w": sc.w, "etype": 1}
-        )
+        s = pd.DataFrame({"src": sc.entry, "dst": sc.dst, "w": sc.w, "etype": 1})
         if self.algo.is_min:  # a min self-shortcut can never improve anything
             s = s[s.src != s.dst]
-        return pd.concat([o, s], ignore_index=True).reset_index(drop=True)
+        return pd.concat([o, s], ignore_index=True)
 
     def sizes(self) -> dict:
         """Size report backing Fig. 8a and Fig. 11a."""
-        upv = self.upper_vertex_ids()
-        up_sc = self.upper_shortcut_edges()
+        base = self.base_edges
         return {
-            "orig_vertices": int(len(vertex_ids(self.base_edges))),
-            "orig_edges": int(len(self.base_edges)),
-            "upper_vertices": int(len(upv)),
-            "upper_edges": int(len(self.up_edges) + len(up_sc)),
-            "n_subgraphs": int(self.structure.membership["sub"].nunique()),
-            "n_proxies": int(len(self.structure.plan)),
+            "orig_vertices": int(len(np.union1d(base.src.to_numpy(), base.dst.to_numpy()))),
+            "orig_edges": int(len(base)),
+            "upper_vertices": int(len(self.upper_vertex_ids())),
+            "upper_edges": int(np.count_nonzero(self.sub < 0) + len(self.upper_shortcut_edges())),
+            "n_subgraphs": int(len(np.unique(self.members.sub))),
+            "n_proxies": int(len(self.proxies)),
             "shortcut_rows": int(len(self.shortcuts)),
-            "extra_space_ratio": float(len(self.shortcuts) / max(1, len(self.base_edges))),
+            "extra_space_ratio": float(len(self.shortcuts) / max(1, len(base))),
         }
+
+
+def _intra(src, dst, w, sub, rows: np.ndarray) -> pd.DataFrame:
+    """The selected rows of a layer-edge table as an intra-edge frame."""
+    return pd.DataFrame({"src": src[rows], "dst": dst[rows], "w": w[rows], "sub": sub[rows]})
+
+
+def _entries(members: Members, is_entry: np.ndarray) -> pd.DataFrame:
+    return pd.DataFrame({"id": members.id[is_entry], "sub": members.sub[is_entry]})
+
+
+def _subgraph(members: Members, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Subgraph of each row whose endpoints share one, else -1."""
+    s, d = members.sub_of(src), members.sub_of(dst)
+    return np.where(s == d, s, -1)
 
 
 def build_layered(
@@ -121,7 +210,11 @@ def build_layered(
     else:
         membership = planted_communities(membership, K=K)
 
-    prepared = algo.prepare(edges)
+    edges = canonical_edges(edges)
+    p_src, p_dst, p_w = algo.prepare_rows(
+        edges.src.to_numpy(), edges.dst.to_numpy(), edges.w.to_numpy()
+    )
+    prepared = edge_frame(p_src, p_dst, p_w)
     forced = {algo.source} if (algo.source is not None and algo.is_min) else set()
 
     # Replication is planned on every candidate community first; the Def. 2
@@ -138,15 +231,19 @@ def build_layered(
     kept = set(dense0["sub"].unique())
     dense = membership[membership["sub"].isin(kept)].reset_index(drop=True)
     plan = plan_all[plan_all["sub"].isin(kept)].reset_index(drop=True)
-    layer_edges, mem = apply_plan(prepared, dense, plan, algo.identity)
-    roles = compute_roles(layer_edges, mem, forced_entries=forced)
-    structure = Structure(mem, roles, plan, forced)
-    up_edges, intra = structure.split_edges(layer_edges)
-    entries = roles.entries()[["id", "sub"]]
-    shortcuts, acts = compute_shortcuts(spark, intra, entries, algo, tol=tol)
+
+    members = Members.of(with_proxies(dense, plan))
+    proxies = Proxies(plan)
+    src, dst, w, via = reroute(p_src, p_dst, p_w, members, proxies, algo.identity)
+    sub = _subgraph(members, src, dst)
+    cross_in, cross_out = cross_degrees(members, src, dst)
+    is_entry, _ = role_flags(members, cross_in, cross_out, forced)
+    shortcuts, acts = compute_shortcuts(
+        spark, _intra(src, dst, w, sub, sub >= 0), _entries(members, is_entry), algo, tol=tol
+    )
     lg = LayeredGraph(
-        algo=algo, base_edges=edges, prepared=prepared, layer_edges=layer_edges,
-        structure=structure, up_edges=up_edges, intra_edges=intra, shortcuts=shortcuts,
+        algo, edges, src, dst, w, sub, via, members, proxies, frozenset(forced),
+        proxies.count(via), cross_in, cross_out, shortcuts,
     )
     return lg, acts
 
@@ -160,82 +257,99 @@ def update_layered(
 ) -> tuple[LayeredGraph, pd.DataFrame, np.ndarray, int]:
     """Apply ΔG to the layered graph (§IV-B).
 
-    Keeps membership frozen, re-applies the replication plan to the new
-    prepared edges, recomputes roles, and recomputes shortcut tables for
-    *affected subgraphs only* (internal edges or entry set changed).
+    Keeps membership (less deleted vertices) and the plan frozen. Only the
+    sources ΔG names change prepared weights, so their rows, and those of
+    their 'in' proxies, are re-prepared, re-routed and patched into the
+    table; a link to an 'out' proxy is added or dropped when its count
+    crosses 0. Roles follow from the cross-row counts; shortcut tables are
+    recomputed for *affected subgraphs only* (internal edges or boundary
+    roles changed, or members deleted).
     Returns ``(new_lg, layer_diff, affected_subs, activations)`` where
-    ``layer_diff`` is the prepared-weight diff on the layer graph.
+    ``layer_diff`` is the prepared-weight diff on the layer graph, in
+    (src, dst) order.
     """
-    algo = lg.algo
-    new_base = apply_delta(lg.base_edges, delta)
-    new_prepared = algo.prepare(new_base)
+    algo, proxies, members = lg.algo, lg.proxies, lg.members
+    base = apply_delta(lg.base_edges, delta)
+    touched = np.unique(np.concatenate([
+        delta.added.src.to_numpy(np.int64), delta.deleted.src.to_numpy(np.int64),
+        np.asarray(delta.deleted_vertices, np.int64),
+    ]))
+    keep = ~np.isin(members.id, np.asarray(delta.deleted_vertices, np.int64))
+    new_members = members if keep.all() else members.subset(keep)
 
-    real_mem = lg.structure.membership[
-        ~lg.structure.membership.id.isin(lg.structure.proxy_ids)
-    ]
-    if len(delta.deleted_vertices):
-        real_mem = real_mem[~real_mem.id.isin(delta.deleted_vertices)]
-    new_layer, new_mem = apply_plan(
-        new_prepared, real_mem.reset_index(drop=True), lg.structure.plan, algo.identity
-    )
-    roles = compute_roles(new_layer, new_mem, forced_entries=lg.structure.forced_entries)
-    structure = Structure(new_mem, roles, lg.structure.plan, lg.structure.forced_entries)
-    up_edges, intra = structure.split_edges(new_layer)
+    # Rows in: the touched sources' out-edges, re-prepared and re-routed.
+    b_src, b_dst, b_w = base.src.to_numpy(), base.dst.to_numpy(), base.w.to_numpy()
+    rows = source_rows(b_src, touched)
+    p_src, p_dst, p_w = algo.prepare_rows(b_src[rows], b_dst[rows], b_w[rows])
+    r_src, r_dst, via = route(p_src, p_dst, new_members, proxies)
+    # Rows out: the touched sources' runs and those of their 'in' proxies
+    # (every row an 'in' proxy sends comes from its host).
+    own_in = proxies.inward & np.isin(proxies.host, touched)
+    out = source_rows(lg.src, np.union1d(touched, proxies.proxy[own_in]))
+    count = lg.link_count + proxies.count(via) - proxies.count(lg.via[out])
+    # Links: a touched host's 'in' links are rebuilt with its run; an 'out'
+    # link appears or disappears when its count crosses 0.
+    live, was = count > 0, lg.link_count > 0
+    gone = proxies.proxy[~proxies.inward & was & ~live]
+    out = np.union1d(out, source_rows(lg.src, np.sort(gone)))
+    l_src, l_dst = proxies.links(np.flatnonzero((own_in & live) | (~proxies.inward & live & ~was)))
+    n_src = np.concatenate([r_src, l_src])
+    n_dst = np.concatenate([r_dst, l_dst])
+    n_w = np.concatenate([p_w, np.full(len(l_src), algo.identity)])
+    n_via = np.concatenate([via, np.full(len(l_src), -1)])
+    o = pair_order(n_src, n_dst)
+    n_src, n_dst, n_w, n_via = n_src[o], n_dst[o], n_w[o], n_via[o]
 
-    diff = prepared_edge_diff(lg.layer_edges, new_layer)
+    diff = prepared_edge_diff(edge_frame(lg.src[out], lg.dst[out], lg.w[out]),
+                              edge_frame(n_src, n_dst, n_w))
 
-    # Structurally affected subs: internal edge changed, or entry set changed.
-    sub_of = structure.sub_of
-    old_sub_of = lg.structure.sub_of
-    ds = sub_of.reindex(diff.src).to_numpy(float)
-    dd = sub_of.reindex(diff.dst).to_numpy(float)
-    internal_changed = ds[(~np.isnan(ds)) & (ds == dd)].astype(np.int64)
-    new_entries = roles.entries()[["id", "sub"]]
-    # Any boundary-role change (entry OR exit set) marks the sub affected:
-    # entry changes alter the shortcut table, exit changes move vertices
-    # between L_up and the interior.
-    old_b = lg.structure.roles.table[["id", "sub", "is_entry", "is_exit"]]
-    new_b = roles.table[["id", "sub", "is_entry", "is_exit"]]
-    m = old_b.merge(new_b, how="outer", indicator=True)
-    entry_changed = m[m._merge != "both"]["sub"].to_numpy(np.int64)
-    # Subs that lost members (vertex deletion) also need recomputation.
-    gone = lg.structure.membership[
-        ~lg.structure.membership.id.isin(new_mem.id)
-    ]["sub"].to_numpy(np.int64)
-    affected = np.unique(np.concatenate([internal_changed, entry_changed, gone]))
+    # Patch: every source with rows out lost its whole run, so each new row
+    # goes where its src sorts among the rows left.
+    rest = np.ones(len(lg.src), bool)
+    rest[out] = False
+    at = np.searchsorted(lg.src[rest], n_src)
+    src = np.insert(lg.src[rest], at, n_src)
+    dst = np.insert(lg.dst[rest], at, n_dst)
+    w = np.insert(lg.w[rest], at, n_w)
+    sub = np.insert(lg.sub[rest], at, _subgraph(new_members, n_src, n_dst))
+    c_in, c_out = cross_degrees(members, lg.src[out], lg.dst[out])
+    a_in, a_out = cross_degrees(new_members, n_src, n_dst)
+    cross_in = (lg.cross_in - c_in)[keep] + a_in
+    cross_out = (lg.cross_out - c_out)[keep] + a_out
 
-    keep = lg.shortcuts[~lg.shortcuts["sub"].isin(affected)]
-    # Changed intra edges per affected sub (both endpoints in the same sub,
-    # judged on the NEW membership — role moves are covered by the
-    # boundary-change test above).
-    chg = diff.copy()
-    # Classify with the OLD membership as fallback: a deleted member's intra
-    # edges must still reach its subgraph's shortcut-update kernel.
-    cs = np.where(
-        np.isnan(sub_of.reindex(chg.src).to_numpy(float)),
-        old_sub_of.reindex(chg.src).to_numpy(float),
-        sub_of.reindex(chg.src).to_numpy(float),
-    )
-    cd = np.where(
-        np.isnan(sub_of.reindex(chg.dst).to_numpy(float)),
-        old_sub_of.reindex(chg.dst).to_numpy(float),
-        sub_of.reindex(chg.dst).to_numpy(float),
-    )
-    same_c = (~np.isnan(cs)) & (cs == cd)
-    chg = chg[same_c].assign(sub=cs[same_c].astype(np.int64))
+    # Affected subgraphs: an internal edge changed, a boundary role changed
+    # (entry changes alter the shortcut table, exit changes move vertices
+    # between L_up and the interior), or members were deleted.
+    old_e, old_x = role_flags(members, lg.cross_in, lg.cross_out, lg.forced_entries)
+    new_e, new_x = role_flags(new_members, cross_in, cross_out, lg.forced_entries)
+    moved = (old_e[keep] != new_e) | (old_x[keep] != new_x)
+    d_src, d_dst = diff.src.to_numpy(), diff.dst.to_numpy()
+    ds, dd = new_members.sub_of(d_src), new_members.sub_of(d_dst)
+    affected = np.unique(np.concatenate([
+        ds[(ds >= 0) & (ds == dd)], new_members.sub[moved], members.sub[~keep],
+    ]))
+
+    # Changed intra edges per affected sub, classified with the OLD
+    # membership as fallback: a deleted member's intra edges must still
+    # reach its subgraph's shortcut-update kernel.
+    cs = np.where(ds >= 0, ds, members.sub_of(d_src))
+    cd = np.where(dd >= 0, dd, members.sub_of(d_dst))
+    same = (cs >= 0) & (cs == cd)
+    chg = pd.DataFrame({
+        "src": d_src[same], "dst": d_dst[same], "w_old": diff.w_old.to_numpy()[same],
+        "w_new": diff.w_new.to_numpy()[same], "sub": cs[same],
+    })
     fresh, acts = update_shortcuts(
-        spark, intra, new_entries, lg.shortcuts, chg, algo, subs=affected, tol=tol
+        spark, _intra(src, dst, w, sub, np.isin(sub, affected)), _entries(new_members, new_e),
+        lg.shortcuts, chg, algo, subs=affected, tol=tol,
     )
-    shortcuts = pd.concat([keep, fresh], ignore_index=True)
-
-    new_lg = dc_replace(
-        lg,
-        base_edges=new_base,
-        prepared=new_prepared,
-        layer_edges=new_layer,
-        structure=structure,
-        up_edges=up_edges,
-        intra_edges=intra,
-        shortcuts=shortcuts,
+    kept = ~np.isin(lg.shortcuts["sub"].to_numpy(), affected)
+    shortcuts = pd.DataFrame({
+        c: np.concatenate([lg.shortcuts[c].to_numpy()[kept], fresh[c].to_numpy()])
+        for c in fresh.columns
+    })
+    new_lg = LayeredGraph(
+        algo, base, src, dst, w, sub, np.insert(lg.via[rest], at, n_via), new_members,
+        proxies, lg.forced_entries, count, cross_in, cross_out, shortcuts,
     )
     return new_lg, diff, affected, acts

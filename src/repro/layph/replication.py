@@ -13,17 +13,26 @@ proxy is semantics-preserving on *prepared* weights (PageRank's d/N_u was
 already baked in before rerouting). The plan (host, sub, direction, proxy)
 is frozen at build time and re-applied to every updated edge list, so the
 layered structure stays stable across small ΔG (as in the paper).
+
+A prepared row is rerouted by its own endpoints alone (:func:`route`), so
+the layered graph can re-route just the rows ΔG touches. A host↔proxy link
+exists while at least one rerouted row passes through its proxy.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 
-from repro.graphs.schema import canonical_edges
+from repro.graphs.schema import edge_frame, pair_order
+from repro.layph.structure import Members
 
 #: Reserved id range for proxy vertices — far above any real vertex id so
 #: ΔG-inserted vertices can never collide with a proxy.
 PROXY_ID_BASE = np.int64(1) << 40
+
+#: (host, sub) lookup keys are ``host · _SUB_SPAN + sub``: exact in int64 for
+#: real hosts (< PROXY_ID_BASE) and fewer than 2²³ subgraphs.
+_SUB_SPAN = np.int64(1) << 23
 
 
 def build_plan(
@@ -82,6 +91,97 @@ def build_plan(
     return plan
 
 
+def _sorted_keys(key: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The keys of the masked rows, ascending, and the row of each."""
+    rows = np.flatnonzero(mask)
+    rows = rows[np.argsort(key[rows], kind="stable")]
+    return key[rows], rows
+
+
+class Proxies:
+    """The frozen replication plan as arrays, one entry per plan row, with
+    its (host, sub) → plan-row lookups."""
+
+    def __init__(self, plan: pd.DataFrame):  # host, sub, direction ('in'|'out'), proxy
+        self.plan = plan
+        self.host = plan.host.to_numpy(np.int64)
+        self.proxy = plan.proxy.to_numpy(np.int64)
+        self.inward = (plan.direction == "in").to_numpy()
+        sub = plan["sub"].to_numpy(np.int64)
+        if len(sub) and sub.max() >= _SUB_SPAN:
+            raise ValueError(f"a replication plan supports fewer than {_SUB_SPAN} subgraphs")
+        key = self.host * _SUB_SPAN + sub
+        self._in = _sorted_keys(key, self.inward)
+        self._out = _sorted_keys(key, ~self.inward)
+
+    def __len__(self) -> int:
+        return len(self.plan)
+
+    def find(self, host: np.ndarray, sub: np.ndarray, *, inward: bool) -> np.ndarray:
+        """Plan row of each ``(host, sub)`` pair in one direction, -1 if none."""
+        keys, rows = self._in if inward else self._out
+        out = np.full(len(host), -1, np.int64)
+        ok = (sub >= 0) & (host < PROXY_ID_BASE)
+        if len(keys) and ok.any():
+            q = host[ok] * _SUB_SPAN + sub[ok]
+            pos = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+            out[ok] = np.where(keys[pos] == q, rows[pos], -1)
+        return out
+
+    def count(self, via: np.ndarray) -> np.ndarray:
+        """Rows per plan row, from each row's plan row (-1: none)."""
+        return np.bincount(via[via >= 0], minlength=len(self))
+
+    def links(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(src, dst)`` of the host↔proxy link of each plan row: host →
+        proxy for 'in', proxy → host for 'out'."""
+        h, p, inward = self.host[rows], self.proxy[rows], self.inward[rows]
+        return np.where(inward, h, p), np.where(inward, p, h)
+
+
+def route(
+    src: np.ndarray, dst: np.ndarray, members: Members, proxies: Proxies
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reroute prepared rows through the plan's proxies: per row its new
+    ``(src, dst)`` and the plan row it passes through (-1: not rerouted).
+
+    'in': a cross row host → t into a subgraph with a proxy for host becomes
+    proxy → t. 'out': a cross row s → host out of a subgraph with a proxy
+    for host becomes s → proxy. Weights are kept.
+    """
+    s_sub, d_sub = members.sub_of(src), members.sub_of(dst)
+    cross = (s_sub < 0) | (s_sub != d_sub)
+    via_in = np.where(cross, proxies.find(src, d_sub, inward=True), -1)
+    via_out = np.where(cross & (via_in < 0), proxies.find(dst, s_sub, inward=False), -1)
+    new_src, new_dst = src.copy(), dst.copy()
+    new_src[via_in >= 0] = proxies.proxy[via_in[via_in >= 0]]
+    new_dst[via_out >= 0] = proxies.proxy[via_out[via_out >= 0]]
+    return new_src, new_dst, np.maximum(via_in, via_out)
+
+
+def reroute(
+    src: np.ndarray, dst: np.ndarray, w: np.ndarray,
+    members: Members, proxies: Proxies, identity: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The replicated edge list of a whole prepared table, sorted by
+    (src, dst), with the plan row each row passes through (-1 for a row not
+    rerouted and for a link). A proxy with no rerouted row gets no link and
+    so disappears from the edge list."""
+    r_src, r_dst, via = route(src, dst, members, proxies)
+    l_src, l_dst = proxies.links(np.flatnonzero(proxies.count(via)))
+    s = np.concatenate([r_src, l_src])
+    d = np.concatenate([r_dst, l_dst])
+    o = pair_order(s, d)
+    w = np.concatenate([w, np.full(len(l_src), identity)])
+    return s[o], d[o], w[o], np.concatenate([via, np.full(len(l_src), -1)])[o]
+
+
+def with_proxies(membership: pd.DataFrame, plan: pd.DataFrame) -> pd.DataFrame:
+    """Membership plus one row per proxy, in the proxy's subgraph."""
+    proxies = plan.rename(columns={"proxy": "id"})[["id", "sub"]]
+    return pd.concat([membership, proxies], ignore_index=True).astype(np.int64)
+
+
 def apply_plan(
     prepared: pd.DataFrame,
     membership: pd.DataFrame,
@@ -90,58 +190,12 @@ def apply_plan(
 ) -> tuple[pd.DataFrame, pd.DataFrame]:
     """Reroute a prepared edge list through the plan's proxies.
 
-    Returns ``(layer_edges, membership_with_proxies)``. Host↔proxy link
-    edges carry the ⊗-identity weight; a proxy with no remaining rerouted
-    edges simply disappears from the edge list.
+    Returns ``(layer_edges, membership_with_proxies)``, the edges sorted by
+    (src, dst). Host↔proxy link edges carry the ⊗-identity weight.
     """
-    if len(plan) == 0:
-        return prepared.reset_index(drop=True), membership.copy()
-    sub_of = membership.set_index("id")["sub"]
-    e = prepared.copy()
-    s_sub = sub_of.reindex(e.src).to_numpy(float)
-    d_sub = sub_of.reindex(e.dst).to_numpy(float)
-
-    pin = plan[plan.direction == "in"].set_index(["host", "sub"]).proxy
-    pout = plan[plan.direction == "out"].set_index(["host", "sub"]).proxy
-
-    # 'in' reroute: (host -> t in sub) where host outside sub
-    key_in = pd.MultiIndex.from_arrays(
-        [e.src.to_numpy(np.int64), np.nan_to_num(d_sub, nan=-1).astype(np.int64)]
+    mem = with_proxies(membership, plan)
+    s, d, w, _ = reroute(
+        prepared.src.to_numpy(np.int64), prepared.dst.to_numpy(np.int64),
+        prepared.w.to_numpy(np.float64), Members.of(mem), Proxies(plan), identity,
     )
-    prx_in = pin.reindex(key_in).to_numpy(float)
-    is_cross = np.isnan(s_sub) | (s_sub != d_sub)
-    m_in = (~np.isnan(prx_in)) & (~np.isnan(d_sub)) & is_cross
-
-    # 'out' reroute: (s in sub -> host) where host outside sub
-    key_out = pd.MultiIndex.from_arrays(
-        [e.dst.to_numpy(np.int64), np.nan_to_num(s_sub, nan=-1).astype(np.int64)]
-    )
-    prx_out = pout.reindex(key_out).to_numpy(float)
-    m_out = (~np.isnan(prx_out)) & (~np.isnan(s_sub)) & is_cross & ~m_in
-
-    parts = [e[~(m_in | m_out)]]
-    if m_in.any():
-        r = e[m_in].copy()
-        r["src"] = prx_in[m_in].astype(np.int64)  # proxy -> target (weight kept)
-        parts.append(r)
-        links = pd.DataFrame(
-            {"src": e.src.to_numpy()[m_in], "dst": prx_in[m_in].astype(np.int64)}
-        ).drop_duplicates()
-        links["w"] = identity  # host -> proxy
-        parts.append(links)
-    if m_out.any():
-        r = e[m_out].copy()
-        r["dst"] = prx_out[m_out].astype(np.int64)  # source -> proxy (weight kept)
-        parts.append(r)
-        links = pd.DataFrame(
-            {"src": prx_out[m_out].astype(np.int64), "dst": e.dst.to_numpy()[m_out]}
-        ).drop_duplicates()
-        links["w"] = identity  # proxy -> host
-        parts.append(links)
-
-    layer = canonical_edges(pd.concat(parts, ignore_index=True))
-    mem = pd.concat(
-        [membership, plan.rename(columns={"proxy": "id"})[["id", "sub"]]],
-        ignore_index=True,
-    ).astype(np.int64)
-    return layer, mem
+    return edge_frame(s, d, w), mem

@@ -1,8 +1,11 @@
-"""Layered-graph structure: boundary roles (Def. 1) and the density test (Def. 2).
+"""Layered-graph structure: membership, boundary roles (Def. 1) and the
+density test (Def. 2).
 
-All structure bookkeeping is driver-side pandas (it is small — membership
-and role tables); the per-subgraph compute runs as flattened numpy passes
-over the affected subgraphs (``engine.local``), also in the driver.
+Membership lookups and the per-member cross-edge counts that decide roles
+are numpy arrays (:class:`Members`, :func:`cross_degrees`), shared by the
+offline build and the per-ΔG patch in ``layph.layered``; the role and
+membership tables are pandas views of them. The per-subgraph compute runs
+as flattened numpy passes over the affected subgraphs (``engine.local``).
 """
 from __future__ import annotations
 
@@ -10,6 +13,67 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
+
+
+class Members:
+    """Membership as arrays in table order (real members sub-major, then
+    proxies), with an id lookup; ``-1`` stands for "not a member"."""
+
+    def __init__(self, ids: np.ndarray, sub: np.ndarray):
+        self.id, self.sub = ids, sub
+        self._order = np.argsort(ids, kind="stable")
+        self._sorted = ids[self._order]
+        self._sub = np.append(sub, -1)  # position -1 (a non-member) reads sub -1
+
+    @classmethod
+    def of(cls, membership: pd.DataFrame) -> "Members":
+        return cls(membership.id.to_numpy(np.int64), membership["sub"].to_numpy(np.int64))
+
+    def frame(self) -> pd.DataFrame:
+        return pd.DataFrame({"id": self.id, "sub": self.sub})
+
+    def subset(self, keep: np.ndarray) -> "Members":
+        return Members(self.id[keep], self.sub[keep])
+
+    def index(self, v: np.ndarray) -> np.ndarray:
+        """Table position of each id, -1 for a non-member."""
+        v = np.asarray(v, np.int64)
+        out = np.full(len(v), -1, np.int64)
+        if len(self._sorted):
+            pos = np.minimum(np.searchsorted(self._sorted, v), len(self._sorted) - 1)
+            hit = self._sorted[pos] == v
+            out[hit] = self._order[pos[hit]]
+        return out
+
+    def sub_at(self, i: np.ndarray) -> np.ndarray:
+        """Subgraph at each table position, -1 at position -1."""
+        return self._sub[i]
+
+    def sub_of(self, v: np.ndarray) -> np.ndarray:
+        """Subgraph of each id, -1 for a non-member."""
+        return self.sub_at(self.index(v))
+
+
+def cross_degrees(
+    members: Members, src: np.ndarray, dst: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per member (table order): the rows entering it from outside its
+    subgraph and the rows leaving it to outside its subgraph (Def. 1)."""
+    si, di = members.index(src), members.index(dst)
+    cross = members.sub_at(si) != members.sub_at(di)
+    n = len(members.id)
+    return (
+        np.bincount(di[cross & (di >= 0)], minlength=n),
+        np.bincount(si[cross & (si >= 0)], minlength=n),
+    )
+
+
+def role_flags(
+    members: Members, cross_in: np.ndarray, cross_out: np.ndarray, forced_entries
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(is_entry, is_exit)`` per member from its cross-row counts."""
+    forced = np.fromiter(forced_entries, np.int64, len(forced_entries))
+    return (cross_in > 0) | np.isin(members.id, forced), cross_out > 0
 
 
 @dataclass
@@ -47,28 +111,12 @@ def compute_roles(
     ``forced_entries`` marks vertices (algorithm roots, §6 of DESIGN.md)
     that must live on the upper layer even when structurally interior.
     """
-    sub_of = membership.set_index("id")["sub"]
-    s_sub = sub_of.reindex(edges.src).to_numpy(float)
-    d_sub = sub_of.reindex(edges.dst).to_numpy(float)
-    cross = pd.DataFrame(
-        {
-            "src": edges.src.to_numpy(),
-            "dst": edges.dst.to_numpy(),
-            "s_sub": s_sub,
-            "d_sub": d_sub,
-        }
+    members = Members.of(membership)
+    counts = cross_degrees(
+        members, edges.src.to_numpy(np.int64), edges.dst.to_numpy(np.int64)
     )
-    # entry: member dst of an edge whose src is outside its sub
-    ent = cross[(~np.isnan(d_sub)) & (cross.s_sub.isna() | (cross.s_sub != cross.d_sub))]
-    entries = set(ent.dst.astype(np.int64))
-    # exit: member src of an edge whose dst is outside its sub
-    exi = cross[(~np.isnan(s_sub)) & (cross.d_sub.isna() | (cross.s_sub != cross.d_sub))]
-    exits = set(exi.src.astype(np.int64))
-    entries |= {v for v in forced_entries if v in sub_of.index}
-
     t = membership.copy()
-    t["is_entry"] = t.id.isin(entries)
-    t["is_exit"] = t.id.isin(exits)
+    t["is_entry"], t["is_exit"] = role_flags(members, *counts, forced_entries)
     return Roles(t.reset_index(drop=True))
 
 
@@ -124,15 +172,3 @@ class Structure:
     @property
     def proxy_ids(self) -> np.ndarray:
         return self.plan.proxy.to_numpy(np.int64) if len(self.plan) else np.empty(0, np.int64)
-
-    def split_edges(self, layer_edges: pd.DataFrame) -> tuple[pd.DataFrame, pd.DataFrame]:
-        """Partition a (replicated) edge list into cross edges (upper-layer
-        originals) and intra-subgraph edges (tagged with their sub)."""
-        sub_of = self.sub_of
-        s = sub_of.reindex(layer_edges.src).to_numpy(float)
-        d = sub_of.reindex(layer_edges.dst).to_numpy(float)
-        same = (~np.isnan(s)) & (s == d)
-        up = layer_edges[~same].reset_index(drop=True)
-        intra = layer_edges[same].copy()
-        intra["sub"] = s[same].astype(np.int64)
-        return up, intra.reset_index(drop=True)

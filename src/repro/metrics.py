@@ -8,7 +8,7 @@ and Layph) counts activations the same way so the numbers are comparable.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -19,12 +19,14 @@ class RunStats:
     ``supersteps``: number of global supersteps (0 for purely local runs).
     ``phase_seconds``: wall-clock per named phase (Layph reports its four
     phases here; flat engines report a single ``"total"`` entry).
+    ``phase_activations``: activations counted inside each named phase.
     ``wall_seconds``: total wall-clock of the run.
     """
 
     activations: int = 0
     supersteps: int = 0
     phase_seconds: dict[str, float] = field(default_factory=dict)
+    phase_activations: dict[str, int] = field(default_factory=dict)
     wall_seconds: float = 0.0
 
     def add_phase(self, name: str, seconds: float) -> None:
@@ -37,18 +39,26 @@ class RunStats:
         self.supersteps += other.supersteps
         for k, v in other.phase_seconds.items():
             self.add_phase(k, v)
+        for k, v in other.phase_activations.items():
+            self.phase_activations[k] = self.phase_activations.get(k, 0) + v
         self.wall_seconds += other.wall_seconds
         return self
 
+    def to_dict(self) -> dict:
+        """The counters as plain (JSON-ready) values."""
+        return asdict(self)
+
 
 class PhaseTimer:
-    """Context manager that adds elapsed wall time to ``stats`` under ``name``."""
+    """Context manager that adds elapsed wall time, and the activations
+    counted inside the block, to ``stats`` under ``name``."""
 
     def __init__(self, stats: RunStats, name: str):
         self._stats = stats
         self._name = name
 
     def __enter__(self) -> "PhaseTimer":
+        self._acts0 = self._stats.activations
         self._t0 = time.perf_counter()
         return self
 
@@ -56,3 +66,5 @@ class PhaseTimer:
         dt = time.perf_counter() - self._t0
         self._stats.add_phase(self._name, dt)
         self._stats.wall_seconds += dt
+        acts = self._stats.phase_activations
+        acts[self._name] = acts.get(self._name, 0) + self._stats.activations - self._acts0

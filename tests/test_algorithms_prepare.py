@@ -60,6 +60,36 @@ def test_php_prepare_row_mass_and_absorbing_source(edges, d):
     _ = deg
 
 
+def test_sssp_prepare_rejects_negative_weights(edges):
+    bad = edges.assign(w=edges.w.where(edges.index != 3, -1.0))
+    with pytest.raises(ValueError, match="non-negative"):
+        alg.sssp(source=0).prepare(bad)
+    with pytest.raises(ValueError, match="non-negative"):
+        alg.sssp(source=0).prepare_rows(bad.src.to_numpy(), bad.dst.to_numpy(), bad.w.to_numpy())
+
+
+@pytest.mark.parametrize("name", ["pagerank", "php"])
+def test_prepare_equals_pandas_groupby_weights(edges, name):
+    """The numpy preparation gives pandas' per-source degrees and
+    (compensated) weight sums bit for bit, on the whole table and on any
+    subset of whole source runs."""
+    a = alg.pagerank(d=0.85) if name == "pagerank" else alg.php(source=int(edges.src.iloc[0]))
+    e = edges.assign(w=edges.w * np.pi)
+    out = e.copy()
+    if name == "pagerank":
+        out["w"] = a.damping / e.groupby("src").size().reindex(e.src).to_numpy()
+    else:
+        out["w"] = a.damping * e.w.to_numpy() / e.groupby("src").w.sum().reindex(e.src).to_numpy()
+        out = out[out.dst != a.source]
+    want = out.reset_index(drop=True)
+    pd.testing.assert_frame_equal(a.prepare(e), want, check_exact=True)
+    runs = e.src.isin(e.src.unique()[::3]).to_numpy()
+    s, d, w = a.prepare_rows(e.src.to_numpy()[runs], e.dst.to_numpy()[runs], e.w.to_numpy()[runs])
+    part = want[want.src.isin(e.src.unique()[::3])]
+    np.testing.assert_array_equal(w, part.w.to_numpy())
+    np.testing.assert_array_equal(d, part.dst.to_numpy())
+
+
 def test_root_messages_rooted():
     a = alg.sssp(source=7)
     m0 = a.root_messages(np.array([1, 7, 9]))

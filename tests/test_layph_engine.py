@@ -214,3 +214,32 @@ def test_backends_agree_end_to_end(spark, on_each_backend, name):
         assert (d_stats.supersteps, d_stats.activations) == (s_stats.supersteps, s_stats.activations)
         pd.testing.assert_series_equal(d_out, s_out, **same)
         check(d_out, edges, algo, delta)
+
+
+@pytest.mark.parametrize("name", ["sssp", "pagerank"])
+def test_deleting_a_proxy_host(no_spark, name):
+    """Deleting a replication host empties its proxies; a min round must not
+    try to rebuild the state of a proxy that left the graph."""
+    edges, membership = dataset("uk_lite", sf=0.002, seed=0)
+    algo = make_algo(name)
+    eng = LayphEngine(no_spark, edges, algo, membership=membership).initialize()
+    host = int(eng.lg.structure.plan.host.iloc[0])
+    inc = edges[(edges.src == host) | (edges.dst == host)][["src", "dst"]]
+    delta = GraphDelta(added=edges.iloc[0:0], deleted=inc.reset_index(drop=True),
+                       deleted_vertices=np.array([host]))
+    got, _ = eng.run_delta(delta)
+    check(got, edges, algo, delta)
+
+
+def test_phase_activations_sum_to_the_round(no_spark):
+    """PhaseTimer attributes every activation of a Layph round to one of its
+    four phases."""
+    edges, membership = dataset("uk_lite", sf=0.003, seed=9)
+    for algo in (make_algo("pagerank"), make_algo("sssp")):
+        eng = LayphEngine(no_spark, edges, algo, membership=membership).initialize()
+        assert eng.offline_stats.phase_activations == {"offline": eng.offline_stats.activations}
+        _, stats = eng.run_delta(random_edge_delta(edges, n_add=4, n_del=4, seed=3))
+        d = stats.to_dict()
+        assert set(d["phase_activations"]) == {"layered_update", "upload", "upper", "assign"}
+        assert sum(d["phase_activations"].values()) == d["activations"] == stats.activations
+        assert min(d["phase_activations"].values()) >= 0 and d["phase_activations"]["upper"] > 0

@@ -95,3 +95,57 @@ def test_canonical_edges_drops_self_loops_and_dups():
 def test_vertex_ids_sorted_unique(edges):
     ids = vertex_ids(edges)
     assert (np.diff(ids) > 0).all()
+
+
+def _pairs(src, dst, w=None):
+    f = pd.DataFrame({"src": np.asarray(src, np.int64), "dst": np.asarray(dst, np.int64)})
+    return f if w is None else f.assign(w=np.asarray(w, float))
+
+
+def test_delta_rejects_a_pair_added_twice():
+    with pytest.raises(ValueError, match="added lists"):
+        GraphDelta(added=_pairs([1, 1], [2, 2], [1.0, 2.0]), deleted=_pairs([], []))
+
+
+def test_delta_rejects_a_pair_deleted_twice():
+    with pytest.raises(ValueError, match="deleted lists"):
+        GraphDelta(added=_pairs([], [], []), deleted=_pairs([3, 3], [4, 4]))
+
+
+def test_delta_rejects_an_added_self_loop():
+    with pytest.raises(ValueError, match="self-loop"):
+        GraphDelta(added=_pairs([5], [5], [1.0]), deleted=_pairs([], []))
+
+
+def test_delta_rejects_an_added_edge_at_a_deleted_vertex():
+    with pytest.raises(ValueError, match="deleted vertex"):
+        GraphDelta(added=_pairs([1], [9], [1.0]), deleted=_pairs([], []),
+                   deleted_vertices=np.array([9]))
+
+
+def test_apply_delta_rejects_a_deleted_vertex_that_keeps_an_edge(edges):
+    v = int(np.intersect1d(edges.src, edges.dst)[0])
+    out_edges = edges[edges.src == v][["src", "dst"]].reset_index(drop=True)
+    delta = GraphDelta(added=_pairs([], [], []), deleted=out_edges,
+                       deleted_vertices=np.array([v]))
+    with pytest.raises(ValueError, match="keeps an edge"):  # its in-edges stay
+        apply_delta(edges, delta)
+    full = edges[(edges.src == v) | (edges.dst == v)][["src", "dst"]].reset_index(drop=True)
+    new = apply_delta(edges, GraphDelta(added=_pairs([], [], []), deleted=full,
+                                        deleted_vertices=np.array([v])))
+    assert not ((new.src == v) | (new.dst == v)).any()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_apply_delta_equals_the_full_rebuild(edges, seed):
+    """Rewriting only the touched sources' runs equals rebuilding the whole
+    table, including an existing pair re-added and an absent pair deleted."""
+    delta = random_edge_delta(edges, n_add=15, n_del=15, seed=seed)
+    row = edges.iloc[seed * 7]
+    added = pd.concat([delta.added, _pairs([row.src], [row.dst], [row.w + 1.0])])
+    deleted = pd.concat([delta.deleted, _pairs([row.src], [10**6])])
+    delta = GraphDelta(added=added.reset_index(drop=True), deleted=deleted.reset_index(drop=True))
+    key = edges.src.to_numpy() * (2**32) + edges.dst.to_numpy()
+    gone = deleted.src.to_numpy() * (2**32) + deleted.dst.to_numpy()
+    want = canonical_edges(pd.concat([edges[~np.isin(key, gone)], added], ignore_index=True))
+    pd.testing.assert_frame_equal(apply_delta(edges, delta), want)
