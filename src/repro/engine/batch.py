@@ -3,8 +3,9 @@ Spark by one size rule.
 
 Each superstep, active vertices send an F message along every out-edge of
 the (prepared) edge relation, messages are G-aggregated per destination,
-and states fold the aggregate in. Inputs that fit (``on_driver``) run as
-numpy array passes in the driver; larger ones run as one Catalyst-planned
+and states fold the aggregate in. Inputs that fit (``on_driver``) run in
+the driver through :func:`propagate`, the numpy kernel that every local
+phase of ``engine.local`` shares; larger ones run as one Catalyst-planned
 round per superstep, with ``localCheckpoint`` truncating lineage so
 hundred-iteration runs do not blow up the planner. Both backends keep the
 contract spelled out in ``superstep_loop``.
@@ -141,76 +142,103 @@ def superstep_loop(
     return states, stats
 
 
-def _over_cap(max_supersteps: int) -> RuntimeError:
-    return RuntimeError(
-        f"superstep_loop: messages still pending after max_supersteps={max_supersteps}"
-    )
+def _over_cap(max_supersteps: int) -> str:
+    return f"superstep_loop: messages still pending after max_supersteps={max_supersteps}"
+
+
+def positions(ids: pd.Index, keys) -> np.ndarray:
+    """The position of each of ``keys`` in the unique ``ids``; −1 where absent."""
+    return ids.get_indexer(np.asarray(keys, np.int64))
+
+
+def propagate(
+    x, pend, src, dst, w, algo, tol, max_steps, over_cap, *, etype=None, pend_sc=None, recv=None
+):
+    """The one (F, G) kernel, over position arrays, until no message
+    remains. Returns ``(x, recv, activations, supersteps)``.
+
+    ``converge``, the shortcut pass and the driver backend of
+    ``superstep_loop`` each map ids to positions, pick who is active on
+    superstep 1 and call this. ``pend`` holds the pending messages, NaN
+    where inactive; it is not folded into ``x`` here. Edges are taken in
+    the caller's order, so each destination sums its arrivals in edge
+    order; a ``dst`` of −1 lies outside the state set. Activations,
+    supersteps, the channel rule (``etype``, ``pend_sc``) and the cap,
+    raised as ``RuntimeError(over_cap)``, follow ``superstep_loop``'s
+    contract. ``recv``, when given, G-aggregates every original-channel
+    arrival onto its starting values.
+    """
+    n = len(x)
+    channels = etype is not None
+    if channels:
+        orig = etype == 0
+    inside = dst >= 0
+    dropped = not inside.all()
+    acts = steps = 0
+    while True:
+        fire = ~np.isnan(pend)[src]
+        if channels:
+            # Shortcuts carry only original-channel mass.
+            fire |= orig & ~np.isnan(pend_sc)[src]
+        n_msgs = int(np.count_nonzero(fire))
+        if n_msgs == 0:
+            return x, recv, acts, steps
+        if steps == max_steps:
+            raise RuntimeError(over_cap)
+        steps += 1
+        acts += n_msgs
+        if dropped:
+            fire &= inside
+        s, d, ws = src[fire], dst[fire], w[fire]
+        if algo.is_min:
+            m = np.full(n, np.inf)
+            np.minimum.at(m, d, pend[s] + ws)
+            pend = np.where(m < x, m, np.nan)
+            x = np.minimum(x, m)
+        elif not channels:
+            # An id that received nothing sums to 0, never above tol (≥ 0).
+            m = np.bincount(d, pend[s] * ws, minlength=n)
+            x = x + m
+            pend = np.where(np.abs(m) > tol, m, np.nan)
+        else:
+            o = orig[fire]
+            ps = np.where(np.isnan(pend[s]), 0.0, pend[s])
+            both = ps + np.where(np.isnan(pend_sc[s]), 0.0, pend_sc[s])
+            val = np.where(o, both, ps) * ws
+            m = np.bincount(d[o], val[o], minlength=n)
+            m_sc = np.bincount(d[~o], val[~o], minlength=n)
+            x = x + m + m_sc
+            pend = np.where(np.abs(m) > tol, m, np.nan)
+            pend_sc = np.where(np.abs(m_sc) > tol, m_sc, np.nan)
+        if recv is not None:
+            recv = np.minimum(recv, m) if algo.is_min else recv + m
 
 
 def _driver_loop(x, pend, pend_sc, edges, algo, tol, max_supersteps, stats):
-    """numpy backend: one pass over the edge arrays per superstep. Pending
-    values are NaN where inactive, as the Spark states hold NULL."""
-    channels = pend_sc is not None
+    """numpy backend: ids mapped to positions, then one :func:`propagate`.
+    Pending values are NaN where inactive, as the Spark states hold NULL."""
     ids = pd.Index(x.index.to_numpy(np.int64))
     n = len(ids)
-    xs = x.to_numpy(float).copy()
 
     def pending(s: pd.Series) -> np.ndarray:
-        at = ids.get_indexer(s.index.to_numpy(np.int64))
+        at = positions(ids, s.index)
         p = np.full(n, np.nan)
         p[at[at >= 0]] = s.to_numpy(float)[at >= 0]
         return p
 
-    src = ids.get_indexer(edges.src.to_numpy(np.int64))
-    dst = ids.get_indexer(edges.dst.to_numpy(np.int64))
-    fires = src >= 0  # ids outside the state set never send (the join drops them)
-    src, dst, w = src[fires], dst[fires], edges.w.to_numpy(float)[fires]
-    inside = dst >= 0
-    p = pending(pend)
-    if channels:
-        orig = edges.etype.to_numpy()[fires] == 0
-        psc, recv = pending(pend_sc), np.zeros(n)
-
-    def gsum(d: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-destination sum, and whether any message arrived."""
-        return np.bincount(d, v, minlength=n), np.bincount(d, minlength=n) > 0
-
-    steps = 0
-    while True:
-        fire = ~np.isnan(p)[src]
-        if channels:
-            # Shortcuts carry only original-channel mass.
-            fire |= orig & ~np.isnan(psc)[src]
-        n_msgs = int(fire.sum())
-        if n_msgs == 0:
-            break
-        if steps == max_supersteps:
-            raise _over_cap(max_supersteps)
-        steps += 1
-        stats.activations += n_msgs
-        stats.supersteps += 1
-        sel = fire & inside
-        s, d, ws = src[sel], dst[sel], w[sel]
-        if algo.is_min:
-            m = np.full(n, np.inf)
-            np.minimum.at(m, d, p[s] + ws)
-            p = np.where(m < xs, m, np.nan)
-            xs = np.minimum(xs, m)
-        elif not channels:
-            m, got = gsum(d, p[s] * ws)
-            xs = xs + m
-            p = np.where(got & (np.abs(m) > tol), m, np.nan)
-        else:
-            o = orig[sel]
-            ps = np.where(np.isnan(p[s]), 0.0, p[s])
-            both = ps + np.where(np.isnan(psc[s]), 0.0, psc[s])
-            val = np.where(o, both, ps) * ws
-            m, got = gsum(d[o], val[o])
-            m_sc, got_sc = gsum(d[~o], val[~o])
-            xs = xs + m + m_sc
-            p = np.where(got & (np.abs(m) > tol), m, np.nan)
-            psc = np.where(got_sc & (np.abs(m_sc) > tol), m_sc, np.nan)
-            recv = recv + m
+    src, dst = positions(ids, edges.src), positions(ids, edges.dst)
+    sends = src >= 0  # ids outside the state set never send (the join drops them)
+    channels = pend_sc is not None
+    xs, recv, acts, steps = propagate(
+        x.to_numpy(float), pending(pend), src[sends], dst[sends],
+        edges.w.to_numpy(float)[sends], algo, tol, max_supersteps,
+        _over_cap(max_supersteps),
+        etype=edges.etype.to_numpy()[sends] if channels else None,
+        pend_sc=pending(pend_sc) if channels else None,
+        recv=np.zeros(n) if channels else None,
+    )
+    stats.activations += acts
+    stats.supersteps += steps
     out = pd.DataFrame({"x": xs}, index=ids)
     if channels:
         out["recv"] = recv
@@ -302,7 +330,7 @@ def _spark_loop(spark, x, pend, pend_sc, edges, algo, tol, max_supersteps, stats
                 break
             if steps == max_supersteps:
                 msgs.unpersist()
-                raise _over_cap(max_supersteps)
+                raise RuntimeError(_over_cap(max_supersteps))
             steps += 1
             stats.activations += n_msgs
             stats.supersteps += 1

@@ -1,30 +1,33 @@
 """Local (numpy) vertex-centric kernels, run in the driver.
 
 This is the compute core of Layph's per-subgraph phases — shortcut
-deduction (§IV-A2), shortcut update (§IV-B) and message upload (§V-A) —
-and the reference push engine that the superstep loop must agree with.
-Subgraphs are disjoint and intra edges never leave their subgraph, so the
-union of the affected subgraphs is a block-diagonal graph: the upload is
-one :func:`converge` over that union, and shortcut deduction and the sum
-update are one :func:`shortcut_pass` over every (subgraph, entry) row.
+deduction (§IV-A2), shortcut update (§IV-B) and message upload (§V-A).
+Each maps its tables to positions and runs ``batch.propagate``, the kernel
+behind the superstep loop's driver backend. Subgraphs are disjoint and
+intra edges never leave their subgraph, so the union of the affected
+subgraphs is a block-diagonal graph: the upload is one :func:`converge`
+over that union, and shortcut deduction and the sum update are one
+:func:`shortcut_pass` over every (subgraph, entry) row.
 
 Everything operates on *prepared* edges (see ``engine.algorithms``): min
 workloads relax ``m + w`` under ``min``; sum workloads propagate deltas
 ``m · w`` under ``+``. Activations are counted exactly as the paper counts
 them: one per F application (one per out-edge of an active vertex per
-iteration). Reaching ``max_iter`` with messages still pending raises
-``RuntimeError`` rather than returning unconverged states.
+superstep). A superstep counts only when it sends messages. Reaching
+``max_iter`` with messages still pending raises ``RuntimeError`` rather
+than returning unconverged states.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pandas as pd
 
 from repro.engine import batch
 from repro.engine.algorithms import Algorithm
+from repro.incremental.revision import min_revision
 
 INF = float("inf")
 
@@ -36,20 +39,7 @@ class LocalRun:
     states: pd.Series  # id -> converged x
     arrivals: pd.Series  # id -> G-aggregate of everything received this run
     activations: int
-    iterations: int
-
-
-def _over_cap(where: str, max_iter: int) -> RuntimeError:
-    return RuntimeError(f"{where}: messages still pending after max_iter={max_iter}")
-
-
-def _arrays(prepared: pd.DataFrame, ids: np.ndarray):
-    idx = pd.Series(np.arange(len(ids)), index=ids)
-    src = idx.reindex(prepared.src).to_numpy()
-    dst = idx.reindex(prepared.dst).to_numpy()
-    if np.isnan(src).any() or np.isnan(dst).any():
-        raise ValueError("prepared edges reference ids outside the vertex set")
-    return src.astype(np.int64), dst.astype(np.int64), prepared.w.to_numpy(float)
+    iterations: int  # supersteps that sent messages
 
 
 def converge(
@@ -68,76 +58,37 @@ def converge(
     revision messages for an incremental one — including negative deltas
     for sum-cancellations). Every vertex forwards; the caller restricts the
     edge set to restrict propagation scope.
+
+    The messages are G-aggregated per id and folded into ``x0``; only a min
+    message that improves its state, or a sum message above ``tol``, is
+    active on the first superstep. Then one ``batch.propagate`` runs over
+    the edges sorted by source.
     """
     tol = algo.tol if tol is None else tol
-    ids = x0.index.to_numpy(np.int64)
-    x = x0.to_numpy(float).copy()
-    n = len(ids)
-    src, dst, w = _arrays(prepared, ids)
+    ids = pd.Index(x0.index.to_numpy(np.int64))
+    src, dst = batch.positions(ids, prepared.src), batch.positions(ids, prepared.dst)
+    if (src < 0).any() or (dst < 0).any():
+        raise ValueError("prepared edges reference ids outside the vertex set")
     order = np.argsort(src, kind="stable")
-    src, dst, w = src[order], dst[order], w[order]
-
-    pend = np.full(n, INF if algo.is_min else 0.0)
-    recv = pend.copy()  # aggregate of everything received (for uploads)
-    pos = pd.Series(np.arange(n), index=ids)
-    m0 = m0[m0.index.isin(x0.index)]
-    mpos = pos.reindex(m0.index).to_numpy(np.int64)
-    acts = 0
-    iters = 0
-
+    x = x0.to_numpy(float)
+    at = batch.positions(ids, m0.index)
+    seeds = np.full(len(ids), INF if algo.is_min else 0.0)
+    (np.minimum if algo.is_min else np.add).at(seeds, at[at >= 0], m0.to_numpy(float)[at >= 0])
     if algo.is_min:
-        np.minimum.at(pend, mpos, m0.to_numpy(float))
-        np.minimum.at(recv, mpos, m0.to_numpy(float))
-        improved = pend < x
-        x = np.minimum(x, pend)
-        pend = np.where(improved, pend, INF)
-        while True:
-            active = pend < INF
-            if not active.any():
-                break
-            mask = active[src]
-            if iters == max_iter:
-                if mask.any():
-                    raise _over_cap("converge", max_iter)
-                break
-            acts += int(mask.sum())
-            iters += 1
-            if not mask.any():
-                break
-            cand = pend[src[mask]] + w[mask]
-            nxt = np.full(n, INF)
-            np.minimum.at(nxt, dst[mask], cand)
-            np.minimum.at(recv, dst[mask], cand)
-            improved = nxt < x
-            x = np.minimum(x, nxt)
-            pend = np.where(improved, nxt, INF)
+        pend = np.where(seeds < x, seeds, np.nan)
+        x = np.minimum(x, seeds)
     else:
-        np.add.at(pend, mpos, m0.to_numpy(float))
-        np.add.at(recv, mpos, m0.to_numpy(float))
-        x = x + pend
-        while True:
-            active = np.abs(pend) > tol
-            if not active.any():
-                break
-            mask = active[src]
-            if iters == max_iter:
-                if mask.any():
-                    raise _over_cap("converge", max_iter)
-                break
-            acts += int(mask.sum())
-            iters += 1
-            nxt = np.zeros(n)
-            if mask.any():
-                np.add.at(nxt, dst[mask], pend[src[mask]] * w[mask])
-            np.add.at(recv, dst[mask], pend[src[mask]] * w[mask])
-            x = x + nxt
-            pend = nxt
-
+        pend = np.where(np.abs(seeds) > tol, seeds, np.nan)
+        x = x + seeds
+    x, recv, acts, steps = batch.propagate(
+        x, pend, src[order], dst[order], prepared.w.to_numpy(float)[order], algo, tol,
+        max_iter, f"converge: messages still pending after max_iter={max_iter}", recv=seeds,
+    )
     return LocalRun(
         states=pd.Series(x, index=ids),
         arrivals=pd.Series(recv, index=ids),
         activations=acts,
-        iterations=iters,
+        iterations=steps,
     )
 
 
@@ -195,32 +146,6 @@ def _chunks(sizes: np.ndarray) -> list[tuple[int, int]]:
         total += c
     bounds.append(len(sizes))
     return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-
-def _propagate(acc, pend, src, dst, w, algo, tol, max_iter) -> tuple[np.ndarray, int]:
-    """Iterate F/G over the copied edges until no cell fires; ``acc``
-    G-aggregates every arrival. Sum messages are summed with ``np.bincount``
-    in edge-copy order, so each cell adds its arrivals in edge order."""
-    n, acts = len(acc), 0
-    for it in itertools.count():
-        active = pend < INF if algo.is_min else np.abs(pend) > tol
-        fire = active[src]
-        n_fire = int(np.count_nonzero(fire))
-        if n_fire == 0:
-            return acc, acts
-        if it == max_iter:
-            raise _over_cap("shortcut_pass", max_iter)
-        acts += n_fire
-        s, d = src[fire], dst[fire]
-        if algo.is_min:
-            nxt = np.full(n, INF)
-            np.minimum.at(nxt, d, pend[s] + w[fire])
-            pend = np.where(nxt < acc, nxt, INF)
-            acc = np.minimum(acc, nxt)
-        else:
-            nxt = np.bincount(d, pend[s] * w[fire], minlength=n)
-            acc = acc + nxt
-            pend = nxt
 
 
 def _pass_chunk(n_subs, E, R, O, C, algo, tol, max_iter):
@@ -294,7 +219,11 @@ def _pass_chunk(n_subs, E, R, O, C, algo, tol, max_iter):
     src_cell, dst_cell = row_base[c] + lsrc[e], row_base[c] + ldst[e]
     w = ew[e].astype(float)
     del c, e  # one int64 per copied edge each; free them before the loop
-    acc, acts = _propagate(acc, pend, src_cell, dst_cell, w, algo, tol, max_iter)
+    active = pend < INF if is_min else np.abs(pend) > tol
+    acc, _, acts, _ = batch.propagate(
+        acc, np.where(active, pend, np.nan), src_cell, dst_cell, w, algo, tol, max_iter,
+        f"shortcut_pass: messages still pending after max_iter={max_iter}",
+    )
 
     keep = np.isfinite(acc) if is_min else np.abs(acc) > tol
     cells = np.flatnonzero(keep)
@@ -481,15 +410,11 @@ def shortcut_update_min(
             if np.isnan(r.w_old) or (not np.isnan(r.w_new) and r.w_new < r.w_old):
                 affected |= (du + (0 if np.isnan(r.w_new) else r.w_new)) < dv - 1e-12
     if not affected.any():
-        return old_sc[["entry", "dst", "w"]].reset_index(drop=True), 0
+        return old_sc[old_sc.entry.isin(entries)][["entry", "dst", "w"]].reset_index(drop=True), 0
 
     # Reconstruct the OLD subgraph edge list from the diff so each affected
     # entry can be updated incrementally (trim + re-relax) instead of from
     # scratch — this is the paper's incremental weight update (§IV-B).
-    from dataclasses import replace as dc_replace
-
-    from repro.incremental.revision import min_revision
-
     old_edges = new_edges.merge(
         changed[["src", "dst"]], on=["src", "dst"], how="left", indicator=True
     )

@@ -5,6 +5,7 @@ import pytest
 
 from repro.engine import algorithms as alg
 from repro.engine.batch import initial_states, run_batch, superstep_loop
+from repro.engine.local import converge
 from repro.graphs.generators import fig2_graph, planted_partition
 from repro.graphs.schema import degrees
 from repro.oracle import assert_equivalent
@@ -161,6 +162,61 @@ def test_backends_keep_the_loop_contract(spark, on_each_backend, case):
     _assert_same_run(runs, algo)
     _, stats = runs["driver"]
     assert (stats.supersteps, stats.activations) == expected
+
+
+# -- converge and the driver superstep loop share one kernel -----------------
+
+@pytest.mark.parametrize("case", ["min", "sum", "sum_channels"])
+def test_converge_equals_superstep_loop_on_active_seeds(no_spark, case):
+    """Fed the same graph and seeds that both first-superstep rules keep
+    active (the root messages), ``converge`` and the driver backend of
+    ``superstep_loop`` give identical states, activations and supersteps.
+    The edges are sorted by source, converge's own order, so every sum adds
+    up in the same order. With all-original channel tags, ``recv`` is
+    converge's ``arrivals`` without the seeds."""
+    edges = tiny_graph(4)
+    algo = alg.sssp(source=0) if case == "min" else alg.pagerank(d=0.5, tol=1e-8)
+    prepared = algo.prepare(edges)
+    prepared = prepared.iloc[np.argsort(prepared.src.to_numpy(), kind="stable")]
+    x, pend = initial_states(edges, algo)
+    x0, m0 = algo.initial_states(x.index.to_numpy()), algo.root_messages(x.index.to_numpy())
+    run = converge(prepared, x0, m0, algo)
+    if case == "sum_channels":
+        prepared = prepared.assign(etype=0)
+    out, stats = superstep_loop(
+        no_spark, x, pend, prepared, algo,
+        pend_sc=pd.Series(dtype=float) if case == "sum_channels" else None,
+    )
+    pd.testing.assert_series_equal(run.states.sort_index(), out.x, check_names=False, check_exact=True)
+    assert (run.iterations, run.activations) == (stats.supersteps, stats.activations)
+    assert stats.supersteps > 1
+    if case == "sum_channels":
+        recv = run.arrivals.sort_index() - m0.reindex(out.index, fill_value=0.0)
+        assert_states_close(out.recv, recv, atol=1e-12, rtol=0)
+
+
+#: Seeds on 0 -> 1 -> 2 that only ``superstep_loop`` activates: (algo, x, seed).
+FIRST_SUPERSTEP = {
+    # A min seed equal to its state does not improve it.
+    "min_equal_seed": (alg.sssp(source=0), S([0.0, 0.5, 9.0], index=[0, 1, 2]), S({1: 0.5})),
+    # A sum seed at or below tol.
+    "sum_seed_below_tol": (alg.pagerank(d=0.5, tol=1e-9), S(0.0, index=[0, 1, 2]), S({0: 1e-10})),
+}
+
+
+@pytest.mark.parametrize("case", list(FIRST_SUPERSTEP))
+def test_first_superstep_rules(no_spark, case):
+    """``converge`` drops a non-improving min seed and a sum seed below tol;
+    ``superstep_loop`` keeps the same seed active and counts its message."""
+    algo, x, seed = FIRST_SUPERSTEP[case]
+    edges = _chain().iloc[:2]
+    folded = x.add(seed, fill_value=0.0) if algo.is_sum else x
+    run = converge(edges, x, seed, algo)
+    assert (run.iterations, run.activations) == (0, 0)
+    pd.testing.assert_series_equal(run.states, folded, check_exact=True)
+    out, stats = superstep_loop(no_spark, folded, seed, edges, algo)
+    assert (stats.supersteps, stats.activations) == (1, 1)
+    assert not out.x.equals(folded)  # its message moved a state
 
 
 def test_degrees_matches_duckdb(spark):

@@ -29,12 +29,19 @@ SC = ["entry", "dst", "w"]
 
 # -- the dense kernels the pass replaced (reference) --------------------------
 
+def _arrays(prepared, ids):
+    ids = pd.Index(ids)
+    src, dst = batch.positions(ids, prepared.src), batch.positions(ids, prepared.dst)
+    assert (src >= 0).all() and (dst >= 0).all()
+    return src, dst, prepared.w.to_numpy(float)
+
+
 def _dense_weights(prepared, entries, ids, algo, tol):
     entries, ids = np.asarray(entries, np.int64), np.asarray(ids, np.int64)
     k, n = len(entries), len(ids)
     if k == 0 or len(prepared) == 0:
         return pd.DataFrame({c: [] for c in SC}), 0
-    src, dst, w = local._arrays(prepared, ids)
+    src, dst, w = _arrays(prepared, ids)
     pos = pd.Series(np.arange(n), index=ids)
     epos, rows, acts = pos.reindex(entries).to_numpy(np.int64), np.arange(k), 0
     if algo.is_min:
@@ -95,7 +102,7 @@ def _dense_update_sum(new_edges, entries, old_sc, changed, tol):
     D += pend
     D[~had_old, :], pend[~had_old, :] = 0.0, 0.0
     pend[~had_old, epos[~had_old]] = 1.0
-    src, dst, w = local._arrays(new_edges, ids)
+    src, dst, w = _arrays(new_edges, ids)
     D, acts = _dense_sum_loop(D, pend, src, dst, w, tol)
     e_idx, v_idx = np.nonzero(np.abs(D) > tol)
     out = pd.DataFrame({"entry": entries[e_idx], "dst": ids[v_idx], "w": D[e_idx, v_idx]})

@@ -202,9 +202,6 @@ def _check_shortcuts(lg, algo, intra, roles):
     key = ["sub", "entry", "dst"]
     got = lg.shortcuts.sort_values(key).reset_index(drop=True)
     if algo.is_min:
-        # The min update keeps the rows of an entry that lost its role; no
-        # phase reads them (caches exist for entries only).
-        got = got[got.entry.isin(entries.id)].reset_index(drop=True)
         pd.testing.assert_frame_equal(got, want.sort_values(key).reset_index(drop=True))
     else:  # a delta-corrected row matches a fresh one to the tol cut
         m = got.merge(want, on=key, how="outer", suffixes=("_got", "_want")).fillna(0.0)
