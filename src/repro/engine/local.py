@@ -6,8 +6,8 @@ Each maps its tables to positions and runs ``batch.propagate``, the kernel
 behind the superstep loop's driver backend. Subgraphs are disjoint and
 intra edges never leave their subgraph, so the union of the affected
 subgraphs is a block-diagonal graph: the upload is one :func:`converge`
-over that union, and shortcut deduction and the sum update are one
-:func:`shortcut_pass` over every (subgraph, entry) row.
+over that union, and shortcut deduction and the min and sum updates are
+one :func:`shortcut_pass` over every (subgraph, entry) row.
 
 Everything operates on *prepared* edges (see ``engine.algorithms``): min
 workloads relax ``m + w`` under ``min``; sum workloads propagate deltas
@@ -19,8 +19,7 @@ than returning unconverged states.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from dataclasses import replace as dc_replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pandas as pd
@@ -148,6 +147,17 @@ def _chunks(sizes: np.ndarray) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
+def _cell_edges(table, rows, rsub, row_base, n_subs):
+    """One copy of a sub-major edge table (sub, src, dst, w; vertices as
+    positions inside their subgraph) per entry row in ``rows``: the copies'
+    ``(src, dst, w)`` on cell ids, row by row in table order."""
+    sub, src, dst, w = table
+    bounds = np.searchsorted(sub, np.arange(n_subs + 1))
+    cnt = np.diff(bounds)[rsub[rows]]
+    c, e = np.repeat(rows, cnt), _ranges(bounds[rsub[rows]], cnt)
+    return row_base[c] + src[e], row_base[c] + dst[e], w[e].astype(float)
+
+
 def _pass_chunk(n_subs, E, R, O, C, algo, tol, max_iter):
     """One block-diagonal pass over the subgraphs ``0..n_subs-1`` of a chunk.
 
@@ -171,10 +181,11 @@ def _pass_chunk(n_subs, E, R, O, C, algo, tol, max_iter):
     vkeys = np.unique(keys[: cuts[-1]])  # old entry ids are looked up, not vertices
     voff = np.searchsorted(vkeys // len(uniq), np.arange(n_subs + 1))
     vid = uniq[vkeys % len(uniq)]
-    # Each table id's position inside its own subgraph's block of vertices.
-    lsrc, ldst, lent, lodst, lcsrc, lcdst, _ = np.split(
-        np.searchsorted(vkeys, keys) - voff[psub], cuts
-    )
+    # Each table id's position among all vertices, and inside its own
+    # subgraph's block of vertices.
+    gpos = np.searchsorted(vkeys, keys)
+    lsrc, ldst, lent, lodst, lcsrc, lcdst, _ = np.split(gpos - voff[psub], cuts)
+    new = [esub, lsrc, ldst, ew]  # the intra edges, vertices as positions
 
     # One row of |ids_s| cells per entry, sub-major, entries in table order.
     nrow = np.diff(voff)[rsub]
@@ -195,32 +206,74 @@ def _pass_chunk(n_subs, E, R, O, C, algo, tol, max_iter):
         found = rkey[order[at]] == okey
         g = order[at[found]]
         acc[row_base[g] + lodst[found]] = ow[found]
+    if is_min:
+        acc[ecell[had_old]] = 0.0
+    # The rows that propagate: every row for sum, new or affected rows for min.
+    live = ~had_old if is_min else np.ones(len(rid), bool)
     if len(csub):
-        # A prepared-weight change dw on (u, v) injects (D[e, u] + 1_{u=e})·dw
-        # at v in every old row e, in changed-row order.
-        dw = np.where(np.isnan(cw_new), 0.0, cw_new) - np.where(np.isnan(cw_old), 0.0, cw_old)
+        # Each changed edge (u, v) meets every row of its subgraph.
         cnt = k[csub]
         c = np.repeat(np.arange(len(csub)), cnt)
         g = _ranges(rbound[csub], cnt)
-        u = row_base[g] + lcsrc[c]
-        unit = (ecell[g] == u).astype(float)
-        np.add.at(pend, row_base[g] + lcdst[c], (acc[u] + unit) * had_old[g] * dw[c])
-        acc += pend  # injected corrections are arrivals
+        u, v = row_base[g] + lcsrc[c], row_base[g] + lcdst[c]
+        if is_min:
+            # A row is affected if its old tree used a deleted or raised
+            # edge, or an added or lowered edge improves it.
+            with np.errstate(invalid="ignore"):
+                worse = np.isnan(cw_new) | (cw_new > cw_old)
+                better = np.isnan(cw_old) | (cw_new < cw_old)
+                hit = worse[c] & (np.abs(acc[u] + cw_old[c] - acc[v]) <= 1e-9)
+                hit |= better[c] & (acc[u] + cw_new[c] < acc[v] - 1e-12)
+            live[g[hit]] = True
+        else:
+            # A prepared-weight change dw on (u, v) injects
+            # (D[e, u] + 1_{u=e})·dw at v in every old row e, in changed-row order.
+            dw = np.where(np.isnan(cw_new), 0.0, cw_new) - np.where(np.isnan(cw_old), 0.0, cw_old)
+            unit = (ecell[g] == u).astype(float)
+            np.add.at(pend, v, (acc[u] + unit) * had_old[g] * dw[c])
+            acc += pend  # injected corrections are arrivals
+
+    acts = 0
+    trim = np.flatnonzero(live & had_old) if is_min else []
+    if len(trim):
+        # The subgraphs' old edges: the unchanged new ones plus the old
+        # weights of the changed ones.
+        gsrc, gdst, gcsrc, gcdst = (np.split(gpos, cuts)[i] for i in (0, 1, 4, 5))
+        same = ~np.isin(gsrc * len(vkeys) + gdst, gcsrc * len(vkeys) + gcdst)
+        restored = ~np.isnan(cw_old)
+        old_sub = np.concatenate([esub[same], csub[restored]])
+        by_sub = np.argsort(old_sub, kind="stable")
+        old = [old_sub[by_sub]] + [
+            np.concatenate(p)[by_sub]
+            for p in ([lsrc[same], lcsrc[restored]], [ldst[same], lcdst[restored]],
+                      [ew[same].astype(float), cw_old[restored]])
+        ]
+
+        def frame(table):  # no name outlives the call: freed before the propagation
+            src, dst, w = _cell_edges(table, trim, rsub, row_base, n_subs)
+            return pd.DataFrame({"src": src, "dst": dst, "w": w})
+
+        ids = _ranges(row_base[trim], nrow[trim])
+        # Trim and seed every affected old row at once, each entry cell a root at 0.
+        reset, seeds, acts = min_revision(
+            frame(old), frame(new), pd.Series(acc[ids], index=ids),
+            replace(algo, roots=dict.fromkeys(ecell[trim].tolist(), 0.0)),
+        )
+        acc[reset] = INF
+        at, s = seeds.index.to_numpy(np.int64), seeds.to_numpy(float)
+        up = s < acc[at]  # converge's first-superstep rule
+        pend[at[up]] = acc[at[up]] = s[up]
+
+    # Every live row gets its own copy of its subgraph's intra edges.
+    src_cell, dst_cell, w = _cell_edges(new, np.flatnonzero(live), rsub, row_base, n_subs)
     # Rows without an old row start from a fresh unit injection (not an arrival).
     fresh = np.repeat(~had_old, nrow)
     acc[fresh] = INF if is_min else 0.0
     pend[fresh] = INF if is_min else 0.0
     pend[ecell[~had_old]] = 0.0 if is_min else 1.0  # identity of ⊗
 
-    # Every entry row gets its own copy of its subgraph's intra edges.
-    cnt = np.diff(np.searchsorted(esub, np.arange(n_subs + 1)))[rsub]
-    c = np.repeat(np.arange(len(rid)), cnt)
-    e = _ranges(np.searchsorted(esub, rsub), cnt)
-    src_cell, dst_cell = row_base[c] + lsrc[e], row_base[c] + ldst[e]
-    w = ew[e].astype(float)
-    del c, e  # one int64 per copied edge each; free them before the loop
     active = pend < INF if is_min else np.abs(pend) > tol
-    acc, _, acts, _ = batch.propagate(
+    acc, _, a, _ = batch.propagate(
         acc, np.where(active, pend, np.nan), src_cell, dst_cell, w, algo, tol, max_iter,
         f"shortcut_pass: messages still pending after max_iter={max_iter}",
     )
@@ -233,7 +286,7 @@ def _pass_chunk(n_subs, E, R, O, C, algo, tol, max_iter):
     # A min self-shortcut (cycle distance) can never improve any state, so
     # drop it; a sum self-shortcut carries real cycle mass and must be kept.
     own = (entry == dst) if is_min else np.zeros(len(cells), bool)
-    return rsub[g][~own], entry[~own], dst[~own], acc[cells][~own], acts
+    return rsub[g][~own], entry[~own], dst[~own], acc[cells][~own], acts + a
 
 
 def shortcut_pass(
@@ -255,17 +308,27 @@ def shortcut_pass(
     finite weights, sum workloads keep weights above ``tol`` (including
     cycle self-weights ``w(e,e)``, which the layered engine needs).
 
-    Passing ``old`` and ``changed`` (sum workloads only) makes it the
-    incremental weight update of §IV-B, an exact delta correction: the mass
-    an entry ``e`` pushed through ``u`` per unit injection is ``D_old[e,u]``
-    (+1 when ``u == e``), so a prepared-weight change ``dw`` on ``(u,v)``
-    corrects every entry row by injecting ``(D_old[e,u] + 1_{u=e}) · dw`` at
-    ``v`` and propagating over the NEW subgraph edges. Entries without an
-    old row (newly promoted) start from a fresh unit injection.
+    Passing ``old`` and ``changed`` makes it the incremental weight update
+    of §IV-B, which runs the user's own incremental algorithm inside each
+    row. Old rows load into their cells; entries without an old row (newly
+    promoted) start from a fresh unit injection.
+
+    * Sum: an exact delta correction. The mass an entry ``e`` pushed
+      through ``u`` per unit injection is ``D_old[e,u]`` (+1 when
+      ``u == e``), so a prepared-weight change ``dw`` on ``(u,v)`` corrects
+      every row by injecting ``(D_old[e,u] + 1_{u=e}) · dw`` at ``v`` and
+      propagating over the NEW subgraph edges.
+    * Min: a row is affected when a changed edge can touch its old tree
+      (its old distance used a deleted or raised edge, or an added or
+      lowered edge improves it). One ``min_revision`` over the affected
+      rows' cells, each entry cell a root at 0, trims them KickStarter-style
+      and seeds their re-relaxation; unaffected rows keep their old cells
+      and cost no activation.
 
     Layout: each entry row is a block of ``|ids_s|`` cells (sub-major,
-    entries in table order, vertex ids ascending) and gets one copy of its
-    subgraph's edges, so one loop propagates every row of every subgraph.
+    entries in table order, vertex ids ascending) and each row that
+    propagates gets one copy of its subgraph's edges, so one loop
+    propagates every row of every subgraph.
     Subgraphs are taken in ``sub`` order, in chunks whose copied-edge count
     (Σ entries × intra edges) stays within ``batch.DRIVER_MAX_EDGES``.
 
@@ -285,8 +348,6 @@ def _run_pass(subs, tables, algo, tol, max_iter):
     the ``(sub, entry, dst, w)`` arrays sorted by ``sub, entry, dst``, and
     the activations."""
     tol = algo.tol if tol is None else tol
-    if algo.is_min and (len(tables[2][0][0]) or len(tables[3][0][0])):
-        raise ValueError("the shortcut pass updates sum shortcut tables only")
     copies = np.diff(tables[1][1]) * np.diff(tables[0][1])  # entries × intra edges
     out = [[np.empty(0, np.int64)] * 3 + [np.empty(0)]]
     acts = 0
@@ -333,20 +394,6 @@ def shortcut_weights(
     return _one_subgraph(prepared, entries, algo, None, None, tol, max_iter)
 
 
-def _sc_matrix(
-    old_sc: pd.DataFrame, entries: np.ndarray, pos: pd.Series, n: int, default: float
-) -> np.ndarray:
-    """Load an (entries × vertices) shortcut-weight matrix from table rows."""
-    k = len(entries)
-    D = np.full((k, n), default)
-    epos = {int(e): i for i, e in enumerate(entries)}
-    rows = old_sc[old_sc.entry.isin(epos) & old_sc.dst.isin(pos.index)]
-    ei = np.array([epos[int(e)] for e in rows.entry], dtype=np.int64)
-    vi = pos.reindex(rows.dst).to_numpy(np.int64)
-    D[ei, vi] = rows.w.to_numpy(float)
-    return D
-
-
 def shortcut_update_sum(
     new_edges: pd.DataFrame,
     entries: np.ndarray,
@@ -362,89 +409,3 @@ def shortcut_update_sum(
     rows ``(entry, dst, w)`` and the prepared-weight ``changed`` rows.
     """
     return _one_subgraph(new_edges, entries, algo, old_sc, changed, tol, max_iter)
-
-
-def shortcut_update_min(
-    new_edges: pd.DataFrame,
-    entries: np.ndarray,
-    old_sc: pd.DataFrame,
-    changed: pd.DataFrame,  # src, dst, w_old, w_new (NaN = absent)
-    algo: Algorithm,
-    *,
-    tol: float | None = None,
-) -> tuple[pd.DataFrame, int]:
-    """Incremental shortcut update for min workloads.
-
-    Per entry, detect whether any changed edge can possibly affect its
-    shortcut tree (its old distance used a deleted/raised edge, or an
-    added/lowered edge offers an improvement); recompute only the affected
-    entries' rows, keep the rest verbatim.
-    """
-    entries = np.asarray(entries, np.int64)
-    if len(entries) == 0:
-        return pd.DataFrame(columns=["entry", "dst", "w"]), 0
-    ids = np.unique(
-        np.concatenate(
-            [
-                new_edges.src.to_numpy(np.int64),
-                new_edges.dst.to_numpy(np.int64),
-                entries,
-                old_sc.dst.to_numpy(np.int64),
-            ]
-        )
-    )
-    pos = pd.Series(np.arange(len(ids)), index=ids)
-    D = _sc_matrix(old_sc, entries, pos, len(ids), INF)
-    epos = pos.reindex(entries).to_numpy(np.int64)
-    D[np.arange(len(entries)), epos] = np.minimum(D[np.arange(len(entries)), epos], 0.0)
-    had_old = np.isin(entries, old_sc.entry.unique())
-
-    affected = ~had_old
-    for _, r in changed.iterrows():
-        u, v = int(r.src), int(r.dst)
-        du = D[:, pos[u]] if u in pos.index else np.full(len(entries), INF)
-        dv = D[:, pos[v]] if v in pos.index else np.full(len(entries), INF)
-        with np.errstate(invalid="ignore"):
-            if np.isnan(r.w_new) or (not np.isnan(r.w_old) and r.w_new > r.w_old):
-                affected |= np.abs(du + r.w_old - dv) <= 1e-9  # old support used it
-            if np.isnan(r.w_old) or (not np.isnan(r.w_new) and r.w_new < r.w_old):
-                affected |= (du + (0 if np.isnan(r.w_new) else r.w_new)) < dv - 1e-12
-    if not affected.any():
-        return old_sc[old_sc.entry.isin(entries)][["entry", "dst", "w"]].reset_index(drop=True), 0
-
-    # Reconstruct the OLD subgraph edge list from the diff so each affected
-    # entry can be updated incrementally (trim + re-relax) instead of from
-    # scratch — this is the paper's incremental weight update (§IV-B).
-    old_edges = new_edges.merge(
-        changed[["src", "dst"]], on=["src", "dst"], how="left", indicator=True
-    )
-    old_edges = old_edges[old_edges._merge == "left_only"][["src", "dst", "w"]]
-    restored = changed[~changed.w_old.isna()].rename(columns={"w_old": "w"})
-    old_edges = pd.concat(
-        [old_edges, restored[["src", "dst", "w"]]], ignore_index=True
-    )
-
-    acts = 0
-    parts = [old_sc[old_sc.entry.isin(entries[~affected])][["entry", "dst", "w"]]]
-    for i in np.flatnonzero(affected):
-        e = int(entries[i])
-        if not had_old[i]:
-            fresh, a = shortcut_weights(new_edges, np.array([e]), ids, algo, tol=tol)
-            acts += a
-            parts.append(fresh)
-            continue
-        states_e = pd.Series(D[i], index=ids)
-        algo_e = dc_replace(algo, roots={e: 0.0}, uniform_root=None, source=e)
-        reset, seeds, a = min_revision(old_edges, new_edges, states_e, algo_e)
-        acts += a
-        x = states_e.copy()
-        x.loc[x.index.isin(set(int(r) for r in reset))] = INF
-        run = converge(new_edges, x, seeds, algo_e, tol=tol)
-        acts += run.activations
-        row = run.states
-        row = row[np.isfinite(row.to_numpy(float))]
-        row = row[~((row.index == e) & (row.to_numpy() == 0.0))]
-        parts.append(pd.DataFrame({"entry": e, "dst": row.index, "w": row.to_numpy()}))
-
-    out = pd.concat(parts, ignore_index=True)
-    return out.sort_values(["entry", "dst"]).reset_index(drop=True), acts

@@ -71,7 +71,22 @@ def sum_revision(
     new_vertices: np.ndarray | None = None,
 ) -> pd.Series:
     """Injected revision deltas, id-indexed and aggregated per target."""
-    diff = prepared_edge_diff(old_prepared, new_prepared)
+    return sum_injections(
+        prepared_edge_diff(old_prepared, new_prepared), states, algo, new_vertices=new_vertices
+    )
+
+
+def sum_injections(
+    diff: pd.DataFrame,
+    states: pd.Series,
+    algo: Algorithm,
+    *,
+    new_vertices: np.ndarray | None = None,
+) -> pd.Series:
+    """The revision deltas of a prepared-edge ``diff`` (see
+    :func:`prepared_edge_diff`): ``(x*_u − x0_u) · dw`` at ``v`` per changed
+    edge ``(u, v)``, plus the root messages of ``new_vertices``, summed per
+    target id."""
     dw = diff.w_new.fillna(0.0).to_numpy() - diff.w_old.fillna(0.0).to_numpy()
     mass = (states - algo.zero_state).reindex(diff.src).fillna(0.0).to_numpy()
     inj = pd.Series(mass * dw, index=diff.dst.to_numpy(np.int64))
@@ -102,10 +117,10 @@ def min_parents(prepared: pd.DataFrame, states: pd.Series, algo: Algorithm) -> p
     parents = (
         cand.groupby("dst").src.min().rename("parent").rename_axis("id").reset_index()
     )
-    for v, m0 in algo.roots.items():
-        if v in states.index and abs(states[v] - m0) <= _EPS:
-            parents = parents[parents.id != v]
-    return parents.reset_index(drop=True)
+    roots = pd.Series(algo.roots, dtype=float)
+    with np.errstate(invalid="ignore"):
+        held = np.abs(states.reindex(roots.index).to_numpy(float) - roots.to_numpy()) <= _EPS
+    return parents[~parents.id.isin(roots.index[held])].reset_index(drop=True)
 
 
 def min_trim_set(parents: pd.DataFrame, seeds: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from pyspark.sql import SparkSession
 from repro.engine.algorithms import Algorithm
 from repro.engine.local import converge
 from repro.graphs.updates import GraphDelta
-from repro.incremental.revision import min_revision
+from repro.incremental.revision import min_revision, sum_injections
 from repro.layph.layered import LayeredGraph, build_layered, update_layered
 from repro.layph.upload import upload_messages
 from repro.layph.upper import upper_min_loop, upper_sum_loop
@@ -159,12 +159,7 @@ class LayphEngine:
     def _run_sum(self, new_lg, diff, old_x, x, delta, stats) -> pd.Series:
         algo = self.algo
         with PhaseTimer(stats, "upload"):
-            dw = diff.w_new.fillna(0.0).to_numpy() - diff.w_old.fillna(0.0).to_numpy()
-            mass = (old_x - algo.zero_state).reindex(diff.src).fillna(0.0).to_numpy()
-            inj = pd.Series(mass * dw, index=diff.dst.to_numpy(np.int64))
-            roots = algo.root_messages(np.asarray(delta.added_vertices, np.int64))
-            roots = roots[roots.index.isin(delta.added_vertices)]
-            inj = pd.concat([inj, roots]).groupby(level=0).sum()
+            inj = sum_injections(diff, old_x, algo, new_vertices=delta.added_vertices)
             inj = inj[inj.index.isin(x.index)]
 
             members = new_lg.structure.membership

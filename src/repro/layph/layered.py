@@ -148,12 +148,11 @@ class LayeredGraph:
     @_once
     def upper_graph(self) -> pd.DataFrame:
         """Combined L_up propagation graph: columns src, dst, w, etype
-        (0 = original cross edge, 1 = shortcut)."""
+        (0 = original cross edge, 1 = shortcut). The shortcut pass keeps no
+        min self-shortcut, so every stored row is taken."""
         o = self.up_edges.assign(etype=0)
         sc = self.upper_shortcut_edges()
         s = pd.DataFrame({"src": sc.entry, "dst": sc.dst, "w": sc.w, "etype": 1})
-        if self.algo.is_min:  # a min self-shortcut can never improve anything
-            s = s[s.src != s.dst]
         return pd.concat([o, s], ignore_index=True)
 
     def sizes(self) -> dict:

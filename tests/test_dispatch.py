@@ -1,13 +1,14 @@
-"""The per-subgraph dispatch in the min branch of ``update_shortcuts``
-equals ``shortcut_update_min`` run directly on each subgraph's rows."""
+"""The min update of ``update_shortcuts`` over several sparse subgraphs
+equals a fresh ``compute_shortcuts`` on the new tables, and runs only the
+subgraphs it is given."""
 import numpy as np
 import pandas as pd
 
 from repro.engine import algorithms as alg
-from repro.engine.local import shortcut_update_min, shortcut_weights
+from repro.engine import local
+from repro.engine.local import shortcut_weights
 from repro.graphs.schema import vertex_ids
-from repro.layph import shortcuts
-from repro.layph.shortcuts import update_shortcuts
+from repro.layph.shortcuts import compute_shortcuts, update_shortcuts
 
 NAN = float("nan")
 ALGO = alg.sssp(source=0)
@@ -58,17 +59,10 @@ def _tables():
     return new_edges, entries, old_sc, changed
 
 
-def _in_process(subs, new_edges, entries, old_sc, changed):
-    """Reference: ``shortcut_update_min`` called directly per subgraph."""
-    want, acts = [], 0
-    for s in sorted(set(int(v) for v in subs) & set(entries["sub"].tolist())):
-        sc, a = shortcut_update_min(
-            _rows(new_edges, s), _rows(entries, s).id.to_numpy(np.int64),
-            _rows(old_sc, s), _rows(changed, s), ALGO,
-        )
-        want.append(sc.assign(sub=np.int64(s))[COLS])
-        acts += a
-    return pd.concat([f for f in want if len(f)] or want[:1], ignore_index=True), acts
+def _fresh(subs, new_edges, entries, old_sc, changed):
+    """Reference: a fresh deduction on the new tables, exact for min rows."""
+    want, _ = compute_shortcuts(None, new_edges, entries, ALGO, subs=np.asarray(subs))
+    return want
 
 
 def _assert_typed_empty(got):
@@ -81,10 +75,10 @@ def _assert_typed_empty(got):
 def test_matches_in_process_kernel_on_sparse_tables():
     tables = _tables()
     subs = np.array([3, 0, 2, 1, 2])
-    want, want_acts = _in_process(subs, *tables)
+    want = _fresh(subs, *tables)
     got, acts = update_shortcuts(None, *tables, ALGO, subs=subs)
     pd.testing.assert_frame_equal(got, want)
-    assert acts == want_acts > 0
+    assert acts == 3  # recorded when each subgraph ran its own kernel call
     # Sub 2 ran with an empty edge slice and its entry reaches nothing; sub 3
     # has no entry at all.
     assert set(got["sub"]) == {0, 1}
@@ -99,10 +93,10 @@ def test_matches_in_process_kernel_on_sparse_tables():
 
 def test_subs_outside_the_list_are_not_run():
     tables = _tables()
-    want, want_acts = _in_process([1], *tables)
+    want = _fresh([1], *tables)
     got, acts = update_shortcuts(None, *tables, ALGO, subs=np.array([1]))
     pd.testing.assert_frame_equal(got, want)
-    assert acts == want_acts > 0
+    assert acts == 2  # recorded when each subgraph ran its own kernel call
     assert set(got["sub"]) == {1}
     # Sub 4 has an entry and a change, but is outside this `subs` too.
     got, _ = update_shortcuts(None, *tables, ALGO, subs=np.array([0, 1, 2, 3]))
@@ -110,24 +104,25 @@ def test_subs_outside_the_list_are_not_run():
 
 
 def test_empty_output_for_every_subgraph():
-    # Sub 2's only entry has no intra edges: the kernel runs, but every
+    # Sub 2's only entry has no intra edges: the pass runs, but every
     # subgraph's output is empty.
     tables = _tables()
-    want, want_acts = _in_process([2], *tables)
+    want = _fresh([2], *tables)
     got, acts = update_shortcuts(None, *tables, ALGO, subs=np.array([2]))
-    assert acts == want_acts
+    assert acts == 0
     _assert_typed_empty(got)
-    pd.testing.assert_frame_equal(got, want.astype(got.dtypes.to_dict()))
+    pd.testing.assert_frame_equal(got, want)
 
 
 def test_empty_subs_start_no_spark_job(monkeypatch):
     def kernel(*args, **kwargs):
         raise AssertionError("kernel ran")
 
-    monkeypatch.setattr(shortcuts, "shortcut_update_min", kernel)
+    tables = _tables()  # built by the pass, so before it is patched
+    monkeypatch.setattr(local, "_pass_chunk", kernel)
     # No Spark session is given; subs that are empty or hold no entry run no
-    # kernel and return a table typed like a filled one.
+    # pass chunk and return a table typed like a filled one.
     for subs in (np.array([], np.int64), np.array([3, 5])):
-        got, acts = update_shortcuts(None, *_tables(), ALGO, subs=subs)
+        got, acts = update_shortcuts(None, *tables, ALGO, subs=subs)
         assert acts == 0
         _assert_typed_empty(got)

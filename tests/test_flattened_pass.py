@@ -90,7 +90,9 @@ def _dense_update_sum(new_edges, entries, old_sc, changed, tol):
     ]).astype(np.int64))
     k, n = len(entries), len(ids)
     pos = pd.Series(np.arange(n), index=ids)
-    D = local._sc_matrix(old_sc, entries, pos, n, 0.0)
+    D = np.zeros((k, n))
+    rows = old_sc[old_sc.entry.isin(entries)]
+    D[pd.Index(entries).get_indexer(rows.entry), pos.reindex(rows.dst).to_numpy(np.int64)] = rows.w
     epos = pos.reindex(entries).to_numpy(np.int64)
     had_old = np.isin(entries, old_sc.entry.unique())
     pend, unit = np.zeros((k, n)), np.zeros((k, n))
@@ -191,8 +193,8 @@ def test_deduction_equals_one_subgraph_calls(no_spark, branch):
     assert sc_acts == acts
 
 
-def _update_inputs():
-    algo = ALGOS["sum"]()
+def _update_inputs(branch="sum"):
+    algo = ALGOS[branch]()
     old, new = _graphs()
     old_prep, new_prep = algo.prepare(old), algo.prepare(new)
     old_sc, _ = shortcut_pass(_with_sub(old_prep), OLD_ENTRIES, algo)
@@ -229,9 +231,13 @@ def test_sum_update_equals_one_subgraph_calls(no_spark):
 def test_chunk_split_matches_one_pass(monkeypatch, limit):
     """Forcing the pass into several chunks changes nothing."""
     algo, new_prep, old_sc, changed = _update_inputs()
+    min_algo, min_prep, min_old_sc, min_changed = _update_inputs("min")
     runs = [
         lambda: shortcut_pass(new_prep, NEW_ENTRIES, algo, old=old_sc, changed=changed),
         lambda: shortcut_pass(new_prep, OLD_ENTRIES, ALGOS["min"]()),
+        lambda: shortcut_pass(
+            min_prep, NEW_ENTRIES, min_algo, old=min_old_sc, changed=min_changed
+        ),
     ]
     want = [run() for run in runs]
     k = NEW_ENTRIES.groupby("sub").size()

@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import algorithms as alg
-from repro.engine.local import (
-    shortcut_update_min,
-    shortcut_update_sum,
-    shortcut_weights,
-)
+from repro.engine.local import shortcut_pass, shortcut_update_sum, shortcut_weights
 from repro.graphs.generators import planted_partition
 from repro.graphs.schema import canonical_edges, vertex_ids
 from repro.graphs.updates import GraphDelta, apply_delta, random_edge_delta
@@ -36,6 +32,15 @@ def _changed(old_prep, new_prep):
     return prepared_edge_diff(old_prep, new_prep)
 
 
+def _update_min(new_edges, entries, old_sc, changed, algo):
+    """The min shortcut update of one subgraph: the pass on subgraph 0."""
+    got, acts = shortcut_pass(
+        new_edges.assign(sub=0), pd.DataFrame({"id": entries, "sub": 0}), algo,
+        old=old_sc.assign(sub=0), changed=changed.assign(sub=0),
+    )
+    return got.drop(columns="sub"), acts
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_min_update_matches_full(seed):
     edges = sub_graph(seed)
@@ -47,7 +52,7 @@ def test_min_update_matches_full(seed):
     delta = random_edge_delta(edges, n_add=3, n_del=3, seed=seed + 9)
     new_edges = apply_delta(edges, delta)
     ch = _changed(algo.prepare(edges), algo.prepare(new_edges))
-    got, acts = shortcut_update_min(algo.prepare(new_edges), entries, old_sc, ch, algo)
+    got, acts = _update_min(algo.prepare(new_edges), entries, old_sc, ch, algo)
     expect = _full(new_edges, entries, algo)
     pd.testing.assert_series_equal(
         got.set_index(["entry", "dst"]).w.sort_index(), expect, check_exact=False
@@ -84,7 +89,7 @@ def test_min_update_no_change_is_noop():
     entries = vertex_ids(edges)[:3]
     old_sc, _ = shortcut_weights(algo.prepare(edges), entries, vertex_ids(edges), algo)
     ch = pd.DataFrame(columns=["src", "dst", "w_old", "w_new"])
-    got, acts = shortcut_update_min(algo.prepare(edges), entries, old_sc, ch, algo)
+    got, acts = _update_min(algo.prepare(edges), entries, old_sc, ch, algo)
     assert acts == 0
     pd.testing.assert_frame_equal(
         got.reset_index(drop=True),
@@ -110,7 +115,7 @@ def test_min_update_prunes_unaffected_entries():
         ),
     )
     ch = _changed(edges, new_edges)
-    got, acts = shortcut_update_min(new_edges, entries, old_sc, ch, algo)
+    got, acts = _update_min(new_edges, entries, old_sc, ch, algo)
     # entry 0's rows identical, entry 10 gained dst 13
     g0 = got[got.entry == 0].set_index("dst").w.to_dict()
     assert g0 == {1: 1.0, 2: 2.0}
@@ -150,7 +155,7 @@ def test_min_update_matches_full_hypothesis(seed, nadd, ndel):
     if len(new_edges) == 0:
         return
     ch = _changed(algo.prepare(edges), algo.prepare(new_edges))
-    got, _ = shortcut_update_min(algo.prepare(new_edges), entries, old_sc, ch, algo)
+    got, _ = _update_min(algo.prepare(new_edges), entries, old_sc, ch, algo)
     expect = _full(new_edges, entries, algo)
     pd.testing.assert_series_equal(
         got.set_index(["entry", "dst"]).w.sort_index(), expect, check_exact=False
