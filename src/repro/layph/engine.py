@@ -47,7 +47,7 @@ def _series_min(a: pd.Series, b: pd.Series) -> pd.Series:
 def compute_caches_min(lg: LayeredGraph, x: pd.Series) -> pd.Series:
     """Entry caches (Eq. 9, min form): per entry, the best *external* support
     — min over original L_up in-edges of ``x_u + w``, plus the root value."""
-    entries = lg.structure.roles.entries().id.to_numpy(np.int64)
+    entries = lg.entry_ids()
     entry_set = set(entries)
     into = lg.up_edges[lg.up_edges.dst.isin(entry_set)]
     cand = pd.Series(
@@ -108,7 +108,7 @@ class LayphEngine:
                 ids = np.unique(np.append(ids, self.algo.source))
             # Proxies are auxiliary relay vertices: they carry NO root
             # messages (a proxy with a PageRank root would inject extra mass).
-            real = np.setdiff1d(ids, self.lg.structure.proxy_ids)
+            real = np.setdiff1d(ids, self.lg.proxies.proxy)
             run = converge(
                 self.lg.layer_edges,
                 self.algo.initial_states(ids),
@@ -124,8 +124,7 @@ class LayphEngine:
 
     def states(self) -> pd.Series:
         """Converged states of real (non-proxy) vertices."""
-        proxies = set(int(p) for p in self.lg.structure.proxy_ids)
-        return self.x[~self.x.index.isin(proxies)].sort_index()
+        return self.x[~self.x.index.isin(self.lg.proxies.proxy)].sort_index()
 
     # ------------------------------------------------------------------
     def run_delta(self, delta: GraphDelta) -> tuple[pd.Series, RunStats]:
@@ -162,13 +161,12 @@ class LayphEngine:
             inj = sum_injections(diff, old_x, algo, new_vertices=delta.added_vertices)
             inj = inj[inj.index.isin(x.index)]
 
-            members = new_lg.structure.membership
-            is_member = inj.index.isin(set(members.id))
+            is_member = inj.index.isin(new_lg.members.id)
             member_inj, outlier_inj = inj[is_member], inj[~is_member]
 
-            boundary = new_lg.structure.roles.boundary()[["id", "sub"]]
+            is_entry, is_exit = new_lg.roles
             mstates, uploads, acts = upload_messages(
-                self.spark, new_lg.intra_edges, members, boundary,
+                self.spark, new_lg.intra_edges, new_lg.members.frame(), is_entry | is_exit,
                 x, member_inj, algo, tol=self.tol,
             )
             stats.activations += acts
@@ -178,10 +176,9 @@ class LayphEngine:
 
         with PhaseTimer(stats, "upper"):
             upv = np.intersect1d(new_lg.upper_vertex_ids(), x.index.to_numpy())
-            entries = new_lg.structure.roles.entries().id.to_numpy(np.int64)
             x_up, dcache = upper_sum_loop(
                 self.spark, new_lg.upper_graph(), x.reindex(upv),
-                outlier_inj, uploads, entries, algo, stats=stats, tol=self.tol,
+                outlier_inj, uploads, new_lg.entry_ids(), algo, stats=stats, tol=self.tol,
             )
             x.update(x_up)
 
@@ -231,20 +228,22 @@ class LayphEngine:
             with np.errstate(invalid="ignore"):
                 same = (a == b) | (np.abs(a - b) <= 1e-9)
             changed_entries = idx.to_numpy(np.int64)[~same]
-            sub_of = new_lg.structure.sub_of
-            cache_subs = sub_of.reindex(changed_entries).dropna().to_numpy(np.int64)
-            target_subs = np.union1d(np.asarray(affected, np.int64), cache_subs)
+            cache_subs = new_lg.members.sub_of(changed_entries)
+            target_subs = np.union1d(np.asarray(affected, np.int64), cache_subs[cache_subs >= 0])
 
             if len(target_subs):
-                interior = new_lg.structure.roles.interior()
+                interior = new_lg.interior_ids()
                 # A proxy whose links all vanished has no state to rebuild.
-                interior = interior[interior["sub"].isin(target_subs) & interior.id.isin(x.index)]
+                interior = interior[
+                    np.isin(new_lg.members.sub_of(interior), target_subs)
+                    & np.isin(interior, x.index)
+                ]
                 sc = new_lg.assignment_shortcuts()
                 sc = sc[sc["sub"].isin(target_subs)]
                 j = sc.merge(caches.rename("c"), left_on="entry", right_index=True)
                 stats.activations += len(j)
                 val = (j.c + j.w).groupby(j.dst).min()
-                fresh = val.reindex(interior.id.to_numpy(np.int64), fill_value=INF)
+                fresh = val.reindex(interior, fill_value=INF)
                 x.loc[fresh.index] = fresh.to_numpy()
             self.caches = caches
         return x

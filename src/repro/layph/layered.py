@@ -9,22 +9,26 @@ plan, and the counts that let it be patched:
 
 * rerouted rows per plan row — a host↔proxy link exists while its count is
   above 0;
-* cross rows entering and leaving each member — Def. 1 roles.
+* cross rows entering and leaving each member, and the ``(is_entry,
+  is_exit)`` flags they give (Def. 1).
 
-The pandas tables the engine reads (``layer_edges``, ``up_edges``,
-``intra_edges``, the structure with its roles, ``upper_graph()``,
-``assignment_shortcuts()``) are views, each built once per graph.
+These arrays are the only form of membership and roles. The pandas tables
+the engine reads (``layer_edges``, ``up_edges``, ``intra_edges``,
+``upper_graph()``, ``assignment_shortcuts()``) are views, each built once
+per graph.
 
-Community membership and the plan are frozen across ΔG batches (DESIGN.md
-§5.3), and a prepared weight depends only on its source's out-edges, so
+:func:`layout` lays out one membership and plan. :func:`build_layered` runs
+it twice: once on every candidate community with the full replication plan,
+whose per-subgraph counts decide Def. 2, and once on the kept communities.
+Membership and the plan are then frozen across ΔG batches (DESIGN.md §5.3),
+and a prepared weight depends only on its source's out-edges, so
 :func:`update_layered` re-prepares and re-routes only the rows of the
 sources ΔG touches, patches them into the table, and recomputes the
-shortcuts of the affected subgraphs only. :func:`build_layered` lays out
-the whole table with the same code.
+shortcuts of the affected subgraphs only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, wraps
 
 import numpy as np
@@ -36,24 +40,9 @@ from repro.graphs.schema import canonical_edges, edge_frame, pair_order, source_
 from repro.graphs.updates import GraphDelta, apply_delta
 from repro.incremental.revision import prepared_edge_diff
 from repro.layph.community import lpa_communities, planted_communities
-from repro.layph.replication import (
-    Proxies,
-    apply_plan,
-    build_plan,
-    reroute,
-    route,
-    with_proxies,
-)
+from repro.layph.replication import Proxies, apply_plan, build_plan, route
 from repro.layph.shortcuts import compute_shortcuts, update_shortcuts
-from repro.layph.structure import (
-    Members,
-    Roles,
-    Structure,
-    compute_roles,
-    cross_degrees,
-    density_filter,
-    role_flags,
-)
+from repro.layph.structure import Members, compute_roles, cross_degrees
 
 
 def _once(view):
@@ -88,9 +77,10 @@ class LayeredGraph:
     link_count: np.ndarray  # rerouted rows per plan row
     cross_in: np.ndarray  # per member: cross rows into it
     cross_out: np.ndarray  # per member: cross rows out of it
-    shortcuts: pd.DataFrame  # sub, entry, dst, w
+    roles: tuple[np.ndarray, np.ndarray]  # per member: (is_entry, is_exit)
+    shortcuts: pd.DataFrame | None  # sub, entry, dst, w; None in a bare layout
 
-    # ---- views of the edge table and structure -----------------------------
+    # ---- views of the edge table and roles ---------------------------------
     @cached_property
     def layer_edges(self) -> pd.DataFrame:
         return edge_frame(self.src, self.dst, self.w)
@@ -106,25 +96,34 @@ class LayeredGraph:
         """Intra-subgraph edges: src, dst, w, sub."""
         return _intra(self.src, self.dst, self.w, self.sub, self.sub >= 0)
 
-    @cached_property
-    def structure(self) -> Structure:
-        m = self.members
-        is_entry, is_exit = role_flags(m, self.cross_in, self.cross_out, self.forced_entries)
-        roles = pd.DataFrame({"id": m.id, "sub": m.sub, "is_entry": is_entry, "is_exit": is_exit})
-        return Structure(m.frame(), Roles(roles), self.proxies.plan, set(self.forced_entries))
-
     @_once
     def vertex_ids(self) -> np.ndarray:
         """Sorted ids of every endpoint of the layer graph."""
         return np.unique(np.concatenate([self.src, self.dst]))
 
     @_once
+    def entry_ids(self) -> np.ndarray:
+        """Entry members, in member order."""
+        return self.members.id[self.roles[0]]
+
+    @_once
     def boundary_ids(self) -> np.ndarray:
-        return self.structure.roles.boundary().id.to_numpy(np.int64)
+        """Entry or exit members, in member order."""
+        return self.members.id[self.roles[0] | self.roles[1]]
 
     @_once
     def interior_ids(self) -> np.ndarray:
-        return self.structure.roles.interior().id.to_numpy(np.int64)
+        """Members that are neither entry nor exit, in member order."""
+        return self.members.id[~(self.roles[0] | self.roles[1])]
+
+    def density_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The terms of Def. 2 per subgraph id: entries |V_I|, exits |V_O|
+        and intra rows |E_i|. A subgraph is dense when |V_I|·|V_O| < |E_i|."""
+        (is_entry, is_exit), sub = self.roles, self.members.sub
+        n = int(sub.max(initial=-1)) + 1
+        return tuple(
+            np.bincount(s, minlength=n) for s in (sub[is_entry], sub[is_exit], self.sub[self.sub >= 0])
+        )
 
     @_once
     def upper_vertex_ids(self) -> np.ndarray:
@@ -185,6 +184,32 @@ def _subgraph(members: Members, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return np.where(s == d, s, -1)
 
 
+def layout(
+    algo: Algorithm,
+    edges: pd.DataFrame,
+    prepared: tuple[np.ndarray, np.ndarray, np.ndarray],
+    membership: pd.DataFrame,
+    plan: pd.DataFrame,
+    forced_entries: frozenset,
+) -> LayeredGraph:
+    """Lay out one membership (``id, sub``) and replication plan: members
+    plus proxies, the ``prepared`` rows ``(src, dst, w)`` of ``edges``
+    rerouted through the plan, each row's subgraph, the cross-row counts
+    and the roles. The result has no shortcut tables yet."""
+    proxies = Proxies(plan)
+    members = Members(
+        np.concatenate([membership.id.to_numpy(np.int64), proxies.proxy]),
+        np.concatenate([membership["sub"].to_numpy(np.int64), proxies.sub]),
+    )
+    src, dst, w, via = apply_plan(*prepared, members, proxies, algo.identity)
+    cross_in, cross_out = cross_degrees(members, src, dst)
+    return LayeredGraph(
+        algo, edges, src, dst, w, _subgraph(members, src, dst), via, members, proxies,
+        forced_entries, proxies.count(via), cross_in, cross_out,
+        compute_roles(members, cross_in, cross_out, forced_entries), None,
+    )
+
+
 def build_layered(
     spark: SparkSession,
     edges: pd.DataFrame,
@@ -197,9 +222,10 @@ def build_layered(
     lpa_iters: int = 4,
     tol: float | None = None,
 ) -> tuple[LayeredGraph, int]:
-    """Offline layering (§IV-A): discovery → density filter → replication →
-    roles → shortcut deduction. Returns the layered graph and the number of
-    activations spent on shortcut deduction.
+    """Offline layering (§IV-A): discovery → replication plan on every
+    candidate → Def. 2 on the candidate layout → layout of the dense
+    subgraphs → shortcut deduction. Returns the layered graph and the
+    number of activations spent on shortcut deduction.
 
     ``membership``: pass the generator's planted communities to skip LPA
     (tests/benchmarks), or None to run discovery.
@@ -210,41 +236,27 @@ def build_layered(
         membership = planted_communities(membership, K=K)
 
     edges = canonical_edges(edges)
-    p_src, p_dst, p_w = algo.prepare_rows(
-        edges.src.to_numpy(), edges.dst.to_numpy(), edges.w.to_numpy()
-    )
-    prepared = edge_frame(p_src, p_dst, p_w)
-    forced = {algo.source} if (algo.source is not None and algo.is_min) else set()
+    prepared = algo.prepare_rows(edges.src.to_numpy(), edges.dst.to_numpy(), edges.w.to_numpy())
+    forced = frozenset({algo.source} if (algo.source is not None and algo.is_min) else ())
 
     # Replication is planned on every candidate community first; the Def. 2
     # density test then runs on the *reshaped* graph (§IV-A1: replication is
     # what makes high-degree-boundary communities keep few entries/exits).
-    plan_all = (
-        build_plan(prepared, membership, threshold=rep_threshold, exclude=forced)
+    plan = (
+        build_plan(edge_frame(*prepared), membership, threshold=rep_threshold, exclude=forced)
         if replicate
         else pd.DataFrame(columns=["host", "sub", "direction", "proxy"])
     )
-    layer0, mem0 = apply_plan(prepared, membership, plan_all, algo.identity)
-    roles0 = compute_roles(layer0, mem0, forced_entries=forced)
-    dense0 = density_filter(layer0, mem0, roles0, relabel=False)
-    kept = set(dense0["sub"].unique())
-    dense = membership[membership["sub"].isin(kept)].reset_index(drop=True)
-    plan = plan_all[plan_all["sub"].isin(kept)].reset_index(drop=True)
-
-    members = Members.of(with_proxies(dense, plan))
-    proxies = Proxies(plan)
-    src, dst, w, via = reroute(p_src, p_dst, p_w, members, proxies, algo.identity)
-    sub = _subgraph(members, src, dst)
-    cross_in, cross_out = cross_degrees(members, src, dst)
-    is_entry, _ = role_flags(members, cross_in, cross_out, forced)
+    n_in, n_out, n_e = layout(algo, edges, prepared, membership, plan, forced).density_counts()
+    kept = np.flatnonzero(n_in * n_out < n_e)
+    lg = layout(
+        algo, edges, prepared, membership[membership["sub"].isin(kept)],
+        plan[plan["sub"].isin(kept)].reset_index(drop=True), forced,
+    )
     shortcuts, acts = compute_shortcuts(
-        spark, _intra(src, dst, w, sub, sub >= 0), _entries(members, is_entry), algo, tol=tol
+        spark, lg.intra_edges, _entries(lg.members, lg.roles[0]), algo, tol=tol
     )
-    lg = LayeredGraph(
-        algo, edges, src, dst, w, sub, via, members, proxies, frozenset(forced),
-        proxies.count(via), cross_in, cross_out, shortcuts,
-    )
-    return lg, acts
+    return replace(lg, shortcuts=shortcuts), acts
 
 
 def update_layered(
@@ -319,8 +331,8 @@ def update_layered(
     # Affected subgraphs: an internal edge changed, a boundary role changed
     # (entry changes alter the shortcut table, exit changes move vertices
     # between L_up and the interior), or members were deleted.
-    old_e, old_x = role_flags(members, lg.cross_in, lg.cross_out, lg.forced_entries)
-    new_e, new_x = role_flags(new_members, cross_in, cross_out, lg.forced_entries)
+    old_e, old_x = lg.roles
+    new_e, new_x = roles = compute_roles(new_members, cross_in, cross_out, lg.forced_entries)
     moved = (old_e[keep] != new_e) | (old_x[keep] != new_x)
     d_src, d_dst = diff.src.to_numpy(), diff.dst.to_numpy()
     ds, dd = new_members.sub_of(d_src), new_members.sub_of(d_dst)
@@ -349,6 +361,6 @@ def update_layered(
     })
     new_lg = LayeredGraph(
         algo, base, src, dst, w, sub, np.insert(lg.via[rest], at, n_via), new_members,
-        proxies, lg.forced_entries, count, cross_in, cross_out, shortcuts,
+        proxies, lg.forced_entries, count, cross_in, cross_out, roles, shortcuts,
     )
     return new_lg, diff, affected, acts

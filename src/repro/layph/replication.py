@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.graphs.schema import edge_frame, pair_order
+from repro.graphs.schema import pair_order
 from repro.layph.structure import Members
 
 #: Reserved id range for proxy vertices — far above any real vertex id so
@@ -107,10 +107,10 @@ class Proxies:
         self.host = plan.host.to_numpy(np.int64)
         self.proxy = plan.proxy.to_numpy(np.int64)
         self.inward = (plan.direction == "in").to_numpy()
-        sub = plan["sub"].to_numpy(np.int64)
-        if len(sub) and sub.max() >= _SUB_SPAN:
+        self.sub = plan["sub"].to_numpy(np.int64)
+        if len(self.sub) and self.sub.max() >= _SUB_SPAN:
             raise ValueError(f"a replication plan supports fewer than {_SUB_SPAN} subgraphs")
-        key = self.host * _SUB_SPAN + sub
+        key = self.host * _SUB_SPAN + self.sub
         self._in = _sorted_keys(key, self.inward)
         self._out = _sorted_keys(key, ~self.inward)
 
@@ -159,7 +159,7 @@ def route(
     return new_src, new_dst, np.maximum(via_in, via_out)
 
 
-def reroute(
+def apply_plan(
     src: np.ndarray, dst: np.ndarray, w: np.ndarray,
     members: Members, proxies: Proxies, identity: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -174,28 +174,3 @@ def reroute(
     o = pair_order(s, d)
     w = np.concatenate([w, np.full(len(l_src), identity)])
     return s[o], d[o], w[o], np.concatenate([via, np.full(len(l_src), -1)])[o]
-
-
-def with_proxies(membership: pd.DataFrame, plan: pd.DataFrame) -> pd.DataFrame:
-    """Membership plus one row per proxy, in the proxy's subgraph."""
-    proxies = plan.rename(columns={"proxy": "id"})[["id", "sub"]]
-    return pd.concat([membership, proxies], ignore_index=True).astype(np.int64)
-
-
-def apply_plan(
-    prepared: pd.DataFrame,
-    membership: pd.DataFrame,
-    plan: pd.DataFrame,
-    identity: float,
-) -> tuple[pd.DataFrame, pd.DataFrame]:
-    """Reroute a prepared edge list through the plan's proxies.
-
-    Returns ``(layer_edges, membership_with_proxies)``, the edges sorted by
-    (src, dst). Host↔proxy link edges carry the ⊗-identity weight.
-    """
-    mem = with_proxies(membership, plan)
-    s, d, w, _ = reroute(
-        prepared.src.to_numpy(np.int64), prepared.dst.to_numpy(np.int64),
-        prepared.w.to_numpy(np.float64), Members.of(mem), Proxies(plan), identity,
-    )
-    return edge_frame(s, d, w), mem

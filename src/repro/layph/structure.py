@@ -1,15 +1,14 @@
-"""Layered-graph structure: membership, boundary roles (Def. 1) and the
-density test (Def. 2).
+"""Layered-graph structure as arrays: membership and boundary roles (Def. 1).
 
-Membership lookups and the per-member cross-edge counts that decide roles
-are numpy arrays (:class:`Members`, :func:`cross_degrees`), shared by the
-offline build and the per-ΔG patch in ``layph.layered``; the role and
-membership tables are pandas views of them. The per-subgraph compute runs
-as flattened numpy passes over the affected subgraphs (``engine.local``).
+:class:`Members` is the membership (real members sub-major, then proxies)
+with an id lookup; :func:`cross_degrees` counts each member's cross rows
+and :func:`compute_roles` turns the counts into ``(is_entry, is_exit)``
+flags. This is the only form of membership and roles: ``layph.layered``
+lays out the candidate and the kept layered graph with these functions,
+runs the Def. 2 density test on the candidate's counts, and patches the
+counts per ΔG.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
@@ -24,10 +23,6 @@ class Members:
         self._order = np.argsort(ids, kind="stable")
         self._sorted = ids[self._order]
         self._sub = np.append(sub, -1)  # position -1 (a non-member) reads sub -1
-
-    @classmethod
-    def of(cls, membership: pd.DataFrame) -> "Members":
-        return cls(membership.id.to_numpy(np.int64), membership["sub"].to_numpy(np.int64))
 
     def frame(self) -> pd.DataFrame:
         return pd.DataFrame({"id": self.id, "sub": self.sub})
@@ -68,107 +63,13 @@ def cross_degrees(
     )
 
 
-def role_flags(
+def compute_roles(
     members: Members, cross_in: np.ndarray, cross_out: np.ndarray, forced_entries
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(is_entry, is_exit)`` per member from its cross-row counts."""
+    """``(is_entry, is_exit)`` per member (Def. 1) from its cross-row counts.
+
+    ``forced_entries`` (algorithm roots, DESIGN.md §6) are entries even when
+    structurally interior, so root messages reach L_up.
+    """
     forced = np.fromiter(forced_entries, np.int64, len(forced_entries))
     return (cross_in > 0) | np.isin(members.id, forced), cross_out > 0
-
-
-@dataclass
-class Roles:
-    """Boundary classification of member vertices.
-
-    ``table``: columns ``id, sub, is_entry, is_exit`` covering every member.
-    """
-
-    table: pd.DataFrame
-
-    def entries(self, sub: int | None = None) -> pd.DataFrame:
-        t = self.table[self.table.is_entry]
-        return t if sub is None else t[t["sub"] == sub]
-
-    def exits(self, sub: int | None = None) -> pd.DataFrame:
-        t = self.table[self.table.is_exit]
-        return t if sub is None else t[t["sub"] == sub]
-
-    def boundary(self) -> pd.DataFrame:
-        return self.table[self.table.is_entry | self.table.is_exit]
-
-    def interior(self) -> pd.DataFrame:
-        return self.table[~(self.table.is_entry | self.table.is_exit)]
-
-
-def compute_roles(
-    edges: pd.DataFrame,
-    membership: pd.DataFrame,
-    *,
-    forced_entries: set[int] = frozenset(),
-) -> Roles:
-    """Classify members as entry/exit per Def. 1 on the given edge list.
-
-    ``forced_entries`` marks vertices (algorithm roots, §6 of DESIGN.md)
-    that must live on the upper layer even when structurally interior.
-    """
-    members = Members.of(membership)
-    counts = cross_degrees(
-        members, edges.src.to_numpy(np.int64), edges.dst.to_numpy(np.int64)
-    )
-    t = membership.copy()
-    t["is_entry"], t["is_exit"] = role_flags(members, *counts, forced_entries)
-    return Roles(t.reset_index(drop=True))
-
-
-def internal_edge_counts(edges: pd.DataFrame, membership: pd.DataFrame) -> pd.Series:
-    """|E_i| per sub: edges with both endpoints in the same subgraph."""
-    sub_of = membership.set_index("id")["sub"]
-    s = sub_of.reindex(edges.src).to_numpy(float)
-    d = sub_of.reindex(edges.dst).to_numpy(float)
-    same = (~np.isnan(s)) & (s == d)
-    return pd.Series(s[same].astype(np.int64)).value_counts().sort_index()
-
-
-def density_filter(
-    edges: pd.DataFrame, membership: pd.DataFrame, roles: Roles, *, relabel: bool = True
-) -> pd.DataFrame:
-    """Keep only dense subgraphs: |V_I| × |V_O| < |E_i| (Def. 2).
-
-    With ``relabel=False`` the surviving subs keep their original ids (used
-    when a replication plan computed on the candidates must be filtered to
-    the same surviving set).
-    """
-    n_in = roles.entries().groupby("sub").size()
-    n_out = roles.exits().groupby("sub").size()
-    n_e = internal_edge_counts(edges, membership)
-    subs = membership["sub"].unique()
-    keep = []
-    for sub in subs:
-        vi = int(n_in.get(sub, 0))
-        vo = int(n_out.get(sub, 0))
-        ei = int(n_e.get(sub, 0))
-        if vi * vo < ei:
-            keep.append(sub)
-    out = membership[membership["sub"].isin(keep)].copy()
-    if relabel:
-        out["sub"] = pd.factorize(out["sub"])[0].astype(np.int64)
-    return out.reset_index(drop=True)
-
-
-@dataclass
-class Structure:
-    """Final layered structure: membership (with proxies), roles, and the
-    replication plan (host, sub, direction) applied to every future edge list."""
-
-    membership: pd.DataFrame  # id, sub (includes proxy vertices)
-    roles: Roles
-    plan: pd.DataFrame  # host, sub, direction ('in'|'out'), proxy
-    forced_entries: set[int] = field(default_factory=set)
-
-    @property
-    def sub_of(self) -> pd.Series:
-        return self.membership.set_index("id")["sub"]
-
-    @property
-    def proxy_ids(self) -> np.ndarray:
-        return self.plan.proxy.to_numpy(np.int64) if len(self.plan) else np.empty(0, np.int64)

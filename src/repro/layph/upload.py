@@ -24,7 +24,7 @@ def upload_messages(
     spark: SparkSession,
     intra_edges: pd.DataFrame,  # src, dst, w, sub — full intra table
     members: pd.DataFrame,  # id, sub
-    boundary: pd.DataFrame,  # id, sub
+    is_boundary: np.ndarray,  # per row of ``members``
     states: pd.Series,
     injections: pd.Series,  # id-indexed, member targets only
     algo: Algorithm,
@@ -45,17 +45,16 @@ def upload_messages(
     # Subgraphs are disjoint and intra edges stay inside them, so one run
     # over the union of the injected subgraphs is every per-subgraph run.
     # Members are sub-major, table order kept inside each subgraph.
-    mem = members[members["sub"].isin(inj_subs)]
-    mem = mem.iloc[np.argsort(mem["sub"].to_numpy(), kind="stable")]
-    ids = mem.id.to_numpy(np.int64)
+    sub = members["sub"].to_numpy(np.int64)
+    rows = np.flatnonzero(np.isin(sub, inj_subs))
+    rows = rows[np.argsort(sub[rows], kind="stable")]
+    ids = members.id.to_numpy(np.int64)[rows]
     x0 = pd.Series(states.reindex(ids).fillna(algo.zero_state).to_numpy(float), index=ids)
     m0 = injections[injections.index.isin(ids)]
     m0 = m0.groupby(level=0).sum() if algo.is_sum else m0.groupby(level=0).min()
     edges = intra_edges[intra_edges["sub"].isin(inj_subs)]
     run = converge(edges, x0, m0, algo, tol=tol)
 
-    bnd = boundary[boundary["sub"].isin(inj_subs)]
-    bnd = bnd.iloc[np.argsort(bnd["sub"].to_numpy(), kind="stable")]
-    up = run.arrivals.reindex(bnd.id.to_numpy(np.int64))
+    up = run.arrivals.reindex(ids[is_boundary[rows]])
     up = up[up.abs() > 0] if algo.is_sum else up[np.isfinite(up.to_numpy(float))]
     return run.states, up, run.activations

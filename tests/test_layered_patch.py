@@ -115,6 +115,12 @@ def _affected_ref(old_roles, new_roles, old_mem, new_mem, diff):
     return np.unique(np.concatenate([internal, moved, gone]))
 
 
+def _roles_of(lg):
+    """The layered graph's members and role flags as one table."""
+    is_entry, is_exit = lg.roles
+    return lg.members.frame().assign(is_entry=is_entry, is_exit=is_exit)
+
+
 def _rows_through(layer, plan):
     """Rerouted rows per plan row, counted on a finished layer table."""
     inward = plan.direction.to_numpy() == "in"
@@ -146,8 +152,8 @@ def _schedule(cur, lg, dead, r):
     """Round ``r``'s ΔG on the current graph: the hostile cases first, then
     random edge and vertex batches."""
     live = np.setdiff1d(vertex_ids(cur), list(dead))
-    plan = lg.structure.plan
-    roles = lg.structure.roles.table
+    plan = lg.proxies.plan
+    roles = _roles_of(lg)
     real = roles[roles.id < int(plan.proxy.min())] if len(plan) else roles
     if r == 0:  # the SSSP source
         return _drop(cur, [0])
@@ -182,14 +188,13 @@ def _schedule(cur, lg, dead, r):
 
 def _check(lg, algo, base, real0, plan, dead):
     real = real0[~real0.id.isin(list(dead))].reset_index(drop=True)
-    layer, mem, roles, intra, up = _recompute(algo, base, real, plan, lg.structure.forced_entries)
+    layer, mem, roles, intra, up = _recompute(algo, base, real, plan, lg.forced_entries)
     pd.testing.assert_frame_equal(lg.base_edges, base)
     pd.testing.assert_frame_equal(lg.layer_edges, layer)
     pd.testing.assert_frame_equal(lg.intra_edges, intra)
     pd.testing.assert_frame_equal(lg.up_edges, up)
-    pd.testing.assert_frame_equal(lg.structure.membership, mem)
-    pd.testing.assert_frame_equal(
-        lg.structure.roles.table, roles[["id", "sub", "is_entry", "is_exit"]])
+    pd.testing.assert_frame_equal(lg.members.frame(), mem)
+    pd.testing.assert_frame_equal(_roles_of(lg), roles[["id", "sub", "is_entry", "is_exit"]])
     np.testing.assert_array_equal(lg.cross_in, roles.cross_in.to_numpy())
     np.testing.assert_array_equal(lg.cross_out, roles.cross_out.to_numpy())
     np.testing.assert_array_equal(lg.link_count, _rows_through(layer, plan))
@@ -220,8 +225,9 @@ def test_patched_layered_graph_equals_full_recompute(no_spark, ds, name):
         "php": alg.php(source=0, d=0.85, tol=1e-10),
     }[name]
     lg, _ = build_layered(no_spark, edges, algo, membership=membership)
-    plan = lg.structure.plan
-    real0 = lg.structure.membership[~lg.structure.membership.id.isin(plan.proxy)]
+    plan = lg.proxies.plan
+    members = lg.members.frame()
+    real0 = members[~members.id.isin(plan.proxy)]
     assert len(plan) and (plan.groupby("host").direction.nunique() == 2).any()
     cur, dead = edges, set()
     layer, mem, roles, _ = _check(lg, algo, cur, real0, plan, dead)

@@ -1,22 +1,35 @@
-"""Community discovery, roles, density filter, replication, layered assembly."""
+"""Community discovery, roles, the Def. 2 density test, replication, layered assembly."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.engine import algorithms as alg
 from repro.graphs.generators import dataset, fig2_graph, planted_partition
-from repro.graphs.schema import vertex_ids
+from repro.graphs.schema import canonical_edges
 from repro.layph.community import lpa_communities, planted_communities
-from repro.layph.layered import build_layered, update_layered
-from repro.layph.replication import apply_plan, build_plan
-from repro.layph.structure import compute_roles, density_filter, internal_edge_counts
+from repro.layph.layered import build_layered, layout, update_layered
+from repro.layph.replication import build_plan
 from repro.oracle import assert_equivalent
+
+
+_NO_PLAN = pd.DataFrame(columns=["host", "sub", "direction", "proxy"])
+
+
+def _layout(edges, membership, algo=alg.sssp(source=0), plan=_NO_PLAN, forced=()):
+    """One bare layout of ``membership`` and ``plan`` (no density test)."""
+    edges = canonical_edges(edges)
+    prepared = algo.prepare_rows(edges.src.to_numpy(), edges.dst.to_numpy(), edges.w.to_numpy())
+    return layout(algo, edges, prepared, membership, plan, frozenset(forced))
+
+
+def _roles(lg):
+    is_entry, is_exit = lg.roles
+    return lg.members.frame().assign(is_entry=is_entry, is_exit=is_exit).set_index("id")
 
 
 def test_roles_on_fig2():
     edges, membership = fig2_graph()
-    roles = compute_roles(edges, membership)
-    t = roles.table.set_index("id")
+    t = _roles(_layout(edges, membership))
     # G2 = sub 2: entry v0 (edge v5->v0 from outside), exit v4 (edge v4->v5).
     assert t.loc[0].is_entry and not t.loc[0].is_exit
     assert t.loc[4].is_exit and not t.loc[4].is_entry
@@ -32,10 +45,11 @@ def test_roles_on_fig2():
 def test_density_filter_on_fig2():
     """Both Fig. 2 subgraphs satisfy |V_I|x|V_O| < |E_i|."""
     edges, membership = fig2_graph()
-    roles = compute_roles(edges, membership)
-    dense = density_filter(edges, membership, roles)
-    assert dense["sub"].nunique() == 2
-    assert len(dense) == 9
+    n_in, n_out, n_e = _layout(edges, membership).density_counts()
+    assert (n_in.tolist(), n_out.tolist(), n_e.tolist()) == ([0, 1, 1], [0, 1, 1], [0, 3, 5])
+    lg, _ = build_layered(None, edges, alg.pagerank(), membership=membership, replicate=False)
+    assert lg.sizes()["n_subgraphs"] == 2
+    assert len(lg.members.id) == 9
 
 
 def test_density_filter_rejects_sparse_sub():
@@ -49,38 +63,56 @@ def test_density_filter_rejects_sparse_sub():
         }
     )
     membership = pd.DataFrame({"id": [0, 1, 2], "sub": [0, 0, 0]})
-    roles = compute_roles(edges, membership)
     # V_I = {0,1}, V_O = {0,1,2}, E_i = {(0,2),(1,2)} -> 6 >= 2 -> reject
-    dense = density_filter(edges, membership, roles)
-    assert len(dense) == 0
+    n_in, n_out, n_e = _layout(edges, membership).density_counts()
+    assert (n_in.tolist(), n_out.tolist(), n_e.tolist()) == ([2], [3], [2])
+    # The build drops it too; a fourth member (one more intra edge, 6 >= 3)
+    # keeps the community above the planted-community minimum size of 4.
+    edges = pd.concat([edges, pd.DataFrame({"src": [2], "dst": [3], "w": [1.0]})])
+    membership = pd.DataFrame({"id": [0, 1, 2, 3], "sub": [0, 0, 0, 0]})
+    lg, _ = build_layered(None, edges, alg.pagerank(), membership=membership, replicate=False)
+    assert len(lg.members.id) == 0 and (lg.sub == -1).all() and len(lg.shortcuts) == 0
 
 
 def test_internal_edge_counts_matches_duckdb(spark):
+    """|V_I|, |V_O| and |E_i| per subgraph of a built layered graph, against
+    SQL over its layer edges and members."""
     edges, membership = dataset("uk_lite", sf=0.004, seed=1)
-    got = internal_edge_counts(edges, membership)
-    got_df = spark.createDataFrame(
-        got.rename("n").rename_axis("sub").reset_index()
-    )
+    lg, _ = build_layered(None, edges, alg.pagerank(), membership=membership)
+    assert len(lg.proxies)
+    n_in, n_out, n_e = lg.density_counts()
+    subs = np.unique(lg.members.sub)
+    assert (n_in * n_out < n_e)[subs].all()  # every kept subgraph is dense
+    got = pd.DataFrame({"sub": subs, "n_in": n_in[subs], "n_out": n_out[subs], "n_e": n_e[subs]})
     assert_equivalent(
-        got_df,
+        spark.createDataFrame(got),
         """
-        SELECT ms.sub AS sub, COUNT(*) AS n
-        FROM edges e
-        JOIN member ms ON e.src = ms.id
-        JOIN member md ON e.dst = md.id
-        WHERE ms.sub = md.sub
-        GROUP BY ms.sub
+        WITH r AS (
+            SELECT e.src, e.dst, ms.sub AS s_sub, md.sub AS d_sub
+            FROM edges e
+            LEFT JOIN member ms ON e.src = ms.id
+            LEFT JOIN member md ON e.dst = md.id
+        ),
+        vi AS (SELECT d_sub AS sub, COUNT(DISTINCT dst) AS n_in FROM r
+               WHERE d_sub IS NOT NULL AND (s_sub IS NULL OR s_sub <> d_sub) GROUP BY d_sub),
+        vo AS (SELECT s_sub AS sub, COUNT(DISTINCT src) AS n_out FROM r
+               WHERE s_sub IS NOT NULL AND (d_sub IS NULL OR s_sub <> d_sub) GROUP BY s_sub),
+        ei AS (SELECT s_sub AS sub, COUNT(*) AS n_e FROM r WHERE s_sub = d_sub GROUP BY s_sub)
+        SELECT s.sub, COALESCE(n_in, 0) AS n_in, COALESCE(n_out, 0) AS n_out,
+               COALESCE(n_e, 0) AS n_e
+        FROM (SELECT DISTINCT sub FROM member) s
+        LEFT JOIN vi USING (sub) LEFT JOIN vo USING (sub) LEFT JOIN ei USING (sub)
         """,
-        edges=edges,
-        member=membership,
+        edges=lg.layer_edges,
+        member=lg.members.frame(),
     )
 
 
 def test_forced_entries_mark_root():
     edges, membership = fig2_graph()
-    roles = compute_roles(edges, membership, forced_entries={2})
-    t = roles.table.set_index("id")
-    assert t.loc[2].is_entry
+    assert _roles(_layout(edges, membership, forced={2})).loc[2].is_entry
+    lg, _ = build_layered(None, edges, alg.sssp(source=2), membership=membership, replicate=False)
+    assert 2 in lg.entry_ids()
 
 
 def test_replication_reduces_boundary():
@@ -91,15 +123,13 @@ def test_replication_reduces_boundary():
     edges = pd.DataFrame(rows, columns=["src", "dst", "w"])
     membership = pd.DataFrame({"id": [0, 1, 2, 3], "sub": [0, 0, 0, 0]})
     algo = alg.sssp(source=100)
-    prepared = algo.prepare(edges)
-    plan = build_plan(prepared, membership, threshold=3)
+    plan = build_plan(algo.prepare(edges), membership, threshold=3)
     assert len(plan) == 1 and plan.iloc[0].direction == "in" and plan.iloc[0].host == 100
-    layer, mem = apply_plan(prepared, membership, plan, algo.identity)
-    roles = compute_roles(layer, mem)
-    entries = roles.entries(0)
+    lg = _layout(edges, membership, algo, plan)
     # only the proxy is an entry now
-    assert list(entries.id) == [plan.iloc[0].proxy]
+    assert list(lg.entry_ids()) == [plan.iloc[0].proxy]
     # host->proxy link carries the + identity 0
+    layer = lg.layer_edges
     link = layer[(layer.src == 100) & (layer.dst == plan.iloc[0].proxy)]
     assert len(link) == 1 and link.iloc[0].w == 0.0
 
@@ -111,12 +141,10 @@ def test_replication_out_direction():
     edges = pd.DataFrame(rows, columns=["src", "dst", "w"])
     membership = pd.DataFrame({"id": [0, 1, 2], "sub": [0, 0, 0]})
     algo = alg.sssp(source=200)
-    prepared = algo.prepare(edges)
-    plan = build_plan(prepared, membership, threshold=3)
+    plan = build_plan(algo.prepare(edges), membership, threshold=3)
     assert len(plan) == 1 and plan.iloc[0].direction == "out"
-    layer, mem = apply_plan(prepared, membership, plan, algo.identity)
-    roles = compute_roles(layer, mem)
-    assert list(roles.exits(0).id) == [plan.iloc[0].proxy]
+    lg = _layout(edges, membership, algo, plan)
+    assert list(lg.members.id[lg.roles[1]]) == [plan.iloc[0].proxy]
 
 
 def test_lpa_recovers_planted_blocks(spark):
@@ -157,7 +185,7 @@ def test_build_layered_fig2(spark, name):
     assert acts > 0
     if name == "sssp":
         # Example 2 shortcut weights inside G2 (sub of vertex 0)
-        sub2 = lg.structure.sub_of[0]
+        sub2 = lg.members.sub_of(np.array([0]))[0]
         sc = lg.shortcuts[(lg.shortcuts["sub"] == sub2) & (lg.shortcuts.entry == 0)]
         assert sc.set_index("dst").w.to_dict() == {1: 1.0, 2: 4.0, 3: 1.0, 4: 2.0}
 
@@ -180,7 +208,7 @@ def test_update_layered_recomputes_only_affected(spark):
     delta = random_edge_delta(edges, n_add=2, n_del=2, seed=5)
     new_lg, diff, affected, acts = update_layered(spark, lg, delta)
     assert len(diff) >= delta.size  # at least the unit updates appear
-    n_subs = lg.structure.membership["sub"].nunique()
+    n_subs = len(np.unique(lg.members.sub))
     assert len(affected) < n_subs  # constrained scope
     # unaffected subs keep identical shortcut tables
     old_sc = lg.shortcuts[~lg.shortcuts["sub"].isin(affected)].reset_index(drop=True)
@@ -223,8 +251,8 @@ def test_update_of_subgraph_without_entries_keeps_types(subs):
     membership = membership[membership["sub"].isin(subs)]
     algo = alg.sssp(source=0)
     lg, _ = build_layered(None, edges, algo, membership=membership, replicate=False)
-    b = int(lg.structure.sub_of[5])
-    assert b not in set(lg.structure.roles.entries()["sub"])
+    b = int(lg.members.sub_of(np.array([5]))[0])
+    assert b not in set(lg.members.sub[lg.roles[0]])
     delta = GraphDelta(
         added=pd.DataFrame({"src": [6], "dst": [8], "w": [1.0]}),
         deleted=pd.DataFrame({"src": pd.Series(dtype=np.int64), "dst": pd.Series(dtype=np.int64)}),

@@ -70,7 +70,7 @@ def test_fig2_full_walkthrough(spark):
         got, pd.Series([0, 1, 3, 1, 4, 7, 8, 9, 9], index=range(9), dtype=float)
     )
     # Example 3: updated shortcuts of G2
-    sub2 = eng.lg.structure.sub_of[0]
+    sub2 = eng.lg.members.sub_of(np.array([0]))[0]
     sc = eng.lg.shortcuts[
         (eng.lg.shortcuts["sub"] == sub2) & (eng.lg.shortcuts.entry == 0)
     ]
@@ -87,7 +87,7 @@ def test_fig2_only_affected_sub_recomputed(spark):
     algo = alg.sssp(source=0)
     eng = LayphEngine(spark, edges, algo, membership=membership, replicate=False)
     eng.initialize()
-    sub1 = eng.lg.structure.sub_of[5]
+    sub1 = eng.lg.members.sub_of(np.array([5]))[0]
     before = eng.lg.shortcuts[eng.lg.shortcuts["sub"] == sub1].reset_index(drop=True)
     added, deleted = fig2_delta()
     eng.run_delta(GraphDelta(added=added, deleted=deleted))
@@ -223,7 +223,7 @@ def test_deleting_a_proxy_host(no_spark, name):
     edges, membership = dataset("uk_lite", sf=0.002, seed=0)
     algo = make_algo(name)
     eng = LayphEngine(no_spark, edges, algo, membership=membership).initialize()
-    host = int(eng.lg.structure.plan.host.iloc[0])
+    host = int(eng.lg.proxies.host[0])
     inc = edges[(edges.src == host) | (edges.dst == host)][["src", "dst"]]
     delta = GraphDelta(added=edges.iloc[0:0], deleted=inc.reset_index(drop=True),
                        deleted_vertices=np.array([host]))

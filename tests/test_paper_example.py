@@ -13,7 +13,7 @@ from repro.graphs.generators import fig2_delta, fig2_graph
 from repro.graphs.schema import vertex_ids
 from repro.graphs.updates import GraphDelta, apply_delta
 from repro.layph.engine import LayphEngine
-from repro.layph.structure import compute_roles, density_filter
+from repro.layph.layered import build_layered
 from repro.reference import assert_states_close, sssp_reference
 
 
@@ -50,17 +50,23 @@ def test_fig2a_converged_states(fig2):
     )
 
 
-def test_fig2_boundary_roles(fig2):
+def _fig2_layered(fig2):
     edges, membership, _ = fig2
-    t = compute_roles(edges, membership).table.set_index("id")
-    assert t.loc[0].is_entry and t.loc[4].is_exit
-    assert t.loc[5].is_entry and t.loc[5].is_exit
+    lg, _ = build_layered(None, edges, alg.pagerank(), membership=membership, replicate=False)
+    return lg
+
+
+def test_fig2_boundary_roles(fig2):
+    lg = _fig2_layered(fig2)
+    entry, exit_ = (set(lg.members.id[flags].tolist()) for flags in lg.roles)
+    assert entry == {0, 5} and exit_ == {4, 5}
 
 
 def test_fig2_both_subgraphs_dense(fig2):
-    edges, membership, _ = fig2
-    roles = compute_roles(edges, membership)
-    assert density_filter(edges, membership, roles)["sub"].nunique() == 2
+    lg = _fig2_layered(fig2)
+    n_in, n_out, n_e = lg.density_counts()
+    subs = np.unique(lg.members.sub)
+    assert len(subs) == 2 and (n_in * n_out < n_e)[subs].all()
 
 
 def test_example2_shortcut_deduction(fig2):

@@ -14,9 +14,9 @@ INF = float("inf")
 def test_upload_empty_injections(spark):
     intra = pd.DataFrame({"src": [0], "dst": [1], "w": [1.0], "sub": [0]})
     members = pd.DataFrame({"id": [0, 1], "sub": [0, 0]})
-    boundary = pd.DataFrame({"id": [0], "sub": [0]})
+    is_boundary = np.array([True, False])  # per member row
     st, up, acts = upload_messages(
-        spark, intra, members, boundary, pd.Series({0: 1.0, 1: 2.0}),
+        spark, intra, members, is_boundary, pd.Series({0: 1.0, 1: 2.0}),
         pd.Series(dtype=float), alg.pagerank(d=0.5),
     )
     assert len(st) == 0 and len(up) == 0 and acts == 0
@@ -28,11 +28,11 @@ def test_upload_propagates_locally_and_reports_boundary(spark):
         {"src": [0, 1], "dst": [1, 2], "w": [0.5, 0.5], "sub": [0, 0]}
     )
     members = pd.DataFrame({"id": [0, 1, 2], "sub": [0, 0, 0]})
-    boundary = pd.DataFrame({"id": [2], "sub": [0]})
+    is_boundary = np.array([False, False, True])  # per member row
     x = pd.Series({0: 1.0, 1: 1.0, 2: 1.0})
     algo = alg.pagerank(d=0.5, tol=1e-10)
     st, up, acts = upload_messages(
-        spark, intra, members, boundary, x, pd.Series({0: 1.0}), algo, tol=1e-10
+        spark, intra, members, is_boundary, x, pd.Series({0: 1.0}), algo, tol=1e-10
     )
     # states: x0 += 1, x1 += 0.5, x2 += 0.25
     assert abs(st[0] - 2.0) < 1e-9 and abs(st[1] - 1.5) < 1e-9 and abs(st[2] - 1.25) < 1e-9
@@ -45,11 +45,11 @@ def test_upload_min_aggregates_boundary_arrivals(spark):
         {"src": [0, 1], "dst": [1, 2], "w": [1.0, 2.0], "sub": [0, 0]}
     )
     members = pd.DataFrame({"id": [0, 1, 2], "sub": [0, 0, 0]})
-    boundary = pd.DataFrame({"id": [2], "sub": [0]})
+    is_boundary = np.array([False, False, True])  # per member row
     x = pd.Series({0: 10.0, 1: 10.0, 2: 10.0})
     algo = alg.sssp(source=0)
     st, up, _ = upload_messages(
-        spark, intra, members, boundary, x, pd.Series({0: 3.0}), algo
+        spark, intra, members, is_boundary, x, pd.Series({0: 3.0}), algo
     )
     assert st[0] == 3.0 and st[1] == 4.0 and st[2] == 6.0
     assert up[2] == 6.0
