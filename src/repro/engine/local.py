@@ -206,8 +206,8 @@ def _pass_chunk(n_subs, E, R, O, C, algo, tol, max_iter):
         found = rkey[order[at]] == okey
         g = order[at[found]]
         acc[row_base[g] + lodst[found]] = ow[found]
-    if is_min:
-        acc[ecell[had_old]] = 0.0
+    if is_min:  # every entry holds 0 in its own cell, so a cycle back cannot re-fire it
+        acc[ecell] = 0.0
     # The rows that propagate: every row for sum, new or affected rows for min.
     live = ~had_old if is_min else np.ones(len(rid), bool)
     if len(csub):
@@ -266,10 +266,8 @@ def _pass_chunk(n_subs, E, R, O, C, algo, tol, max_iter):
 
     # Every live row gets its own copy of its subgraph's intra edges.
     src_cell, dst_cell, w = _cell_edges(new, np.flatnonzero(live), rsub, row_base, n_subs)
-    # Rows without an old row start from a fresh unit injection (not an arrival).
-    fresh = np.repeat(~had_old, nrow)
-    acc[fresh] = INF if is_min else 0.0
-    pend[fresh] = INF if is_min else 0.0
+    # Rows without an old row start from a fresh unit injection (for sum,
+    # pending mass and not an arrival).
     pend[ecell[~had_old]] = 0.0 if is_min else 1.0  # identity of ⊗
 
     active = pend < INF if is_min else np.abs(pend) > tol
@@ -278,7 +276,10 @@ def _pass_chunk(n_subs, E, R, O, C, algo, tol, max_iter):
         f"shortcut_pass: messages still pending after max_iter={max_iter}",
     )
 
-    keep = np.isfinite(acc) if is_min else np.abs(acc) > tol
+    # A sum cell below tol is dropped, negative ones too: no true sum
+    # shortcut weight is negative (prepared weights are >= 0), so such a
+    # cell is only delta-correction rounding.
+    keep = np.isfinite(acc) if is_min else acc > tol
     cells = np.flatnonzero(keep)
     g = np.searchsorted(row_base, cells, side="right") - 1
     dst = vid[voff[rsub[g]] + cells - row_base[g]]

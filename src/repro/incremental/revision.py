@@ -124,19 +124,27 @@ def min_parents(prepared: pd.DataFrame, states: pd.Series, algo: Algorithm) -> p
 
 
 def min_trim_set(parents: pd.DataFrame, seeds: np.ndarray) -> np.ndarray:
-    """All dependency-tree descendants of ``seeds`` (inclusive)."""
-    reset = set(int(s) for s in seeds)
-    frontier = set(reset)
-    child_of = parents.groupby("parent").id.apply(list).to_dict()
-    while frontier:
-        nxt = set()
-        for p in frontier:
-            for c in child_of.get(p, []):
-                if c not in reset:
-                    reset.add(int(c))
-                    nxt.add(int(c))
-        frontier = nxt
-    return np.array(sorted(reset), dtype=np.int64)
+    """All dependency-tree descendants of ``seeds`` (inclusive), ascending.
+
+    A frontier walk over the parent edges sorted by parent: each level's
+    children are the runs of its vertices, found by ``searchsorted``.
+    """
+    seeds = np.asarray(seeds, np.int64)
+    par, child = parents.parent.to_numpy(np.int64), parents.id.to_numpy(np.int64)
+    ids = np.unique(np.concatenate([par, child, seeds]))
+    p, c = np.searchsorted(ids, par), np.searchsorted(ids, child)
+    c = c[np.argsort(p, kind="stable")]
+    start = np.searchsorted(np.sort(p), np.arange(len(ids) + 1))  # children of i: c[start[i]:start[i+1]]
+    seen = np.zeros(len(ids), bool)
+    frontier = np.searchsorted(ids, seeds)
+    seen[frontier] = True
+    while len(frontier):
+        cnt = start[frontier + 1] - start[frontier]
+        ends = np.cumsum(cnt)
+        kids = c[np.repeat(start[frontier] - ends + cnt, cnt) + np.arange(ends[-1])]
+        frontier = kids[~seen[kids]]
+        seen[frontier] = True
+    return ids[seen]
 
 
 def min_revision(

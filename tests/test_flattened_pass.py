@@ -46,7 +46,7 @@ def _dense_weights(prepared, entries, ids, algo, tol):
     epos, rows, acts = pos.reindex(entries).to_numpy(np.int64), np.arange(k), 0
     if algo.is_min:
         best, pend = np.full((k, n), INF), np.full((k, n), INF)
-        pend[rows, epos] = 0.0
+        best[rows, epos] = pend[rows, epos] = 0.0  # the entry holds its 0 at once
         while True:
             fire = (pend < INF)[:, src]
             if not fire.any():
@@ -263,10 +263,11 @@ def test_upload_equals_per_subgraph_converge(no_spark):
     old, _ = _graphs()
     intra = _with_sub(algo.prepare(old))
     members = _with_sub(pd.DataFrame({"id": np.unique(np.r_[old.src, old.dst])}), "id")
-    boundary = members[members.id % 7 == 0]
+    is_boundary = (members.id % 7 == 0).to_numpy()
+    boundary = members[is_boundary]
     states = pd.Series(0.01, index=members.id.to_numpy())
     inj = pd.Series({2: 0.5, 9: -0.25, 504: 0.125, 511: 1.0})  # subgraphs 0 and 5
-    got_x, got_up, acts = upload_messages(no_spark, intra, members, boundary, states, inj, algo)
+    got_x, got_up, acts = upload_messages(no_spark, intra, members, is_boundary, states, inj, algo)
     want_x, want_up, want_acts = [], [], 0
     for s in (0, 5):
         ids = members[members["sub"] == s].id.to_numpy()

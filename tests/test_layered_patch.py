@@ -211,6 +211,8 @@ def _check_shortcuts(lg, algo, intra, roles):
         assert (got.entry != got.dst).all()
         pd.testing.assert_frame_equal(got, want.sort_values(key).reset_index(drop=True))
     else:  # a delta-corrected row matches a fresh one to the tol cut
+        # No true sum shortcut weight is negative: prepared weights are >= 0.
+        assert (got.w > algo.tol).all()
         m = got.merge(want, on=key, how="outer", suffixes=("_got", "_want")).fillna(0.0)
         assert np.abs(m.w_got - m.w_want).max() < 1e-6
 

@@ -1,0 +1,53 @@
+"""The benchmark tracer's contract with the program.
+
+``perfbench/tracing.py`` patches functions by the name their caller looks
+them up by and reads some of their arguments by position. This runs one
+Layph PageRank round, one Layph SSSP round and one Ingress round under the
+unchanged tracer, without Spark, and checks that every patched name resolves
+and that every span with a counts function got its counts.
+"""
+import importlib
+from pathlib import Path
+
+from repro.engine import algorithms as alg
+from repro.experiments.common import batch_states
+from repro.graphs.generators import dataset
+from repro.graphs.updates import random_edge_delta
+from repro.incremental import ingress
+from repro.layph.engine import LayphEngine
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_tracer_targets_resolve_and_count(monkeypatch, no_spark):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    for module, path, _, _ in tracing.TARGETS:
+        owner, attr = tracing._owner(module, path)
+        assert callable(getattr(owner, attr)), (module, path)
+
+    edges, membership = dataset("uk_lite", sf=0.003, seed=0)
+    delta = random_edge_delta(edges, n_add=4, n_del=4, seed=1)
+    pagerank, sssp = alg.pagerank(d=0.85, tol=1e-4), alg.sssp(source=0)
+    tracer = tracing.Tracer()  # no SparkContext: no job counts
+    with tracer.installed():
+        for i, algo in enumerate((pagerank, sssp)):
+            with tracer.recording(f"setup-{i}"):
+                eng = LayphEngine(no_spark, edges, algo, membership=membership).initialize()
+            with tracer.recording(i):
+                eng.run_delta(delta)
+        states = batch_states(edges, sssp)
+        with tracer.recording(2):
+            # Called through its module, as the benchmark calls it.
+            ingress.ingress_incremental(no_spark, edges, delta, states, sssp, tol=sssp.tol)
+
+    counted = {name for *_, name, counts in tracing.TARGETS if counts is not None}
+    spans = [s for s in tracer.spans if s.name in counted]
+    assert {s.name for s in spans} == counted
+    for s in spans:
+        assert s.counts and all(v is not None for v in s.counts.values()), s.name
+    # The upload reads the member frame and the injections by position.
+    upload = [s for s in spans if s.name == "layph.upload.upload_messages"]
+    assert any(s.counts["subgraphs"] > 0 for s in upload)
+    names = {s.name for s in tracer.spans}
+    assert {"layph.replication.apply_plan", "layph.structure.compute_roles"} <= names
