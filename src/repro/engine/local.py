@@ -276,9 +276,9 @@ def _pass_chunk(n_subs, E, R, O, C, algo, tol, max_iter):
         f"shortcut_pass: messages still pending after max_iter={max_iter}",
     )
 
-    # A sum cell below tol is dropped, negative ones too: no true sum
-    # shortcut weight is negative (prepared weights are >= 0), so such a
-    # cell is only delta-correction rounding.
+    # A sum cell at or below tol is dropped, negative ones too: prepared
+    # weights are >= 0, so a negative cell is only the delta correction's
+    # error from cells cut at tol, never shortcut mass.
     keep = np.isfinite(acc) if is_min else acc > tol
     cells = np.flatnonzero(keep)
     g = np.searchsorted(row_base, cells, side="right") - 1

@@ -132,16 +132,17 @@ def min_trim_set(parents: pd.DataFrame, seeds: np.ndarray) -> np.ndarray:
     seeds = np.asarray(seeds, np.int64)
     par, child = parents.parent.to_numpy(np.int64), parents.id.to_numpy(np.int64)
     ids = np.unique(np.concatenate([par, child, seeds]))
-    p, c = np.searchsorted(ids, par), np.searchsorted(ids, child)
-    c = c[np.argsort(p, kind="stable")]
-    start = np.searchsorted(np.sort(p), np.arange(len(ids) + 1))  # children of i: c[start[i]:start[i+1]]
+    o = np.argsort(par, kind="stable")
+    child = np.searchsorted(ids, child[o])  # as positions in ids
+    # The children of ids[i] are child[start[i]:end[i]].
+    start, end = np.searchsorted(par[o], ids), np.searchsorted(par[o], ids, side="right")
     seen = np.zeros(len(ids), bool)
     frontier = np.searchsorted(ids, seeds)
     seen[frontier] = True
     while len(frontier):
-        cnt = start[frontier + 1] - start[frontier]
-        ends = np.cumsum(cnt)
-        kids = c[np.repeat(start[frontier] - ends + cnt, cnt) + np.arange(ends[-1])]
+        cnt = end[frontier] - start[frontier]
+        at = np.cumsum(cnt)
+        kids = child[np.repeat(start[frontier] - at + cnt, cnt) + np.arange(at[-1])]
         frontier = kids[~seen[kids]]
         seen[frontier] = True
     return ids[seen]

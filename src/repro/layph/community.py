@@ -4,8 +4,8 @@ The paper uses Louvain with a size threshold K; we use mode-based label
 propagation over the undirected view in Spark DataFrames (DESIGN.md §5.3)
 — on our planted-partition datasets LPA recovers community blocks well,
 and a deterministic chunk-split enforces the K cap exactly as the paper's
-threshold does. The density test (Def. 2) is applied afterwards in
-``layph.structure``.
+threshold does. The density test (Def. 2) is applied afterwards, on the
+candidate layout in ``layph.layered``.
 """
 from __future__ import annotations
 

@@ -10,10 +10,7 @@ from repro.reference import pagerank_reference
 
 #: Offline activations, shortcut rows and per-round ``(activations,
 #: supersteps)`` of the 3-round run below. A change here is an algorithm
-#: change. Re-pinned twice since the flattened passes: PageRank keeps 6 fewer
-#: shortcut rows (sum rows below ``tol``, negative ones too, are dropped),
-#: and SSSP spends fewer activations (a fresh min row's entry cell starts at
-#: 0, so a cycle back to the entry no longer re-fires its out-edges).
+#: change; CHANGES.md logs each re-pin with its old and new values.
 GOLDEN = {
     "pagerank": (285457, 3119, [(53447, 6), (122487, 11), (53457, 7)]),
     "sssp": (23866, 3127, [(3695, 5), (5603, 4), (2470, 2)]),

@@ -69,6 +69,30 @@ def test_min_trim_set_empty_seed():
     assert len(min_trim_set(parents, np.array([], dtype=np.int64))) == 0
 
 
+def _trim_set_ref(parents, seeds):
+    """The reference the numpy frontier walk must equal: a Python set walk."""
+    child_of = {}
+    for c, p in zip(parents.id.tolist(), parents.parent.tolist()):
+        child_of.setdefault(p, []).append(c)
+    reset = frontier = set(int(s) for s in seeds)
+    while frontier:
+        frontier = {c for p in frontier for c in child_of.get(p, []) if c not in reset}
+        reset = reset | frontier
+    return sorted(reset)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_min_trim_set_matches_set_walk(seed):
+    edges = small_graph(seed, n=200)
+    algo = alg.sssp(source=0)
+    parents = min_parents(algo.prepare(edges), converged(edges, algo), algo)
+    rng = np.random.default_rng(seed)
+    seeds = rng.choice(np.r_[parents.id.to_numpy(), 10**6, 0], size=3 + seed)
+    got = min_trim_set(parents.sample(frac=1.0, random_state=seed), seeds)
+    assert got.dtype == np.int64 and got.tolist() == _trim_set_ref(parents, seeds)
+    assert len(got) > len(set(seeds.tolist()))  # the walk went below the seeds
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_min_revision_then_local_propagation_matches_batch(seed):
     edges = small_graph(seed)
