@@ -121,9 +121,8 @@ class LayeredGraph:
         and intra rows |E_i|. A subgraph is dense when |V_I|·|V_O| < |E_i|."""
         (is_entry, is_exit), sub = self.roles, self.members.sub
         n = int(sub.max(initial=-1)) + 1
-        return tuple(
-            np.bincount(s, minlength=n) for s in (sub[is_entry], sub[is_exit], self.sub[self.sub >= 0])
-        )
+        rows = (sub[is_entry], sub[is_exit], self.sub[self.sub >= 0])
+        return tuple(np.bincount(s, minlength=n) for s in rows)
 
     @_once
     def upper_vertex_ids(self) -> np.ndarray:
