@@ -84,8 +84,10 @@ class Algorithm:
     # ---- edge preparation ------------------------------------------------
     def prepare(self, edges: pd.DataFrame) -> pd.DataFrame:
         """Prepared copy of an edge frame (see module docstring). Sum
-        workloads return it canonical. SSSP raises ``ValueError`` on a
-        negative weight."""
+        workloads return it canonical, and a canonical input costs them no
+        sort (:func:`canonical_edges` returns early); min workloads keep the
+        input's rows and order. SSSP raises ``ValueError`` on a negative
+        weight."""
         if self.is_min:
             if self.name == "sssp":
                 _nonnegative(edges.w.to_numpy())

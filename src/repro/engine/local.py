@@ -26,7 +26,7 @@ import pandas as pd
 
 from repro.engine import batch
 from repro.engine.algorithms import Algorithm
-from repro.incremental.revision import min_revision
+from repro.incremental.revision import min_revision, prepared_edge_diff
 
 INF = float("inf")
 
@@ -249,16 +249,19 @@ def _pass_chunk(n_subs, E, R, O, C, algo, tol, max_iter):
                       [ew[same].astype(float), cw_old[restored]])
         ]
 
-        def frame(table):  # no name outlives the call: freed before the propagation
+        def frame(table):
             src, dst, w = _cell_edges(table, trim, rsub, row_base, n_subs)
             return pd.DataFrame({"src": src, "dst": dst, "w": w})
 
         ids = _ranges(row_base[trim], nrow[trim])
+        old_cells, new_cells = frame(old), frame(new)
         # Trim and seed every affected old row at once, each entry cell a root at 0.
         reset, seeds, acts = min_revision(
-            frame(old), frame(new), pd.Series(acc[ids], index=ids),
+            prepared_edge_diff(old_cells, new_cells), old_cells, new_cells,
+            pd.Series(acc[ids], index=ids),
             replace(algo, roots=dict.fromkeys(ecell[trim].tolist(), 0.0)),
         )
+        del old_cells, new_cells  # freed before the propagation
         acc[reset] = INF
         at, s = seeds.index.to_numpy(np.int64), seeds.to_numpy(float)
         up = s < acc[at]  # converge's first-superstep rule

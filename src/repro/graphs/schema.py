@@ -32,8 +32,13 @@ def canonical_edges(pdf: pd.DataFrame) -> pd.DataFrame:
 
     Duplicate ``(src, dst)`` pairs keep the *last* occurrence so that
     "re-add with a new weight" semantics (delete+add unit updates) hold.
-    Rows are sorted for determinism.
+    Rows are sorted for determinism. Always a new frame with a
+    ``RangeIndex``; input that is already canonical (:func:`is_canonical`)
+    only has its columns typed, without pandas' sort.
     """
+    src, dst = pdf.src.to_numpy(np.int64), pdf.dst.to_numpy(np.int64)
+    if is_canonical(src, dst):
+        return edge_frame(src, dst, pdf.w.to_numpy(np.float64))
     pdf = pdf[EDGE_COLUMNS].astype({"src": np.int64, "dst": np.int64, "w": np.float64})
     pdf = pdf[pdf.src != pdf.dst]
     pdf = pdf.drop_duplicates(subset=["src", "dst"], keep="last")
@@ -41,7 +46,7 @@ def canonical_edges(pdf: pd.DataFrame) -> pd.DataFrame:
 
 
 def edge_frame(src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> pd.DataFrame:
-    """An edge frame over the given columns (no copy, no checks)."""
+    """An edge frame over copies of the given columns (no checks)."""
     return pd.DataFrame({"src": src, "dst": dst, "w": w})
 
 

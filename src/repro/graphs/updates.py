@@ -15,7 +15,6 @@ import pandas as pd
 from repro.graphs.schema import (
     canonical_edges,
     edge_frame,
-    is_canonical,
     pair_order,
     pairs_in,
     source_rows,
@@ -69,6 +68,15 @@ class GraphDelta:
     def size(self) -> int:
         return len(self.added) + len(self.deleted)
 
+    def sources(self) -> np.ndarray:
+        """Sorted unique ids whose out-edge runs ΔG may change: the sources
+        of ``added`` and ``deleted``, and ``deleted_vertices``. Every other
+        source keeps its run, and with it its prepared weights."""
+        return np.unique(np.concatenate([
+            self.added.src.to_numpy(np.int64), self.deleted.src.to_numpy(np.int64),
+            np.asarray(self.deleted_vertices, np.int64),
+        ]))
+
     def touched_vertices(self) -> np.ndarray:
         """All vertex ids that appear in any unit update."""
         parts = [
@@ -91,16 +99,13 @@ def apply_delta(edges: pd.DataFrame, delta: GraphDelta) -> pd.DataFrame:
     of the (src, dst)-sorted table is copied around them. Raises
     ``ValueError`` when a deleted vertex keeps an edge.
     """
-    src, dst = edges.src.to_numpy(np.int64), edges.dst.to_numpy(np.int64)
-    if not is_canonical(src, dst):
-        edges = canonical_edges(edges)
-        src, dst = edges.src.to_numpy(), edges.dst.to_numpy()
-    w = edges.w.to_numpy(np.float64)
+    edges = canonical_edges(edges)
+    src, dst, w = edges.src.to_numpy(), edges.dst.to_numpy(), edges.w.to_numpy()
     a_src, a_dst = delta.added.src.to_numpy(np.int64), delta.added.dst.to_numpy(np.int64)
     a_w = delta.added.w.to_numpy(np.float64)
     d_src, d_dst = delta.deleted.src.to_numpy(np.int64), delta.deleted.dst.to_numpy(np.int64)
 
-    rows = source_rows(src, np.unique(np.concatenate([a_src, d_src])))
+    rows = source_rows(src, delta.sources())
     gone = pairs_in(
         src[rows], dst[rows], np.concatenate([d_src, a_src]), np.concatenate([d_dst, a_dst])
     )

@@ -13,7 +13,9 @@ jobs, so compare KickStarter by activations only.
 * ``kickstarter``  — min only: dependency-tree trim + *pull-style* Jacobi
   recomputation over the affected region (each round rescans all in-edges
   of every affected vertex — KickStarter's tag/recompute behavior, which
-  activates more edges than precise push).
+  activates more edges than precise push). Its trim takes the prepared
+  diff from the runs of the sources ΔG names, as ``ingress`` does, and it
+  reports the same ``revision`` and ``propagate`` phases.
 * ``risgraph``     — min only: per-update safe/unsafe classification (safe
   inserts short-circuit at the cost of one F each) before Ingress-style
   push propagation.
@@ -34,14 +36,15 @@ from pyspark.sql import functions as Fn
 from repro.engine import batch
 from repro.engine.algorithms import Algorithm
 from repro.engine.batch import run_batch
-from repro.graphs.schema import edges_to_spark
+from repro.graphs.schema import canonical_edges, edges_to_spark
 from repro.graphs.updates import GraphDelta, apply_delta
 from repro.incremental.ingress import (
     align_states,
+    changed_runs,
     ingress_incremental,
     new_vertex_universe,
 )
-from repro.incremental.revision import min_revision
+from repro.incremental.revision import min_revision, prepared_edge_diff
 from repro.metrics import PhaseTimer, RunStats
 
 INF = float("inf")
@@ -65,19 +68,24 @@ def kickstarter(
     """Trimmed-approximation + pull-Jacobi recomputation (min workloads)."""
     assert algo.is_min, "KickStarter supports single-dependency (min) workloads only"
     stats = RunStats()
-    with PhaseTimer(stats, "total"):
+    with PhaseTimer(stats, "revision"):
+        old_edges = canonical_edges(old_edges)
         new_edges = apply_delta(old_edges, delta)
-        old_prepared = algo.prepare(old_edges)
         new_prepared = algo.prepare(new_edges)
+        old_runs, new_runs = changed_runs(old_edges, new_prepared, delta, algo)
         ids = new_vertex_universe(new_edges, delta, algo)
         x = align_states(old_states, ids, algo)
 
-        reset, seeds, acts = min_revision(old_prepared, new_prepared, old_states, algo)
+        reset, seeds, acts = min_revision(
+            prepared_edge_diff(old_runs, new_runs), algo.prepare(old_edges), new_prepared,
+            old_states, algo,
+        )
         stats.activations += acts
         x.loc[x.index.isin(set(int(r) for r in reset))] = INF
 
         affected = np.union1d(reset, seeds.index.to_numpy(np.int64))
         affected = affected[np.isin(affected, ids)]
+    with PhaseTimer(stats, "propagate"):
         x = _pull_min_jacobi(spark, new_prepared, x, affected, algo, stats)
     return x, stats
 

@@ -70,7 +70,13 @@ def sum_revision(
     *,
     new_vertices: np.ndarray | None = None,
 ) -> pd.Series:
-    """Injected revision deltas, id-indexed and aggregated per target."""
+    """Injected revision deltas, id-indexed and aggregated per target.
+
+    The two frames are prepared edges before and after ΔG: the whole
+    graphs, or the out-edge runs of the same sources in both (the runs of
+    every source ΔG names, :meth:`GraphDelta.sources`), since no other
+    prepared weight changes.
+    """
     return sum_injections(
         prepared_edge_diff(old_prepared, new_prepared), states, algo, new_vertices=new_vertices
     )
@@ -149,6 +155,7 @@ def min_trim_set(parents: pd.DataFrame, seeds: np.ndarray) -> np.ndarray:
 
 
 def min_revision(
+    diff: pd.DataFrame,
     old_prepared: pd.DataFrame,
     new_prepared: pd.DataFrame,
     states: pd.Series,
@@ -158,13 +165,14 @@ def min_revision(
 ) -> tuple[np.ndarray, pd.Series, int]:
     """Trim set + re-relaxation seed messages + activation count.
 
+    ``diff`` is the :func:`prepared_edge_diff` of ``old_prepared`` and
+    ``new_prepared``, which the caller takes from the rows it knows changed.
     Returns ``(reset_ids, seed_messages, activations)``. Seed messages are
     min-aggregated candidates ``x_u + w`` over new-graph edges from intact
     vertices into the reset region, plus candidates along inserted /
     lowered edges, plus root messages of reset roots. Each candidate
     evaluation is one F application and is counted.
     """
-    diff = prepared_edge_diff(old_prepared, new_prepared)
     # Edge deleted or weight increased -> the old support may be invalid.
     worse = diff[diff.w_new.isna() | (diff.w_new > diff.w_old)]
     parents = min_parents(old_prepared, states, algo)

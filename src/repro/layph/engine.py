@@ -26,7 +26,7 @@ from pyspark.sql import SparkSession
 from repro.engine.algorithms import Algorithm
 from repro.engine.local import converge
 from repro.graphs.updates import GraphDelta
-from repro.incremental.revision import min_revision, sum_injections
+from repro.incremental.revision import min_revision, prepared_edge_diff, sum_injections
 from repro.layph.layered import LayeredGraph, build_layered, update_layered
 from repro.layph.upload import upload_messages
 from repro.layph.upper import upper_min_loop, upper_sum_loop
@@ -205,7 +205,8 @@ class LayphEngine:
             new_b = set(new_lg.boundary_ids())
             promoted = np.array(sorted((new_b - old_b) & set(x.index)), np.int64)
             reset, seeds, dacts = min_revision(
-                old_up, new_up, self.x, algo, extra_seeds=promoted
+                prepared_edge_diff(old_up, new_up), old_up, new_up, self.x, algo,
+                extra_seeds=promoted,
             )
             stats.activations += dacts
 

@@ -280,10 +280,7 @@ def update_layered(
     """
     algo, proxies, members = lg.algo, lg.proxies, lg.members
     base = apply_delta(lg.base_edges, delta)
-    touched = np.unique(np.concatenate([
-        delta.added.src.to_numpy(np.int64), delta.deleted.src.to_numpy(np.int64),
-        np.asarray(delta.deleted_vertices, np.int64),
-    ]))
+    touched = delta.sources()
     keep = ~np.isin(members.id, np.asarray(delta.deleted_vertices, np.int64))
     new_members = members if keep.all() else members.subset(keep)
 

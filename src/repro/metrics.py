@@ -18,7 +18,8 @@ class RunStats:
     ``activations``: number of F applications (edge or shortcut traversals).
     ``supersteps``: number of global supersteps (0 for purely local runs).
     ``phase_seconds``: wall-clock per named phase (Layph reports its four
-    phases here; flat engines report a single ``"total"`` entry).
+    phases here; Ingress and KickStarter report ``"revision"`` and
+    ``"propagate"``).
     ``phase_activations``: activations counted inside each named phase.
     ``wall_seconds``: total wall-clock of the run.
     """

@@ -101,7 +101,8 @@ def test_min_revision_then_local_propagation_matches_batch(seed):
     delta = random_edge_delta(edges, n_add=4, n_del=4, seed=seed + 100)
     new_edges = apply_delta(edges, delta)
 
-    reset, seeds, acts = min_revision(algo.prepare(edges), algo.prepare(new_edges), states, algo)
+    old_p, new_p = algo.prepare(edges), algo.prepare(new_edges)
+    reset, seeds, acts = min_revision(prepared_edge_diff(old_p, new_p), old_p, new_p, states, algo)
     x = states.copy()
     x.loc[x.index.isin(set(int(r) for r in reset))] = float("inf")
     run = converge(algo.prepare(new_edges), x, seeds, algo)
