@@ -7,7 +7,9 @@ behind the superstep loop's driver backend. Subgraphs are disjoint and
 intra edges never leave their subgraph, so the union of the affected
 subgraphs is a block-diagonal graph: the upload is one :func:`converge`
 over that union, and shortcut deduction and the min and sum updates are
-one :func:`shortcut_pass` over every (subgraph, entry) row.
+one :func:`shortcut_pass` over every (subgraph, entry) row. That pass is
+the only way into the shortcut work; a single subgraph is a table whose
+``sub`` column holds one value.
 
 Everything operates on *prepared* edges (see ``engine.algorithms``): min
 workloads relax ``m + w`` under ``min``; sum workloads propagate deltas
@@ -26,7 +28,8 @@ import pandas as pd
 
 from repro.engine import batch
 from repro.engine.algorithms import Algorithm
-from repro.incremental.revision import min_revision, prepared_edge_diff
+from repro.graphs.schema import ranges
+from repro.incremental.revision import SEED_TOL, min_revision, prepared_edge_diff
 
 INF = float("inf")
 
@@ -121,19 +124,6 @@ def _grouped(subs: np.ndarray, df: pd.DataFrame | None, cols: list[str]):
     return cols, np.searchsorted(cols[0], np.arange(len(subs) + 1))
 
 
-def _block(df: pd.DataFrame | None, cols: list[str]):
-    """:func:`_grouped` for a table that is all one subgraph (no ``sub``)."""
-    if df is None:
-        return [np.empty(0, np.int64)] * (len(cols) + 1), np.zeros(2, np.int64)
-    return [np.zeros(len(df), np.int64)] + [df[c].to_numpy() for c in cols], np.array([0, len(df)])
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``concat(arange(s, s + c) for s, c in zip(starts, counts))``."""
-    ends = np.cumsum(counts)
-    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if len(ends) else 0)
-
-
 def _chunks(sizes: np.ndarray) -> list[tuple[int, int]]:
     """Consecutive ``[lo, hi)`` ranges whose summed ``sizes`` stay within
     ``batch.DRIVER_MAX_EDGES``; an item above the limit forms its own range."""
@@ -154,7 +144,7 @@ def _cell_edges(table, rows, rsub, row_base, n_subs):
     sub, src, dst, w = table
     bounds = np.searchsorted(sub, np.arange(n_subs + 1))
     cnt = np.diff(bounds)[rsub[rows]]
-    c, e = np.repeat(rows, cnt), _ranges(bounds[rsub[rows]], cnt)
+    c, e = np.repeat(rows, cnt), ranges(bounds[rsub[rows]], cnt)
     return row_base[c] + src[e], row_base[c] + dst[e], w[e].astype(float)
 
 
@@ -214,7 +204,7 @@ def _pass_chunk(n_subs, E, R, O, C, algo, tol, max_iter):
         # Each changed edge (u, v) meets every row of its subgraph.
         cnt = k[csub]
         c = np.repeat(np.arange(len(csub)), cnt)
-        g = _ranges(rbound[csub], cnt)
+        g = ranges(rbound[csub], cnt)
         u, v = row_base[g] + lcsrc[c], row_base[g] + lcdst[c]
         if is_min:
             # A row is affected if its old tree used a deleted or raised
@@ -223,7 +213,7 @@ def _pass_chunk(n_subs, E, R, O, C, algo, tol, max_iter):
                 worse = np.isnan(cw_new) | (cw_new > cw_old)
                 better = np.isnan(cw_old) | (cw_new < cw_old)
                 hit = worse[c] & (np.abs(acc[u] + cw_old[c] - acc[v]) <= 1e-9)
-                hit |= better[c] & (acc[u] + cw_new[c] < acc[v] - 1e-12)
+                hit |= better[c] & (acc[u] + cw_new[c] < acc[v] - SEED_TOL)
             live[g[hit]] = True
         else:
             # A prepared-weight change dw on (u, v) injects
@@ -253,7 +243,7 @@ def _pass_chunk(n_subs, E, R, O, C, algo, tol, max_iter):
             src, dst, w = _cell_edges(table, trim, rsub, row_base, n_subs)
             return pd.DataFrame({"src": src, "dst": dst, "w": w})
 
-        ids = _ranges(row_base[trim], nrow[trim])
+        ids = ranges(row_base[trim], nrow[trim])
         old_cells, new_cells = frame(old), frame(new)
         # Trim and seed every affected old row at once, each entry cell a root at 0.
         reset, seeds, acts = min_revision(
@@ -263,9 +253,8 @@ def _pass_chunk(n_subs, E, R, O, C, algo, tol, max_iter):
         )
         del old_cells, new_cells  # freed before the propagation
         acc[reset] = INF
-        at, s = seeds.index.to_numpy(np.int64), seeds.to_numpy(float)
-        up = s < acc[at]  # converge's first-superstep rule
-        pend[at[up]] = acc[at[up]] = s[up]
+        at = seeds.index.to_numpy(np.int64)
+        pend[at] = acc[at] = seeds.to_numpy(float)
 
     # Every live row gets its own copy of its subgraph's intra edges.
     src_cell, dst_cell, w = _cell_edges(new, np.flatnonzero(live), rsub, row_base, n_subs)
@@ -339,19 +328,11 @@ def shortcut_pass(
     Returns ``(sub, entry, dst, w)`` rows sorted by ``sub, entry, dst``,
     plus the activation count.
     """
+    tol = algo.tol if tol is None else tol
     subs = np.unique(entries["sub"].to_numpy(np.int64))
     tables = [
         _grouped(subs, df, cols) for df, cols in zip([edges, entries, old, changed], _TABLES)
     ]
-    sub, entry, dst, w, acts = _run_pass(subs, tables, algo, tol, max_iter)
-    return pd.DataFrame({"sub": sub, "entry": entry, "dst": dst, "w": w}), acts
-
-
-def _run_pass(subs, tables, algo, tol, max_iter):
-    """:func:`shortcut_pass` on grouped ``tables``, chunk by chunk. Returns
-    the ``(sub, entry, dst, w)`` arrays sorted by ``sub, entry, dst``, and
-    the activations."""
-    tol = algo.tol if tol is None else tol
     copies = np.diff(tables[1][1]) * np.diff(tables[0][1])  # entries × intra edges
     out = [[np.empty(0, np.int64)] * 3 + [np.empty(0)]]
     acts = 0
@@ -366,50 +347,6 @@ def _run_pass(subs, tables, algo, tol, max_iter):
         acts += a
     sub, entry, dst, w = (np.concatenate(c) for c in zip(*out))
     order = np.lexsort((dst, entry, sub))
-    return sub[order], entry[order], dst[order], w[order], acts
-
-
-def _one_subgraph(edges, entries, algo, old, changed, tol, max_iter):
-    """:func:`shortcut_pass` on one subgraph's tables (no ``sub`` column).
-    Returns its ``(entry, dst, w)`` rows and the activations."""
-    entries = pd.DataFrame({"id": np.asarray(entries, np.int64)})
-    tables = [_block(df, cols) for df, cols in zip([edges, entries, old, changed], _TABLES)]
-    _, entry, dst, w, acts = _run_pass(np.zeros(1, np.int64), tables, algo, tol, max_iter)
-    return pd.DataFrame({"entry": entry, "dst": dst, "w": w}), acts
-
-
-def shortcut_weights(
-    prepared: pd.DataFrame,
-    entries: np.ndarray,
-    vertex_ids: np.ndarray,
-    algo: Algorithm,
-    *,
-    tol: float | None = None,
-    max_iter: int = 100_000,
-) -> tuple[pd.DataFrame, int]:
-    """Automated shortcut deduction (Def. 3 / Eq. 6) inside one subgraph
-    whose vertex set is ``vertex_ids``: :func:`shortcut_pass` on one block.
-
-    Returns the shortcut table ``(entry, dst, w)`` plus the activation count.
-    """
-    ids = np.asarray(vertex_ids, np.int64)
-    if not (np.isin(prepared.src, ids).all() and np.isin(prepared.dst, ids).all()):
-        raise ValueError("prepared edges reference ids outside the vertex set")
-    return _one_subgraph(prepared, entries, algo, None, None, tol, max_iter)
-
-
-def shortcut_update_sum(
-    new_edges: pd.DataFrame,
-    entries: np.ndarray,
-    old_sc: pd.DataFrame,
-    changed: pd.DataFrame,  # src, dst, w_old, w_new (NaN = absent)
-    algo: Algorithm,
-    *,
-    tol: float | None = None,
-    max_iter: int = 100_000,
-) -> tuple[pd.DataFrame, int]:
-    """Incremental shortcut update for sum workloads (§IV-B weight update)
-    inside one subgraph: :func:`shortcut_pass` on one block with the old
-    rows ``(entry, dst, w)`` and the prepared-weight ``changed`` rows.
-    """
-    return _one_subgraph(new_edges, entries, algo, old_sc, changed, tol, max_iter)
+    return pd.DataFrame(
+        {"sub": sub[order], "entry": entry[order], "dst": dst[order], "w": w[order]}
+    ), acts

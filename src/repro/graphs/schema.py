@@ -63,13 +63,17 @@ def pair_order(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return np.lexsort((dst, src))
 
 
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concat(arange(s, s + c) for s, c in zip(starts, counts))``."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if len(ends) else 0)
+
+
 def source_rows(src: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Positions, ascending, of the rows of a src-sorted table whose ``src``
     is in ``keys`` (sorted, unique): each key's rows are one contiguous run."""
     lo = np.searchsorted(src, keys, "left")
-    n = np.searchsorted(src, keys, "right") - lo
-    ends = np.cumsum(n)
-    return np.repeat(lo - ends + n, n) + np.arange(ends[-1] if len(ends) else 0)
+    return ranges(lo, np.searchsorted(src, keys, "right") - lo)
 
 
 def pairs_in(src: np.ndarray, dst: np.ndarray, q_src: np.ndarray, q_dst: np.ndarray) -> np.ndarray:

@@ -77,18 +77,6 @@ class GraphDelta:
             np.asarray(self.deleted_vertices, np.int64),
         ]))
 
-    def touched_vertices(self) -> np.ndarray:
-        """All vertex ids that appear in any unit update."""
-        parts = [
-            self.added.src.to_numpy(np.int64),
-            self.added.dst.to_numpy(np.int64),
-            self.deleted.src.to_numpy(np.int64),
-            self.deleted.dst.to_numpy(np.int64),
-            self.added_vertices,
-            self.deleted_vertices,
-        ]
-        return np.unique(np.concatenate(parts)) if parts else np.empty(0, np.int64)
-
 
 def apply_delta(edges: pd.DataFrame, delta: GraphDelta) -> pd.DataFrame:
     """Return ``G ⊕ ΔG`` as a canonical frame: deletions first, then

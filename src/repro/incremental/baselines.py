@@ -114,8 +114,8 @@ def _pull_min_jacobi(
                 {"rid": list(algo.roots) or [-1], "rval": list(algo.roots.values()) or [0.0]}
             )
         )
-        aff = spark.createDataFrame(
-            pd.DataFrame({"aid": np.asarray(affected, np.int64)})
+        aff = spark.createDataFrame(  # typed, as the set may be empty
+            pd.DataFrame({"aid": np.asarray(affected, np.int64)}), schema="aid long"
         ).localCheckpoint(eager=True)
         for _ in range(max_iters):
             if aff.isEmpty():

@@ -113,7 +113,6 @@ def ingress_incremental(
             stats.activations += acts
             x.loc[x.index.isin(set(int(r) for r in reset))] = INF
             seeds = seeds[seeds.index.isin(ids)]
-            seeds = seeds[seeds.to_numpy() < x.reindex(seeds.index).to_numpy() + 1e-12]
             x.loc[seeds.index] = np.minimum(x.loc[seeds.index], seeds)
             pend = seeds
 

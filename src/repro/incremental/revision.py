@@ -23,9 +23,13 @@ import numpy as np
 import pandas as pd
 
 from repro.engine.algorithms import Algorithm
+from repro.graphs.schema import ranges
 
 INF = float("inf")
 _EPS = 1e-9
+#: A min seed (or candidate edge) counts as an improvement only when it beats
+#: its target's state by more than this.
+SEED_TOL = 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -146,9 +150,7 @@ def min_trim_set(parents: pd.DataFrame, seeds: np.ndarray) -> np.ndarray:
     frontier = np.searchsorted(ids, seeds)
     seen[frontier] = True
     while len(frontier):
-        cnt = end[frontier] - start[frontier]
-        at = np.cumsum(cnt)
-        kids = child[np.repeat(start[frontier] - at + cnt, cnt) + np.arange(at[-1])]
+        kids = child[ranges(start[frontier], end[frontier] - start[frontier])]
         frontier = kids[~seen[kids]]
         seen[frontier] = True
     return ids[seen]
@@ -170,8 +172,11 @@ def min_revision(
     Returns ``(reset_ids, seed_messages, activations)``. Seed messages are
     min-aggregated candidates ``x_u + w`` over new-graph edges from intact
     vertices into the reset region, plus candidates along inserted /
-    lowered edges, plus root messages of reset roots. Each candidate
-    evaluation is one F application and is counted.
+    lowered edges (weights read from ``diff.w_new``), plus root messages of
+    reset roots. Each candidate evaluation is one F application and is
+    counted. Only the seeds that beat their target's revised state (+inf
+    for a reset id and for an id outside ``states``) by more than
+    :data:`SEED_TOL` are returned: any other seed changes no state.
     """
     # Edge deleted or weight increased -> the old support may be invalid.
     worse = diff[diff.w_new.isna() | (diff.w_new > diff.w_old)]
@@ -194,9 +199,11 @@ def min_revision(
     ]
     # Edge inserted or weight lowered anywhere (improvement candidates).
     better = diff[diff.w_old.isna() | (diff.w_new < diff.w_old)]
-    low = new_prepared.merge(better[["src", "dst"]], on=["src", "dst"])
-    low = low[~low.src.isin(reset_set)]
-    cand = pd.concat([into, low], ignore_index=True)
+    low = better[~better.src.isin(reset_set)]
+    cand = pd.concat(
+        [into, pd.DataFrame({"src": low.src, "dst": low.dst, "w": low.w_new})],
+        ignore_index=True,
+    )
     acts = len(cand)
     m = (x.reindex(cand.src).to_numpy() + cand.w.to_numpy())
     seed_msgs = pd.Series(m, index=cand.dst.to_numpy(np.int64))
@@ -206,4 +213,5 @@ def min_revision(
     )
     seed_msgs = pd.concat([seed_msgs, root_rows])
     seed_msgs = seed_msgs.groupby(level=0).min()
-    return reset, seed_msgs, acts
+    target = x.reindex(seed_msgs.index, fill_value=INF).to_numpy(float)
+    return reset, seed_msgs[seed_msgs.to_numpy() < target - SEED_TOL], acts

@@ -23,14 +23,13 @@ def lpa_communities(
     *,
     n_iters: int = 4,
     K: int = 1000,
-    min_size: int = 4,
 ) -> pd.DataFrame:
     """Label propagation over the undirected view; returns (id, sub).
 
     Each round every vertex adopts the most frequent label among its
     neighbors (ties -> smaller label). Communities larger than ``K`` are
-    split into id-ordered chunks of ``K``; communities smaller than
-    ``min_size`` are dropped (their vertices become upper-layer outliers).
+    split into id-ordered chunks of ``K``; communities of fewer than 4
+    vertices are dropped (their vertices become upper-layer outliers).
     """
     e = edges_to_spark(spark, edges)
     und = (
@@ -59,23 +58,24 @@ def lpa_communities(
         )
     pdf = labels.toPandas().astype(np.int64)
     und.unpersist()
-    return _cap_sizes(pdf.rename(columns={"lbl": "sub"}), K=K, min_size=min_size)
+    return _cap_sizes(pdf.rename(columns={"lbl": "sub"}), K=K)
 
 
-def _cap_sizes(membership: pd.DataFrame, *, K: int, min_size: int) -> pd.DataFrame:
-    """Relabel to dense 0..N-1 sub ids, split >K communities, drop tiny ones."""
+def _cap_sizes(membership: pd.DataFrame, *, K: int) -> pd.DataFrame:
+    """Relabel to dense 0..N-1 sub ids, split >K communities, drop those of
+    fewer than 4 vertices."""
     out = membership.sort_values(["sub", "id"]).reset_index(drop=True)
     out["rank"] = out.groupby("sub").cumcount()
     out["chunk"] = out["rank"] // K
     key = out["sub"].astype(str) + "_" + out["chunk"].astype(str)
     out["sub"] = pd.factorize(key)[0].astype(np.int64)
     sizes = out.groupby("sub").id.transform("size")
-    out = out[sizes >= min_size]
+    out = out[sizes >= 4]
     out["sub"] = pd.factorize(out["sub"])[0].astype(np.int64)
     return out[["id", "sub"]].reset_index(drop=True)
 
 
-def planted_communities(membership: pd.DataFrame, *, K: int = 1000, min_size: int = 4) -> pd.DataFrame:
+def planted_communities(membership: pd.DataFrame, *, K: int = 1000) -> pd.DataFrame:
     """Use generator ground truth as the community assignment (fast path for
     tests/benchmarks where discovery quality is not the variable under study)."""
-    return _cap_sizes(membership.copy(), K=K, min_size=min_size)
+    return _cap_sizes(membership.copy(), K=K)

@@ -47,7 +47,7 @@ def _series_min(a: pd.Series, b: pd.Series) -> pd.Series:
 def compute_caches_min(lg: LayeredGraph, x: pd.Series) -> pd.Series:
     """Entry caches (Eq. 9, min form): per entry, the best *external* support
     — min over original L_up in-edges of ``x_u + w``, plus the root value."""
-    entries = lg.entry_ids()
+    entries = lg.entry_ids
     entry_set = set(entries)
     into = lg.up_edges[lg.up_edges.dst.isin(entry_set)]
     cand = pd.Series(
@@ -73,18 +73,13 @@ class LayphEngine:
         algo: Algorithm,
         *,
         membership: pd.DataFrame | None = None,
-        K: int = 1000,
         replicate: bool = True,
-        rep_threshold: int = 3,
         tol: float | None = None,
     ):
         self.spark = spark
         self.algo = algo
         self.tol = algo.tol if tol is None else tol
-        self._build_args = dict(
-            membership=membership, K=K, replicate=replicate,
-            rep_threshold=rep_threshold, tol=self.tol,
-        )
+        self._build_args = dict(membership=membership, replicate=replicate, tol=self.tol)
         self._edges0 = edges
         self.lg: LayeredGraph | None = None
         self.x: pd.Series | None = None  # states over layer universe (+proxies)
@@ -103,7 +98,7 @@ class LayphEngine:
             )
             self.offline_stats.activations += acts
         with PhaseTimer(self.batch_stats, "batch"):
-            ids = self.lg.vertex_ids()
+            ids = self.lg.vertex_ids
             if self.algo.source is not None and self.algo.source not in ids:
                 ids = np.unique(np.append(ids, self.algo.source))
             # Proxies are auxiliary relay vertices: they carry NO root
@@ -139,7 +134,7 @@ class LayphEngine:
             stats.activations += acts
 
         # New vertex universe (proxies persist; deleted vertices drop out).
-        ids = np.union1d(new_lg.vertex_ids(), delta.added_vertices)
+        ids = np.union1d(new_lg.vertex_ids, delta.added_vertices)
         if self.algo.source is not None:
             ids = np.union1d(ids, [self.algo.source])
         if len(delta.deleted_vertices):
@@ -175,16 +170,16 @@ class LayphEngine:
                 x.loc[outlier_inj.index] = x.loc[outlier_inj.index] + outlier_inj
 
         with PhaseTimer(stats, "upper"):
-            upv = np.intersect1d(new_lg.upper_vertex_ids(), x.index.to_numpy())
+            upv = np.intersect1d(new_lg.upper_vertex_ids, x.index.to_numpy())
             x_up, dcache = upper_sum_loop(
-                self.spark, new_lg.upper_graph(), x.reindex(upv),
-                outlier_inj, uploads, new_lg.entry_ids(), algo, stats=stats, tol=self.tol,
+                self.spark, new_lg.upper_graph, x.reindex(upv),
+                outlier_inj, uploads, new_lg.entry_ids, algo, stats=stats, tol=self.tol,
             )
             x.update(x_up)
 
         with PhaseTimer(stats, "assign"):
             if len(dcache):
-                sc = new_lg.assignment_shortcuts()
+                sc = new_lg.assignment_shortcuts
                 j = sc.merge(dcache.rename("m"), left_on="entry", right_index=True)
                 stats.activations += len(j)
                 if len(j):
@@ -197,12 +192,12 @@ class LayphEngine:
     def _run_min(self, old_lg, new_lg, diff, affected, x, delta, stats) -> pd.Series:
         algo = self.algo
         with PhaseTimer(stats, "upload"):
-            old_up = old_lg.upper_graph()[["src", "dst", "w"]]
-            new_up = new_lg.upper_graph()[["src", "dst", "w"]]
+            old_up = old_lg.upper_graph[["src", "dst", "w"]]
+            new_up = new_lg.upper_graph[["src", "dst", "w"]]
             # Vertices newly on the boundary lost the representation of their
             # old (interior) supports — conservatively invalidate them.
-            old_b = set(old_lg.boundary_ids())
-            new_b = set(new_lg.boundary_ids())
+            old_b = set(old_lg.boundary_ids)
+            new_b = set(new_lg.boundary_ids)
             promoted = np.array(sorted((new_b - old_b) & set(x.index)), np.int64)
             reset, seeds, dacts = min_revision(
                 prepared_edge_diff(old_up, new_up), old_up, new_up, self.x, algo,
@@ -211,12 +206,12 @@ class LayphEngine:
             stats.activations += dacts
 
         with PhaseTimer(stats, "upper"):
-            upv = np.intersect1d(new_lg.upper_vertex_ids(), x.index.to_numpy())
+            upv = np.intersect1d(new_lg.upper_vertex_ids, x.index.to_numpy())
             x_up = x.reindex(upv)
             x_up.loc[x_up.index.isin(set(int(r) for r in reset))] = INF
             seeds = seeds[seeds.index.isin(upv)]
             x_up = upper_min_loop(
-                self.spark, new_lg.upper_graph(), x_up, seeds, algo, stats=stats
+                self.spark, new_lg.upper_graph, x_up, seeds, algo, stats=stats
             )
             x.update(x_up)
 
@@ -233,13 +228,13 @@ class LayphEngine:
             target_subs = np.union1d(np.asarray(affected, np.int64), cache_subs[cache_subs >= 0])
 
             if len(target_subs):
-                interior = new_lg.interior_ids()
+                interior = new_lg.interior_ids
                 # A proxy whose links all vanished has no state to rebuild.
                 interior = interior[
                     np.isin(new_lg.members.sub_of(interior), target_subs)
                     & np.isin(interior, x.index)
                 ]
-                sc = new_lg.assignment_shortcuts()
+                sc = new_lg.assignment_shortcuts
                 sc = sc[sc["sub"].isin(target_subs)]
                 j = sc.merge(caches.rename("c"), left_on="entry", right_index=True)
                 stats.activations += len(j)

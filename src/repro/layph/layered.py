@@ -14,8 +14,8 @@ plan, and the counts that let it be patched:
 
 These arrays are the only form of membership and roles. The pandas tables
 the engine reads (``layer_edges``, ``up_edges``, ``intra_edges``,
-``upper_graph()``, ``assignment_shortcuts()``) are views, each built once
-per graph.
+``upper_graph``, ``assignment_shortcuts``) and the id arrays derived from
+the roles are views, each a ``cached_property`` built once per graph.
 
 :func:`layout` lays out one membership and plan. :func:`build_layered` runs
 it twice: once on every candidate community with the full replication plan,
@@ -29,7 +29,7 @@ shortcuts of the affected subgraphs only.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, wraps
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
@@ -43,20 +43,6 @@ from repro.layph.community import lpa_communities, planted_communities
 from repro.layph.replication import Proxies, apply_plan, build_plan, route
 from repro.layph.shortcuts import compute_shortcuts, update_shortcuts
 from repro.layph.structure import Members, compute_roles, cross_degrees
-
-
-def _once(view):
-    """A view method computed once per graph; every call returns that
-    result (callers must not modify it)."""
-    key = "_" + view.__name__
-
-    @wraps(view)
-    def get(self):
-        if key not in self.__dict__:
-            self.__dict__[key] = view(self)
-        return self.__dict__[key]
-
-    return get
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,22 +82,22 @@ class LayeredGraph:
         """Intra-subgraph edges: src, dst, w, sub."""
         return _intra(self.src, self.dst, self.w, self.sub, self.sub >= 0)
 
-    @_once
+    @cached_property
     def vertex_ids(self) -> np.ndarray:
         """Sorted ids of every endpoint of the layer graph."""
         return np.unique(np.concatenate([self.src, self.dst]))
 
-    @_once
+    @cached_property
     def entry_ids(self) -> np.ndarray:
         """Entry members, in member order."""
         return self.members.id[self.roles[0]]
 
-    @_once
+    @cached_property
     def boundary_ids(self) -> np.ndarray:
         """Entry or exit members, in member order."""
         return self.members.id[self.roles[0] | self.roles[1]]
 
-    @_once
+    @cached_property
     def interior_ids(self) -> np.ndarray:
         """Members that are neither entry nor exit, in member order."""
         return self.members.id[~(self.roles[0] | self.roles[1])]
@@ -124,32 +110,32 @@ class LayeredGraph:
         rows = (sub[is_entry], sub[is_exit], self.sub[self.sub >= 0])
         return tuple(np.bincount(s, minlength=n) for s in rows)
 
-    @_once
+    @cached_property
     def upper_vertex_ids(self) -> np.ndarray:
         """L_up vertices: boundary members plus every non-member endpoint."""
-        outliers = np.setdiff1d(self.vertex_ids(), self.members.id)
-        return np.union1d(outliers, self.boundary_ids())
+        outliers = np.setdiff1d(self.vertex_ids, self.members.id)
+        return np.union1d(outliers, self.boundary_ids)
 
     # ---- views that read the shortcut tables -------------------------------
-    @_once
+    @cached_property
     def upper_shortcut_edges(self) -> pd.DataFrame:
         """Shortcut rows whose target is boundary — these live on L_up."""
         sc = self.shortcuts
-        return sc[np.isin(sc.dst.to_numpy(), self.boundary_ids())].reset_index(drop=True)
+        return sc[np.isin(sc.dst.to_numpy(), self.boundary_ids)].reset_index(drop=True)
 
-    @_once
+    @cached_property
     def assignment_shortcuts(self) -> pd.DataFrame:
         """Shortcut rows whose target is interior — the cross-layer table."""
         sc = self.shortcuts
-        return sc[np.isin(sc.dst.to_numpy(), self.interior_ids())].reset_index(drop=True)
+        return sc[np.isin(sc.dst.to_numpy(), self.interior_ids)].reset_index(drop=True)
 
-    @_once
+    @cached_property
     def upper_graph(self) -> pd.DataFrame:
         """Combined L_up propagation graph: columns src, dst, w, etype
         (0 = original cross edge, 1 = shortcut). The shortcut pass keeps no
         min self-shortcut, so every stored row is taken."""
         o = self.up_edges.assign(etype=0)
-        sc = self.upper_shortcut_edges()
+        sc = self.upper_shortcut_edges
         s = pd.DataFrame({"src": sc.entry, "dst": sc.dst, "w": sc.w, "etype": 1})
         return pd.concat([o, s], ignore_index=True)
 
@@ -159,8 +145,8 @@ class LayeredGraph:
         return {
             "orig_vertices": int(len(np.union1d(base.src.to_numpy(), base.dst.to_numpy()))),
             "orig_edges": int(len(base)),
-            "upper_vertices": int(len(self.upper_vertex_ids())),
-            "upper_edges": int(np.count_nonzero(self.sub < 0) + len(self.upper_shortcut_edges())),
+            "upper_vertices": int(len(self.upper_vertex_ids)),
+            "upper_edges": int(np.count_nonzero(self.sub < 0) + len(self.upper_shortcut_edges)),
             "n_subgraphs": int(len(np.unique(self.members.sub))),
             "n_proxies": int(len(self.proxies)),
             "shortcut_rows": int(len(self.shortcuts)),
@@ -215,10 +201,7 @@ def build_layered(
     algo: Algorithm,
     *,
     membership: pd.DataFrame | None = None,
-    K: int = 1000,
     replicate: bool = True,
-    rep_threshold: int = 3,
-    lpa_iters: int = 4,
     tol: float | None = None,
 ) -> tuple[LayeredGraph, int]:
     """Offline layering (§IV-A): discovery → replication plan on every
@@ -230,9 +213,9 @@ def build_layered(
     (tests/benchmarks), or None to run discovery.
     """
     if membership is None:
-        membership = lpa_communities(spark, edges, K=K, n_iters=lpa_iters)
+        membership = lpa_communities(spark, edges)
     else:
-        membership = planted_communities(membership, K=K)
+        membership = planted_communities(membership)
 
     edges = canonical_edges(edges)
     prepared = algo.prepare_rows(edges.src.to_numpy(), edges.dst.to_numpy(), edges.w.to_numpy())
@@ -241,8 +224,9 @@ def build_layered(
     # Replication is planned on every candidate community first; the Def. 2
     # density test then runs on the *reshaped* graph (§IV-A1: replication is
     # what makes high-degree-boundary communities keep few entries/exits).
+    candidates = Members(membership.id.to_numpy(np.int64), membership["sub"].to_numpy(np.int64))
     plan = (
-        build_plan(edge_frame(*prepared), membership, threshold=rep_threshold, exclude=forced)
+        build_plan(prepared[0], prepared[1], candidates, exclude=forced)
         if replicate
         else pd.DataFrame(columns=["host", "sub", "direction", "proxy"])
     )

@@ -1,7 +1,8 @@
 """Vertex replication (§IV-A1): proxy vertices that shrink the skeleton.
 
-A host vertex ``v`` with ≥ ``threshold`` prepared edges into (resp. out of)
-a dense subgraph ``G_i`` gets a proxy ``v'`` planted inside ``G_i``:
+A host vertex ``v`` with prepared edges into (resp. out of) at least 3
+distinct members of a dense subgraph ``G_i`` gets a proxy ``v'`` planted
+inside ``G_i``:
 
 * direction 'in'  (v → many members):  edges become  v → v' (⊗-identity)
   and v' → t (original prepared weight) — v' is the sole entry for v.
@@ -14,9 +15,12 @@ already baked in before rerouting). The plan (host, sub, direction, proxy)
 is frozen at build time and re-applied to every updated edge list, so the
 layered structure stays stable across small ΔG (as in the paper).
 
-A prepared row is rerouted by its own endpoints alone (:func:`route`), so
-the layered graph can re-route just the rows ΔG touches. A host↔proxy link
-exists while at least one rerouted row passes through its proxy.
+Membership is read through :class:`repro.layph.structure.Members` alone:
+:func:`build_plan` counts a host's distinct targets per subgraph from the
+candidates' members, and :func:`route` reroutes with the kept ones.
+A prepared row is rerouted by its own endpoints alone, so the layered
+graph can re-route just the rows ΔG touches. A host↔proxy link exists
+while at least one rerouted row passes through its proxy.
 """
 from __future__ import annotations
 
@@ -36,54 +40,32 @@ _SUB_SPAN = np.int64(1) << 23
 
 
 def build_plan(
-    prepared: pd.DataFrame,
-    membership: pd.DataFrame,
-    *,
-    threshold: int = 3,
-    exclude: set[int] = frozenset(),
+    src: np.ndarray, dst: np.ndarray, members: Members, *, exclude: set[int] = frozenset()
 ) -> pd.DataFrame:
-    """Choose (host, sub, direction) triples worth replicating.
+    """Choose (host, sub, direction) triples worth replicating, from the
+    prepared rows ``(src, dst)`` and the candidate ``members``.
 
+    §IV-A1: a host gets a proxy in a subgraph when its cross rows into
+    ('in') or out of ('out') that subgraph reach at least 3 DISTINCT member
+    targets — a host hammering a single portal gains nothing from a proxy.
+    A host that is a member of the subgraph has no cross rows with it.
     ``exclude`` hosts (algorithm roots) are never replicated so root
     messages always enter the layered system at a real upper-layer vertex.
-    Proxy ids are allocated after the current max vertex id.
     """
-    sub_of = membership.set_index("id")["sub"]
-    s = sub_of.reindex(prepared.src).to_numpy(float)
-    d = sub_of.reindex(prepared.dst).to_numpy(float)
-
-    # §IV-A1: replicate when the number of DISTINCT entry (resp. exit)
-    # vertices sharing this host exceeds the threshold — a host hammering a
-    # single portal gains nothing from a proxy.
-    cross_in = prepared[(~np.isnan(d)) & ((np.isnan(s)) | (s != d))]
-    d_in = d[(~np.isnan(d)) & ((np.isnan(s)) | (s != d))].astype(np.int64)
-    into = (
-        pd.DataFrame(
-            {"host": cross_in.src.to_numpy(np.int64), "sub": d_in,
-             "tgt": cross_in.dst.to_numpy(np.int64)}
+    s_sub, d_sub = members.sub_of(src), members.sub_of(dst)
+    cross = s_sub != d_sub
+    parts = []
+    for direction, host, sub, target in (("in", src, d_sub, dst), ("out", dst, s_sub, src)):
+        rows = cross & (sub >= 0)
+        n = (
+            pd.DataFrame({"host": host[rows], "sub": sub[rows], "tgt": target[rows]})
+            .groupby(["host", "sub"])["tgt"].nunique()
         )
-        .groupby(["host", "sub"])["tgt"].nunique().rename("n").reset_index()
-    )
-    into = into[into.n >= threshold][["host", "sub"]]
-    into["direction"] = "in"
-
-    cross_out = prepared[(~np.isnan(s)) & ((np.isnan(d)) | (s != d))]
-    s_out = s[(~np.isnan(s)) & ((np.isnan(d)) | (s != d))].astype(np.int64)
-    outof = (
-        pd.DataFrame(
-            {"host": cross_out.dst.to_numpy(np.int64), "sub": s_out,
-             "tgt": cross_out.src.to_numpy(np.int64)}
-        )
-        .groupby(["host", "sub"])["tgt"].nunique().rename("n").reset_index()
-    )
-    outof = outof[outof.n >= threshold][["host", "sub"]]
-    outof["direction"] = "out"
-
-    plan = pd.concat([into, outof], ignore_index=True)
+        part = n[n >= 3].reset_index()[["host", "sub"]]
+        part["direction"] = direction
+        parts.append(part)
+    plan = pd.concat(parts, ignore_index=True)
     plan = plan[~plan.host.isin(exclude)]
-    # A host that is itself a member of the target sub needs no proxy.
-    host_sub = sub_of.reindex(plan.host).to_numpy(float)
-    plan = plan[np.isnan(host_sub) | (host_sub != plan["sub"].to_numpy())]
     plan = plan.sort_values(["host", "sub", "direction"]).reset_index(drop=True)
     # Proxies live in a reserved high id range so they can never collide
     # with vertices inserted later by ΔG batches.

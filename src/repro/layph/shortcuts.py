@@ -5,9 +5,13 @@ well" (§IV): their intra edges form a block-diagonal graph, and
 :func:`repro.engine.local.shortcut_pass` deduces every entry row of every
 subgraph in one numpy loop. During layered-graph update (§IV-B) the same
 pass updates the rows of the ΔG-affected subgraphs only, for min and sum
-workloads alike. Both entry points run in the driver; their ``spark``
-argument is unused and kept because ``perfbench/tracing.py`` reads the
-later arguments by position.
+workloads alike. :func:`compute_shortcuts` runs that pass as it is, and
+:func:`update_shortcuts` runs it on the entries of the affected subgraphs.
+Both run in the driver and stay separate names because
+``perfbench/tracing.py`` times each at its call site; their ``spark``
+argument is unused and kept because the tracer reads the later arguments
+by position (the old shortcut table at position 3 of
+:func:`update_shortcuts`, and its ``subs`` keyword).
 """
 from __future__ import annotations
 
@@ -25,16 +29,14 @@ def compute_shortcuts(
     entries: pd.DataFrame,  # columns id, sub
     algo: Algorithm,
     *,
-    subs: np.ndarray | None = None,
     tol: float | None = None,
 ) -> tuple[pd.DataFrame, int]:
-    """Shortcut tables for ``subs`` (default: all), plus total activations.
+    """Shortcut tables of every subgraph with entries, plus total
+    activations.
 
     Returns a frame with columns ``sub, entry, dst, w`` covering, per Def. 3,
     every (entry, subgraph-vertex) pair reachable through subgraph edges.
     """
-    if subs is not None:
-        entries = entries[entries["sub"].isin(subs)]
     return shortcut_pass(intra_edges, entries, algo, tol=tol)
 
 

@@ -38,12 +38,9 @@ def upper_min_loop(
     max_supersteps: int = 10_000,
 ) -> pd.Series:
     """Min relaxation over L_up. ``x_up`` must already have trimmed vertices
-    reset to +inf; ``seeds`` are the revision seed messages."""
+    reset to +inf; ``seeds`` are the revision seed messages, which
+    ``min_revision`` returns only where they improve a state."""
     seeds = seeds[seeds.index.isin(x_up.index)]
-    # Strictly-improving seeds only: an equal-value seed is a no-op whose
-    # propagation would only burn activations.
-    keep = seeds.to_numpy() < x_up.reindex(seeds.index).to_numpy() - 1e-12
-    seeds = seeds[keep]
     if len(seeds) == 0:
         return x_up
     x = x_up.copy()

@@ -34,17 +34,6 @@ class RunStats:
         """Accumulate ``seconds`` into phase ``name`` (phases may run twice)."""
         self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
 
-    def merge(self, other: "RunStats") -> "RunStats":
-        """Fold ``other``'s counters into self (for multi-stage engines)."""
-        self.activations += other.activations
-        self.supersteps += other.supersteps
-        for k, v in other.phase_seconds.items():
-            self.add_phase(k, v)
-        for k, v in other.phase_activations.items():
-            self.phase_activations[k] = self.phase_activations.get(k, 0) + v
-        self.wall_seconds += other.wall_seconds
-        return self
-
     def to_dict(self) -> dict:
         """The counters as plain (JSON-ready) values."""
         return asdict(self)

@@ -6,17 +6,11 @@ import pandas as pd
 
 from repro.engine import algorithms as alg
 from repro.engine import local
-from repro.engine.local import shortcut_weights
-from repro.graphs.schema import vertex_ids
 from repro.layph.shortcuts import compute_shortcuts, update_shortcuts
 
 NAN = float("nan")
 ALGO = alg.sssp(source=0)
 COLS = ["sub", "entry", "dst", "w"]
-
-
-def _rows(df, s):
-    return df[df["sub"] == s].drop(columns="sub").reset_index(drop=True)
 
 
 def _tables():
@@ -50,18 +44,14 @@ def _tables():
         ]],
         ignore_index=True,
     )
-    old_sc = []  # sub 2's entry has no old row, as a newly promoted entry
-    for s in (0, 1, 4):
-        e = _rows(old_edges, s)
-        sc, _ = shortcut_weights(e, _rows(entries, s).id.to_numpy(np.int64), vertex_ids(e), ALGO)
-        old_sc.append(sc.assign(sub=np.int64(s)))
-    old_sc = pd.concat(old_sc, ignore_index=True)[COLS]
+    # Sub 2's entry has no old row, as a newly promoted entry.
+    old_sc, _ = compute_shortcuts(None, old_edges, entries[entries["sub"] != 2], ALGO)
     return new_edges, entries, old_sc, changed
 
 
 def _fresh(subs, new_edges, entries, old_sc, changed):
     """Reference: a fresh deduction on the new tables, exact for min rows."""
-    want, _ = compute_shortcuts(None, new_edges, entries, ALGO, subs=np.asarray(subs))
+    want, _ = compute_shortcuts(None, new_edges, entries[entries["sub"].isin(subs)], ALGO)
     return want
 
 

@@ -11,17 +11,13 @@ import pytest
 
 from repro.engine import algorithms as alg
 from repro.engine import batch, local
-from repro.engine.local import (
-    converge,
-    shortcut_pass,
-    shortcut_update_sum,
-    shortcut_weights,
-)
+from repro.engine.local import converge, shortcut_pass
 from repro.graphs.generators import planted_partition
 from repro.graphs.updates import apply_delta, random_edge_delta
 from repro.incremental.revision import prepared_edge_diff
 from repro.layph.shortcuts import compute_shortcuts, update_shortcuts
 from repro.layph.upload import upload_messages
+from tests.blocks import one_block
 
 INF = float("inf")
 SC = ["entry", "dst", "w"]
@@ -170,7 +166,7 @@ def _deduce(algo):
 
     def one(edges, ents):
         ids = np.unique(np.concatenate([edges.src, edges.dst, ents.id]))
-        sc, a = shortcut_weights(edges, ents.id.to_numpy(), ids, algo)
+        sc, a = one_block(edges, ents.id, algo)
         dense, dense_a = _dense_weights(edges, ents.id.to_numpy(), ids, algo, algo.tol)
         _assert_same(sc, dense)  # each one-subgraph call equals the dense kernel
         assert a == dense_a
@@ -207,7 +203,7 @@ def test_sum_update_equals_one_subgraph_calls(no_spark):
     assert 150 in set(changed.src) and 150 not in set(new_prep.src) | set(old_sc.dst)
 
     def one(edges, ents, old, ch):
-        sc, a = shortcut_update_sum(edges, ents.id.to_numpy(), old, ch, algo)
+        sc, a = one_block(edges, ents.id, algo, old=old, changed=ch)
         dense, dense_a = _dense_update_sum(edges, ents.id.to_numpy(), old, ch, algo.tol)
         _assert_same(sc, dense)
         assert a == dense_a
@@ -300,7 +296,8 @@ def test_converge_raises_at_cap(branch):
 @pytest.mark.parametrize("branch", ["sum", "min"])
 def test_shortcut_pass_raises_at_cap(branch):
     algo = alg.pagerank(d=0.85, tol=1e-9) if branch == "sum" else alg.sssp(source=0)
+    edges, entries = CHAIN.assign(sub=0), pd.DataFrame({"id": [0], "sub": [0]})
     with pytest.raises(RuntimeError, match="max_iter=1"):
-        shortcut_weights(CHAIN, np.array([0]), np.arange(4), algo, max_iter=1)
-    sc, acts = shortcut_weights(CHAIN, np.array([0]), np.arange(4), algo, max_iter=3)
+        shortcut_pass(edges, entries, algo, max_iter=1)
+    sc, acts = shortcut_pass(edges, entries, algo, max_iter=3)
     assert sc.dst.tolist() == [1, 2, 3] and acts == 3

@@ -1,12 +1,13 @@
 """Incremental engines on Spark == batch on the updated graph (Eq. 4)."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.engine import algorithms as alg
 from repro.engine.local import converge
 from repro.graphs.generators import planted_partition
 from repro.graphs.schema import vertex_ids
-from repro.graphs.updates import apply_delta, random_edge_delta, random_vertex_delta
+from repro.graphs.updates import GraphDelta, apply_delta, random_edge_delta, random_vertex_delta
 from repro.incremental.baselines import SYSTEMS
 from repro.incremental.ingress import ingress_incremental
 from repro.reference import assert_states_close
@@ -70,6 +71,24 @@ def test_min_baselines_equal_batch(spark, system):
     expected = local_batch(apply_delta(edges, delta), algo)
     assert_states_close(got, expected)
     assert stats.activations > 0
+
+
+def test_kickstarter_round_that_improves_no_state(spark):
+    """An added edge into the source improves no state, so KickStarter's
+    affected set is empty: the round keeps the old states and runs no
+    superstep."""
+    edges = graph(3)
+    algo = alg.sssp(source=0)
+    old = local_batch(edges, algo)
+    taken = set(edges[edges.dst == 0].src.tolist()) | {0}
+    u = next(int(v) for v in vertex_ids(edges) if v not in taken)
+    delta = GraphDelta(
+        added=pd.DataFrame({"src": [u], "dst": [0], "w": [1.0]}),
+        deleted=edges.iloc[0:0][["src", "dst"]],
+    )
+    got, stats = SYSTEMS["kickstarter"][0](spark, edges, delta, old, algo)
+    assert_states_close(got, old, atol=0, rtol=0)
+    assert stats.supersteps == 0
 
 
 @pytest.mark.parametrize("system", ["restart", "graphbolt", "dzig"])

@@ -207,7 +207,7 @@ def _check_shortcuts(lg, algo, intra, roles):
     key = ["sub", "entry", "dst"]
     got = lg.shortcuts.sort_values(key).reset_index(drop=True)
     if algo.is_min:
-        # No min self-shortcut: ``upper_graph()`` passes every row on to L_up.
+        # No min self-shortcut: ``upper_graph`` passes every row on to L_up.
         assert (got.entry != got.dst).all()
         pd.testing.assert_frame_equal(got, want.sort_values(key).reset_index(drop=True))
     else:  # a delta-corrected row matches a fresh one to the tol cut

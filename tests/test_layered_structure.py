@@ -9,10 +9,17 @@ from repro.graphs.schema import canonical_edges
 from repro.layph.community import lpa_communities, planted_communities
 from repro.layph.layered import build_layered, layout, update_layered
 from repro.layph.replication import build_plan
+from repro.layph.structure import Members
 from repro.oracle import assert_equivalent
 
 
 _NO_PLAN = pd.DataFrame(columns=["host", "sub", "direction", "proxy"])
+
+
+def _plan(edges, membership, algo):
+    p = algo.prepare(edges)
+    members = Members(membership.id.to_numpy(np.int64), membership["sub"].to_numpy(np.int64))
+    return build_plan(p.src.to_numpy(np.int64), p.dst.to_numpy(np.int64), members)
 
 
 def _layout(edges, membership, algo=alg.sssp(source=0), plan=_NO_PLAN, forced=()):
@@ -112,7 +119,7 @@ def test_forced_entries_mark_root():
     edges, membership = fig2_graph()
     assert _roles(_layout(edges, membership, forced={2})).loc[2].is_entry
     lg, _ = build_layered(None, edges, alg.sssp(source=2), membership=membership, replicate=False)
-    assert 2 in lg.entry_ids()
+    assert 2 in lg.entry_ids
 
 
 def test_replication_reduces_boundary():
@@ -123,11 +130,11 @@ def test_replication_reduces_boundary():
     edges = pd.DataFrame(rows, columns=["src", "dst", "w"])
     membership = pd.DataFrame({"id": [0, 1, 2, 3], "sub": [0, 0, 0, 0]})
     algo = alg.sssp(source=100)
-    plan = build_plan(algo.prepare(edges), membership, threshold=3)
+    plan = _plan(edges, membership, algo)
     assert len(plan) == 1 and plan.iloc[0].direction == "in" and plan.iloc[0].host == 100
     lg = _layout(edges, membership, algo, plan)
     # only the proxy is an entry now
-    assert list(lg.entry_ids()) == [plan.iloc[0].proxy]
+    assert list(lg.entry_ids) == [plan.iloc[0].proxy]
     # host->proxy link carries the + identity 0
     layer = lg.layer_edges
     link = layer[(layer.src == 100) & (layer.dst == plan.iloc[0].proxy)]
@@ -141,7 +148,7 @@ def test_replication_out_direction():
     edges = pd.DataFrame(rows, columns=["src", "dst", "w"])
     membership = pd.DataFrame({"id": [0, 1, 2], "sub": [0, 0, 0]})
     algo = alg.sssp(source=200)
-    plan = build_plan(algo.prepare(edges), membership, threshold=3)
+    plan = _plan(edges, membership, algo)
     assert len(plan) == 1 and plan.iloc[0].direction == "out"
     lg = _layout(edges, membership, algo, plan)
     assert list(lg.members.id[lg.roles[1]]) == [plan.iloc[0].proxy]
@@ -223,7 +230,7 @@ def test_upper_graph_has_both_edge_types(spark):
     edges, membership = fig2_graph()
     algo = alg.sssp(source=0)
     lg, _ = build_layered(spark, edges, algo, membership=membership, replicate=False)
-    up = lg.upper_graph()
+    up = lg.upper_graph
     assert set(up.etype.unique()) == {0, 1}
     # Fig 2d: L_up has edges (v4->v5), (v5->v0) and shortcut v0->v4.
     orig = set(zip(up[up.etype == 0].src, up[up.etype == 0].dst))
@@ -262,5 +269,5 @@ def test_update_of_subgraph_without_entries_keeps_types(subs):
     pd.testing.assert_frame_equal(new_lg.shortcuts, lg.shortcuts)
     ids, w = np.dtype(np.int64), np.dtype(np.float64)
     assert new_lg.shortcuts.dtypes.to_dict() == {"sub": ids, "entry": ids, "dst": ids, "w": w}
-    up = new_lg.upper_graph()
+    up = new_lg.upper_graph
     assert up.dtypes.to_dict() == {"src": ids, "dst": ids, "w": w, "etype": ids}

@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.engine import algorithms as alg
-from repro.engine.local import converge, shortcut_weights
+from repro.engine.local import converge
 from repro.graphs.generators import dataset, fig2_graph, planted_partition
 from repro.graphs.schema import vertex_ids
 from repro.reference import (
@@ -14,6 +14,7 @@ from repro.reference import (
     php_reference,
     sssp_reference,
 )
+from tests.blocks import one_block
 
 
 def _run_local(edges, algo, tol=None):
@@ -89,7 +90,7 @@ def test_fig2_shortcuts_example2():
     g2 = membership[membership["sub"] == 2].id.to_numpy()
     sub_edges = edges[edges.src.isin(g2) & edges.dst.isin(g2)]
     algo = alg.sssp(source=0)
-    sc, acts = shortcut_weights(algo.prepare(sub_edges), np.array([0]), np.sort(g2), algo)
+    sc, acts = one_block(algo.prepare(sub_edges), [0], algo)
     got = sc.set_index("dst").w.to_dict()
     assert got == {1: 1.0, 2: 4.0, 3: 1.0, 4: 2.0}
     assert acts > 0
@@ -106,7 +107,7 @@ def test_fig2_shortcuts_after_update_example3():
     g2 = membership[membership["sub"] == 2].id.to_numpy()
     sub_edges = new_edges[new_edges.src.isin(g2) & new_edges.dst.isin(g2)]
     algo = alg.sssp(source=0)
-    sc, _ = shortcut_weights(algo.prepare(sub_edges), np.array([0]), np.sort(g2), algo)
+    sc, _ = one_block(algo.prepare(sub_edges), [0], algo)
     assert sc.set_index("dst").w.to_dict() == {1: 1.0, 2: 3.0, 3: 1.0, 4: 4.0}
 
 
@@ -117,7 +118,7 @@ def test_shortcut_weights_sum_reproduce_unit_propagation():
     prepared = algo.prepare(edges)
     ids = vertex_ids(edges)
     entry = ids[0]
-    sc, _ = shortcut_weights(prepared, np.array([entry]), ids, algo, tol=1e-12)
+    sc, _ = one_block(prepared, [entry], algo, tol=1e-12)
     run = converge(
         prepared,
         pd.Series(0.0, index=ids),

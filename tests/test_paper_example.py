@@ -8,13 +8,14 @@ import pandas as pd
 import pytest
 
 from repro.engine import algorithms as alg
-from repro.engine.local import converge, shortcut_weights
+from repro.engine.local import converge
 from repro.graphs.generators import fig2_delta, fig2_graph
 from repro.graphs.schema import vertex_ids
 from repro.graphs.updates import GraphDelta, apply_delta
 from repro.layph.engine import LayphEngine
 from repro.layph.layered import build_layered
 from repro.reference import assert_states_close, sssp_reference
+from tests.blocks import one_block
 
 
 @pytest.fixture(scope="module")
@@ -74,12 +75,12 @@ def test_example2_shortcut_deduction(fig2):
     g2 = membership[membership["sub"] == 2].id.to_numpy()
     algo = alg.sssp(source=0)
     sub = edges[edges.src.isin(g2) & edges.dst.isin(g2)]
-    sc, _ = shortcut_weights(algo.prepare(sub), np.array([0]), np.sort(g2), algo)
+    sc, _ = one_block(algo.prepare(sub), [0], algo)
     assert sc.set_index("dst").w.to_dict() == {1: 1.0, 2: 4.0, 3: 1.0, 4: 2.0}
     # G1's shortcuts from v5: {v6:1, v7:2, v8:2}
     g1 = membership[membership["sub"] == 1].id.to_numpy()
     sub1 = edges[edges.src.isin(g1) & edges.dst.isin(g1)]
-    sc1, _ = shortcut_weights(algo.prepare(sub1), np.array([5]), np.sort(g1), algo)
+    sc1, _ = one_block(algo.prepare(sub1), [5], algo)
     assert sc1.set_index("dst").w.to_dict() == {6: 1.0, 7: 2.0, 8: 2.0}
 
 
@@ -89,7 +90,7 @@ def test_example3_incremental_shortcut_update(fig2):
     g2 = membership[membership["sub"] == 2].id.to_numpy()
     algo = alg.sssp(source=0)
     sub = new_edges[new_edges.src.isin(g2) & new_edges.dst.isin(g2)]
-    sc, _ = shortcut_weights(algo.prepare(sub), np.array([0]), np.sort(g2), algo)
+    sc, _ = one_block(algo.prepare(sub), [0], algo)
     assert sc.set_index("dst").w.to_dict() == {1: 1.0, 2: 3.0, 3: 1.0, 4: 4.0}
 
 

@@ -158,3 +158,23 @@ def test_php_revision_roundtrip():
     from repro.reference import php_reference
 
     assert_states_close(run.states, php_reference(new_edges, 1, 0.7), atol=1e-5, rtol=1e-4)
+
+
+_CHAIN = pd.DataFrame({"src": [0, 1], "dst": [1, 2], "w": [1.0, 4.0]})
+
+
+@pytest.mark.parametrize("dst, w, kept", [
+    (2, 5.0, False),  # equal to the target's state
+    (2, 5.0 - 5e-13, False),  # better by at most SEED_TOL
+    (2, 4.5, True),  # better
+    (3, 2.0, True),  # at an id absent from the states
+])
+def test_min_revision_returns_only_improving_seeds(dst, w, kept):
+    """One inserted edge 0 → dst: its seed ``0 + w`` is returned only when
+    it beats the target's state by more than SEED_TOL."""
+    algo = alg.sssp(source=0)
+    states = pd.Series({0: 0.0, 1: 1.0, 2: 5.0})
+    new = pd.concat([_CHAIN, pd.DataFrame({"src": [0], "dst": [dst], "w": [w]})], ignore_index=True)
+    reset, seeds, acts = min_revision(prepared_edge_diff(_CHAIN, new), _CHAIN, new, states, algo)
+    assert len(reset) == 0 and acts == 1
+    assert seeds.to_dict() == ({dst: w} if kept else {})

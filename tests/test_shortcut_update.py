@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import algorithms as alg
-from repro.engine.local import shortcut_pass, shortcut_update_sum, shortcut_weights
 from repro.graphs.generators import planted_partition
 from repro.graphs.schema import canonical_edges, vertex_ids
 from repro.graphs.updates import GraphDelta, apply_delta, random_edge_delta
 from repro.incremental.revision import prepared_edge_diff
+from tests.blocks import one_block
 
 
 def sub_graph(seed, n=25):
@@ -23,8 +23,7 @@ def sub_graph(seed, n=25):
 
 
 def _full(edges, entries, algo, tol=None):
-    ids = np.unique(np.concatenate([vertex_ids(edges), entries]))
-    sc, _ = shortcut_weights(algo.prepare(edges), entries, ids, algo, tol=tol)
+    sc, _ = one_block(algo.prepare(edges), entries, algo, tol=tol)
     return sc.set_index(["entry", "dst"]).w.sort_index()
 
 
@@ -32,27 +31,16 @@ def _changed(old_prep, new_prep):
     return prepared_edge_diff(old_prep, new_prep)
 
 
-def _update_min(new_edges, entries, old_sc, changed, algo):
-    """The min shortcut update of one subgraph: the pass on subgraph 0."""
-    got, acts = shortcut_pass(
-        new_edges.assign(sub=0), pd.DataFrame({"id": entries, "sub": 0}), algo,
-        old=old_sc.assign(sub=0), changed=changed.assign(sub=0),
-    )
-    return got.drop(columns="sub"), acts
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_min_update_matches_full(seed):
     edges = sub_graph(seed)
     algo = alg.sssp(source=0)
     entries = vertex_ids(edges)[:4]
-    old_sc, _ = shortcut_weights(
-        algo.prepare(edges), entries, vertex_ids(edges), algo
-    )
+    old_sc, _ = one_block(algo.prepare(edges), entries, algo)
     delta = random_edge_delta(edges, n_add=3, n_del=3, seed=seed + 9)
     new_edges = apply_delta(edges, delta)
     ch = _changed(algo.prepare(edges), algo.prepare(new_edges))
-    got, acts = _update_min(algo.prepare(new_edges), entries, old_sc, ch, algo)
+    got, acts = one_block(algo.prepare(new_edges), entries, algo, old=old_sc, changed=ch)
     expect = _full(new_edges, entries, algo)
     pd.testing.assert_series_equal(
         got.set_index(["entry", "dst"]).w.sort_index(), expect, check_exact=False
@@ -64,15 +52,11 @@ def test_sum_update_matches_full(seed):
     edges = sub_graph(seed)
     algo = alg.pagerank(d=0.6, tol=1e-10)
     entries = vertex_ids(edges)[:3]
-    old_sc, _ = shortcut_weights(
-        algo.prepare(edges), entries, vertex_ids(edges), algo, tol=1e-12
-    )
+    old_sc, _ = one_block(algo.prepare(edges), entries, algo, tol=1e-12)
     delta = random_edge_delta(edges, n_add=2, n_del=2, seed=seed + 5)
     new_edges = apply_delta(edges, delta)
     ch = _changed(algo.prepare(edges), algo.prepare(new_edges))
-    got, _ = shortcut_update_sum(
-        algo.prepare(new_edges), entries, old_sc, ch, algo, tol=1e-12
-    )
+    got, _ = one_block(algo.prepare(new_edges), entries, algo, old=old_sc, changed=ch, tol=1e-12)
     expect = _full(new_edges, entries, algo, tol=1e-12)
     g = got.set_index(["entry", "dst"]).w.sort_index()
     idx = expect.index.union(g.index)
@@ -87,9 +71,9 @@ def test_min_update_no_change_is_noop():
     edges = sub_graph(1)
     algo = alg.sssp(source=0)
     entries = vertex_ids(edges)[:3]
-    old_sc, _ = shortcut_weights(algo.prepare(edges), entries, vertex_ids(edges), algo)
+    old_sc, _ = one_block(algo.prepare(edges), entries, algo)
     ch = pd.DataFrame(columns=["src", "dst", "w_old", "w_new"])
-    got, acts = _update_min(algo.prepare(edges), entries, old_sc, ch, algo)
+    got, acts = one_block(algo.prepare(edges), entries, algo, old=old_sc, changed=ch)
     assert acts == 0
     pd.testing.assert_frame_equal(
         got.reset_index(drop=True),
@@ -105,7 +89,7 @@ def test_min_update_prunes_unaffected_entries():
     )
     algo = alg.sssp(source=0)
     entries = np.array([0, 10])
-    old_sc, _ = shortcut_weights(edges, entries, vertex_ids(edges), algo)
+    old_sc, _ = one_block(edges, entries, algo)
     # change inside the 10-chain only
     new_edges = apply_delta(
         edges,
@@ -115,7 +99,7 @@ def test_min_update_prunes_unaffected_entries():
         ),
     )
     ch = _changed(edges, new_edges)
-    got, acts = _update_min(new_edges, entries, old_sc, ch, algo)
+    got, acts = one_block(new_edges, entries, algo, old=old_sc, changed=ch)
     # entry 0's rows identical, entry 10 gained dst 13
     g0 = got[got.entry == 0].set_index("dst").w.to_dict()
     assert g0 == {1: 1.0, 2: 2.0}
@@ -127,12 +111,10 @@ def test_sum_update_new_entry_gets_full_row():
     algo = alg.pagerank(d=0.6, tol=1e-10)
     ids = vertex_ids(edges)
     old_entries = ids[:2]
-    old_sc, _ = shortcut_weights(algo.prepare(edges), old_entries, ids, algo, tol=1e-12)
+    old_sc, _ = one_block(algo.prepare(edges), old_entries, algo, tol=1e-12)
     new_entries = ids[:3]  # one extra entry, graph unchanged
     ch = pd.DataFrame(columns=["src", "dst", "w_old", "w_new"])
-    got, _ = shortcut_update_sum(
-        algo.prepare(edges), new_entries, old_sc, ch, algo, tol=1e-12
-    )
+    got, _ = one_block(algo.prepare(edges), new_entries, algo, old=old_sc, changed=ch, tol=1e-12)
     expect = _full(edges, new_entries, algo, tol=1e-12)
     g = got.set_index(["entry", "dst"]).w.sort_index()
     idx = expect.index.union(g.index)
@@ -149,13 +131,13 @@ def test_min_update_matches_full_hypothesis(seed, nadd, ndel):
     edges = sub_graph(seed % 50, n=15)
     algo = alg.bfs(source=0)
     entries = vertex_ids(edges)[:3]
-    old_sc, _ = shortcut_weights(algo.prepare(edges), entries, vertex_ids(edges), algo)
+    old_sc, _ = one_block(algo.prepare(edges), entries, algo)
     delta = random_edge_delta(edges, n_add=nadd, n_del=ndel, seed=seed)
     new_edges = apply_delta(edges, delta)
     if len(new_edges) == 0:
         return
     ch = _changed(algo.prepare(edges), algo.prepare(new_edges))
-    got, _ = _update_min(algo.prepare(new_edges), entries, old_sc, ch, algo)
+    got, _ = one_block(algo.prepare(new_edges), entries, algo, old=old_sc, changed=ch)
     expect = _full(new_edges, entries, algo)
     pd.testing.assert_series_equal(
         got.set_index(["entry", "dst"]).w.sort_index(), expect, check_exact=False

@@ -74,15 +74,6 @@ def test_random_vertex_delta_removes_all_incident_edges(edges):
     assert delta.size == len(delta.added) + len(delta.deleted)
 
 
-def test_touched_vertices(edges):
-    delta = random_vertex_delta(edges, n_add=2, n_del=2, seed=4)
-    touched = delta.touched_vertices()
-    for v in delta.added_vertices:
-        assert v in touched
-    for v in delta.deleted_vertices:
-        assert v in touched
-
-
 def test_canonical_edges_drops_self_loops_and_dups():
     pdf = pd.DataFrame(
         {"src": [1, 1, 2, 3], "dst": [1, 2, 3, 4], "w": [5.0, 1.0, 2.0, 3.0]}

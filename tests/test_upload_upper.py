@@ -60,9 +60,9 @@ def test_upper_min_loop_no_seeds_short_circuits(spark):
     x = pd.Series({0: 0.0, 1: 1.0})
     stats = RunStats()
     out = upper_min_loop(
-        spark, up, x, pd.Series({1: 1.0}), alg.sssp(source=0), stats=stats
+        spark, up, x, pd.Series(dtype=float), alg.sssp(source=0), stats=stats
     )
-    pd.testing.assert_series_equal(out, x)  # equal seed pruned, zero supersteps
+    pd.testing.assert_series_equal(out, x)  # no seed: zero supersteps
     assert stats.supersteps == 0
 
 
