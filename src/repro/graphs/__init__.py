@@ -3,6 +3,5 @@ from repro.graphs.schema import (  # noqa: F401
     EDGE_COLUMNS,
     canonical_edges,
     degrees,
-    edges_to_spark,
     vertex_ids,
 )

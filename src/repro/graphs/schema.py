@@ -7,13 +7,13 @@ one edge per ordered pair). Edges live in a frame with columns
 
 Pandas frames are the in-memory/local representation (the paper's
 per-subgraph local computations run on them, see ``engine/local.py``);
-Spark DataFrames are the distributed representation for global work.
+``EDGE_SCHEMA`` types them as Spark DataFrames on the Spark side of the
+superstep loop's size rule (``engine.batch``).
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 EDGE_COLUMNS = ["src", "dst", "w"]
@@ -88,11 +88,6 @@ def pairs_in(src: np.ndarray, dst: np.ndarray, q_src: np.ndarray, q_dst: np.ndar
     out = np.zeros(len(src), bool)
     out[o[~is_q]] = hit[~is_q]
     return out
-
-
-def edges_to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
-    """Lift a pandas edge frame into a Spark DataFrame with the fixed schema."""
-    return spark.createDataFrame(pdf[EDGE_COLUMNS], schema=EDGE_SCHEMA)
 
 
 def vertex_ids(pdf: pd.DataFrame) -> np.ndarray:

@@ -15,6 +15,7 @@ import pandas as pd
 from repro.graphs.schema import (
     canonical_edges,
     edge_frame,
+    is_canonical,
     pair_order,
     pairs_in,
     source_rows,
@@ -84,11 +85,15 @@ def apply_delta(edges: pd.DataFrame, delta: GraphDelta) -> pd.DataFrame:
     semantics).
 
     Only the out-edge runs of the sources ΔG names are rewritten; the rest
-    of the (src, dst)-sorted table is copied around them. Raises
+    of the (src, dst)-sorted table is copied around them. A canonical
+    ``edges`` is read in place; any other is canonicalized first. Raises
     ``ValueError`` when a deleted vertex keeps an edge.
     """
-    edges = canonical_edges(edges)
-    src, dst, w = edges.src.to_numpy(), edges.dst.to_numpy(), edges.w.to_numpy()
+    src, dst = edges.src.to_numpy(np.int64), edges.dst.to_numpy(np.int64)
+    if not is_canonical(src, dst):
+        edges = canonical_edges(edges)
+        src, dst = edges.src.to_numpy(), edges.dst.to_numpy()
+    w = edges.w.to_numpy(np.float64)
     a_src, a_dst = delta.added.src.to_numpy(np.int64), delta.added.dst.to_numpy(np.int64)
     a_w = delta.added.w.to_numpy(np.float64)
     d_src, d_dst = delta.deleted.src.to_numpy(np.int64), delta.deleted.dst.to_numpy(np.int64)

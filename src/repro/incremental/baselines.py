@@ -2,11 +2,10 @@
 
 The real competitors are C++ systems; we reproduce each one's published
 *algorithmic strategy* so that edge activations (the paper's own
-hardware-independent metric) are comparable across systems. Runtimes are
-comparable except KickStarter's: every other model runs the superstep loop
-of ``engine.batch``, in the driver when the graph fits (``on_driver``),
-while KickStarter's pull loop (``_pull_min_jacobi``) always runs as Spark
-jobs, so compare KickStarter by activations only.
+hardware-independent metric) are comparable across systems. So are
+runtimes: every other model runs the superstep loop of ``engine.batch``, in
+the driver when the graph fits (``on_driver``), and KickStarter's pull loop
+(``_pull_min_jacobi``) is numpy in the driver at every size.
 
 * ``restart``      — recompute A(G ⊕ ΔG) from scratch (paper's Restart).
 * ``ingress``      — delta-based async propagation (the engine Layph extends).
@@ -30,13 +29,10 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
-from pyspark.sql import functions as Fn
 
-from repro.engine import batch
 from repro.engine.algorithms import Algorithm
-from repro.engine.batch import run_batch
-from repro.graphs.schema import canonical_edges, edges_to_spark
+from repro.engine.batch import positions, run_batch
+from repro.graphs.schema import canonical_edges, source_rows, vertex_ids
 from repro.graphs.updates import GraphDelta, apply_delta
 from repro.incremental.ingress import (
     align_states,
@@ -57,7 +53,7 @@ def restart(spark, old_edges, delta, old_states, algo, *, tol=None):
 
 
 def kickstarter(
-    spark: SparkSession,
+    spark,
     old_edges: pd.DataFrame,
     delta: GraphDelta,
     old_states: pd.Series,
@@ -73,7 +69,7 @@ def kickstarter(
         new_edges = apply_delta(old_edges, delta)
         new_prepared = algo.prepare(new_edges)
         old_runs, new_runs = changed_runs(old_edges, new_prepared, delta, algo)
-        ids = new_vertex_universe(new_edges, delta, algo)
+        ids = new_vertex_universe(vertex_ids(new_edges), delta, algo)
         x = align_states(old_states, ids, algo)
 
         reset, seeds, acts = min_revision(
@@ -86,12 +82,11 @@ def kickstarter(
         affected = np.union1d(reset, seeds.index.to_numpy(np.int64))
         affected = affected[np.isin(affected, ids)]
     with PhaseTimer(stats, "propagate"):
-        x = _pull_min_jacobi(spark, new_prepared, x, affected, algo, stats)
+        x = _pull_min_jacobi(new_prepared, x, affected, algo, stats)
     return x, stats
 
 
 def _pull_min_jacobi(
-    spark: SparkSession,
     prepared: pd.DataFrame,
     x: pd.Series,
     affected: np.ndarray,
@@ -99,69 +94,43 @@ def _pull_min_jacobi(
     stats: RunStats,
     max_iters: int = 10_000,
 ) -> pd.Series:
-    """Spark pull loop: every affected vertex recomputes from ALL in-edges
-    each round; vertices whose value changes add their out-neighbors to the
-    affected set. Counts one activation per in-edge scanned."""
-    old_parts = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", str(batch.LOOP_PARTITIONS))
-    try:
-        edges = edges_to_spark(spark, prepared).persist()
-        states = spark.createDataFrame(
-            pd.DataFrame({"id": x.index.to_numpy(np.int64), "x": x.to_numpy(float)})
-        ).localCheckpoint(eager=True)
-        roots = spark.createDataFrame(
-            pd.DataFrame(
-                {"rid": list(algo.roots) or [-1], "rval": list(algo.roots.values()) or [0.0]}
+    """Pull loop in the driver: every affected vertex recomputes
+    ``min(root, min(x_u + w))`` from ALL its in-edges each round, against
+    the states of the round before; vertices whose value falls add
+    themselves and their out-neighbours to the next affected set. Counts
+    one activation per in-edge scanned and one superstep per round.
+
+    Every endpoint of ``prepared`` must be in ``x``'s index. Reaching
+    ``max_iters`` with the affected set non-empty raises ``RuntimeError``.
+    """
+    ids = pd.Index(x.index.to_numpy(np.int64))
+    src, dst = positions(ids, prepared.src), positions(ids, prepared.dst)
+    w = prepared.w.to_numpy(float)
+    by_dst, by_src = np.argsort(dst, kind="stable"), np.argsort(src, kind="stable")
+    in_dst, in_src, in_w = dst[by_dst], src[by_dst], w[by_dst]
+    out_src, out_dst = src[by_src], dst[by_src]
+    root = np.full(len(ids), INF)
+    at = positions(ids, list(algo.roots))
+    root[at[at >= 0]] = np.asarray(list(algo.roots.values()), float)[at >= 0]
+    xs = x.to_numpy(float).copy()
+    aff = np.unique(positions(ids, affected))
+    rounds = 0
+    while len(aff):
+        if rounds == max_iters:
+            raise RuntimeError(
+                f"_pull_min_jacobi: affected vertices left after max_iters={max_iters}"
             )
-        )
-        aff = spark.createDataFrame(  # typed, as the set may be empty
-            pd.DataFrame({"aid": np.asarray(affected, np.int64)}), schema="aid long"
-        ).localCheckpoint(eager=True)
-        for _ in range(max_iters):
-            if aff.isEmpty():
-                break
-            scan = edges.join(aff, edges.dst == Fn.col("aid")).persist()
-            stats.activations += scan.count()
-            stats.supersteps += 1
-            src_states = states.select(Fn.col("id").alias("sid"), Fn.col("x").alias("sx"))
-            cand = (
-                scan.join(src_states, scan.src == Fn.col("sid"))
-                .groupBy(Fn.col("dst").alias("cid"))
-                .agg(Fn.min(Fn.col("sx") + Fn.col("w")).alias("cx"))
-            )
-            recompute = (
-                aff.join(cand, Fn.col("aid") == Fn.col("cid"), "left")
-                .join(roots, Fn.col("aid") == Fn.col("rid"), "left")
-                .select(
-                    Fn.col("aid"),
-                    Fn.least(
-                        Fn.coalesce(Fn.col("cx"), Fn.lit(INF)),
-                        Fn.coalesce(Fn.col("rval"), Fn.lit(INF)),
-                    ).alias("nx"),
-                )
-            )
-            merged = states.join(recompute, states.id == Fn.col("aid"), "left").select(
-                "id",
-                Fn.coalesce(Fn.col("nx"), Fn.col("x")).alias("x"),
-                (Fn.col("nx").isNotNull() & (Fn.col("nx") < Fn.col("x"))).alias("changed"),
-            ).persist()
-            changed = merged.where("changed").select(Fn.col("id").alias("cid2"))
-            new_aff = (
-                edges.join(changed, edges.src == Fn.col("cid2"))
-                .select(Fn.col("dst").alias("aid"))
-                .union(changed.select(Fn.col("cid2").alias("aid")))
-                .distinct()
-            )
-            nxt_states = merged.select("id", "x").localCheckpoint(eager=True)
-            nxt_aff = new_aff.localCheckpoint(eager=True)
-            scan.unpersist()
-            merged.unpersist()
-            states, aff = nxt_states, nxt_aff
-        pdf = states.toPandas()
-        edges.unpersist()
-        return pd.Series(pdf.x.to_numpy(), index=pdf.id.to_numpy(np.int64)).sort_index()
-    finally:
-        spark.conf.set("spark.sql.shuffle.partitions", old_parts)
+        rounds += 1
+        rows = source_rows(in_dst, aff)
+        stats.activations += len(rows)
+        stats.supersteps += 1
+        cand = np.full(len(ids), INF)
+        np.minimum.at(cand, in_dst[rows], xs[in_src[rows]] + in_w[rows])
+        nx = np.minimum(cand[aff], root[aff])
+        changed = aff[nx < xs[aff]]
+        xs[aff] = nx
+        aff = np.union1d(changed, out_dst[source_rows(out_src, changed)])
+    return pd.Series(xs, index=ids).sort_index()
 
 
 def risgraph(spark, old_edges, delta, old_states, algo, *, tol=None):

@@ -39,11 +39,11 @@ from repro.metrics import PhaseTimer, RunStats
 INF = float("inf")
 
 
-def new_vertex_universe(
-    new_edges: pd.DataFrame, delta: GraphDelta, algo: Algorithm
-) -> np.ndarray:
-    """Vertex set of G ⊕ ΔG (roots included even if isolated)."""
-    ids = vertex_ids(new_edges)
+def new_vertex_universe(ids: np.ndarray, delta: GraphDelta, algo: Algorithm) -> np.ndarray:
+    """Vertex set of G ⊕ ΔG from the sorted endpoint ``ids`` of its edges:
+    ΔG's added vertices and the source join them even if isolated, and
+    ΔG's deleted vertices leave. Every engine keeps this one rule."""
+    ids = np.union1d(ids, np.asarray(delta.added_vertices, np.int64))
     if algo.source is not None:
         ids = np.union1d(ids, [algo.source])
     if len(delta.deleted_vertices):
@@ -95,7 +95,7 @@ def ingress_incremental(
         new_edges = apply_delta(old_edges, delta)
         new_prepared = algo.prepare(new_edges)
         old_runs, new_runs = changed_runs(old_edges, new_prepared, delta, algo)
-        ids = new_vertex_universe(new_edges, delta, algo)
+        ids = new_vertex_universe(vertex_ids(new_edges), delta, algo)
         x = align_states(old_states, ids, algo)
 
         if algo.is_sum:

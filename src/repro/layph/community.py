@@ -1,64 +1,53 @@
 """Dense-subgraph candidate discovery: size-capped label propagation (§IV-A1).
 
 The paper uses Louvain with a size threshold K; we use mode-based label
-propagation over the undirected view in Spark DataFrames (DESIGN.md §5.3)
-— on our planted-partition datasets LPA recovers community blocks well,
-and a deterministic chunk-split enforces the K cap exactly as the paper's
-threshold does. The density test (Def. 2) is applied afterwards, on the
-candidate layout in ``layph.layered``.
+propagation over the undirected view, as numpy in the driver (DESIGN.md
+§5.3) — on our planted-partition datasets LPA recovers community blocks
+well, and a deterministic chunk-split enforces the K cap exactly as the
+paper's threshold does. The density test (Def. 2) is applied afterwards,
+on the candidate layout in ``layph.layered``.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
-from pyspark.sql import functions as Fn
-
-from repro.graphs.schema import edges_to_spark
 
 
-def lpa_communities(
-    spark: SparkSession,
-    edges: pd.DataFrame,
-    *,
-    n_iters: int = 4,
-    K: int = 1000,
-) -> pd.DataFrame:
+def lpa_communities(edges: pd.DataFrame, *, n_iters: int = 4, K: int = 1000) -> pd.DataFrame:
     """Label propagation over the undirected view; returns (id, sub).
 
-    Each round every vertex adopts the most frequent label among its
-    neighbors (ties -> smaller label). Communities larger than ``K`` are
-    split into id-ordered chunks of ``K``; communities of fewer than 4
-    vertices are dropped (their vertices become upper-layer outliers).
+    The view holds each distinct pair of ``edges`` in both directions, and
+    every endpoint starts with its own id as its label. In each synchronous
+    round every vertex adopts the most frequent label among its neighbors
+    (ties -> smaller label). Communities larger than ``K`` are split into
+    id-ordered chunks of ``K``; communities of fewer than 4 vertices are
+    dropped (their vertices become upper-layer outliers).
     """
-    e = edges_to_spark(spark, edges)
-    und = (
-        e.select("src", "dst").union(e.select(Fn.col("dst"), Fn.col("src")))
-        .distinct()
-        .persist()
+    n = len(edges)
+    ids, at = np.unique(
+        np.concatenate([edges.src.to_numpy(np.int64), edges.dst.to_numpy(np.int64)]),
+        return_inverse=True,
     )
-    labels = (
-        und.select(Fn.col("src").alias("id")).distinct()
-        .withColumn("lbl", Fn.col("id"))
-        .localCheckpoint(eager=True)
-    )
+    u, v, _ = _pair_counts(at, np.concatenate([at[n:], at[:n]]))  # both directions
+    label = ids.copy()
     for _ in range(n_iters):
-        nbr = und.join(labels, und.dst == labels.id).select(
-            Fn.col("src").alias("v"), Fn.col("lbl")
-        )
-        counts = nbr.groupBy("v", "lbl").agg(Fn.count("*").alias("cnt"))
-        # max count, ties broken toward the smaller label
-        pick = counts.groupBy("v").agg(
-            Fn.max(Fn.struct(Fn.col("cnt"), (-Fn.col("lbl")).alias("neg"))).alias("m")
-        ).select(Fn.col("v").alias("id"), (-Fn.col("m.neg")).alias("lbl"))
-        labels = (
-            labels.select("id").join(pick, "id", "left")
-            .select("id", Fn.coalesce("lbl", Fn.col("id")).alias("lbl"))
-            .localCheckpoint(eager=True)
-        )
-    pdf = labels.toPandas().astype(np.int64)
-    und.unpersist()
-    return _cap_sizes(pdf.rename(columns={"lbl": "sub"}), K=K)
+        vtx, lbl, cnt = _pair_counts(u, label[v])
+        o = np.lexsort((lbl, -cnt, vtx))  # per vertex: most frequent, then smallest
+        vtx, lbl = vtx[o], lbl[o]
+        first = np.ones(len(vtx), bool)
+        first[1:] = vtx[1:] != vtx[:-1]
+        label[vtx[first]] = lbl[first]
+    return _cap_sizes(pd.DataFrame({"id": ids, "sub": label}), K=K)
+
+
+def _pair_counts(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (a, b) pairs, sorted, and how often each occurs."""
+    o = np.lexsort((b, a))
+    a, b = a[o], b[o]
+    new = np.ones(len(a), bool)
+    new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    at = np.flatnonzero(new)
+    return a[at], b[at], np.diff(np.append(at, len(a)))
 
 
 def _cap_sizes(membership: pd.DataFrame, *, K: int) -> pd.DataFrame:

@@ -26,6 +26,7 @@ from pyspark.sql import SparkSession
 from repro.engine.algorithms import Algorithm
 from repro.engine.local import converge
 from repro.graphs.updates import GraphDelta
+from repro.incremental.ingress import align_states, new_vertex_universe
 from repro.incremental.revision import min_revision, prepared_edge_diff, sum_injections
 from repro.layph.layered import LayeredGraph, build_layered, update_layered
 from repro.layph.upload import upload_messages
@@ -133,13 +134,9 @@ class LayphEngine:
             )
             stats.activations += acts
 
-        # New vertex universe (proxies persist; deleted vertices drop out).
-        ids = np.union1d(new_lg.vertex_ids, delta.added_vertices)
-        if self.algo.source is not None:
-            ids = np.union1d(ids, [self.algo.source])
-        if len(delta.deleted_vertices):
-            ids = np.setdiff1d(ids, delta.deleted_vertices)
-        x = old_x.reindex(ids).fillna(self.algo.zero_state)
+        # Ingress's vertex universe over the layer graph (proxies persist).
+        ids = new_vertex_universe(new_lg.vertex_ids, delta, self.algo)
+        x = align_states(old_x, ids, self.algo)
 
         if self.algo.is_sum:
             x = self._run_sum(new_lg, diff, old_x, x, delta, stats)

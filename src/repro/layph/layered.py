@@ -213,7 +213,7 @@ def build_layered(
     (tests/benchmarks), or None to run discovery.
     """
     if membership is None:
-        membership = lpa_communities(spark, edges)
+        membership = lpa_communities(edges)
     else:
         membership = planted_communities(membership)
 

@@ -29,10 +29,11 @@ def all_vertices(edges: pd.DataFrame, extra: list[int] | None = None) -> list[in
     return sorted(vs)
 
 
-def sssp_reference(edges: pd.DataFrame, source: int) -> pd.Series:
-    """Dijkstra shortest distances from ``source`` (INF when unreachable)."""
+def sssp_reference(edges: pd.DataFrame, source: int, *, extra: tuple[int, ...] = ()) -> pd.Series:
+    """Dijkstra shortest distances from ``source`` (INF when unreachable)
+    over the endpoints of ``edges`` and the ``extra`` (isolated) ids."""
     adj = _adj(edges)
-    dist = {v: INF for v in all_vertices(edges, [source])}
+    dist = {v: INF for v in all_vertices(edges, [source, *extra])}
     dist[source] = 0.0
     pq = [(0.0, source)]
     while pq:
@@ -79,13 +80,16 @@ def _solve_sum(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     return x
 
 
-def pagerank_reference(edges: pd.DataFrame, d: float = 0.85) -> pd.Series:
-    """Exact asynchronous-accumulative PageRank: x = (1-d)·1 + d·Aᵀ D⁻¹ x.
+def pagerank_reference(
+    edges: pd.DataFrame, d: float = 0.85, *, extra: tuple[int, ...] = ()
+) -> pd.Series:
+    """Exact asynchronous-accumulative PageRank: x = (1-d)·1 + d·Aᵀ D⁻¹ x,
+    over the endpoints of ``edges`` and the ``extra`` (isolated) ids.
 
     Matches the paper's Maiter-style formulation (Example 1b); dangling
     vertices simply emit nothing.
     """
-    vs = all_vertices(edges)
+    vs = all_vertices(edges, list(extra))
     idx = _index(vs)
     src = edges.src.map(idx).to_numpy()
     dst = edges.dst.map(idx).to_numpy()

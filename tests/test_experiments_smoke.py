@@ -106,6 +106,19 @@ def test_batch_size_speedup_columns(spark):
     assert (df.batch_size >= 2).all()
 
 
+def test_kickstarter_tables_start_no_session(no_spark):
+    """T2 and T6 run KickStarter, and every loop at this size, in the driver."""
+    df = overall.run(
+        no_spark, sf=SF, datasets=["uk_lite"], algos=["sssp"],
+        systems=["kickstarter", "layph"], tol=TOL,
+    )
+    assert set(df.system) == {"kickstarter", "layph"}
+    df = batch_size.run(
+        no_spark, sf=SF, algos=["sssp"], systems=["kickstarter"], ratios=[1e-3], tol=TOL
+    )
+    assert list(df.system) == ["kickstarter"] and (df.seconds > 0).all()
+
+
 def test_registry_names_are_the_results_files():
     results = Path(__file__).resolve().parents[1] / "results"
     assert set(cli.TABLES) == {p.stem for p in results.glob("*.txt")}

@@ -60,20 +60,20 @@ def test_ingress_equals_batch_on_updated_graph(spark, name, seed):
 
 
 @pytest.mark.parametrize("system", ["restart", "kickstarter", "risgraph"])
-def test_min_baselines_equal_batch(spark, system):
+def test_min_baselines_equal_batch(no_spark, system):
     edges = graph(3)
     algo = alg.sssp(source=0)
     old = local_batch(edges, algo)
     delta = random_edge_delta(edges, n_add=5, n_del=5, seed=42)
     runner, kinds = SYSTEMS[system]
     assert "min" in kinds
-    got, stats = runner(spark, edges, delta, old, algo)
+    got, stats = runner(no_spark, edges, delta, old, algo)
     expected = local_batch(apply_delta(edges, delta), algo)
     assert_states_close(got, expected)
     assert stats.activations > 0
 
 
-def test_kickstarter_round_that_improves_no_state(spark):
+def test_kickstarter_round_that_improves_no_state(no_spark):
     """An added edge into the source improves no state, so KickStarter's
     affected set is empty: the round keeps the old states and runs no
     superstep."""
@@ -86,7 +86,7 @@ def test_kickstarter_round_that_improves_no_state(spark):
         added=pd.DataFrame({"src": [u], "dst": [0], "w": [1.0]}),
         deleted=edges.iloc[0:0][["src", "dst"]],
     )
-    got, stats = SYSTEMS["kickstarter"][0](spark, edges, delta, old, algo)
+    got, stats = SYSTEMS["kickstarter"][0](no_spark, edges, delta, old, algo)
     assert_states_close(got, old, atol=0, rtol=0)
     assert stats.supersteps == 0
 

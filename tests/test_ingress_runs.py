@@ -21,8 +21,9 @@ from repro.graphs.updates import GraphDelta, apply_delta, random_edge_delta, ran
 from repro.incremental import baselines, ingress, revision
 from repro.incremental.ingress import align_states, ingress_incremental, new_vertex_universe
 from repro.incremental.revision import min_revision, prepared_edge_diff, sum_revision
+from repro.layph.engine import LayphEngine
 from repro.metrics import RunStats
-from repro.reference import assert_states_close
+from repro.reference import assert_states_close, pagerank_reference, sssp_reference
 
 INF = float("inf")
 SOURCE = 0
@@ -37,7 +38,7 @@ def _whole_graph_round(spark, old_edges, delta, old_states, algo):
     Returns ``(states, stats, (reset, seeds) or None)``."""
     new_edges = apply_delta(old_edges, delta)
     old_p, new_p = algo.prepare(old_edges), algo.prepare(new_edges)
-    ids = new_vertex_universe(new_edges, delta, algo)
+    ids = new_vertex_universe(vertex_ids(new_edges), delta, algo)
     x = align_states(old_states, ids, algo)
     stats, revised = RunStats(), None
     if algo.is_sum:
@@ -202,7 +203,31 @@ def test_ingress_phases_sum_to_the_round(no_spark):
         assert d["phase_activations"]["propagate"] > 0
 
 
-def test_kickstarter_diffs_runs_and_reports_phases(spark, monkeypatch):
+def test_every_engine_keeps_an_isolated_added_vertex(no_spark):
+    """A vertex ΔG adds without an edge is in the new vertex set of Ingress,
+    KickStarter and Layph alike, at its reference value."""
+    edges, membership = dataset("uk_lite", sf=0.003, seed=9)
+    v = int(vertex_ids(edges).max()) + 1
+    none = edges.iloc[0:0]
+    delta = GraphDelta(added=none, deleted=none[["src", "dst"]], added_vertices=np.array([v]))
+    for algo in (ALGOS["pagerank"], ALGOS["sssp"]):
+        old = batch_states(edges, algo)
+        got = {
+            "ingress": ingress_incremental(no_spark, edges, delta, old, algo)[0],
+            "layph": LayphEngine(no_spark, edges, algo, membership=membership)
+            .initialize().run_delta(delta)[0],
+        }
+        if algo.is_min:
+            got["kickstarter"] = baselines.kickstarter(no_spark, edges, delta, old, algo)[0]
+            want = sssp_reference(edges, SOURCE, extra=(v,))[v]
+        else:
+            want = pagerank_reference(edges, algo.damping, extra=(v,))[v]
+        assert {name: x[v] for name, x in got.items()} == pytest.approx(
+            dict.fromkeys(got, want), abs=1e-12
+        )
+
+
+def test_kickstarter_diffs_runs_and_reports_phases(no_spark, monkeypatch):
     edges, _ = planted_partition(
         n_vertices=50, community_size_lo=8, community_size_hi=12, community_fraction=0.8,
         intra_out_deg=3.0, inter_edge_fraction=0.3, seed=3,
@@ -216,7 +241,7 @@ def test_kickstarter_diffs_runs_and_reports_phases(spark, monkeypatch):
         return prepared_edge_diff(old, new)
 
     monkeypatch.setattr(baselines, "prepared_edge_diff", count_diff)
-    got, stats = baselines.kickstarter(spark, edges, delta, batch_states(edges, algo), algo)
+    got, stats = baselines.kickstarter(no_spark, edges, delta, batch_states(edges, algo), algo)
     assert_states_close(got, batch_states(apply_delta(edges, delta), algo), atol=1e-9)
     keys = delta.sources()
     assert diffs == [(len(source_rows(edges.src.to_numpy(), keys)),

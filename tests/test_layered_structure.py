@@ -154,12 +154,12 @@ def test_replication_out_direction():
     assert list(lg.members.id[lg.roles[1]]) == [plan.iloc[0].proxy]
 
 
-def test_lpa_recovers_planted_blocks(spark):
+def test_lpa_recovers_planted_blocks():
     edges, truth = planted_partition(
         n_vertices=120, community_size_lo=20, community_size_hi=25,
         community_fraction=1.0, intra_out_deg=6.0, inter_edge_fraction=0.03, seed=5,
     )
-    got = lpa_communities(spark, edges, K=60, n_iters=5)
+    got = lpa_communities(edges, K=60, n_iters=5)
     # Most planted pairs should land in the same discovered community.
     t = truth.set_index("id")["sub"]
     g = got.set_index("id")["sub"].reindex(t.index)

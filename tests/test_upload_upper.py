@@ -163,9 +163,8 @@ def test_upper_sum_uploads_forward_only_via_orig(spark, on_each_backend):
 
 def test_loop_partitions_read_at_call_time(spark, monkeypatch):
     """Setting ``batch.LOOP_PARTITIONS`` (the T5 sweep, which also holds
-    every loop on Spark) reaches both loops."""
+    every loop on Spark) reaches the upper sum loop."""
     from repro.engine import batch
-    from repro.incremental.baselines import _pull_min_jacobi
 
     conf_cls = type(spark.conf)
     real_set = conf_cls.set
@@ -185,12 +184,6 @@ def test_loop_partitions_read_at_call_time(spark, monkeypatch):
         pd.Series(dtype=float), np.array([1]), alg.pagerank(d=0.5), stats=RunStats(),
     )
     assert seen[0] == "3"
-    seen.clear()
-    edges = pd.DataFrame({"src": [0, 1], "dst": [1, 2], "w": [1.0, 1.0]})
-    x = pd.Series({0: 0.0, 1: INF, 2: INF})
-    out = _pull_min_jacobi(spark, edges, x, np.array([1, 2]), alg.sssp(source=0), RunStats())
-    assert seen[0] == "3"
-    assert out[2] == 2.0
 
 
 def test_upper_min_loop_honours_max_supersteps(spark, on_each_backend):
