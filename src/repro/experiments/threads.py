@@ -8,8 +8,14 @@ parallelism proxy, with every superstep loop held on Spark
 k worker threads and the sweep is just ``partition_counts=[k]`` (one process
 per k). The flattened shortcut pass reads the same limit, so under 0 it runs
 one chunk per subgraph, still in the driver.
+
+KickStarter's pull loop runs in the driver and reads neither setting, so it
+runs no Spark job here: it is timed once per algorithm, in one row whose
+``partitions`` is ``"-"``, not once per partition count.
 """
 from __future__ import annotations
+
+import copy
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -41,15 +47,20 @@ def run(
                 else ["graphbolt", "dzig", "ingress", "layph"]
             )
             w = make_workload(ds, algo_name, sf=sf, seed=seed, tol=tol)
-            eng = build_layph(spark, w)
+            sweep = systems_for(w.algo, req)
+            if "kickstarter" in sweep:
+                sweep.remove("kickstarter")
+                r = run_system(spark, "kickstarter", w)
+                r["partitions"] = "-"
+                rows.append(r)
+                print(f"  {r}", flush=True)
+            eng = build_layph(spark, w) if "layph" in sweep else None
             for parts in partition_counts or [1, 2, 4, 8]:
                 batch_mod.LOOP_PARTITIONS = parts
-                for system in systems_for(w.algo, req):
+                for system in sweep:
                     if system == "layph":
                         # run_delta mutates the engine — give every
                         # partition setting a pristine copy of the state.
-                        import copy
-
                         e = copy.copy(eng)
                         e.lg, e.x = eng.lg, eng.x.copy()
                         e.caches = None if eng.caches is None else eng.caches.copy()

@@ -12,6 +12,14 @@ Per ΔG batch, four phases (timed separately for the Fig. 7 breakdown):
 4. ``assign``   — push the external messages accumulated at entry vertices
    down to interior vertices through shortcuts in one hop (§V-C).
 
+A sum round maps ids to positions once, over the sorted vertex universe of
+G ⊕ ΔG: the states are one float array from the upload to the assignment,
+and id-indexed Series exist only where a layer function takes them (the
+upload's injections and the L_up loop's states and seeds) and once at the
+end. Both workloads assign through :func:`assign`, one gather of each
+entry's run of the cross-layer table and one G-aggregate (``np.bincount``
+for sum, ``np.minimum.at`` for min).
+
 Min workloads exploit idempotence: entry caches are *recomputed* from the
 converged L_up states and interior states are rebuilt by
 ``min_e(cache_e + w(e, v))`` — but only for subgraphs whose caches or
@@ -23,8 +31,10 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.engine import batch
 from repro.engine.algorithms import Algorithm
 from repro.engine.local import converge
+from repro.graphs.schema import source_rows
 from repro.graphs.updates import GraphDelta
 from repro.incremental.ingress import align_states, new_vertex_universe
 from repro.incremental.revision import min_revision, prepared_edge_diff, sum_injections
@@ -64,6 +74,31 @@ def compute_caches_min(lg: LayeredGraph, x: pd.Series) -> pd.Series:
     return cache.sort_index()
 
 
+def assign(
+    lg: LayeredGraph, entries: np.ndarray, values: np.ndarray, index: pd.Index, algo: Algorithm
+) -> tuple[np.ndarray, int]:
+    """Assignment (§V-C): push the values of the sorted, unique ``entries``
+    down their rows of the cross-layer table (``lg.assignment_runs``) in one
+    hop.
+
+    Returns, per position of ``index``, the G-aggregate of ``value ⊗ w``
+    over the rows reaching it (sum: Σ value · w, else 0; min: the least
+    value + w, else +inf), and the rows read, one activation each. A
+    target outside ``index`` is read and dropped."""
+    entry, dst, w = lg.assignment_runs
+    rows = source_rows(entry, entries)
+    val = values[np.searchsorted(entries, entry[rows])]
+    d = batch.positions(index, dst[rows])
+    inside = d >= 0
+    d, val, w = d[inside], val[inside], w[rows][inside]
+    if algo.is_min:
+        out = np.full(len(index), INF)
+        np.minimum.at(out, d, val + w)
+    else:
+        out = np.bincount(d, val * w, minlength=len(index))
+    return out, len(rows)
+
+
 class LayphEngine:
     """Stateful Layph runtime: offline build once, then per-ΔG increments."""
 
@@ -83,7 +118,7 @@ class LayphEngine:
         self._build_args = dict(membership=membership, replicate=replicate, tol=self.tol)
         self._edges0 = edges
         self.lg: LayeredGraph | None = None
-        self.x: pd.Series | None = None  # states over layer universe (+proxies)
+        self.x: pd.Series | None = None  # states over the sorted layer universe (+proxies)
         self.caches: pd.Series | None = None  # min workloads only
         self.offline_stats = RunStats()
         self.batch_stats = RunStats()
@@ -119,8 +154,10 @@ class LayphEngine:
         return self
 
     def states(self) -> pd.Series:
-        """Converged states of real (non-proxy) vertices."""
-        return self.x[~self.x.index.isin(self.lg.proxies.proxy)].sort_index()
+        """Converged states of real (non-proxy) vertices, by id."""
+        ids = self.x.index
+        real = ~np.isin(ids.to_numpy(), self.lg.proxies.proxy)
+        return pd.Series(self.x.to_numpy()[real], index=ids[real])
 
     # ------------------------------------------------------------------
     def run_delta(self, delta: GraphDelta) -> tuple[pd.Series, RunStats]:
@@ -148,42 +185,46 @@ class LayphEngine:
 
     # ------------------------------------------------------------------
     def _run_sum(self, new_lg, diff, old_x, x, delta, stats) -> pd.Series:
-        algo = self.algo
+        """One sum round on one position index: the aligned states ``x`` are
+        one float array through upload, upper and assign, and one Series
+        again at the end."""
+        algo, index = self.algo, x.index
+        x = x.to_numpy(float, copy=True)
         with PhaseTimer(stats, "upload"):
             inj = sum_injections(diff, old_x, algo, new_vertices=delta.added_vertices)
-            inj = inj[inj.index.isin(x.index)]
-
-            is_member = inj.index.isin(new_lg.members.id)
-            member_inj, outlier_inj = inj[is_member], inj[~is_member]
+            v, val = inj.index.to_numpy(np.int64), inj.to_numpy(float)
+            at = batch.positions(index, v)
+            member = (at >= 0) & (new_lg.members.index(v) >= 0)
+            outlier = (at >= 0) & ~member
 
             is_entry, is_exit = new_lg.roles
             mstates, uploads, acts = upload_messages(
                 self.spark, new_lg.intra_edges, new_lg.members.frame(), is_entry | is_exit,
-                x, member_inj, algo, tol=self.tol,
+                pd.Series(x, index=index), pd.Series(val[member], index=v[member]), algo,
+                tol=self.tol,
             )
             stats.activations += acts
-            x.update(mstates)
-            if len(outlier_inj):
-                x.loc[outlier_inj.index] = x.loc[outlier_inj.index] + outlier_inj
+            m = batch.positions(index, mstates.index)
+            x[m[m >= 0]] = mstates.to_numpy()[m >= 0]
+            x[at[outlier]] += val[outlier]
 
         with PhaseTimer(stats, "upper"):
-            upv = np.intersect1d(new_lg.upper_vertex_ids, x.index.to_numpy())
+            up = batch.positions(index, new_lg.upper_vertex_ids)
+            up = up[up >= 0]
             x_up, dcache = upper_sum_loop(
-                self.spark, new_lg.upper_graph, x.reindex(upv),
-                outlier_inj, uploads, new_lg.entry_ids, algo, stats=stats, tol=self.tol,
+                self.spark, new_lg.upper_graph, pd.Series(x[up], index=index[up]),
+                pd.Series(val[outlier], index=v[outlier]), uploads, new_lg.entry_ids, algo,
+                stats=stats, tol=self.tol,
             )
-            x.update(x_up)
+            x[up] = x_up.to_numpy()  # sorted by id, as index[up] is
 
         with PhaseTimer(stats, "assign"):
-            if len(dcache):
-                sc = new_lg.assignment_shortcuts
-                j = sc.merge(dcache.rename("m"), left_on="entry", right_index=True)
-                stats.activations += len(j)
-                if len(j):
-                    add = (j.m * j.w).groupby(j.dst).sum()
-                    add = add[add.index.isin(x.index)]
-                    x.loc[add.index] = x.loc[add.index] + add
-        return x
+            add, rows = assign(
+                new_lg, dcache.index.to_numpy(np.int64), dcache.to_numpy(float), index, algo
+            )
+            stats.activations += rows
+            x += add
+        return pd.Series(x, index=index)
 
     # ------------------------------------------------------------------
     def _run_min(self, old_lg, new_lg, diff, affected, x, delta, stats) -> pd.Series:
@@ -225,19 +266,15 @@ class LayphEngine:
             target_subs = np.union1d(np.asarray(affected, np.int64), cache_subs[cache_subs >= 0])
 
             if len(target_subs):
-                interior = new_lg.interior_ids
                 # A proxy whose links all vanished has no state to rebuild.
-                interior = interior[
-                    np.isin(new_lg.members.sub_of(interior), target_subs)
-                    & np.isin(interior, x.index)
-                ]
-                sc = new_lg.assignment_shortcuts
-                sc = sc[sc["sub"].isin(target_subs)]
-                j = sc.merge(caches.rename("c"), left_on="entry", right_index=True)
-                stats.activations += len(j)
-                val = (j.c + j.w).groupby(j.dst).min()
-                fresh = val.reindex(interior, fill_value=INF)
-                x.loc[fresh.index] = fresh.to_numpy()
+                interior = new_lg.interior_ids
+                at = batch.positions(x.index, interior)
+                at = at[np.isin(new_lg.members.sub_of(interior), target_subs) & (at >= 0)]
+                entries = caches.index.to_numpy(np.int64)
+                pick = np.isin(new_lg.members.sub_of(entries), target_subs)
+                best, rows = assign(new_lg, entries[pick], caches.to_numpy(float)[pick], x.index, algo)
+                stats.activations += rows
+                x.iloc[at] = best[at]
             self.caches = caches
         return x
 

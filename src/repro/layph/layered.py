@@ -14,8 +14,9 @@ plan, and the counts that let it be patched:
 
 These arrays are the only form of membership and roles. The pandas tables
 the engine reads (``layer_edges``, ``up_edges``, ``intra_edges``,
-``upper_graph``, ``assignment_shortcuts``) and the id arrays derived from
-the roles are views, each a ``cached_property`` built once per graph.
+``upper_graph``), the cross-layer table's arrays (``assignment_runs``) and
+the id arrays derived from the roles are views, each a ``cached_property``
+built once per graph.
 
 :func:`layout` lays out one membership and plan. :func:`build_layered` runs
 it twice: once on every candidate community with the full replication plan,
@@ -118,26 +119,40 @@ class LayeredGraph:
 
     # ---- views that read the shortcut tables -------------------------------
     @cached_property
-    def upper_shortcut_edges(self) -> pd.DataFrame:
-        """Shortcut rows whose target is boundary — these live on L_up."""
-        sc = self.shortcuts
-        return sc[np.isin(sc.dst.to_numpy(), self.boundary_ids)].reset_index(drop=True)
-
-    @cached_property
-    def assignment_shortcuts(self) -> pd.DataFrame:
-        """Shortcut rows whose target is interior — the cross-layer table."""
-        sc = self.shortcuts
-        return sc[np.isin(sc.dst.to_numpy(), self.interior_ids)].reset_index(drop=True)
+    def _shortcut_targets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per shortcut row: (its target is boundary, its target is interior)."""
+        at = self.members.index(self.shortcuts.dst.to_numpy())
+        boundary = self.roles[0] | self.roles[1]
+        return np.append(boundary, False)[at], np.append(~boundary, False)[at]
 
     @cached_property
     def upper_graph(self) -> pd.DataFrame:
         """Combined L_up propagation graph: columns src, dst, w, etype
-        (0 = original cross edge, 1 = shortcut). The shortcut pass keeps no
-        min self-shortcut, so every stored row is taken."""
-        o = self.up_edges.assign(etype=0)
-        sc = self.upper_shortcut_edges
-        s = pd.DataFrame({"src": sc.entry, "dst": sc.dst, "w": sc.w, "etype": 1})
-        return pd.concat([o, s], ignore_index=True)
+        (0 = original cross edge, 1 = shortcut): the cross rows, then the
+        shortcut rows whose target is boundary. The shortcut pass keeps no
+        min self-shortcut, so every such row is taken."""
+        up, sc = self.sub < 0, self.shortcuts
+        on_up = self._shortcut_targets[0]
+        n = [np.count_nonzero(up), np.count_nonzero(on_up)]
+        return pd.DataFrame(dict(
+            src=np.concatenate([self.src[up], sc.entry.to_numpy()[on_up]]),
+            dst=np.concatenate([self.dst[up], sc.dst.to_numpy()[on_up]]),
+            w=np.concatenate([self.w[up], sc.w.to_numpy()[on_up]]),
+            etype=np.repeat(np.array([0, 1], np.int64), n),
+        ), copy=False)
+
+    @cached_property
+    def assignment_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cross-layer table (shortcut rows whose target is interior) as
+        ``(entry, dst, w)`` arrays, stably sorted by entry, so each entry's
+        rows are one run in entry order. :func:`update_layered` appends the
+        fresh rows after the kept ones, so the shortcut table itself is not
+        in entry order."""
+        sc = self.shortcuts
+        inner = self._shortcut_targets[1]
+        entry = sc.entry.to_numpy()[inner]
+        o = np.argsort(entry, kind="stable")
+        return entry[o], sc.dst.to_numpy()[inner][o], sc.w.to_numpy()[inner][o]
 
     def sizes(self) -> dict:
         """Size report backing Fig. 8a and Fig. 11a."""
@@ -146,7 +161,7 @@ class LayeredGraph:
             "orig_vertices": int(len(np.union1d(base.src.to_numpy(), base.dst.to_numpy()))),
             "orig_edges": int(len(base)),
             "upper_vertices": int(len(self.upper_vertex_ids)),
-            "upper_edges": int(np.count_nonzero(self.sub < 0) + len(self.upper_shortcut_edges)),
+            "upper_edges": int(np.count_nonzero(self.sub < 0) + self._shortcut_targets[0].sum()),
             "n_subgraphs": int(len(np.unique(self.members.sub))),
             "n_proxies": int(len(self.proxies)),
             "shortcut_rows": int(len(self.shortcuts)),
@@ -156,7 +171,11 @@ class LayeredGraph:
 
 def _intra(src, dst, w, sub, rows: np.ndarray) -> pd.DataFrame:
     """The selected rows of a layer-edge table as an intra-edge frame."""
-    return pd.DataFrame({"src": src[rows], "dst": dst[rows], "w": w[rows], "sub": sub[rows]})
+    # copy=False keeps the new arrays as the columns: pandas would otherwise
+    # copy them into one block per dtype.
+    return pd.DataFrame(
+        {"src": src[rows], "dst": dst[rows], "w": w[rows], "sub": sub[rows]}, copy=False
+    )
 
 
 def _entries(members: Members, is_entry: np.ndarray) -> pd.DataFrame:

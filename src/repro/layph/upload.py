@@ -16,8 +16,10 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.engine import batch
 from repro.engine.algorithms import Algorithm
 from repro.engine.local import converge
+from repro.graphs.schema import EDGE_COLUMNS
 
 
 def upload_messages(
@@ -37,24 +39,25 @@ def upload_messages(
     every member of an affected sub, and the uploaded (aggregated) message
     per boundary vertex of those subs.
     """
-    sub_of = members.set_index("id")["sub"]
-    inj_subs = np.unique(sub_of.reindex(injections.index).dropna().to_numpy(np.int64))
+    mid, sub = members.id.to_numpy(np.int64), members["sub"].to_numpy(np.int64)
+    inj_subs = np.unique(sub[np.isin(mid, injections.index.to_numpy(np.int64))])
     if len(inj_subs) == 0:
         return pd.Series(dtype=float), pd.Series(dtype=float), 0
 
     # Subgraphs are disjoint and intra edges stay inside them, so one run
     # over the union of the injected subgraphs is every per-subgraph run.
-    # Members are sub-major, table order kept inside each subgraph.
-    sub = members["sub"].to_numpy(np.int64)
+    # Members are sub-major, table order kept inside each subgraph;
+    # ``converge`` G-aggregates the injections and drops those of other ids.
     rows = np.flatnonzero(np.isin(sub, inj_subs))
     rows = rows[np.argsort(sub[rows], kind="stable")]
-    ids = members.id.to_numpy(np.int64)[rows]
-    x0 = pd.Series(states.reindex(ids).fillna(algo.zero_state).to_numpy(float), index=ids)
-    m0 = injections[injections.index.isin(ids)]
-    m0 = m0.groupby(level=0).sum() if algo.is_sum else m0.groupby(level=0).min()
-    edges = intra_edges[intra_edges["sub"].isin(inj_subs)]
-    run = converge(edges, x0, m0, algo, tol=tol)
+    ids = mid[rows]
+    # Position -1 (an id without a state) reads the appended zero state.
+    x0 = np.append(states.to_numpy(float), algo.zero_state)[batch.positions(states.index, ids)]
+    e = np.isin(intra_edges["sub"].to_numpy(np.int64), inj_subs)
+    edges = pd.DataFrame({c: intra_edges[c].to_numpy()[e] for c in EDGE_COLUMNS}, copy=False)
+    run = converge(edges, pd.Series(x0, index=ids), injections, algo, tol=tol)
 
-    up = run.arrivals.reindex(ids[is_boundary[rows]])
-    up = up[up.abs() > 0] if algo.is_sum else up[np.isfinite(up.to_numpy(float))]
-    return run.states, up, run.activations
+    b = is_boundary[rows]
+    up = run.arrivals.to_numpy()[b]
+    keep = np.abs(up) > 0 if algo.is_sum else np.isfinite(up)
+    return run.states, pd.Series(up[keep], index=ids[b][keep]), run.activations

@@ -71,13 +71,19 @@ def upper_sum_loop(
     applied by the local upload phase. Returns ``(states, Δcache)``, the
     Δcache being the original-channel arrivals at ``entry_ids``.
     """
-    pend_orig = pend_orig[pend_orig.abs() > 0] if len(pend_orig) else pend_orig
-    pend_sc = pend_sc[pend_sc.abs() > 0] if len(pend_sc) else pend_sc
+    pend_orig, pend_sc = _nonzero(pend_orig), _nonzero(pend_sc)
     if len(pend_orig) == 0 and len(pend_sc) == 0:
         return x_up, pd.Series(dtype=float)
     out, _ = batch.superstep_loop(
         spark, x_up, pend_orig, up_graph, algo,
         pend_sc=pend_sc, tol=tol, stats=stats, max_supersteps=max_supersteps,
     )
-    dc = out.recv
-    return out.x, dc[dc.index.isin(entry_ids) & (dc.abs() > 0)]
+    dc = _nonzero(out.recv)
+    return out.x, dc[np.isin(dc.index.to_numpy(), entry_ids)]
+
+
+def _nonzero(s: pd.Series) -> pd.Series:
+    """The entries of ``s`` whose value is not 0 (nor NaN)."""
+    v = s.to_numpy(float)
+    keep = np.abs(v) > 0
+    return pd.Series(v[keep], index=s.index[keep])

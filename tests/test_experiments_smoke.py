@@ -7,7 +7,7 @@ import pandas as pd
 import pytest
 
 from repro.experiments import __main__ as cli
-from repro.experiments import batch_size, breakdown, datasets_table, overall
+from repro.experiments import batch_size, breakdown, datasets_table, overall, threads
 from repro.experiments.common import (
     ALL_SYSTEMS,
     build_layph,
@@ -117,6 +117,17 @@ def test_kickstarter_tables_start_no_session(no_spark):
         no_spark, sf=SF, algos=["sssp"], systems=["kickstarter"], ratios=[1e-3], tol=TOL
     )
     assert list(df.system) == ["kickstarter"] and (df.seconds > 0).all()
+
+
+def test_t5_times_kickstarter_once_per_algorithm(no_spark):
+    """KickStarter runs no Spark job, so T5 gives it one row per algorithm
+    whatever the partition counts, and starts no session for it."""
+    df = threads.run(
+        no_spark, sf=SF, algos=["sssp", "bfs"], systems=["kickstarter"],
+        partition_counts=[1, 2, 4], tol=TOL,
+    )
+    assert len(df) == 2
+    assert list(df.algo) == ["sssp", "bfs"] and list(df.partitions) == ["-", "-"]
 
 
 def test_registry_names_are_the_results_files():

@@ -9,12 +9,23 @@ from repro.layph.engine import LayphEngine
 from repro.reference import pagerank_reference
 
 #: Offline activations, shortcut rows and per-round ``(activations,
-#: supersteps)`` of the 3-round run below. A change here is an algorithm
-#: change; CHANGES.md logs each re-pin with its old and new values.
+#: supersteps, phase activations)`` of the 3-round run below, the phase
+#: activations as ``(layered_update, upload, upper, assign)``. A change here
+#: is an algorithm change, and a change of the phase split alone moves work
+#: between phases; CHANGES.md logs each re-pin with its old and new values.
 GOLDEN = {
-    "pagerank": (285457, 3119, [(53447, 6), (122487, 11), (53457, 7)]),
-    "sssp": (23866, 3127, [(3695, 5), (5603, 4), (2470, 2)]),
+    "pagerank": (285457, 3119, [
+        (53447, 6, (37138, 11688, 2465, 2156)),
+        (122487, 11, (81621, 30718, 7785, 2363)),
+        (53457, 7, (29844, 17214, 3975, 2424)),
+    ]),
+    "sssp": (23866, 3127, [
+        (3695, 5, (2105, 68, 110, 1412)),
+        (5603, 4, (3390, 184, 178, 1851)),
+        (2470, 2, (1288, 66, 34, 1082)),
+    ]),
 }
+PHASES = ("layered_update", "upload", "upper", "assign")
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -28,7 +39,9 @@ def test_golden_counts(no_spark, name):
                  else random_edge_delta(cur, n_add=4, n_del=4, seed=40 + r))
         _, stats = eng.run_delta(delta)
         cur = apply_delta(cur, delta)
-        rounds.append((stats.activations, stats.supersteps))
+        phases = tuple(stats.phase_activations[p] for p in PHASES)
+        assert sum(phases) == stats.activations
+        rounds.append((stats.activations, stats.supersteps, phases))
     assert (eng.offline_stats.activations, len(eng.lg.shortcuts), rounds) == GOLDEN[name]
 
 

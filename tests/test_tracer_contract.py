@@ -3,8 +3,9 @@
 ``perfbench/tracing.py`` patches functions by the name their caller looks
 them up by and reads some of their arguments by position. This runs one
 Layph PageRank round, one Layph SSSP round and one Ingress round under the
-unchanged tracer, without Spark, and checks that every patched name resolves
-and that every span with a counts function got its counts.
+unchanged tracer, without Spark, and checks that every patched name resolves,
+that every span with a counts function got its counts, and that the counts
+read by position are the ones they name.
 """
 import importlib
 from pathlib import Path
@@ -36,6 +37,8 @@ def test_tracer_targets_resolve_and_count(monkeypatch, no_spark):
                 eng = LayphEngine(no_spark, edges, algo, membership=membership).initialize()
             with tracer.recording(i):
                 eng.run_delta(delta)
+            if algo is pagerank:
+                lup = eng.lg.sizes()  # L_up of the layered graph the round ran on
         states = batch_states(edges, sssp)
         with tracer.recording(2):
             # Called through its module, as the benchmark calls it.
@@ -49,5 +52,10 @@ def test_tracer_targets_resolve_and_count(monkeypatch, no_spark):
     # The upload reads the member frame and the injections by position.
     upload = [s for s in spans if s.name == "layph.upload.upload_messages"]
     assert any(s.counts["subgraphs"] > 0 for s in upload)
+    # The sum loop's span reads the L_up edges and states by position: their
+    # lengths are the round's L_up edge and vertex counts.
+    (loop,) = [s for s in spans if s.name == "layph.upper.upper_sum_loop"]
+    assert loop.counts["lup_edges"] == lup["upper_edges"] > 0
+    assert loop.counts["lup_vertices"] == lup["upper_vertices"] > 0
     names = {s.name for s in tracer.spans}
     assert {"layph.replication.apply_plan", "layph.structure.compute_roles"} <= names
