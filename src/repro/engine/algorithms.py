@@ -94,7 +94,9 @@ class Algorithm:
             out = edges.reset_index(drop=True)
             return out.assign(w=1.0) if self.name == "bfs" else out
         e = canonical_edges(edges)
-        return edge_frame(*self.prepare_rows(e.src.to_numpy(), e.dst.to_numpy(), e.w.to_numpy()))
+        return edge_frame(
+            *self.prepare_rows(e.src.to_numpy(), e.dst.to_numpy(), e.w.to_numpy()), copy=False
+        )
 
     def prepare_rows(
         self, src: np.ndarray, dst: np.ndarray, w: np.ndarray

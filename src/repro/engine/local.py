@@ -9,7 +9,11 @@ subgraphs is a block-diagonal graph: the upload is one :func:`converge`
 over that union, and shortcut deduction and the min and sum updates are
 one :func:`shortcut_pass` over every (subgraph, entry) row. That pass is
 the only way into the shortcut work; a single subgraph is a table whose
-``sub`` column holds one value.
+``sub`` column holds one value. Its cells are laid out from a membership
+in (sub, id) order that the caller keeps (the layered graph's, frozen
+across ΔG), so a call looks its table ids up instead of deriving a vertex
+universe from them, and a sum update copies edges only for the rows that
+hold an active cell: the pass costs about what its ``propagate`` costs.
 
 Everything operates on *prepared* edges (see ``engine.algorithms``): min
 workloads relax ``m + w`` under ``min``; sum workloads propagate deltas
@@ -96,31 +100,32 @@ def converge(
 
 # -- the flattened shortcut pass --------------------------------------------
 
-_TABLES = (  # the pass's input tables and the columns it reads besides ``sub``
+_TABLES = (  # the columns the pass reads of each table besides ``sub``
     ["src", "dst", "w"],  # prepared intra edges
-    ["id"],  # entries
     ["entry", "dst", "w"],  # old shortcut rows
     ["src", "dst", "w_old", "w_new"],  # changed prepared weights (NaN = absent)
 )
 
 
-def _grouped(subs: np.ndarray, df: pd.DataFrame | None, cols: list[str]):
-    """The rows of ``df`` whose ``sub`` is in ``subs`` (sorted, unique),
+def _grouped(subs: np.ndarray, table, cols: list[str]):
+    """The rows of ``table`` whose ``sub`` is in ``subs`` (sorted, unique),
     sub-major with table order kept inside each subgraph.
 
     Returns ``(columns, bounds)``: ``columns[0]`` is each row's position in
     ``subs``, followed by the named columns; ``subs[i]``'s rows are
     ``bounds[i]:bounds[i + 1]``. ``None`` is a table without rows.
     """
-    if df is None:
+    if table is None:
         return [np.empty(0, np.int64)] * (len(cols) + 1), np.zeros(len(subs) + 1, np.int64)
-    sub = df["sub"].to_numpy(np.int64)
-    p = np.searchsorted(subs, sub)
-    hit = p < len(subs)
-    hit[hit] = subs[p[hit]] == sub[hit]
-    rows = np.flatnonzero(hit)
-    rows = rows[np.argsort(p[rows], kind="stable")]
-    cols = [p[rows]] + [df[c].to_numpy()[rows] for c in cols]
+    sub = np.asarray(table["sub"], np.int64)
+    at = np.full(max(sub.max(initial=-1), subs.max(initial=-1)) + 2, -1)  # sub -1 reads -1
+    at[subs] = np.arange(len(subs))
+    p = at[sub]
+    rows = np.flatnonzero(p >= 0)
+    # Positions in the smallest unsigned type: numpy sorts them stably by
+    # radix up to 16 bits, several times faster than int64.
+    rows = rows[np.argsort(p[rows].astype(np.min_scalar_type(len(subs))), kind="stable")]
+    cols = [p[rows]] + [np.asarray(table[c])[rows] for c in cols]
     return cols, np.searchsorted(cols[0], np.arange(len(subs) + 1))
 
 
@@ -137,75 +142,63 @@ def _chunks(sizes: np.ndarray) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
-def _cell_edges(table, rows, rsub, row_base, n_subs):
+def _cell_edges(table, rows, rsub, rb, n_subs):
     """One copy of a sub-major edge table (sub, src, dst, w; vertices as
-    positions inside their subgraph) per entry row in ``rows``: the copies'
-    ``(src, dst, w)`` on cell ids, row by row in table order."""
+    cell positions) per entry row in ``rows``: the copies' ``(src, dst, w)``
+    on cells, row by row in table order."""
     sub, src, dst, w = table
     bounds = np.searchsorted(sub, np.arange(n_subs + 1))
     cnt = np.diff(bounds)[rsub[rows]]
     c, e = np.repeat(rows, cnt), ranges(bounds[rsub[rows]], cnt)
-    return row_base[c] + src[e], row_base[c] + dst[e], w[e].astype(float)
+    return rb[c] + src[e], rb[c] + dst[e], np.asarray(w[e], float)
 
 
-def _pass_chunk(n_subs, E, R, O, C, algo, tol, max_iter):
-    """One block-diagonal pass over the subgraphs ``0..n_subs-1`` of a chunk.
+def _pass_chunk(cells, blo, bn, R, E, O, C, algo, tol, max_iter):
+    """One block-diagonal pass over the subgraphs ``0..len(blo)-1`` of a chunk.
 
-    ``E`` (sub, src, dst, w), ``R`` (sub, id), ``O`` (sub, entry, dst, w)
-    and ``C`` (sub, src, dst, w_old, w_new) are column lists grouped
-    sub-major. Returns ``(sub, entry, dst, w, activations)`` of the kept
-    cells.
+    Subgraph ``i`` holds the ``bn[i]`` positions of ``cells`` from
+    ``blo[i]``. ``R`` (sub, entry), ``E`` (sub, src, dst, w), ``O`` (sub,
+    entry, dst, w) and ``C`` (sub, src, dst, w_old, w_new) are column lists
+    grouped sub-major, subgraphs as chunk positions and vertices as
+    positions in ``cells``; ``R`` is in cell order, and an old entry that is
+    no member is -1. Returns ``(sub, entry, dst, w, activations)`` of the
+    kept cells, in (sub, entry, dst) order.
     """
+    n_subs = len(blo)
+    rsub, rat = R
     esub, esrc, edst, ew = E
-    rsub, rid = R
-    osub, oentry, odst, ow = O
+    _, oentry, odst, ow = O
     csub, csrc, cdst, cw_old, cw_new = C[:3] + [a.astype(float) for a in C[3:]]
-    # Vertex universe: per subgraph, every id its tables name, ascending.
-    # A (sub, id) pair is keyed sub * |ids| + the id's rank among all ids.
-    parts = [esrc, edst, rid, odst, csrc, cdst, oentry]
-    cuts = np.cumsum([len(a) for a in parts])[:-1]
-    psub = np.concatenate([esub, esub, rsub, osub, csub, csub, osub]).astype(np.int64)
-    codes, uniq = pd.factorize(np.concatenate(parts).astype(np.int64), sort=True)
-    keys = psub * len(uniq) + codes
-    rkey, okey = (np.split(keys, cuts)[i] for i in (2, 6))  # entries, old entries
-    vkeys = np.unique(keys[: cuts[-1]])  # old entry ids are looked up, not vertices
-    voff = np.searchsorted(vkeys // len(uniq), np.arange(n_subs + 1))
-    vid = uniq[vkeys % len(uniq)]
-    # Each table id's position among all vertices, and inside its own
-    # subgraph's block of vertices.
-    gpos = np.searchsorted(vkeys, keys)
-    lsrc, ldst, lent, lodst, lcsrc, lcdst, _ = np.split(gpos - voff[psub], cuts)
-    new = [esub, lsrc, ldst, ew]  # the intra edges, vertices as positions
-
-    # One row of |ids_s| cells per entry, sub-major, entries in table order.
-    nrow = np.diff(voff)[rsub]
+    # One row per entry, holding its subgraph's block of cells: the cell of
+    # row r and the vertex at position p is rb[r] + p.
+    nrow = bn[rsub]
     row_base = np.cumsum(nrow) - nrow
+    rb = row_base - blo[rsub]
     n_cells = int(nrow.sum())
-    ecell = row_base + lent
+    ecell = rb + rat
     rbound = np.searchsorted(rsub, np.arange(n_subs + 1))
     k = np.diff(rbound)
 
     is_min = algo.is_min
     acc = np.full(n_cells, INF if is_min else 0.0)
     pend = acc.copy()
-    had_old = np.isin(rkey, okey)
-    if len(okey):
-        # Old rows of current entries load into their cells.
-        order = np.argsort(rkey, kind="stable")
-        at = np.minimum(np.searchsorted(rkey[order], okey), len(order) - 1)
-        found = rkey[order[at]] == okey
-        g = order[at[found]]
-        acc[row_base[g] + lodst[found]] = ow[found]
+    # Old rows of current entries load into their cells.
+    row_of = np.full(len(cells.id) + 1, -1)  # position -1, no member, is no row
+    row_of[rat] = np.arange(len(rat))
+    g = row_of[oentry]
+    found = g >= 0
+    had_old = np.zeros(len(rat), bool)
+    had_old[g[found]] = True
+    acc[rb[g[found]] + odst[found]] = ow[found]
     if is_min:  # every entry holds 0 in its own cell, so a cycle back cannot re-fire it
         acc[ecell] = 0.0
-    # The rows that propagate: every row for sum, new or affected rows for min.
-    live = ~had_old if is_min else np.ones(len(rid), bool)
+        live = ~had_old  # new or affected rows propagate
     if len(csub):
         # Each changed edge (u, v) meets every row of its subgraph.
         cnt = k[csub]
         c = np.repeat(np.arange(len(csub)), cnt)
         g = ranges(rbound[csub], cnt)
-        u, v = row_base[g] + lcsrc[c], row_base[g] + lcdst[c]
+        u, v = rb[g] + csrc[c], rb[g] + cdst[c]
         if is_min:
             # A row is affected if its old tree used a deleted or raised
             # edge, or an added or lowered edge improves it.
@@ -219,7 +212,7 @@ def _pass_chunk(n_subs, E, R, O, C, algo, tol, max_iter):
             # A prepared-weight change dw on (u, v) injects
             # (D[e, u] + 1_{u=e})·dw at v in every old row e, in changed-row order.
             dw = np.where(np.isnan(cw_new), 0.0, cw_new) - np.where(np.isnan(cw_old), 0.0, cw_old)
-            unit = (ecell[g] == u).astype(float)
+            unit = rat[g] == csrc[c]
             np.add.at(pend, v, (acc[u] + unit) * had_old[g] * dw[c])
             acc += pend  # injected corrections are arrivals
 
@@ -228,23 +221,23 @@ def _pass_chunk(n_subs, E, R, O, C, algo, tol, max_iter):
     if len(trim):
         # The subgraphs' old edges: the unchanged new ones plus the old
         # weights of the changed ones.
-        gsrc, gdst, gcsrc, gcdst = (np.split(gpos, cuts)[i] for i in (0, 1, 4, 5))
-        same = ~np.isin(gsrc * len(vkeys) + gdst, gcsrc * len(vkeys) + gcdst)
+        n = len(cells.id)
+        same = ~np.isin(esrc * n + edst, csrc * n + cdst)
         restored = ~np.isnan(cw_old)
         old_sub = np.concatenate([esub[same], csub[restored]])
         by_sub = np.argsort(old_sub, kind="stable")
         old = [old_sub[by_sub]] + [
             np.concatenate(p)[by_sub]
-            for p in ([lsrc[same], lcsrc[restored]], [ldst[same], lcdst[restored]],
+            for p in ([esrc[same], csrc[restored]], [edst[same], cdst[restored]],
                       [ew[same].astype(float), cw_old[restored]])
         ]
 
         def frame(table):
-            src, dst, w = _cell_edges(table, trim, rsub, row_base, n_subs)
+            src, dst, w = _cell_edges(table, trim, rsub, rb, n_subs)
             return pd.DataFrame({"src": src, "dst": dst, "w": w})
 
         ids = ranges(row_base[trim], nrow[trim])
-        old_cells, new_cells = frame(old), frame(new)
+        old_cells, new_cells = frame(old), frame(E)
         # Trim and seed every affected old row at once, each entry cell a root at 0.
         reset, seeds, acts = min_revision(
             prepared_edge_diff(old_cells, new_cells), old_cells, new_cells,
@@ -256,13 +249,15 @@ def _pass_chunk(n_subs, E, R, O, C, algo, tol, max_iter):
         at = seeds.index.to_numpy(np.int64)
         pend[at] = acc[at] = seeds.to_numpy(float)
 
-    # Every live row gets its own copy of its subgraph's intra edges.
-    src_cell, dst_cell, w = _cell_edges(new, np.flatnonzero(live), rsub, row_base, n_subs)
     # Rows without an old row start from a fresh unit injection (for sum,
     # pending mass and not an arrival).
     pend[ecell[~had_old]] = 0.0 if is_min else 1.0  # identity of ⊗
-
     active = pend < INF if is_min else np.abs(pend) > tol
+    if not is_min:  # a sum row holding no active cell sends nothing
+        live = np.zeros(len(rat), bool)
+        live[np.searchsorted(row_base, np.flatnonzero(active), "right") - 1] = True
+    # Every live row gets its own copy of its subgraph's intra edges.
+    src_cell, dst_cell, w = _cell_edges(E, np.flatnonzero(live), rsub, rb, n_subs)
     acc, _, a, _ = batch.propagate(
         acc, np.where(active, pend, np.nan), src_cell, dst_cell, w, algo, tol, max_iter,
         f"shortcut_pass: messages still pending after max_iter={max_iter}",
@@ -271,24 +266,31 @@ def _pass_chunk(n_subs, E, R, O, C, algo, tol, max_iter):
     # A sum cell at or below tol is dropped, negative ones too: prepared
     # weights are >= 0, so a negative cell is only the delta correction's
     # error from cells cut at tol, never shortcut mass.
-    keep = np.isfinite(acc) if is_min else acc > tol
-    cells = np.flatnonzero(keep)
-    g = np.searchsorted(row_base, cells, side="right") - 1
-    dst = vid[voff[rsub[g]] + cells - row_base[g]]
-    entry = rid[g].astype(np.int64)
-    # A min self-shortcut (cycle distance) can never improve any state, so
-    # drop it; a sum self-shortcut carries real cycle mass and must be kept.
-    own = (entry == dst) if is_min else np.zeros(len(cells), bool)
-    return rsub[g][~own], entry[~own], dst[~own], acc[cells][~own], acts + a
+    cell = np.flatnonzero(np.isfinite(acc) if is_min else acc > tol)
+    g = np.searchsorted(row_base, cell, side="right") - 1
+    at, dst = rat[g], cell - rb[g]
+    if is_min:
+        # A min self-shortcut (cycle distance) can never improve any state,
+        # so drop it; a sum self-shortcut carries real cycle mass and is kept.
+        other = at != dst
+        cell, at, dst = cell[other], at[other], dst[other]
+    return cells.sub[at], cells.id[at], cells.id[dst], acc[cell], acts + a
+
+
+def _check_members(cells, at: np.ndarray, sub: np.ndarray) -> None:
+    """Raise unless each looked-up position ``at`` is a member of ``sub``."""
+    if (cells.sub_at(at) != sub).any():
+        raise ValueError("shortcut tables name an id outside its subgraph's cells")
 
 
 def shortcut_pass(
-    edges: pd.DataFrame,  # sub, src, dst, w
-    entries: pd.DataFrame,  # sub, id
+    edges,  # sub, src, dst, w
+    entries,  # sub, id
     algo: Algorithm,
     *,
-    old: pd.DataFrame | None = None,  # sub, entry, dst, w
-    changed: pd.DataFrame | None = None,  # sub, src, dst, w_old, w_new (NaN = absent)
+    cells,  # members in (sub, id) order: Members.sub_major()
+    old=None,  # sub, entry, dst, w
+    changed=None,  # sub, src, dst, w_old, w_new (NaN = absent)
     tol: float | None = None,
     max_iter: int = 100_000,
 ) -> tuple[pd.DataFrame, int]:
@@ -310,7 +312,9 @@ def shortcut_pass(
       through ``u`` per unit injection is ``D_old[e,u]`` (+1 when
       ``u == e``), so a prepared-weight change ``dw`` on ``(u,v)`` corrects
       every row by injecting ``(D_old[e,u] + 1_{u=e}) · dw`` at ``v`` and
-      propagating over the NEW subgraph edges.
+      propagating over the NEW subgraph edges. Only the rows that then hold
+      a cell above ``tol`` (a fresh row holds its unit) get edges: the
+      others send nothing and keep their corrected cells.
     * Min: a row is affected when a changed edge can touch its old tree
       (its old distance used a deleted or raised edge, or an added or
       lowered edge improves it). One ``min_revision`` over the affected
@@ -318,35 +322,50 @@ def shortcut_pass(
       and seeds their re-relaxation; unaffected rows keep their old cells
       and cost no activation.
 
-    Layout: each entry row is a block of ``|ids_s|`` cells (sub-major,
-    entries in table order, vertex ids ascending) and each row that
-    propagates gets one copy of its subgraph's edges, so one loop
-    propagates every row of every subgraph.
-    Subgraphs are taken in ``sub`` order, in chunks whose copied-edge count
-    (Σ entries × intra edges) stays within ``batch.DRIVER_MAX_EDGES``.
+    Tables are frames or dicts of column arrays. Layout: ``cells`` (a
+    :class:`repro.layph.structure.Members` in (sub, id) order) lays out each
+    subgraph's vertices as one block; every id a table names must be a
+    member of the table row's subgraph (``ValueError`` otherwise), and a
+    member no table names only adds cells that never fire. Each entry is
+    one row of its subgraph's block of cells, rows in (sub, entry) order,
+    and each row that propagates gets one copy of its subgraph's edges, so
+    one loop propagates every row of every subgraph. Subgraphs are taken in
+    ``sub`` order, in chunks whose copied-edge count (Σ entries × intra
+    edges) stays within ``batch.DRIVER_MAX_EDGES``.
 
-    Returns ``(sub, entry, dst, w)`` rows sorted by ``sub, entry, dst``,
-    plus the activation count.
+    Returns ``(sub, entry, dst, w)`` rows sorted by ``sub, entry, dst``
+    (the cells' own order), plus the activation count.
     """
     tol = algo.tol if tol is None else tol
-    subs = np.unique(entries["sub"].to_numpy(np.int64))
-    tables = [
-        _grouped(subs, df, cols) for df, cols in zip([edges, entries, old, changed], _TABLES)
-    ]
-    copies = np.diff(tables[1][1]) * np.diff(tables[0][1])  # entries × intra edges
+    # One row per entry, in cell order: by subgraph, then entry id.
+    at = cells.index(entries["id"])
+    _check_members(cells, at, np.asarray(entries["sub"]))
+    rat = np.sort(at)
+    subs, rsub = np.unique(cells.sub[rat], return_inverse=True)
+    rbound = np.searchsorted(rsub, np.arange(len(subs) + 1))
+    (E, eb), (O, ob), (C, cb) = (
+        _grouped(subs, t, cols) for t, cols in zip([edges, old, changed], _TABLES)
+    )
+    # Table ids to positions in cells, in one lookup. An old row's entry is
+    # only looked up: it may be no member (-1) and then loads no row.
+    ids = [E[1], E[2], O[2], C[1], C[2], O[1]]
+    cut = np.cumsum([len(a) for a in ids])
+    at = cells.index(np.concatenate(ids))
+    _check_members(cells, at[:cut[-2]], subs[np.concatenate([E[0], E[0], O[0], C[0], C[0]])])
+    E[1], E[2], O[2], C[1], C[2], O[1] = np.split(at, cut[:-1])
+    blo = np.searchsorted(cells.sub, subs)
+    bn = np.searchsorted(cells.sub, subs, "right") - blo
+
+    copies = np.diff(rbound) * np.diff(eb)  # entries × intra edges
     out = [[np.empty(0, np.int64)] * 3 + [np.empty(0)]]
     acts = 0
     for lo, hi in _chunks(copies):
         chunk = [
             [cols[0][b[lo]:b[hi]] - lo] + [c[b[lo]:b[hi]] for c in cols[1:]]
-            for cols, b in tables
+            for cols, b in [([rsub, rat], rbound), (E, eb), (O, ob), (C, cb)]
         ]
-        *cols, a = _pass_chunk(hi - lo, *chunk, algo, tol, max_iter)
-        cols[0] = subs[lo:hi][cols[0]]
+        *cols, a = _pass_chunk(cells, blo[lo:hi], bn[lo:hi], *chunk, algo, tol, max_iter)
         out.append(cols)
         acts += a
     sub, entry, dst, w = (np.concatenate(c) for c in zip(*out))
-    order = np.lexsort((dst, entry, sub))
-    return pd.DataFrame(
-        {"sub": sub[order], "entry": entry[order], "dst": dst[order], "w": w[order]}
-    ), acts
+    return pd.DataFrame({"sub": sub, "entry": entry, "dst": dst, "w": w}, copy=False), acts

@@ -45,9 +45,20 @@ def canonical_edges(pdf: pd.DataFrame) -> pd.DataFrame:
     return pdf.sort_values(["src", "dst"], kind="mergesort").reset_index(drop=True)
 
 
-def edge_frame(src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> pd.DataFrame:
-    """An edge frame over copies of the given columns (no checks)."""
-    return pd.DataFrame({"src": src, "dst": dst, "w": w})
+def edge_frame(
+    src: np.ndarray, dst: np.ndarray, w: np.ndarray, *, copy: bool = True
+) -> pd.DataFrame:
+    """An edge frame over the given columns (no checks): over copies of
+    them, or with ``copy=False`` over the arrays themselves, each its own
+    column (pandas' default copies them into one block per dtype).
+
+    Callers that hand over arrays nothing else holds build it uncopied:
+    ``graphs.updates.apply_delta``, ``Algorithm.prepare`` and Ingress's
+    ``changed_runs`` (its old and new runs). :func:`canonical_edges` (whose
+    early return would otherwise share the caller's columns) and the
+    layered graph's ``layer_edges`` and ``up_edges`` views copy.
+    """
+    return pd.DataFrame({"src": src, "dst": dst, "w": w}, copy=copy)
 
 
 def is_canonical(src: np.ndarray, dst: np.ndarray) -> bool:

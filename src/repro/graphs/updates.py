@@ -117,7 +117,7 @@ def apply_delta(edges: pd.DataFrame, delta: GraphDelta) -> pd.DataFrame:
     dead = np.asarray(delta.deleted_vertices, np.int64)
     if len(dead) and (np.isin(out_src, dead).any() or np.isin(out_dst, dead).any()):
         raise ValueError("a deleted vertex keeps an edge that ΔG does not delete")
-    return edge_frame(out_src, out_dst, np.insert(w[rest], at, nw[o]))
+    return edge_frame(out_src, out_dst, np.insert(w[rest], at, nw[o]), copy=False)
 
 
 def random_edge_delta(

@@ -73,9 +73,9 @@ def changed_runs(
     keys = delta.sources()
     src, dst, w = (old_edges[c].to_numpy() for c in EDGE_COLUMNS)
     rows = source_rows(src, keys)
-    old = edge_frame(*algo.prepare_rows(src[rows], dst[rows], w[rows]))
+    old = edge_frame(*algo.prepare_rows(src[rows], dst[rows], w[rows]), copy=False)
     rows = source_rows(new_prepared.src.to_numpy(), keys)
-    new = edge_frame(*(new_prepared[c].to_numpy()[rows] for c in EDGE_COLUMNS))
+    new = edge_frame(*(new_prepared[c].to_numpy()[rows] for c in EDGE_COLUMNS), copy=False)
     return old, new
 
 

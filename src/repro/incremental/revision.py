@@ -36,19 +36,19 @@ SEED_TOL = 1e-12
 # sum workloads
 # --------------------------------------------------------------------------
 
-def prepared_edge_diff(old_prepared: pd.DataFrame, new_prepared: pd.DataFrame) -> pd.DataFrame:
-    """Per-(src,dst) prepared-weight diff of two edge frames, each holding a
-    pair at most once.
+def prepared_edge_diff(old_prepared, new_prepared) -> pd.DataFrame:
+    """Per-(src,dst) prepared-weight diff of two edge tables (frames, or
+    dicts of ``src, dst, w`` arrays), each holding a pair at most once.
 
     Columns ``src, dst, w_old, w_new`` (NaN on the missing side) restricted
     to pairs whose weight changed, appeared, or disappeared, in (src, dst)
     order.
     """
-    n_old = len(old_prepared)
-    src = np.concatenate([old_prepared.src.to_numpy(np.int64), new_prepared.src.to_numpy(np.int64)])
-    dst = np.concatenate([old_prepared.dst.to_numpy(np.int64), new_prepared.dst.to_numpy(np.int64)])
-    w = np.concatenate([old_prepared.w.to_numpy(np.float64), new_prepared.w.to_numpy(np.float64)])
-    is_new = np.arange(len(src)) >= n_old
+    old, new = old_prepared, new_prepared
+    src = np.concatenate([np.asarray(old["src"], np.int64), np.asarray(new["src"], np.int64)])
+    dst = np.concatenate([np.asarray(old["dst"], np.int64), np.asarray(new["dst"], np.int64)])
+    w = np.concatenate([np.asarray(old["w"], np.float64), np.asarray(new["w"], np.float64)])
+    is_new = np.arange(len(src)) >= len(old["src"])
     o = np.lexsort((is_new, dst, src))
     src, dst, w, is_new = src[o], dst[o], w[o], is_new[o]
     first = np.ones(len(src), bool)
@@ -62,7 +62,7 @@ def prepared_edge_diff(old_prepared: pd.DataFrame, new_prepared: pd.DataFrame) -
         changed = np.isnan(w_old) | np.isnan(w_new) | (np.abs(w_new - w_old) > _EPS)
     return pd.DataFrame(
         {"src": src[first][changed], "dst": dst[first][changed],
-         "w_old": w_old[changed], "w_new": w_new[changed]}
+         "w_old": w_old[changed], "w_new": w_new[changed]}, copy=False,
     )
 
 

@@ -5,7 +5,8 @@ dst, w, sub`` in (src, dst) order, the prepared weights rerouted through
 the replication plan's proxies, ``sub`` the subgraph of an intra row and -1
 for a cross (upper-layer) row. Beside it sit the real graph
 (``base_edges``), the membership (real members, then proxies), the frozen
-plan, and the counts that let it be patched:
+plan, the membership again in (sub, id) order (``cells``, the shortcut
+pass's cell layout), and the counts that let it be patched:
 
 * rerouted rows per plan row — a host↔proxy link exists while its count is
   above 0;
@@ -25,7 +26,8 @@ Membership and the plan are then frozen across ΔG batches (DESIGN.md §5.3),
 and a prepared weight depends only on its source's out-edges, so
 :func:`update_layered` re-prepares and re-routes only the rows of the
 sources ΔG touches, patches them into the table, and recomputes the
-shortcuts of the affected subgraphs only.
+shortcuts of the affected subgraphs only, handing the pass arrays and the
+old graph's cell layout.
 """
 from __future__ import annotations
 
@@ -59,6 +61,7 @@ class LayeredGraph:
     sub: np.ndarray  # subgraph of an intra row, -1 for a cross row
     via: np.ndarray  # plan row a rerouted row passes through, else -1
     members: Members  # real members, then proxies
+    cells: Members  # the members in (sub, id) order: the shortcut pass's cell layout
     proxies: Proxies
     forced_entries: frozenset
     link_count: np.ndarray  # rerouted rows per plan row
@@ -178,8 +181,8 @@ def _intra(src, dst, w, sub, rows: np.ndarray) -> pd.DataFrame:
     )
 
 
-def _entries(members: Members, is_entry: np.ndarray) -> pd.DataFrame:
-    return pd.DataFrame({"id": members.id[is_entry], "sub": members.sub[is_entry]})
+def _entries(members: Members, is_entry: np.ndarray) -> dict:
+    return {"id": members.id[is_entry], "sub": members.sub[is_entry]}
 
 
 def _subgraph(members: Members, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -208,8 +211,8 @@ def layout(
     src, dst, w, via = apply_plan(*prepared, members, proxies, algo.identity)
     cross_in, cross_out = cross_degrees(members, src, dst)
     return LayeredGraph(
-        algo, edges, src, dst, w, _subgraph(members, src, dst), via, members, proxies,
-        forced_entries, proxies.count(via), cross_in, cross_out,
+        algo, edges, src, dst, w, _subgraph(members, src, dst), via, members,
+        members.sub_major(), proxies, forced_entries, proxies.count(via), cross_in, cross_out,
         compute_roles(members, cross_in, cross_out, forced_entries), None,
     )
 
@@ -256,7 +259,7 @@ def build_layered(
         plan[plan["sub"].isin(kept)].reset_index(drop=True), forced,
     )
     shortcuts, acts = compute_shortcuts(
-        spark, lg.intra_edges, _entries(lg.members, lg.roles[0]), algo, tol=tol
+        spark, lg.intra_edges, _entries(lg.members, lg.roles[0]), algo, cells=lg.cells, tol=tol
     )
     return replace(lg, shortcuts=shortcuts), acts
 
@@ -276,7 +279,9 @@ def update_layered(
     table; a link to an 'out' proxy is added or dropped when its count
     crosses 0. Roles follow from the cross-row counts; shortcut tables are
     recomputed for *affected subgraphs only* (internal edges or boundary
-    roles changed, or members deleted).
+    roles changed, or members deleted), on the old graph's cells, which
+    still hold the deleted members. The pass gets its tables as arrays, and
+    its fresh rows go after the kept rows of the other subgraphs.
     Returns ``(new_lg, layer_diff, affected_subs, activations)`` where
     ``layer_diff`` is the prepared-weight diff on the layer graph, in
     (src, dst) order.
@@ -284,8 +289,10 @@ def update_layered(
     algo, proxies, members = lg.algo, lg.proxies, lg.members
     base = apply_delta(lg.base_edges, delta)
     touched = delta.sources()
-    keep = ~np.isin(members.id, np.asarray(delta.deleted_vertices, np.int64))
+    deleted = np.asarray(delta.deleted_vertices, np.int64)
+    keep = ~np.isin(members.id, deleted)
     new_members = members if keep.all() else members.subset(keep)
+    cells = lg.cells if keep.all() else lg.cells.subset(~np.isin(lg.cells.id, deleted))
 
     # Rows in: the touched sources' out-edges, re-prepared and re-routed.
     b_src, b_dst, b_w = base.src.to_numpy(), base.dst.to_numpy(), base.w.to_numpy()
@@ -310,8 +317,8 @@ def update_layered(
     o = pair_order(n_src, n_dst)
     n_src, n_dst, n_w, n_via = n_src[o], n_dst[o], n_w[o], n_via[o]
 
-    diff = prepared_edge_diff(edge_frame(lg.src[out], lg.dst[out], lg.w[out]),
-                              edge_frame(n_src, n_dst, n_w))
+    diff = prepared_edge_diff({"src": lg.src[out], "dst": lg.dst[out], "w": lg.w[out]},
+                              {"src": n_src, "dst": n_dst, "w": n_w})
 
     # Patch: every source with rows out lost its whole run, so each new row
     # goes where its src sorts among the rows left.
@@ -327,39 +334,41 @@ def update_layered(
     cross_in = (lg.cross_in - c_in)[keep] + a_in
     cross_out = (lg.cross_out - c_out)[keep] + a_out
 
+    # Changed intra edges, classified with the OLD membership: a deleted
+    # member's intra edges must still reach its subgraph's shortcut update,
+    # and every other vertex keeps its subgraph.
+    d = {c: diff[c].to_numpy() for c in diff.columns}
+    cs, cd = members.sub_of(d["src"]), members.sub_of(d["dst"])
+    same = (cs >= 0) & (cs == cd)
     # Affected subgraphs: an internal edge changed, a boundary role changed
     # (entry changes alter the shortcut table, exit changes move vertices
     # between L_up and the interior), or members were deleted.
     old_e, old_x = lg.roles
     new_e, new_x = roles = compute_roles(new_members, cross_in, cross_out, lg.forced_entries)
     moved = (old_e[keep] != new_e) | (old_x[keep] != new_x)
-    d_src, d_dst = diff.src.to_numpy(), diff.dst.to_numpy()
-    ds, dd = new_members.sub_of(d_src), new_members.sub_of(d_dst)
-    affected = np.unique(np.concatenate([
-        ds[(ds >= 0) & (ds == dd)], new_members.sub[moved], members.sub[~keep],
-    ]))
+    affected = np.unique(np.concatenate([cs[same], new_members.sub[moved], members.sub[~keep]]))
+    is_affected = np.zeros(int(members.sub.max(initial=-1)) + 2, bool)  # sub -1 reads False
+    is_affected[affected] = True
 
-    # Changed intra edges per affected sub, classified with the OLD
-    # membership as fallback: a deleted member's intra edges must still
-    # reach its subgraph's shortcut-update kernel.
-    cs = np.where(ds >= 0, ds, members.sub_of(d_src))
-    cd = np.where(dd >= 0, dd, members.sub_of(d_dst))
-    same = (cs >= 0) & (cs == cd)
-    chg = pd.DataFrame({
-        "src": d_src[same], "dst": d_dst[same], "w_old": diff.w_old.to_numpy()[same],
-        "w_new": diff.w_new.to_numpy()[same], "sub": cs[same],
-    })
+    mine = np.flatnonzero(is_affected[sub])
     fresh, acts = update_shortcuts(
-        spark, _intra(src, dst, w, sub, np.isin(sub, affected)), _entries(new_members, new_e),
-        lg.shortcuts, chg, algo, subs=affected, tol=tol,
+        spark, {"sub": sub[mine], "src": src[mine], "dst": dst[mine], "w": w[mine]},
+        _entries(new_members, new_e), lg.shortcuts,
+        {"sub": cs[same], **{c: v[same] for c, v in d.items()}},
+        algo, subs=affected, cells=lg.cells, tol=tol,
     )
-    kept = ~np.isin(lg.shortcuts["sub"].to_numpy(), affected)
+    old = [lg.shortcuts[c].to_numpy() for c in fresh.columns]
+    new = [fresh[c].to_numpy() for c in fresh.columns]
+    if not keep.all():
+        # A deleted member's sum cell can keep a residual above tol; no row
+        # may lead to a vertex that is gone.
+        new = [c[~np.isin(new[2], deleted)] for c in new]
+    kept = ~is_affected[old[0]]
     shortcuts = pd.DataFrame({
-        c: np.concatenate([lg.shortcuts[c].to_numpy()[kept], fresh[c].to_numpy()])
-        for c in fresh.columns
-    })
+        c: np.concatenate([o[kept], n]) for c, o, n in zip(fresh.columns, old, new)
+    }, copy=False)
     new_lg = LayeredGraph(
-        algo, base, src, dst, w, sub, np.insert(lg.via[rest], at, n_via), new_members,
+        algo, base, src, dst, w, sub, np.insert(lg.via[rest], at, n_via), new_members, cells,
         proxies, lg.forced_entries, count, cross_in, cross_out, roles, shortcuts,
     )
     return new_lg, diff, affected, acts

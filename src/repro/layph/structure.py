@@ -15,13 +15,16 @@ import pandas as pd
 
 
 class Members:
-    """Membership as arrays in table order (real members sub-major, then
-    proxies), with an id lookup; ``-1`` stands for "not a member"."""
+    """Membership as arrays in table order, with an id lookup; ``-1`` stands
+    for "not a member". A layered graph's membership lists real members
+    sub-major, then proxies; :meth:`sub_major` lists each subgraph's members
+    as one block, ids ascending."""
 
     def __init__(self, ids: np.ndarray, sub: np.ndarray):
         self.id, self.sub = ids, sub
-        self._order = np.argsort(ids, kind="stable")
-        self._sorted = ids[self._order]
+        # A hash index: each member id occurs once, and the queries come in
+        # any order, where a binary search costs several times more.
+        self._index = pd.Index(ids)
         self._sub = np.append(sub, -1)  # position -1 (a non-member) reads sub -1
 
     def frame(self) -> pd.DataFrame:
@@ -30,15 +33,14 @@ class Members:
     def subset(self, keep: np.ndarray) -> "Members":
         return Members(self.id[keep], self.sub[keep])
 
+    def sub_major(self) -> "Members":
+        """The same members in (sub, id) order."""
+        o = np.lexsort((self.id, self.sub))
+        return Members(self.id[o], self.sub[o])
+
     def index(self, v: np.ndarray) -> np.ndarray:
         """Table position of each id, -1 for a non-member."""
-        v = np.asarray(v, np.int64)
-        out = np.full(len(v), -1, np.int64)
-        if len(self._sorted):
-            pos = np.minimum(np.searchsorted(self._sorted, v), len(self._sorted) - 1)
-            hit = self._sorted[pos] == v
-            out[hit] = self._order[pos[hit]]
-        return out
+        return self._index.get_indexer(np.asarray(v, np.int64))
 
     def sub_at(self, i: np.ndarray) -> np.ndarray:
         """Subgraph at each table position, -1 at position -1."""

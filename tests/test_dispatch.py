@@ -7,6 +7,7 @@ import pandas as pd
 from repro.engine import algorithms as alg
 from repro.engine import local
 from repro.layph.shortcuts import compute_shortcuts, update_shortcuts
+from tests.blocks import table_cells
 
 NAN = float("nan")
 ALGO = alg.sssp(source=0)
@@ -45,13 +46,19 @@ def _tables():
         ignore_index=True,
     )
     # Sub 2's entry has no old row, as a newly promoted entry.
-    old_sc, _ = compute_shortcuts(None, old_edges, entries[entries["sub"] != 2], ALGO)
+    old_entries = entries[entries["sub"] != 2]
+    old_sc, _ = compute_shortcuts(
+        None, old_edges, old_entries, ALGO, cells=table_cells(old_edges, old_entries)
+    )
     return new_edges, entries, old_sc, changed
 
 
 def _fresh(subs, new_edges, entries, old_sc, changed):
     """Reference: a fresh deduction on the new tables, exact for min rows."""
-    want, _ = compute_shortcuts(None, new_edges, entries[entries["sub"].isin(subs)], ALGO)
+    entries = entries[entries["sub"].isin(subs)]
+    want, _ = compute_shortcuts(
+        None, new_edges, entries, ALGO, cells=table_cells(new_edges, entries)
+    )
     return want
 
 
@@ -66,7 +73,7 @@ def test_matches_in_process_kernel_on_sparse_tables():
     tables = _tables()
     subs = np.array([3, 0, 2, 1, 2])
     want = _fresh(subs, *tables)
-    got, acts = update_shortcuts(None, *tables, ALGO, subs=subs)
+    got, acts = update_shortcuts(None, *tables, ALGO, subs=subs, cells=table_cells(*tables))
     pd.testing.assert_frame_equal(got, want)
     assert acts == 3  # recorded when each subgraph ran its own kernel call
     # Sub 2 ran with an empty edge slice and its entry reaches nothing; sub 3
@@ -84,12 +91,16 @@ def test_matches_in_process_kernel_on_sparse_tables():
 def test_subs_outside_the_list_are_not_run():
     tables = _tables()
     want = _fresh([1], *tables)
-    got, acts = update_shortcuts(None, *tables, ALGO, subs=np.array([1]))
+    got, acts = update_shortcuts(
+        None, *tables, ALGO, subs=np.array([1]), cells=table_cells(*tables)
+    )
     pd.testing.assert_frame_equal(got, want)
     assert acts == 2  # recorded when each subgraph ran its own kernel call
     assert set(got["sub"]) == {1}
     # Sub 4 has an entry and a change, but is outside this `subs` too.
-    got, _ = update_shortcuts(None, *tables, ALGO, subs=np.array([0, 1, 2, 3]))
+    got, _ = update_shortcuts(
+        None, *tables, ALGO, subs=np.array([0, 1, 2, 3]), cells=table_cells(*tables)
+    )
     assert 4 not in set(got["sub"])
 
 
@@ -98,7 +109,9 @@ def test_empty_output_for_every_subgraph():
     # subgraph's output is empty.
     tables = _tables()
     want = _fresh([2], *tables)
-    got, acts = update_shortcuts(None, *tables, ALGO, subs=np.array([2]))
+    got, acts = update_shortcuts(
+        None, *tables, ALGO, subs=np.array([2]), cells=table_cells(*tables)
+    )
     assert acts == 0
     _assert_typed_empty(got)
     pd.testing.assert_frame_equal(got, want)
@@ -113,6 +126,8 @@ def test_empty_subs_start_no_spark_job(monkeypatch):
     # No Spark session is given; subs that are empty or hold no entry run no
     # pass chunk and return a table typed like a filled one.
     for subs in (np.array([], np.int64), np.array([3, 5])):
-        got, acts = update_shortcuts(None, *tables, ALGO, subs=subs)
+        got, acts = update_shortcuts(
+            None, *tables, ALGO, subs=subs, cells=table_cells(*tables)
+        )
         assert acts == 0
         _assert_typed_empty(got)

@@ -17,7 +17,7 @@ from repro.graphs.updates import apply_delta, random_edge_delta
 from repro.incremental.revision import prepared_edge_diff
 from repro.layph.shortcuts import compute_shortcuts, update_shortcuts
 from repro.layph.upload import upload_messages
-from tests.blocks import one_block
+from tests.blocks import one_block, table_cells
 
 INF = float("inf")
 SC = ["entry", "dst", "w"]
@@ -180,11 +180,12 @@ def test_deduction_equals_one_subgraph_calls(no_spark, branch):
     algo = ALGOS[branch]()
     prep, one = _deduce(algo)
     want, want_acts = _each_subgraph(one, prep, OLD_ENTRIES)
-    got, acts = shortcut_pass(prep, OLD_ENTRIES, algo)
+    cells = table_cells(prep, OLD_ENTRIES)
+    got, acts = shortcut_pass(prep, OLD_ENTRIES, algo, cells=cells)
     _assert_same(got, want)
     assert acts == want_acts > 0
     assert 2 not in set(got["sub"])  # entries but no intra edges: no rows
-    sc, sc_acts = compute_shortcuts(no_spark, prep, OLD_ENTRIES, algo)
+    sc, sc_acts = compute_shortcuts(no_spark, prep, OLD_ENTRIES, algo, cells=cells)
     _assert_same(sc, want)
     assert sc_acts == acts
 
@@ -193,9 +194,16 @@ def _update_inputs(branch="sum"):
     algo = ALGOS[branch]()
     old, new = _graphs()
     old_prep, new_prep = algo.prepare(old), algo.prepare(new)
-    old_sc, _ = shortcut_pass(_with_sub(old_prep), OLD_ENTRIES, algo)
+    old_prep = _with_sub(old_prep)
+    old_sc, _ = shortcut_pass(
+        old_prep, OLD_ENTRIES, algo, cells=table_cells(old_prep, OLD_ENTRIES)
+    )
     changed = _with_sub(prepared_edge_diff(old_prep, new_prep))
     return algo, _with_sub(new_prep), old_sc, changed
+
+
+def _update_cells(new_prep, old_sc, changed):
+    return table_cells(new_prep, NEW_ENTRIES, old_sc, changed)
 
 
 def test_sum_update_equals_one_subgraph_calls(no_spark):
@@ -210,14 +218,18 @@ def test_sum_update_equals_one_subgraph_calls(no_spark):
         return sc, a
 
     want, want_acts = _each_subgraph(one, new_prep, NEW_ENTRIES, old_sc, changed)
-    got, acts = shortcut_pass(new_prep, NEW_ENTRIES, algo, old=old_sc, changed=changed)
+    cells = _update_cells(new_prep, old_sc, changed)
+    got, acts = shortcut_pass(
+        new_prep, NEW_ENTRIES, algo, cells=cells, old=old_sc, changed=changed
+    )
     _assert_same(got, want)
     assert acts == want_acts > 0
     # The promoted entry has a full row; subgraph 2 keeps its (empty) rows.
     assert len(got[got.entry == 509]) > 0 and 2 not in set(got["sub"])
     # Subgraph 3 is affected but has no entries: it gets no rows.
     sc, sc_acts = update_shortcuts(
-        no_spark, new_prep, NEW_ENTRIES, old_sc, changed, algo, subs=np.array([0, 1, 2, 3, 5])
+        no_spark, new_prep, NEW_ENTRIES, old_sc, changed, algo, subs=np.array([0, 1, 2, 3, 5]),
+        cells=cells,
     )
     _assert_same(sc, want)
     assert sc_acts == acts
@@ -229,10 +241,13 @@ def test_chunk_split_matches_one_pass(monkeypatch, limit):
     algo, new_prep, old_sc, changed = _update_inputs()
     min_algo, min_prep, min_old_sc, min_changed = _update_inputs("min")
     runs = [
-        lambda: shortcut_pass(new_prep, NEW_ENTRIES, algo, old=old_sc, changed=changed),
-        lambda: shortcut_pass(new_prep, OLD_ENTRIES, ALGOS["min"]()),
+        lambda: shortcut_pass(new_prep, NEW_ENTRIES, algo, old=old_sc, changed=changed,
+                              cells=_update_cells(new_prep, old_sc, changed)),
+        lambda: shortcut_pass(new_prep, OLD_ENTRIES, ALGOS["min"](),
+                              cells=table_cells(new_prep, OLD_ENTRIES)),
         lambda: shortcut_pass(
-            min_prep, NEW_ENTRIES, min_algo, old=min_old_sc, changed=min_changed
+            min_prep, NEW_ENTRIES, min_algo, old=min_old_sc, changed=min_changed,
+            cells=_update_cells(min_prep, min_old_sc, min_changed),
         ),
     ]
     want = [run() for run in runs]
@@ -243,7 +258,9 @@ def test_chunk_split_matches_one_pass(monkeypatch, limit):
     monkeypatch.setattr(batch, "DRIVER_MAX_EDGES", value)
     calls = []
     chunk = local._pass_chunk
-    monkeypatch.setattr(local, "_pass_chunk", lambda n, *a: calls.append(n) or chunk(n, *a))
+    monkeypatch.setattr(
+        local, "_pass_chunk", lambda cells, blo, *a: calls.append(len(blo)) or chunk(cells, blo, *a)
+    )
     for run, (want_sc, want_acts) in zip(runs, want):
         calls.clear()
         got, acts = run()
@@ -298,6 +315,6 @@ def test_shortcut_pass_raises_at_cap(branch):
     algo = alg.pagerank(d=0.85, tol=1e-9) if branch == "sum" else alg.sssp(source=0)
     edges, entries = CHAIN.assign(sub=0), pd.DataFrame({"id": [0], "sub": [0]})
     with pytest.raises(RuntimeError, match="max_iter=1"):
-        shortcut_pass(edges, entries, algo, max_iter=1)
-    sc, acts = shortcut_pass(edges, entries, algo, max_iter=3)
+        shortcut_pass(edges, entries, algo, cells=table_cells(edges, entries), max_iter=1)
+    sc, acts = shortcut_pass(edges, entries, algo, cells=table_cells(edges, entries), max_iter=3)
     assert sc.dst.tolist() == [1, 2, 3] and acts == 3

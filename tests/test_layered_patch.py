@@ -16,6 +16,7 @@ from repro.graphs.schema import canonical_edges, vertex_ids
 from repro.graphs.updates import GraphDelta, random_edge_delta, random_vertex_delta
 from repro.layph.layered import build_layered, update_layered
 from repro.layph.shortcuts import compute_shortcuts
+from tests.blocks import table_cells
 
 _EPS = 1e-9
 
@@ -203,9 +204,15 @@ def _check(lg, algo, base, real0, plan, dead):
 
 def _check_shortcuts(lg, algo, intra, roles):
     entries = roles[roles.is_entry][["id", "sub"]]
-    want, _ = compute_shortcuts(None, intra, entries, algo, tol=algo.tol)
+    want, _ = compute_shortcuts(
+        None, intra, entries, algo, cells=table_cells(intra, entries), tol=algo.tol
+    )
     key = ["sub", "entry", "dst"]
     got = lg.shortcuts.sort_values(key).reset_index(drop=True)
+    # Every row leads to a member of its subgraph: none to a deleted vertex,
+    # whose sum cell may still hold a residual above tol.
+    sub_of = roles.set_index("id")["sub"]
+    assert (sub_of.reindex(got.dst).to_numpy() == got["sub"].to_numpy()).all()
     if algo.is_min:
         # No min self-shortcut: ``upper_graph`` passes every row on to L_up.
         assert (got.entry != got.dst).all()
