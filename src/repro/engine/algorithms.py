@@ -120,6 +120,12 @@ class Algorithm:
         return src[keep], dst[keep], w[keep]
 
     # ---- initial conditions -----------------------------------------------
+    def with_source(self, vertex_ids: np.ndarray) -> np.ndarray:
+        """The sorted ``vertex_ids`` plus the source, which belongs to the
+        vertex set even when no edge touches it. Every engine keeps this
+        one rule."""
+        return vertex_ids if self.source is None else np.union1d(vertex_ids, [self.source])
+
     def root_messages(self, vertex_ids: np.ndarray) -> pd.Series:
         """M⁰ as a sparse id-indexed series (only non-trivial roots)."""
         if self.uniform_root is not None:

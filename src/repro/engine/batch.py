@@ -76,9 +76,7 @@ def on_driver(n_rows: int) -> bool:
 
 def initial_states(edges: pd.DataFrame, algo: Algorithm) -> tuple[pd.Series, pd.Series]:
     """X⁰ with root messages M⁰ applied, and M⁰ pending (Eq. 1 start)."""
-    ids = vertex_ids(edges)
-    if algo.source is not None and algo.source not in ids:
-        ids = np.unique(np.append(ids, algo.source))
+    ids = algo.with_source(vertex_ids(edges))
     x0 = algo.initial_states(ids)
     m0 = algo.root_messages(ids)
     if algo.is_min:

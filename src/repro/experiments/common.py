@@ -27,7 +27,6 @@ from repro.graphs.updates import (
 )
 from repro.incremental.baselines import SYSTEMS
 from repro.layph.engine import LayphEngine
-from repro.metrics import RunStats
 
 ALL_SYSTEMS = ["restart", "kickstarter", "risgraph", "graphbolt", "dzig", "ingress", "layph"]
 
@@ -66,9 +65,7 @@ class Workload:
 
 def batch_states(edges: pd.DataFrame, algo: alg.Algorithm, tol: float | None = None) -> pd.Series:
     """Shared converged starting point (verified local kernel)."""
-    ids = vertex_ids(edges)
-    if algo.source is not None and algo.source not in ids:
-        ids = np.unique(np.append(ids, algo.source))
+    ids = algo.with_source(vertex_ids(edges))
     return converge(
         algo.prepare(edges), algo.initial_states(ids), algo.root_messages(ids),
         algo, tol=tol,

@@ -56,7 +56,7 @@ def edge_frame(
     ``graphs.updates.apply_delta``, ``Algorithm.prepare`` and Ingress's
     ``changed_runs`` (its old and new runs). :func:`canonical_edges` (whose
     early return would otherwise share the caller's columns) and the
-    layered graph's ``layer_edges`` and ``up_edges`` views copy.
+    layered graph's ``layer_edges`` view copy.
     """
     return pd.DataFrame({"src": src, "dst": dst, "w": w}, copy=copy)
 

@@ -43,9 +43,7 @@ def new_vertex_universe(ids: np.ndarray, delta: GraphDelta, algo: Algorithm) -> 
     """Vertex set of G ⊕ ΔG from the sorted endpoint ``ids`` of its edges:
     ΔG's added vertices and the source join them even if isolated, and
     ΔG's deleted vertices leave. Every engine keeps this one rule."""
-    ids = np.union1d(ids, np.asarray(delta.added_vertices, np.int64))
-    if algo.source is not None:
-        ids = np.union1d(ids, [algo.source])
+    ids = algo.with_source(np.union1d(ids, np.asarray(delta.added_vertices, np.int64)))
     if len(delta.deleted_vertices):
         ids = np.setdiff1d(ids, delta.deleted_vertices)
     return ids

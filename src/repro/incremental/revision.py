@@ -96,7 +96,8 @@ def sum_injections(
     """The revision deltas of a prepared-edge ``diff`` (see
     :func:`prepared_edge_diff`): ``(x*_u − x0_u) · dw`` at ``v`` per changed
     edge ``(u, v)``, plus the root messages of ``new_vertices``, summed per
-    target id."""
+    target id. A target whose sum is exactly 0 is dropped: its message
+    would change no state, yet fire every out-edge."""
     dw = diff.w_new.fillna(0.0).to_numpy() - diff.w_old.fillna(0.0).to_numpy()
     mass = (states - algo.zero_state).reindex(diff.src).fillna(0.0).to_numpy()
     inj = pd.Series(mass * dw, index=diff.dst.to_numpy(np.int64))
@@ -104,7 +105,9 @@ def sum_injections(
         roots = algo.root_messages(np.asarray(new_vertices, np.int64))
         roots = roots[roots.index.isin(new_vertices)]
         inj = pd.concat([inj, roots])
-    return inj.groupby(level=0).sum()
+    inj = inj.groupby(level=0).sum()
+    zero = inj.to_numpy() == 0
+    return inj[~zero] if zero.any() else inj
 
 
 # --------------------------------------------------------------------------

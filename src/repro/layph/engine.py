@@ -12,18 +12,20 @@ Per ΔG batch, four phases (timed separately for the Fig. 7 breakdown):
 4. ``assign``   — push the external messages accumulated at entry vertices
    down to interior vertices through shortcuts in one hop (§V-C).
 
-A sum round maps ids to positions once, over the sorted vertex universe of
-G ⊕ ΔG: the states are one float array from the upload to the assignment,
-and id-indexed Series exist only where a layer function takes them (the
-upload's injections and the L_up loop's states and seeds) and once at the
-end. Both workloads assign through :func:`assign`, one gather of each
-entry's run of the cross-layer table and one G-aggregate (``np.bincount``
-for sum, ``np.minimum.at`` for min).
+Both rounds map ids to positions once, over the sorted vertex universe of
+G ⊕ ΔG: :meth:`LayphEngine.run_delta` aligns the states to it, each round
+updates one float array from the upload to the assignment, and the one
+id-indexed Series is built at the end. Series exist in between only where
+a layer function takes them: the upload's injections, the revision's old
+states, and the L_up loop's states and seeds. Both workloads assign through
+:func:`assign`, one gather of each entry's run of the cross-layer table
+and one G-aggregate (``np.bincount`` for sum, ``np.minimum.at`` for min).
 
 Min workloads exploit idempotence: entry caches are *recomputed* from the
-converged L_up states and interior states are rebuilt by
-``min_e(cache_e + w(e, v))`` — but only for subgraphs whose caches or
-shortcuts changed, which is Layph's propagation constraint.
+converged L_up states, one ``np.minimum.at`` over the cross rows, and
+interior states are rebuilt by ``min_e(cache_e + w(e, v))`` — but only for
+subgraphs whose caches or shortcuts changed, which is Layph's propagation
+constraint.
 """
 from __future__ import annotations
 
@@ -46,32 +48,21 @@ from repro.metrics import PhaseTimer, RunStats
 INF = float("inf")
 
 
-def _series_min(a: pd.Series, b: pd.Series) -> pd.Series:
-    """Element-wise min of two id-indexed series over the union index."""
-    idx = a.index.union(b.index)
-    return pd.Series(
-        np.minimum(a.reindex(idx, fill_value=INF), b.reindex(idx, fill_value=INF)),
-        index=idx,
-    )
-
-
-def compute_caches_min(lg: LayeredGraph, x: pd.Series) -> pd.Series:
-    """Entry caches (Eq. 9, min form): per entry, the best *external* support
-    — min over original L_up in-edges of ``x_u + w``, plus the root value."""
-    entries = lg.entry_ids
-    entry_set = set(entries)
-    into = lg.up_edges[lg.up_edges.dst.isin(entry_set)]
-    cand = pd.Series(
-        x.reindex(into.src).to_numpy(float) + into.w.to_numpy(float),
-        index=into.dst.to_numpy(np.int64),
-    )
-    cache = cand.groupby(level=0).min().reindex(entries, fill_value=INF)
-    roots = pd.Series(
-        {v: m for v, m in lg.algo.roots.items() if v in entry_set}, dtype=float
-    )
-    if len(roots):
-        cache = _series_min(cache, roots).reindex(entries)
-    return cache.sort_index()
+def compute_caches_min(lg: LayeredGraph, x: np.ndarray, index: pd.Index) -> pd.Series:
+    """Entry caches (Eq. 9, min form) from the states ``x`` over ``index``,
+    by sorted entry id: per entry, the best *external* support — the least
+    ``x_u + w`` over its cross in-rows — and the root value at a forced
+    entry; +inf where neither exists."""
+    entries = pd.Index(np.sort(lg.entry_ids))
+    cross = lg.sub < 0
+    src, at, w = lg.src[cross], batch.positions(entries, lg.dst[cross]), lg.w[cross]
+    into = at >= 0
+    cache = np.full(len(entries), INF)
+    np.minimum.at(cache, at[into], x[batch.positions(index, src[into])] + w[into])
+    roots = lg.algo.roots
+    at = batch.positions(entries, list(roots))
+    np.minimum.at(cache, at[at >= 0], np.fromiter(roots.values(), float)[at >= 0])
+    return pd.Series(cache, index=entries)
 
 
 def assign(
@@ -134,9 +125,7 @@ class LayphEngine:
             )
             self.offline_stats.activations += acts
         with PhaseTimer(self.batch_stats, "batch"):
-            ids = self.lg.vertex_ids
-            if self.algo.source is not None and self.algo.source not in ids:
-                ids = np.unique(np.append(ids, self.algo.source))
+            ids = self.algo.with_source(self.lg.vertex_ids)
             # Proxies are auxiliary relay vertices: they carry NO root
             # messages (a proxy with a PageRank root would inject extra mass).
             real = np.setdiff1d(ids, self.lg.proxies.proxy)
@@ -150,7 +139,7 @@ class LayphEngine:
             self.x = run.states
             self.batch_stats.activations += run.activations
         if self.algo.is_min:
-            self.caches = compute_caches_min(self.lg, self.x)
+            self.caches = compute_caches_min(self.lg, self.x.to_numpy(), self.x.index)
         return self
 
     def states(self) -> pd.Series:
@@ -163,35 +152,32 @@ class LayphEngine:
     def run_delta(self, delta: GraphDelta) -> tuple[pd.Series, RunStats]:
         """Incremental computation I_A(A(G), ΔG) on the layered graph."""
         stats = RunStats()
-        old_lg, old_x = self.lg, self.x
-
         with PhaseTimer(stats, "layered_update"):
             new_lg, diff, affected, acts = update_layered(
-                self.spark, old_lg, delta, tol=self.tol
+                self.spark, self.lg, delta, tol=self.tol
             )
             stats.activations += acts
 
-        # Ingress's vertex universe over the layer graph (proxies persist).
+        # Ingress's vertex universe over the layer graph (proxies persist),
+        # mapped to positions once: both rounds work on one float array.
         ids = new_vertex_universe(new_lg.vertex_ids, delta, self.algo)
-        x = align_states(old_x, ids, self.algo)
-
+        x = align_states(self.x, ids, self.algo)
+        index, x = x.index, x.to_numpy(float, copy=True)
         if self.algo.is_sum:
-            x = self._run_sum(new_lg, diff, old_x, x, delta, stats)
+            x = self._run_sum(new_lg, diff, x, index, delta, stats)
         else:
-            x = self._run_min(old_lg, new_lg, diff, affected, x, delta, stats)
+            x = self._run_min(new_lg, affected, x, index, stats)
 
-        self.lg, self.x = new_lg, x
+        self.lg, self.x = new_lg, pd.Series(x, index=index)
         return self.states(), stats
 
     # ------------------------------------------------------------------
-    def _run_sum(self, new_lg, diff, old_x, x, delta, stats) -> pd.Series:
-        """One sum round on one position index: the aligned states ``x`` are
-        one float array through upload, upper and assign, and one Series
-        again at the end."""
-        algo, index = self.algo, x.index
-        x = x.to_numpy(float, copy=True)
+    def _run_sum(self, new_lg, diff, x, index, delta, stats) -> np.ndarray:
+        """One sum round: upload, upper and assign on the aligned states
+        ``x`` over ``index``, which it updates and returns."""
+        algo = self.algo
         with PhaseTimer(stats, "upload"):
-            inj = sum_injections(diff, old_x, algo, new_vertices=delta.added_vertices)
+            inj = sum_injections(diff, self.x, algo, new_vertices=delta.added_vertices)
             v, val = inj.index.to_numpy(np.int64), inj.to_numpy(float)
             at = batch.positions(index, v)
             member = (at >= 0) & (new_lg.members.index(v) >= 0)
@@ -224,19 +210,21 @@ class LayphEngine:
             )
             stats.activations += rows
             x += add
-        return pd.Series(x, index=index)
+        return x
 
     # ------------------------------------------------------------------
-    def _run_min(self, old_lg, new_lg, diff, affected, x, delta, stats) -> pd.Series:
-        algo = self.algo
+    def _run_min(self, new_lg, affected, x, index, stats) -> np.ndarray:
+        """One min round on the aligned states ``x`` over ``index``, which it
+        updates and returns: trim and relax on L_up, then rebuild the
+        interiors of the subgraphs whose caches or shortcuts changed."""
+        algo, old_lg = self.algo, self.lg
         with PhaseTimer(stats, "upload"):
             old_up = old_lg.upper_graph[["src", "dst", "w"]]
             new_up = new_lg.upper_graph[["src", "dst", "w"]]
             # Vertices newly on the boundary lost the representation of their
             # old (interior) supports — conservatively invalidate them.
-            old_b = set(old_lg.boundary_ids)
-            new_b = set(new_lg.boundary_ids)
-            promoted = np.array(sorted((new_b - old_b) & set(x.index)), np.int64)
+            promoted = np.setdiff1d(new_lg.boundary_ids, old_lg.boundary_ids)
+            promoted = promoted[batch.positions(index, promoted) >= 0]
             reset, seeds, dacts = min_revision(
                 prepared_edge_diff(old_up, new_up), old_up, new_up, self.x, algo,
                 extra_seeds=promoted,
@@ -244,37 +232,39 @@ class LayphEngine:
             stats.activations += dacts
 
         with PhaseTimer(stats, "upper"):
-            upv = np.intersect1d(new_lg.upper_vertex_ids, x.index.to_numpy())
-            x_up = x.reindex(upv)
-            x_up.loc[x_up.index.isin(set(int(r) for r in reset))] = INF
-            seeds = seeds[seeds.index.isin(upv)]
+            up = batch.positions(index, new_lg.upper_vertex_ids)
+            up = up[up >= 0]
+            x[up[np.isin(index[up], reset)]] = INF
             x_up = upper_min_loop(
-                self.spark, new_lg.upper_graph, x_up, seeds, algo, stats=stats
+                self.spark, new_lg.upper_graph, pd.Series(x[up], index=index[up]), seeds, algo,
+                stats=stats,
             )
-            x.update(x_up)
+            x[up] = x_up.to_numpy()  # sorted by id, as index[up] is
 
         with PhaseTimer(stats, "assign"):
-            caches = compute_caches_min(new_lg, x)
-            old_c = self.caches if self.caches is not None else pd.Series(dtype=float)
-            idx = caches.index.union(old_c.index)
-            a = caches.reindex(idx, fill_value=INF).to_numpy(float)
-            b = old_c.reindex(idx, fill_value=INF).to_numpy(float)
+            caches = compute_caches_min(new_lg, x, index)
+            entries, cache = caches.index.to_numpy(), caches.to_numpy()
+            # An entry whose cache moved, or that is on one side only (+inf
+            # on the other), marks its subgraph.
+            old_e = self.caches.index.to_numpy()
+            ids = np.union1d(old_e, entries)
+            a, b = np.full(len(ids), INF), np.full(len(ids), INF)
+            a[np.searchsorted(ids, entries)] = cache
+            b[np.searchsorted(ids, old_e)] = self.caches.to_numpy()
             with np.errstate(invalid="ignore"):
                 same = (a == b) | (np.abs(a - b) <= 1e-9)
-            changed_entries = idx.to_numpy(np.int64)[~same]
-            cache_subs = new_lg.members.sub_of(changed_entries)
+            cache_subs = new_lg.members.sub_of(ids[~same])
             target_subs = np.union1d(np.asarray(affected, np.int64), cache_subs[cache_subs >= 0])
 
             if len(target_subs):
                 # A proxy whose links all vanished has no state to rebuild.
                 interior = new_lg.interior_ids
-                at = batch.positions(x.index, interior)
+                at = batch.positions(index, interior)
                 at = at[np.isin(new_lg.members.sub_of(interior), target_subs) & (at >= 0)]
-                entries = caches.index.to_numpy(np.int64)
                 pick = np.isin(new_lg.members.sub_of(entries), target_subs)
-                best, rows = assign(new_lg, entries[pick], caches.to_numpy(float)[pick], x.index, algo)
+                best, rows = assign(new_lg, entries[pick], cache[pick], index, algo)
                 stats.activations += rows
-                x.iloc[at] = best[at]
+                x[at] = best[at]
             self.caches = caches
         return x
 

@@ -14,10 +14,9 @@ pass's cell layout), and the counts that let it be patched:
   is_exit)`` flags they give (Def. 1).
 
 These arrays are the only form of membership and roles. The pandas tables
-the engine reads (``layer_edges``, ``up_edges``, ``intra_edges``,
-``upper_graph``), the cross-layer table's arrays (``assignment_runs``) and
-the id arrays derived from the roles are views, each a ``cached_property``
-built once per graph.
+the engine reads (``layer_edges``, ``intra_edges``, ``upper_graph``), the
+cross-layer table's arrays (``assignment_runs``) and the id arrays derived
+from the roles are views, each a ``cached_property`` built once per graph.
 
 :func:`layout` lays out one membership and plan. :func:`build_layered` runs
 it twice: once on every candidate community with the full replication plan,
@@ -74,12 +73,6 @@ class LayeredGraph:
     @cached_property
     def layer_edges(self) -> pd.DataFrame:
         return edge_frame(self.src, self.dst, self.w)
-
-    @cached_property
-    def up_edges(self) -> pd.DataFrame:
-        """Cross edges (upper-layer originals)."""
-        up = self.sub < 0
-        return edge_frame(self.src[up], self.dst[up], self.w[up])
 
     @cached_property
     def intra_edges(self) -> pd.DataFrame:

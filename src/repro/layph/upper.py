@@ -71,7 +71,6 @@ def upper_sum_loop(
     applied by the local upload phase. Returns ``(states, Δcache)``, the
     Δcache being the original-channel arrivals at ``entry_ids``.
     """
-    pend_orig, pend_sc = _nonzero(pend_orig), _nonzero(pend_sc)
     if len(pend_orig) == 0 and len(pend_sc) == 0:
         return x_up, pd.Series(dtype=float)
     out, _ = batch.superstep_loop(

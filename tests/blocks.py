@@ -1,5 +1,6 @@
-"""One subgraph's shortcut tables through the engine's own pass, and the
-cell universe the pass once derived from its tables."""
+"""One subgraph's shortcut tables through the engine's own pass, the cell
+universe the pass once derived from its tables, and a membership that
+keeps no subgraph."""
 import numpy as np
 import pandas as pd
 
@@ -35,3 +36,10 @@ def one_block(edges, entries, algo, *, old=None, changed=None, **kw):
         cells=table_cells(*tables), **kw,
     )
     return sc.drop(columns="sub"), acts
+
+
+def singletons(membership: pd.DataFrame) -> pd.DataFrame:
+    """Every vertex its own community: no subgraph has an internal edge, so
+    Def. 2 keeps none, the shortcut table is empty and L_up is the whole
+    graph."""
+    return pd.DataFrame({"id": membership.id.to_numpy(), "sub": np.arange(len(membership))})

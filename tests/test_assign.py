@@ -2,8 +2,9 @@
 ``update_layered`` leaves it: the kept subgraphs' rows first, then the
 fresh rows of the affected ones, so the entries' runs are not in entry
 order. The reference is the pandas merge and groupby the engine used
-before. A layered graph whose subgraphs all fail Def. 2 has an empty
-cross-layer table, and its rounds must still run and match the reference."""
+before, as it is for the min entry caches (Eq. 9) the assignment reads. A
+layered graph whose subgraphs all fail Def. 2 has an empty cross-layer
+table, and its rounds must still run and match the reference."""
 from dataclasses import replace
 
 import numpy as np
@@ -13,9 +14,10 @@ import pytest
 from repro.engine import algorithms as alg
 from repro.graphs.generators import dataset
 from repro.graphs.updates import apply_delta, random_edge_delta
-from repro.layph.engine import LayphEngine, assign
+from repro.layph.engine import LayphEngine, assign, compute_caches_min
 from repro.layph.layered import build_layered
 from repro.reference import assert_states_close, pagerank_reference, sssp_reference
+from tests.blocks import singletons
 
 INF = float("inf")
 
@@ -68,17 +70,37 @@ def test_assign_equals_merge_groupby_on_an_updated_table(no_spark, name):
     assert (got[rest] == (INF if algo.is_min else 0.0)).all()
 
 
-def _singletons(membership):
-    """Every vertex its own community: no subgraph has an internal edge, so
-    Def. 2 keeps none and the shortcut table is empty."""
-    return pd.DataFrame({"id": membership.id.to_numpy(), "sub": np.arange(len(membership))})
+def test_min_caches_equal_merge_groupby_after_a_deletion(no_spark):
+    """Eq. 9, min form: per entry, the least ``x_u + w`` over its original
+    L_up in-edges, and the root value at the forced source entry."""
+    algo = alg.sssp(source=0)
+    edges, membership = dataset("uk_lite", sf=0.003, seed=7)
+    eng = LayphEngine(no_spark, edges, algo, membership=membership).initialize()
+    delta = random_edge_delta(edges, n_add=4, n_del=4, seed=41)
+    assert len(delta.deleted) > 0
+    eng.run_delta(delta)
+    lg, x = eng.lg, eng.x
+    assert algo.source in lg.entry_ids
+
+    cross = lg.upper_graph[lg.upper_graph.etype == 0]
+    j = cross[cross.dst.isin(lg.entry_ids)].merge(
+        x.rename("x_u"), left_on="src", right_index=True
+    )
+    want = (j.x_u + j.w).groupby(j.dst).min().reindex(np.sort(lg.entry_ids), fill_value=INF)
+    assert want[algo.source] > 0.0  # only the root gives the source 0
+    want[algo.source] = 0.0
+
+    got = compute_caches_min(lg, x.to_numpy(), x.index)
+    np.testing.assert_array_equal(got.index.to_numpy(), want.index.to_numpy())
+    np.testing.assert_array_equal(got.to_numpy(), want.to_numpy())
+    pd.testing.assert_series_equal(eng.caches, got)  # the round kept the same caches
 
 
 @pytest.mark.parametrize("name", ["pagerank", "sssp"])
 def test_rounds_run_on_an_empty_cross_layer_table(no_spark, name):
     algo = alg.pagerank(d=0.85, tol=1e-4) if name == "pagerank" else alg.sssp(source=0)
     edges, membership = dataset("uk_lite", sf=0.003, seed=7)
-    eng = LayphEngine(no_spark, edges, algo, membership=_singletons(membership)).initialize()
+    eng = LayphEngine(no_spark, edges, algo, membership=singletons(membership)).initialize()
     assert len(eng.lg.shortcuts) == 0 and len(eng.lg.assignment_runs[0]) == 0
 
     index = pd.Index(eng.lg.vertex_ids)

@@ -23,12 +23,7 @@ def graph(seed=0, n=50):
 
 def local_batch(edges, algo, extra_ids=(), tol=None):
     """Ground truth from the (already reference-verified) local kernel."""
-    ids = vertex_ids(edges)
-    for e in extra_ids:
-        if e not in ids:
-            ids = np.unique(np.append(ids, e))
-    if algo.source is not None and algo.source not in ids:
-        ids = np.unique(np.append(ids, algo.source))
+    ids = algo.with_source(np.union1d(vertex_ids(edges), np.asarray(extra_ids, np.int64)))
     return converge(
         algo.prepare(edges), algo.initial_states(ids), algo.root_messages(ids),
         algo, tol=tol,

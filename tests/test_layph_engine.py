@@ -14,10 +14,7 @@ from repro.reference import assert_states_close
 
 
 def local_batch(edges, algo, extra_ids=(), tol=None):
-    ids = vertex_ids(edges)
-    for e in list(extra_ids) + ([algo.source] if algo.source is not None else []):
-        if e is not None and e not in ids:
-            ids = np.unique(np.append(ids, e))
+    ids = algo.with_source(np.union1d(vertex_ids(edges), np.asarray(extra_ids, np.int64)))
     return converge(
         algo.prepare(edges), algo.initial_states(ids), algo.root_messages(ids),
         algo, tol=tol,

@@ -19,9 +19,7 @@ from tests.blocks import one_block
 
 def _run_local(edges, algo, tol=None):
     prepared = algo.prepare(edges)
-    ids = vertex_ids(edges)
-    if algo.source is not None and algo.source not in ids:
-        ids = np.unique(np.append(ids, algo.source))
+    ids = algo.with_source(vertex_ids(edges))
     return converge(prepared, algo.initial_states(ids), algo.root_messages(ids), algo, tol=tol)
 
 

@@ -27,9 +27,7 @@ def small_graph(seed=0, n=40):
 
 
 def converged(edges, algo, tol=None):
-    ids = vertex_ids(edges)
-    if algo.source is not None and algo.source not in ids:
-        ids = np.unique(np.append(ids, algo.source))
+    ids = algo.with_source(vertex_ids(edges))
     return converge(
         algo.prepare(edges), algo.initial_states(ids), algo.root_messages(ids), algo, tol=tol
     ).states

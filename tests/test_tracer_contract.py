@@ -4,8 +4,9 @@
 them up by and reads some of their arguments by position. This runs one
 Layph PageRank round, one Layph SSSP round and one Ingress round under the
 unchanged tracer, without Spark, and checks that every patched name resolves,
-that every span with a counts function got its counts, and that the counts
-read by position are the ones they name.
+that every span with a counts function got its counts, that the counts read
+by position are the ones they name, and that the min caches are traced in
+both the set-up and the round.
 """
 import importlib
 from pathlib import Path
@@ -31,14 +32,14 @@ def test_tracer_targets_resolve_and_count(monkeypatch, no_spark):
     delta = random_edge_delta(edges, n_add=4, n_del=4, seed=1)
     pagerank, sssp = alg.pagerank(d=0.85, tol=1e-4), alg.sssp(source=0)
     tracer = tracing.Tracer()  # no SparkContext: no job counts
+    lup = {}
     with tracer.installed():
         for i, algo in enumerate((pagerank, sssp)):
             with tracer.recording(f"setup-{i}"):
                 eng = LayphEngine(no_spark, edges, algo, membership=membership).initialize()
             with tracer.recording(i):
                 eng.run_delta(delta)
-            if algo is pagerank:
-                lup = eng.lg.sizes()  # L_up of the layered graph the round ran on
+            lup[algo.name] = eng.lg.sizes()  # L_up of the layered graph the round ran on
         states = batch_states(edges, sssp)
         with tracer.recording(2):
             # Called through its module, as the benchmark calls it.
@@ -52,10 +53,14 @@ def test_tracer_targets_resolve_and_count(monkeypatch, no_spark):
     # The upload reads the member frame and the injections by position.
     upload = [s for s in spans if s.name == "layph.upload.upload_messages"]
     assert any(s.counts["subgraphs"] > 0 for s in upload)
-    # The sum loop's span reads the L_up edges and states by position: their
+    # Each loop's span reads the L_up edges and states by position: their
     # lengths are the round's L_up edge and vertex counts.
-    (loop,) = [s for s in spans if s.name == "layph.upper.upper_sum_loop"]
-    assert loop.counts["lup_edges"] == lup["upper_edges"] > 0
-    assert loop.counts["lup_vertices"] == lup["upper_vertices"] > 0
+    for kind, algo in (("sum", pagerank), ("min", sssp)):
+        (loop,) = [s for s in spans if s.name == f"layph.upper.upper_{kind}_loop"]
+        assert loop.counts["lup_edges"] == lup[algo.name]["upper_edges"] > 0, kind
+        assert loop.counts["lup_vertices"] == lup[algo.name]["upper_vertices"] > 0, kind
+    # The min caches are recomputed in the SSSP set-up and again in its round.
+    caches = [s.round for s in tracer.spans if s.name == "layph.engine.compute_caches_min"]
+    assert caches == ["setup-1", 1]
     names = {s.name for s in tracer.spans}
     assert {"layph.replication.apply_plan", "layph.structure.compute_roles"} <= names
