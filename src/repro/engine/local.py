@@ -10,10 +10,11 @@ over that union, and shortcut deduction and the min and sum updates are
 one :func:`shortcut_pass` over every (subgraph, entry) row. That pass is
 the only way into the shortcut work; a single subgraph is a table whose
 ``sub`` column holds one value. Its cells are laid out from a membership
-in (sub, id) order that the caller keeps (the layered graph's, frozen
-across ΔG), so a call looks its table ids up instead of deriving a vertex
-universe from them, and a sum update copies edges only for the rows that
-hold an active cell: the pass costs about what its ``propagate`` costs.
+in (sub, id) order that the caller keeps (the layered graph's members, in
+the one order it holds them, frozen across ΔG), so a call looks its table
+ids up instead of deriving a vertex universe from them, and a sum update
+copies edges only for the rows that hold an active cell: the pass costs
+about what its ``propagate`` costs.
 
 Everything operates on *prepared* edges (see ``engine.algorithms``): min
 workloads relax ``m + w`` under ``min``; sum workloads propagate deltas

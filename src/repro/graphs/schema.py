@@ -87,6 +87,17 @@ def source_rows(src: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return ranges(lo, np.searchsorted(src, keys, "right") - lo)
 
 
+def splice_runs(columns: tuple, rows: np.ndarray, new: tuple) -> list[np.ndarray]:
+    """Replace whole source runs of a src-sorted table: drop the rows at the
+    positions ``rows`` and insert the src-sorted ``new`` rows where their
+    src sorts among the rows left, one ``np.insert`` per column.
+    ``columns`` and ``new`` hold the same columns, ``src`` first."""
+    rest = np.ones(len(columns[0]), bool)
+    rest[rows] = False
+    at = np.searchsorted(columns[0][rest], new[0])
+    return [np.insert(c[rest], at, n) for c, n in zip(columns, new)]
+
+
 def pairs_in(src: np.ndarray, dst: np.ndarray, q_src: np.ndarray, q_dst: np.ndarray) -> np.ndarray:
     """Mask over unique (src, dst) rows: the pair occurs among the queries."""
     s = np.concatenate([src, q_src])

@@ -19,6 +19,7 @@ from repro.graphs.schema import (
     pair_order,
     pairs_in,
     source_rows,
+    splice_runs,
     vertex_ids,
 )
 
@@ -107,17 +108,11 @@ def apply_delta(edges: pd.DataFrame, delta: GraphDelta) -> pd.DataFrame:
     nd = np.concatenate([dst[kept], a_dst])
     nw = np.concatenate([w[kept], a_w])
     o = pair_order(ns, nd)
-    rest = np.ones(len(src), bool)
-    rest[rows] = False
-    # Every rewritten source lost its whole run, so a new row goes where its
-    # src would sort among the rows left.
-    at = np.searchsorted(src[rest], ns[o])
-    out_src = np.insert(src[rest], at, ns[o])
-    out_dst = np.insert(dst[rest], at, nd[o])
+    out_src, out_dst, out_w = splice_runs((src, dst, w), rows, (ns[o], nd[o], nw[o]))
     dead = np.asarray(delta.deleted_vertices, np.int64)
     if len(dead) and (np.isin(out_src, dead).any() or np.isin(out_dst, dead).any()):
         raise ValueError("a deleted vertex keeps an edge that ΔG does not delete")
-    return edge_frame(out_src, out_dst, np.insert(w[rest], at, nw[o]), copy=False)
+    return edge_frame(out_src, out_dst, out_w, copy=False)
 
 
 def random_edge_delta(

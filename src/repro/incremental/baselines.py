@@ -13,8 +13,9 @@ the driver when the graph fits (``on_driver``), and KickStarter's pull loop
   recomputation over the affected region (each round rescans all in-edges
   of every affected vertex — KickStarter's tag/recompute behavior, which
   activates more edges than precise push). Its trim takes the prepared
-  diff from the runs of the sources ΔG names, as ``ingress`` does, and it
-  reports the same ``revision`` and ``propagate`` phases.
+  diff from the runs of the sources ΔG names through Ingress's own
+  revision step (``ingress.flat_revision``), and it reports the same
+  ``revision`` and ``propagate`` phases.
 * ``risgraph``     — min only: per-update safe/unsafe classification (safe
   inserts short-circuit at the cost of one F each) before Ingress-style
   push propagation.
@@ -32,15 +33,9 @@ import pandas as pd
 
 from repro.engine.algorithms import Algorithm
 from repro.engine.batch import positions, run_batch
-from repro.graphs.schema import canonical_edges, source_rows, vertex_ids
+from repro.graphs.schema import source_rows
 from repro.graphs.updates import GraphDelta, apply_delta
-from repro.incremental.ingress import (
-    align_states,
-    changed_runs,
-    ingress_incremental,
-    new_vertex_universe,
-)
-from repro.incremental.revision import min_revision, prepared_edge_diff
+from repro.incremental.ingress import flat_revision, ingress_incremental
 from repro.metrics import PhaseTimer, RunStats
 
 INF = float("inf")
@@ -65,22 +60,9 @@ def kickstarter(
     assert algo.is_min, "KickStarter supports single-dependency (min) workloads only"
     stats = RunStats()
     with PhaseTimer(stats, "revision"):
-        old_edges = canonical_edges(old_edges)
-        new_edges = apply_delta(old_edges, delta)
-        new_prepared = algo.prepare(new_edges)
-        old_runs, new_runs = changed_runs(old_edges, new_prepared, delta, algo)
-        ids = new_vertex_universe(vertex_ids(new_edges), delta, algo)
-        x = align_states(old_states, ids, algo)
-
-        reset, seeds, acts = min_revision(
-            prepared_edge_diff(old_runs, new_runs), algo.prepare(old_edges), new_prepared,
-            old_states, algo,
-        )
-        stats.activations += acts
-        x.loc[x.index.isin(set(int(r) for r in reset))] = INF
-
+        new_prepared, x, seeds, reset = flat_revision(old_edges, delta, old_states, algo, stats)
         affected = np.union1d(reset, seeds.index.to_numpy(np.int64))
-        affected = affected[np.isin(affected, ids)]
+        affected = affected[np.isin(affected, x.index)]
     with PhaseTimer(stats, "propagate"):
         x = _pull_min_jacobi(new_prepared, x, affected, algo, stats)
     return x, stats

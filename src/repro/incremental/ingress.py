@@ -14,8 +14,9 @@ O(|E|) per round: ``apply_delta``'s copy of the edge table, one prepare of
 the new graph (the propagation runs on it), the vertex universe, and, for
 min workloads, the dependency parents over the whole old graph.
 
-Each round reports two phases: ``revision`` (apply ΔG, prepare, diff and
-deduce the revision messages) and ``propagate`` (the superstep loop).
+Each round reports two phases: ``revision`` (:func:`flat_revision`: apply
+ΔG, prepare, diff and deduce the revision messages; KickStarter's trim runs
+the same step) and ``propagate`` (the superstep loop).
 """
 from __future__ import annotations
 
@@ -77,6 +78,40 @@ def changed_runs(
     return old, new
 
 
+def flat_revision(
+    old_edges: pd.DataFrame, delta: GraphDelta, old_states: pd.Series, algo: Algorithm,
+    stats: RunStats,
+) -> tuple[pd.DataFrame, pd.Series, pd.Series, np.ndarray]:
+    """The revision step of a round on the flat graph, shared by Ingress
+    and KickStarter: apply ΔG, prepare G ⊕ ΔG, align the old states to its
+    vertex universe, and deduce the revision messages from the runs of the
+    sources ΔG names (:func:`changed_runs`).
+
+    Returns ``(new_prepared, x, messages, reset)``: the prepared new graph;
+    the aligned states, with every vertex the min trim resets at +inf; the
+    sum injections or min seeds at vertices of G ⊕ ΔG, not yet applied to
+    ``x``; and the reset ids (none for sum). The trim's activations are
+    added to ``stats``.
+    """
+    old_edges = canonical_edges(old_edges)
+    new_edges = apply_delta(old_edges, delta)
+    new_prepared = algo.prepare(new_edges)
+    old_runs, new_runs = changed_runs(old_edges, new_prepared, delta, algo)
+    ids = new_vertex_universe(vertex_ids(new_edges), delta, algo)
+    x = align_states(old_states, ids, algo)
+    if algo.is_sum:
+        reset = np.empty(0, np.int64)
+        msgs = sum_revision(old_runs, new_runs, old_states, algo, new_vertices=delta.added_vertices)
+    else:
+        reset, msgs, acts = min_revision(
+            prepared_edge_diff(old_runs, new_runs), algo.prepare(old_edges), new_prepared,
+            old_states, algo,
+        )
+        stats.activations += acts
+        x.loc[x.index.isin(reset)] = INF
+    return new_prepared, x, msgs[msgs.index.isin(ids)], reset
+
+
 def ingress_incremental(
     spark: SparkSession,
     old_edges: pd.DataFrame,
@@ -89,30 +124,9 @@ def ingress_incremental(
     """I_A(A(G), ΔG) — returns the states of A(G ⊕ ΔG) plus run stats."""
     stats = RunStats()
     with PhaseTimer(stats, "revision"):
-        old_edges = canonical_edges(old_edges)
-        new_edges = apply_delta(old_edges, delta)
-        new_prepared = algo.prepare(new_edges)
-        old_runs, new_runs = changed_runs(old_edges, new_prepared, delta, algo)
-        ids = new_vertex_universe(vertex_ids(new_edges), delta, algo)
-        x = align_states(old_states, ids, algo)
-
-        if algo.is_sum:
-            inj = sum_revision(
-                old_runs, new_runs, old_states, algo, new_vertices=delta.added_vertices,
-            )
-            inj = inj[inj.index.isin(ids)]
-            x.loc[inj.index] = x.loc[inj.index] + inj
-            pend = inj
-        else:
-            reset, seeds, acts = min_revision(
-                prepared_edge_diff(old_runs, new_runs), algo.prepare(old_edges), new_prepared,
-                old_states, algo,
-            )
-            stats.activations += acts
-            x.loc[x.index.isin(set(int(r) for r in reset))] = INF
-            seeds = seeds[seeds.index.isin(ids)]
-            x.loc[seeds.index] = np.minimum(x.loc[seeds.index], seeds)
-            pend = seeds
+        new_prepared, x, pend, _ = flat_revision(old_edges, delta, old_states, algo, stats)
+        old = x.loc[pend.index]
+        x.loc[pend.index] = old + pend if algo.is_sum else np.minimum(old, pend)
 
     with PhaseTimer(stats, "propagate"):
         out, stats = superstep_loop(spark, x, pend, new_prepared, algo, tol=tol, stats=stats)

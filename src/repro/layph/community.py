@@ -66,5 +66,9 @@ def _cap_sizes(membership: pd.DataFrame, *, K: int) -> pd.DataFrame:
 
 def planted_communities(membership: pd.DataFrame, *, K: int = 1000) -> pd.DataFrame:
     """Use generator ground truth as the community assignment (fast path for
-    tests/benchmarks where discovery quality is not the variable under study)."""
+    tests/benchmarks where discovery quality is not the variable under study).
+    Raises ``ValueError`` on a vertex id listed more than once."""
+    ids, n = np.unique(membership.id.to_numpy(np.int64), return_counts=True)
+    if (n > 1).any():
+        raise ValueError(f"membership lists vertex id {ids[n > 1][0]} more than once")
     return _cap_sizes(membership.copy(), K=K)

@@ -4,9 +4,9 @@ A :class:`LayeredGraph` holds one layer-edge table: numpy columns ``src,
 dst, w, sub`` in (src, dst) order, the prepared weights rerouted through
 the replication plan's proxies, ``sub`` the subgraph of an intra row and -1
 for a cross (upper-layer) row. Beside it sit the real graph
-(``base_edges``), the membership (real members, then proxies), the frozen
-plan, the membership again in (sub, id) order (``cells``, the shortcut
-pass's cell layout), and the counts that let it be patched:
+(``base_edges``), the membership, proxies included, in one (sub, id) order
+(the shortcut pass's cell layout and the upload's propagation order), the
+frozen plan, and the counts that let it be patched:
 
 * rerouted rows per plan row — a host↔proxy link exists while its count is
   above 0;
@@ -24,9 +24,10 @@ whose per-subgraph counts decide Def. 2, and once on the kept communities.
 Membership and the plan are then frozen across ΔG batches (DESIGN.md §5.3),
 and a prepared weight depends only on its source's out-edges, so
 :func:`update_layered` re-prepares and re-routes only the rows of the
-sources ΔG touches, patches them into the table, and recomputes the
-shortcuts of the affected subgraphs only, handing the pass arrays and the
-old graph's cell layout.
+sources ΔG touches, splices them into the table
+(:func:`repro.graphs.schema.splice_runs`, as ``apply_delta`` splices the
+real graph), and recomputes the shortcuts of the affected subgraphs only,
+handing the pass arrays and the old graph's membership as its cells.
 """
 from __future__ import annotations
 
@@ -38,13 +39,13 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.engine.algorithms import Algorithm
-from repro.graphs.schema import canonical_edges, edge_frame, pair_order, source_rows
+from repro.graphs.schema import canonical_edges, edge_frame, pair_order, source_rows, splice_runs
 from repro.graphs.updates import GraphDelta, apply_delta
 from repro.incremental.revision import prepared_edge_diff
 from repro.layph.community import lpa_communities, planted_communities
 from repro.layph.replication import Proxies, apply_plan, build_plan, route
 from repro.layph.shortcuts import compute_shortcuts, update_shortcuts
-from repro.layph.structure import Members, compute_roles, cross_degrees
+from repro.layph.structure import Members, compute_roles, place_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,8 +60,7 @@ class LayeredGraph:
     w: np.ndarray
     sub: np.ndarray  # subgraph of an intra row, -1 for a cross row
     via: np.ndarray  # plan row a rerouted row passes through, else -1
-    members: Members  # real members, then proxies
-    cells: Members  # the members in (sub, id) order: the shortcut pass's cell layout
+    members: Members  # proxies included, in (sub, id) order
     proxies: Proxies
     forced_entries: frozenset
     link_count: np.ndarray  # rerouted rows per plan row
@@ -77,7 +77,11 @@ class LayeredGraph:
     @cached_property
     def intra_edges(self) -> pd.DataFrame:
         """Intra-subgraph edges: src, dst, w, sub."""
-        return _intra(self.src, self.dst, self.w, self.sub, self.sub >= 0)
+        # copy=False keeps the new arrays as the columns: pandas would
+        # otherwise copy them into one block per dtype.
+        rows = self.sub >= 0
+        return pd.DataFrame({c: getattr(self, c)[rows] for c in ("src", "dst", "w", "sub")},
+                            copy=False)
 
     @cached_property
     def vertex_ids(self) -> np.ndarray:
@@ -165,23 +169,8 @@ class LayeredGraph:
         }
 
 
-def _intra(src, dst, w, sub, rows: np.ndarray) -> pd.DataFrame:
-    """The selected rows of a layer-edge table as an intra-edge frame."""
-    # copy=False keeps the new arrays as the columns: pandas would otherwise
-    # copy them into one block per dtype.
-    return pd.DataFrame(
-        {"src": src[rows], "dst": dst[rows], "w": w[rows], "sub": sub[rows]}, copy=False
-    )
-
-
 def _entries(members: Members, is_entry: np.ndarray) -> dict:
     return {"id": members.id[is_entry], "sub": members.sub[is_entry]}
-
-
-def _subgraph(members: Members, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Subgraph of each row whose endpoints share one, else -1."""
-    s, d = members.sub_of(src), members.sub_of(dst)
-    return np.where(s == d, s, -1)
 
 
 def layout(
@@ -200,12 +189,12 @@ def layout(
     members = Members(
         np.concatenate([membership.id.to_numpy(np.int64), proxies.proxy]),
         np.concatenate([membership["sub"].to_numpy(np.int64), proxies.sub]),
-    )
+    ).sub_major()
     src, dst, w, via = apply_plan(*prepared, members, proxies, algo.identity)
-    cross_in, cross_out = cross_degrees(members, src, dst)
+    sub, cross_in, cross_out = place_rows(members, src, dst)
     return LayeredGraph(
-        algo, edges, src, dst, w, _subgraph(members, src, dst), via, members,
-        members.sub_major(), proxies, forced_entries, proxies.count(via), cross_in, cross_out,
+        algo, edges, src, dst, w, sub, via, members, proxies, forced_entries,
+        proxies.count(via), cross_in, cross_out,
         compute_roles(members, cross_in, cross_out, forced_entries), None,
     )
 
@@ -252,7 +241,7 @@ def build_layered(
         plan[plan["sub"].isin(kept)].reset_index(drop=True), forced,
     )
     shortcuts, acts = compute_shortcuts(
-        spark, lg.intra_edges, _entries(lg.members, lg.roles[0]), algo, cells=lg.cells, tol=tol
+        spark, lg.intra_edges, _entries(lg.members, lg.roles[0]), algo, cells=lg.members, tol=tol
     )
     return replace(lg, shortcuts=shortcuts), acts
 
@@ -272,9 +261,10 @@ def update_layered(
     table; a link to an 'out' proxy is added or dropped when its count
     crosses 0. Roles follow from the cross-row counts; shortcut tables are
     recomputed for *affected subgraphs only* (internal edges or boundary
-    roles changed, or members deleted), on the old graph's cells, which
-    still hold the deleted members. The pass gets its tables as arrays, and
-    its fresh rows go after the kept rows of the other subgraphs.
+    roles changed, or members deleted), with the old graph's membership as
+    the pass's cells, which still hold the deleted members. The pass gets
+    its tables as arrays, and its fresh rows go after the kept rows of the
+    other subgraphs.
     Returns ``(new_lg, layer_diff, affected_subs, activations)`` where
     ``layer_diff`` is the prepared-weight diff on the layer graph, in
     (src, dst) order.
@@ -285,7 +275,6 @@ def update_layered(
     deleted = np.asarray(delta.deleted_vertices, np.int64)
     keep = ~np.isin(members.id, deleted)
     new_members = members if keep.all() else members.subset(keep)
-    cells = lg.cells if keep.all() else lg.cells.subset(~np.isin(lg.cells.id, deleted))
 
     # Rows in: the touched sources' out-edges, re-prepared and re-routed.
     b_src, b_dst, b_w = base.src.to_numpy(), base.dst.to_numpy(), base.w.to_numpy()
@@ -313,17 +302,12 @@ def update_layered(
     diff = prepared_edge_diff({"src": lg.src[out], "dst": lg.dst[out], "w": lg.w[out]},
                               {"src": n_src, "dst": n_dst, "w": n_w})
 
-    # Patch: every source with rows out lost its whole run, so each new row
-    # goes where its src sorts among the rows left.
-    rest = np.ones(len(lg.src), bool)
-    rest[out] = False
-    at = np.searchsorted(lg.src[rest], n_src)
-    src = np.insert(lg.src[rest], at, n_src)
-    dst = np.insert(lg.dst[rest], at, n_dst)
-    w = np.insert(lg.w[rest], at, n_w)
-    sub = np.insert(lg.sub[rest], at, _subgraph(new_members, n_src, n_dst))
-    c_in, c_out = cross_degrees(members, lg.src[out], lg.dst[out])
-    a_in, a_out = cross_degrees(new_members, n_src, n_dst)
+    # Patch: every source with rows out lost its whole run.
+    _, c_in, c_out = place_rows(members, lg.src[out], lg.dst[out])
+    n_sub, a_in, a_out = place_rows(new_members, n_src, n_dst)
+    src, dst, w, sub, via = splice_runs(
+        (lg.src, lg.dst, lg.w, lg.sub, lg.via), out, (n_src, n_dst, n_w, n_sub, n_via)
+    )
     cross_in = (lg.cross_in - c_in)[keep] + a_in
     cross_out = (lg.cross_out - c_out)[keep] + a_out
 
@@ -331,15 +315,15 @@ def update_layered(
     # member's intra edges must still reach its subgraph's shortcut update,
     # and every other vertex keeps its subgraph.
     d = {c: diff[c].to_numpy() for c in diff.columns}
-    cs, cd = members.sub_of(d["src"]), members.sub_of(d["dst"])
-    same = (cs >= 0) & (cs == cd)
+    d_sub = place_rows(members, d["src"], d["dst"])[0]
+    same = d_sub >= 0
     # Affected subgraphs: an internal edge changed, a boundary role changed
     # (entry changes alter the shortcut table, exit changes move vertices
     # between L_up and the interior), or members were deleted.
     old_e, old_x = lg.roles
     new_e, new_x = roles = compute_roles(new_members, cross_in, cross_out, lg.forced_entries)
     moved = (old_e[keep] != new_e) | (old_x[keep] != new_x)
-    affected = np.unique(np.concatenate([cs[same], new_members.sub[moved], members.sub[~keep]]))
+    affected = np.unique(np.concatenate([d_sub[same], new_members.sub[moved], members.sub[~keep]]))
     is_affected = np.zeros(int(members.sub.max(initial=-1)) + 2, bool)  # sub -1 reads False
     is_affected[affected] = True
 
@@ -347,8 +331,8 @@ def update_layered(
     fresh, acts = update_shortcuts(
         spark, {"sub": sub[mine], "src": src[mine], "dst": dst[mine], "w": w[mine]},
         _entries(new_members, new_e), lg.shortcuts,
-        {"sub": cs[same], **{c: v[same] for c, v in d.items()}},
-        algo, subs=affected, cells=lg.cells, tol=tol,
+        {"sub": d_sub[same], **{c: v[same] for c, v in d.items()}},
+        algo, subs=affected, cells=members, tol=tol,
     )
     old = [lg.shortcuts[c].to_numpy() for c in fresh.columns]
     new = [fresh[c].to_numpy() for c in fresh.columns]
@@ -361,7 +345,7 @@ def update_layered(
         c: np.concatenate([o[kept], n]) for c, o, n in zip(fresh.columns, old, new)
     }, copy=False)
     new_lg = LayeredGraph(
-        algo, base, src, dst, w, sub, np.insert(lg.via[rest], at, n_via), new_members, cells,
-        proxies, lg.forced_entries, count, cross_in, cross_out, roles, shortcuts,
+        algo, base, src, dst, w, sub, via, new_members, proxies, lg.forced_entries, count,
+        cross_in, cross_out, roles, shortcuts,
     )
     return new_lg, diff, affected, acts

@@ -8,10 +8,10 @@ pass updates the rows of the ΔG-affected subgraphs only, for min and sum
 workloads alike. :func:`compute_shortcuts` runs that pass as it is, and
 :func:`update_shortcuts` runs it on the entries of the affected subgraphs.
 
-Membership is frozen across ΔG, so the pass takes its cells from it: the
-layered graph's members in (sub, id) order (``LayeredGraph.cells``), and
-during an update the old graph's, which still holds the members ΔG
-deletes. The tables are frames or dicts of column arrays;
+Membership is frozen across ΔG, so the pass takes it as its cells: the
+layered graph's members (``LayeredGraph.members``, in its one (sub, id)
+order), and during an update the old graph's, which still hold the members
+ΔG deletes. The tables are frames or dicts of column arrays;
 :func:`repro.layph.layered.update_layered` hands over arrays.
 
 Both run in the driver and stay separate names because

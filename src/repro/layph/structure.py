@@ -1,12 +1,12 @@
 """Layered-graph structure as arrays: membership and boundary roles (Def. 1).
 
-:class:`Members` is the membership (real members sub-major, then proxies)
-with an id lookup; :func:`cross_degrees` counts each member's cross rows
-and :func:`compute_roles` turns the counts into ``(is_entry, is_exit)``
-flags. This is the only form of membership and roles: ``layph.layered``
-lays out the candidate and the kept layered graph with these functions,
-runs the Def. 2 density test on the candidate's counts, and patches the
-counts per ΔG.
+:class:`Members` is the membership in (sub, id) order with an id lookup;
+:func:`place_rows` places edge rows in it (each row's subgraph, each
+member's cross rows) and :func:`compute_roles` turns the cross-row counts
+into ``(is_entry, is_exit)`` flags. This is the only form of membership and
+roles: ``layph.layered`` lays out the candidate and the kept layered graph
+with these functions, runs the Def. 2 density test on the candidate's
+counts, and patches the counts per ΔG.
 """
 from __future__ import annotations
 
@@ -16,9 +16,9 @@ import pandas as pd
 
 class Members:
     """Membership as arrays in table order, with an id lookup; ``-1`` stands
-    for "not a member". A layered graph's membership lists real members
-    sub-major, then proxies; :meth:`sub_major` lists each subgraph's members
-    as one block, ids ascending."""
+    for "not a member". Each id occurs once. A layered graph's membership is
+    in (sub, id) order (:meth:`sub_major`): each subgraph's members, proxies
+    included, are one block, ids ascending."""
 
     def __init__(self, ids: np.ndarray, sub: np.ndarray):
         self.id, self.sub = ids, sub
@@ -51,15 +51,19 @@ class Members:
         return self.sub_at(self.index(v))
 
 
-def cross_degrees(
+def place_rows(
     members: Members, src: np.ndarray, dst: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per member (table order): the rows entering it from outside its
-    subgraph and the rows leaving it to outside its subgraph (Def. 1)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Place the rows ``(src, dst)`` in the membership, one lookup per
+    endpoint array: per row, the subgraph its endpoints share, else -1 (a
+    cross row); per member (table order), the cross rows entering it and
+    leaving it (Def. 1)."""
     si, di = members.index(src), members.index(dst)
-    cross = members.sub_at(si) != members.sub_at(di)
+    s, d = members.sub_at(si), members.sub_at(di)
+    cross = s != d
     n = len(members.id)
     return (
+        np.where(cross, -1, s),
         np.bincount(di[cross & (di >= 0)], minlength=n),
         np.bincount(si[cross & (si >= 0)], minlength=n),
     )

@@ -4,11 +4,13 @@ Revision deltas targeting subgraph members are propagated *inside* their
 subgraph until quiescence. The subgraphs are independent (Eq. 7 note):
 they are disjoint and intra edges never leave them, so the upload is one
 :func:`repro.engine.local.converge` call over the union of the injected
-subgraphs. Member states absorb the local effects; boundary vertices
-additionally report the G-aggregate of everything they received — the
-uploaded initial messages for the L_up iteration. It runs in the driver;
-the ``spark`` argument is unused and kept because ``perfbench/tracing.py``
-reads the later arguments by position.
+subgraphs, its vertices in the order of the member frame, which the
+layered graph keeps in (sub, id) order. Member states absorb the local
+effects; boundary vertices additionally report the G-aggregate of
+everything they received — the uploaded initial messages for the L_up
+iteration. It runs in the driver; the ``spark`` argument is unused and
+kept because ``perfbench/tracing.py`` reads the later arguments by
+position.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from repro.graphs.schema import EDGE_COLUMNS
 def upload_messages(
     spark: SparkSession,
     intra_edges: pd.DataFrame,  # src, dst, w, sub — full intra table
-    members: pd.DataFrame,  # id, sub
+    members: pd.DataFrame,  # id, sub, in (sub, id) order
     is_boundary: np.ndarray,  # per row of ``members``
     states: pd.Series,
     injections: pd.Series,  # id-indexed, member targets only
@@ -45,11 +47,10 @@ def upload_messages(
         return pd.Series(dtype=float), pd.Series(dtype=float), 0
 
     # Subgraphs are disjoint and intra edges stay inside them, so one run
-    # over the union of the injected subgraphs is every per-subgraph run.
-    # Members are sub-major, table order kept inside each subgraph;
-    # ``converge`` G-aggregates the injections and drops those of other ids.
+    # over the union of the injected subgraphs is every per-subgraph run,
+    # its vertices in the members' (sub, id) order. ``converge``
+    # G-aggregates the injections and drops those of other ids.
     rows = np.flatnonzero(np.isin(sub, inj_subs))
-    rows = rows[np.argsort(sub[rows], kind="stable")]
     ids = mid[rows]
     # Position -1 (an id without a state) reads the appended zero state.
     x0 = np.append(states.to_numpy(float), algo.zero_state)[batch.positions(states.index, ids)]

@@ -240,7 +240,7 @@ def test_kickstarter_diffs_runs_and_reports_phases(no_spark, monkeypatch):
         diffs.append((len(old), len(new)))
         return prepared_edge_diff(old, new)
 
-    monkeypatch.setattr(baselines, "prepared_edge_diff", count_diff)
+    monkeypatch.setattr(ingress, "prepared_edge_diff", count_diff)
     got, stats = baselines.kickstarter(no_spark, edges, delta, batch_states(edges, algo), algo)
     assert_states_close(got, batch_states(apply_delta(edges, delta), algo), atol=1e-9)
     keys = delta.sources()

@@ -70,7 +70,7 @@ def _apply_plan_ref(prepared, membership, plan, identity):
     mem = pd.concat(
         [membership, plan.rename(columns={"proxy": "id"})[["id", "sub"]]], ignore_index=True
     ).astype(np.int64)
-    return layer, mem
+    return layer, mem.sort_values(["sub", "id"]).reset_index(drop=True)
 
 
 def _roles_ref(edges, membership, forced):

@@ -7,6 +7,7 @@ from repro.engine import algorithms as alg
 from repro.graphs.generators import dataset, fig2_graph, planted_partition
 from repro.graphs.schema import canonical_edges
 from repro.layph.community import lpa_communities, planted_communities
+from repro.layph.engine import LayphEngine
 from repro.layph.layered import build_layered, layout, update_layered
 from repro.layph.replication import build_plan
 from repro.layph.structure import Members
@@ -178,6 +179,19 @@ def test_planted_communities_caps_size():
     m = pd.DataFrame({"id": range(100), "sub": [0] * 100})
     capped = planted_communities(m, K=30)
     assert capped.groupby("sub").size().max() <= 30
+
+
+def test_membership_listing_an_id_twice_is_rejected():
+    """A planted membership that puts one id in two subgraphs is refused
+    with the id named, before any layout reads it."""
+    edges, membership = dataset("uk_lite", sf=0.003, seed=0)
+    v = int(membership.id.iloc[0])
+    other = int(membership["sub"][membership["sub"] != membership["sub"].iloc[0]].iloc[0])
+    dup = pd.concat([membership, pd.DataFrame({"id": [v], "sub": [other]})], ignore_index=True)
+    with pytest.raises(ValueError, match=f"vertex id {v} "):
+        planted_communities(dup)
+    with pytest.raises(ValueError, match=f"vertex id {v} "):
+        LayphEngine(None, edges, alg.pagerank(d=0.85, tol=1e-4), membership=dup).initialize()
 
 
 @pytest.mark.parametrize("name", ["sssp", "pagerank"])

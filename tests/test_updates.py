@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.graphs.generators import dataset
-from repro.graphs.schema import canonical_edges, vertex_ids
+from repro.graphs.schema import canonical_edges, pair_order, source_rows, splice_runs, vertex_ids
 from repro.graphs.updates import (
     GraphDelta,
     apply_delta,
@@ -140,3 +140,32 @@ def test_apply_delta_equals_the_full_rebuild(edges, seed):
     gone = deleted.src.to_numpy() * (2**32) + deleted.dst.to_numpy()
     want = canonical_edges(pd.concat([edges[~np.isin(key, gone)], added], ignore_index=True))
     pd.testing.assert_frame_equal(apply_delta(edges, delta), want)
+
+
+#: A (src, dst)-sorted table whose runs are sources 2, 4, 5 and 7.
+_RUNS = (np.array([2, 2, 4, 5, 5, 7]), np.array([1, 3, 0, 2, 6, 1]), np.arange(6.0))
+
+
+@pytest.mark.parametrize("table, drop, new", [
+    pytest.param((np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)), [],
+                 ([3, 3, 8], [0, 4, 1], [10.0, 11.0, 12.0]), id="empty-table"),
+    pytest.param(_RUNS, [2, 4, 5, 7], ([4, 6], [9, 0], [10.0, 11.0]), id="every-row-removed"),
+    pytest.param(_RUNS, [4], ([0, 1, 4], [5, 2, 3], [10.0, 11.0, 12.0]),
+                 id="new-source-before-the-first-run"),
+    pytest.param(_RUNS, [5], ([5, 9, 9], [1, 0, 3], [10.0, 11.0, 12.0]),
+                 id="new-source-after-the-last-run"),
+    pytest.param(_RUNS, [2, 5], ([5], [4], [10.0]), id="touched-source-without-new-rows"),
+])
+def test_splice_runs_equals_the_sorted_union(table, drop, new):
+    """Dropping the runs of ``drop`` and splicing in ``new`` gives the rows
+    left plus the new rows, in (src, dst) order, each column moved with its
+    row."""
+    new = tuple(np.asarray(c, t) for c, t in zip(new, (np.int64, np.int64, float)))
+    rows = source_rows(table[0], np.array(drop, np.int64))
+    got = splice_runs(table, rows, new)
+    left = np.ones(len(table[0]), bool)
+    left[rows] = False
+    union = [np.concatenate([c[left], n]) for c, n in zip(table, new)]
+    o = pair_order(union[0], union[1])
+    for g, want in zip(got, union):
+        np.testing.assert_array_equal(g, want[o])
