@@ -67,6 +67,11 @@ class Algorithm:
     damping: float | None = None
     source: int | None = None
 
+    def __post_init__(self):
+        # NaN or +inf stops every sum message; below 0 every vertex fires.
+        if not 0.0 <= self.tol < float("inf"):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
+
     # ---- classification ------------------------------------------------
     @property
     def is_min(self) -> bool:

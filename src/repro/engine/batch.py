@@ -97,7 +97,6 @@ def superstep_loop(
     algo: Algorithm,
     *,
     pend_sc: pd.Series | None = None,
-    tol: float | None = None,
     max_supersteps: int = 10_000,
     stats: RunStats | None = None,
 ) -> tuple[pd.DataFrame, RunStats]:
@@ -113,6 +112,9 @@ def superstep_loop(
       1, even when its value is 0 or does not improve ``x``.
     * Activations count one per message sent. Messages to ids outside the
       state set are counted, then dropped.
+    * A sum aggregate a vertex receives is folded into its state and
+      sent on only when its magnitude is above ``algo.tol``, the one
+      tolerance of the run.
     * A superstep is counted only when it sends messages.
     * Reaching ``max_supersteps`` with messages still pending raises
       ``RuntimeError`` rather than returning unconverged states.
@@ -127,16 +129,15 @@ def superstep_loop(
     ``edges`` of at most ``DRIVER_MAX_EDGES`` rows run in the driver, larger
     ones on Spark.
     """
-    tol = algo.tol if tol is None else tol
     stats = stats or RunStats()
     if algo.is_sum and "etype" in edges.columns:
         pend_sc = pd.Series(dtype=float) if pend_sc is None else pend_sc
     else:
         pend_sc = None
     if on_driver(len(edges)):
-        states = _driver_loop(x, pend, pend_sc, edges, algo, tol, max_supersteps, stats)
+        states = _driver_loop(x, pend, pend_sc, edges, algo, max_supersteps, stats)
     else:
-        states = _spark_loop(spark, x, pend, pend_sc, edges, algo, tol, max_supersteps, stats)
+        states = _spark_loop(spark, x, pend, pend_sc, edges, algo, max_supersteps, stats)
     return states, stats
 
 
@@ -150,7 +151,7 @@ def positions(ids: pd.Index, keys) -> np.ndarray:
 
 
 def propagate(
-    x, pend, src, dst, w, algo, tol, max_steps, over_cap, *, etype=None, pend_sc=None, recv=None
+    x, pend, src, dst, w, algo, max_steps, over_cap, *, etype=None, pend_sc=None, recv=None
 ):
     """The one (F, G) kernel, over position arrays, until no message
     remains. Returns ``(x, recv, activations, supersteps)``.
@@ -161,12 +162,12 @@ def propagate(
     where inactive; it is not folded into ``x`` here. Edges are taken in
     the caller's order, so each destination sums its arrivals in edge
     order; a ``dst`` of −1 lies outside the state set. Activations,
-    supersteps, the channel rule (``etype``, ``pend_sc``) and the cap,
-    raised as ``RuntimeError(over_cap)``, follow ``superstep_loop``'s
-    contract. ``recv``, when given, G-aggregates every original-channel
-    arrival onto its starting values.
+    supersteps, the ``algo.tol`` cut, the channel rule (``etype``,
+    ``pend_sc``) and the cap, raised as ``RuntimeError(over_cap)``, follow
+    ``superstep_loop``'s contract. ``recv``, when given, G-aggregates every
+    original-channel arrival onto its starting values.
     """
-    n = len(x)
+    n, tol = len(x), algo.tol
     channels = etype is not None
     if channels:
         orig = etype == 0
@@ -212,7 +213,7 @@ def propagate(
             recv = np.minimum(recv, m) if algo.is_min else recv + m
 
 
-def _driver_loop(x, pend, pend_sc, edges, algo, tol, max_supersteps, stats):
+def _driver_loop(x, pend, pend_sc, edges, algo, max_supersteps, stats):
     """numpy backend: ids mapped to positions, then one :func:`propagate`.
     Pending values are NaN where inactive, as the Spark states hold NULL."""
     ids = pd.Index(x.index.to_numpy(np.int64))
@@ -229,8 +230,7 @@ def _driver_loop(x, pend, pend_sc, edges, algo, tol, max_supersteps, stats):
     channels = pend_sc is not None
     xs, recv, acts, steps = propagate(
         x.to_numpy(float), pending(pend), src[sends], dst[sends],
-        edges.w.to_numpy(float)[sends], algo, tol, max_supersteps,
-        _over_cap(max_supersteps),
+        edges.w.to_numpy(float)[sends], algo, max_supersteps, _over_cap(max_supersteps),
         etype=edges.etype.to_numpy()[sends] if channels else None,
         pend_sc=pending(pend_sc) if channels else None,
         recv=np.zeros(n) if channels else None,
@@ -268,10 +268,10 @@ def _states_to_spark(
     return spark.createDataFrame(pdf, schema=CHANNEL_STATE_SCHEMA)
 
 
-def _spark_loop(spark, x, pend, pend_sc, edges, algo, tol, max_supersteps, stats):
+def _spark_loop(spark, x, pend, pend_sc, edges, algo, max_supersteps, stats):
     """Spark backend: one message join, ``count()``, ``groupBy`` and state
     join per superstep; ``edges`` is cached for the loop."""
-    channels = pend_sc is not None
+    channels, tol = pend_sc is not None, algo.tol
     states = _states_to_spark(spark, x, pend, pend_sc)
     if channels:
         edges = spark.createDataFrame(edges[EDGE_COLUMNS + ["etype"]], schema=_CHANNEL_EDGE_SCHEMA)
@@ -348,13 +348,11 @@ def run_batch(
     spark: SparkSession,
     edges: pd.DataFrame,
     algo: Algorithm,
-    *,
-    tol: float | None = None,
 ) -> tuple[pd.Series, RunStats]:
     """Batch computation A(G) from scratch (also the Restart baseline).
 
     Returns converged states as an id-indexed pandas Series plus run stats.
     """
     x, pend = initial_states(edges, algo)
-    states, stats = superstep_loop(spark, x, pend, algo.prepare(edges), algo, tol=tol)
+    states, stats = superstep_loop(spark, x, pend, algo.prepare(edges), algo)
     return states.x, stats

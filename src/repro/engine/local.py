@@ -55,7 +55,6 @@ def converge(
     m0: pd.Series,
     algo: Algorithm,
     *,
-    tol: float | None = None,
     max_iter: int = 100_000,
 ) -> LocalRun:
     """Run the accumulative engine to convergence on one (sub)graph.
@@ -67,11 +66,10 @@ def converge(
     edge set to restrict propagation scope.
 
     The messages are G-aggregated per id and folded into ``x0``; only a min
-    message that improves its state, or a sum message above ``tol``, is
+    message that improves its state, or a sum message above ``algo.tol``, is
     active on the first superstep. Then one ``batch.propagate`` runs over
     the edges sorted by source.
     """
-    tol = algo.tol if tol is None else tol
     ids = pd.Index(x0.index.to_numpy(np.int64))
     src, dst = batch.positions(ids, prepared.src), batch.positions(ids, prepared.dst)
     if (src < 0).any() or (dst < 0).any():
@@ -85,11 +83,11 @@ def converge(
         pend = np.where(seeds < x, seeds, np.nan)
         x = np.minimum(x, seeds)
     else:
-        pend = np.where(np.abs(seeds) > tol, seeds, np.nan)
+        pend = np.where(np.abs(seeds) > algo.tol, seeds, np.nan)
         x = x + seeds
     x, recv, acts, steps = batch.propagate(
-        x, pend, src[order], dst[order], prepared.w.to_numpy(float)[order], algo, tol,
-        max_iter, f"converge: messages still pending after max_iter={max_iter}", recv=seeds,
+        x, pend, src[order], dst[order], prepared.w.to_numpy(float)[order], algo, max_iter,
+        f"converge: messages still pending after max_iter={max_iter}", recv=seeds,
     )
     return LocalRun(
         states=pd.Series(x, index=ids),
@@ -154,7 +152,7 @@ def _cell_edges(table, rows, rsub, rb, n_subs):
     return rb[c] + src[e], rb[c] + dst[e], np.asarray(w[e], float)
 
 
-def _pass_chunk(cells, blo, bn, R, E, O, C, algo, tol, max_iter):
+def _pass_chunk(cells, blo, bn, R, E, O, C, algo, max_iter):
     """One block-diagonal pass over the subgraphs ``0..len(blo)-1`` of a chunk.
 
     Subgraph ``i`` holds the ``bn[i]`` positions of ``cells`` from
@@ -180,7 +178,7 @@ def _pass_chunk(cells, blo, bn, R, E, O, C, algo, tol, max_iter):
     rbound = np.searchsorted(rsub, np.arange(n_subs + 1))
     k = np.diff(rbound)
 
-    is_min = algo.is_min
+    is_min, tol = algo.is_min, algo.tol
     acc = np.full(n_cells, INF if is_min else 0.0)
     pend = acc.copy()
     # Old rows of current entries load into their cells.
@@ -260,7 +258,7 @@ def _pass_chunk(cells, blo, bn, R, E, O, C, algo, tol, max_iter):
     # Every live row gets its own copy of its subgraph's intra edges.
     src_cell, dst_cell, w = _cell_edges(E, np.flatnonzero(live), rsub, rb, n_subs)
     acc, _, a, _ = batch.propagate(
-        acc, np.where(active, pend, np.nan), src_cell, dst_cell, w, algo, tol, max_iter,
+        acc, np.where(active, pend, np.nan), src_cell, dst_cell, w, algo, max_iter,
         f"shortcut_pass: messages still pending after max_iter={max_iter}",
     )
 
@@ -292,7 +290,6 @@ def shortcut_pass(
     cells,  # members in (sub, id) order: Members.sub_major()
     old=None,  # sub, entry, dst, w
     changed=None,  # sub, src, dst, w_old, w_new (NaN = absent)
-    tol: float | None = None,
     max_iter: int = 100_000,
 ) -> tuple[pd.DataFrame, int]:
     """Shortcut tables of every subgraph in ``entries``, as one flattened
@@ -301,7 +298,7 @@ def shortcut_pass(
     Deduction (Def. 3 / Eq. 6) injects the ⊗-identity unit message at every
     entry and propagates it with the user's own F and G through the
     subgraph's prepared ``edges`` until quiescence: min workloads keep
-    finite weights, sum workloads keep weights above ``tol`` (including
+    finite weights, sum workloads keep weights above ``algo.tol`` (including
     cycle self-weights ``w(e,e)``, which the layered engine needs).
 
     Passing ``old`` and ``changed`` makes it the incremental weight update
@@ -314,7 +311,7 @@ def shortcut_pass(
       ``u == e``), so a prepared-weight change ``dw`` on ``(u,v)`` corrects
       every row by injecting ``(D_old[e,u] + 1_{u=e}) · dw`` at ``v`` and
       propagating over the NEW subgraph edges. Only the rows that then hold
-      a cell above ``tol`` (a fresh row holds its unit) get edges: the
+      a cell above ``algo.tol`` (a fresh row holds its unit) get edges: the
       others send nothing and keep their corrected cells.
     * Min: a row is affected when a changed edge can touch its old tree
       (its old distance used a deleted or raised edge, or an added or
@@ -337,7 +334,6 @@ def shortcut_pass(
     Returns ``(sub, entry, dst, w)`` rows sorted by ``sub, entry, dst``
     (the cells' own order), plus the activation count.
     """
-    tol = algo.tol if tol is None else tol
     # One row per entry, in cell order: by subgraph, then entry id.
     at = cells.index(entries["id"])
     _check_members(cells, at, np.asarray(entries["sub"]))
@@ -365,7 +361,7 @@ def shortcut_pass(
             [cols[0][b[lo]:b[hi]] - lo] + [c[b[lo]:b[hi]] for c in cols[1:]]
             for cols, b in [([rsub, rat], rbound), (E, eb), (O, ob), (C, cb)]
         ]
-        *cols, a = _pass_chunk(cells, blo[lo:hi], bn[lo:hi], *chunk, algo, tol, max_iter)
+        *cols, a = _pass_chunk(cells, blo[lo:hi], bn[lo:hi], *chunk, algo, max_iter)
         out.append(cols)
         acts += a
     sub, entry, dst, w = (np.concatenate(c) for c in zip(*out))

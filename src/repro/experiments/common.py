@@ -63,12 +63,11 @@ class Workload:
     delta: GraphDelta
 
 
-def batch_states(edges: pd.DataFrame, algo: alg.Algorithm, tol: float | None = None) -> pd.Series:
+def batch_states(edges: pd.DataFrame, algo: alg.Algorithm) -> pd.Series:
     """Shared converged starting point (verified local kernel)."""
     ids = algo.with_source(vertex_ids(edges))
     return converge(
-        algo.prepare(edges), algo.initial_states(ids), algo.root_messages(ids),
-        algo, tol=tol,
+        algo.prepare(edges), algo.initial_states(ids), algo.root_messages(ids), algo
     ).states
 
 

@@ -20,13 +20,17 @@ the driver when the graph fits (``on_driver``), and KickStarter's pull loop
   inserts short-circuit at the cost of one F each) before Ingress-style
   push propagation.
 * ``graphbolt``    — sum only: iteration-synchronous dependency replay;
-  modeled by propagating far smaller deltas (tol/100) — GraphBolt refines
-  every memoized iteration, firing changed vertices' edges long after the
-  change magnitude stopped mattering.
-* ``dzig``         — sum only: GraphBolt + sparsity awareness; modeled with
-  a tol/10 cut — between GraphBolt and Ingress.
+  modeled as Ingress on a copy of ``algo`` at ``algo.tol / 100`` — GraphBolt
+  refines every memoized iteration, firing changed vertices' edges long
+  after the change magnitude stopped mattering.
+* ``dzig``         — sum only: GraphBolt + sparsity awareness; modeled as
+  Ingress at ``algo.tol / 10`` — between GraphBolt and Ingress.
+
+Every other runner runs at ``algo.tol``, the workload's one tolerance.
 """
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pandas as pd
@@ -41,10 +45,9 @@ from repro.metrics import PhaseTimer, RunStats
 INF = float("inf")
 
 
-def restart(spark, old_edges, delta, old_states, algo, *, tol=None):
+def restart(spark, old_edges, delta, old_states, algo):
     """Recompute from scratch on the updated graph."""
-    new_edges = apply_delta(old_edges, delta)
-    return run_batch(spark, new_edges, algo, tol=tol)
+    return run_batch(spark, apply_delta(old_edges, delta), algo)
 
 
 def kickstarter(
@@ -53,8 +56,6 @@ def kickstarter(
     delta: GraphDelta,
     old_states: pd.Series,
     algo: Algorithm,
-    *,
-    tol: float | None = None,
 ) -> tuple[pd.Series, RunStats]:
     """Trimmed-approximation + pull-Jacobi recomputation (min workloads)."""
     assert algo.is_min, "KickStarter supports single-dependency (min) workloads only"
@@ -115,27 +116,27 @@ def _pull_min_jacobi(
     return pd.Series(xs, index=ids).sort_index()
 
 
-def risgraph(spark, old_edges, delta, old_states, algo, *, tol=None):
+def risgraph(spark, old_edges, delta, old_states, algo):
     """Safe/unsafe classification, then Ingress-style push (min workloads)."""
     assert algo.is_min, "RisGraph supports single-dependency (min) workloads only"
-    states, stats = ingress_incremental(spark, old_edges, delta, old_states, algo, tol=tol)
+    states, stats = ingress_incremental(spark, old_edges, delta, old_states, algo)
     # One F application per unit update for the safe/unsafe check.
     stats.activations += delta.size
     return states, stats
 
 
-def graphbolt(spark, old_edges, delta, old_states, algo, *, tol=None):
+def graphbolt(spark, old_edges, delta, old_states, algo):
     """Iteration-synchronous memoized replay model (sum workloads)."""
     assert algo.is_sum, "GraphBolt provides PageRank/PHP-style workloads only"
-    eff = (tol if tol is not None else algo.tol) * 1e-2
-    return ingress_incremental(spark, old_edges, delta, old_states, algo, tol=eff)
+    fine = replace(algo, tol=algo.tol * 1e-2)
+    return ingress_incremental(spark, old_edges, delta, old_states, fine)
 
 
-def dzig(spark, old_edges, delta, old_states, algo, *, tol=None):
+def dzig(spark, old_edges, delta, old_states, algo):
     """Sparsity-aware replay model (sum workloads)."""
     assert algo.is_sum, "DZiG provides PageRank/PHP-style workloads only"
-    eff = (tol if tol is not None else algo.tol) * 1e-1
-    return ingress_incremental(spark, old_edges, delta, old_states, algo, tol=eff)
+    fine = replace(algo, tol=algo.tol * 1e-1)
+    return ingress_incremental(spark, old_edges, delta, old_states, fine)
 
 
 #: System registry: name -> (runner, supported aggregate kinds).

@@ -20,6 +20,8 @@ the same step) and ``propagate`` (the superstep loop).
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -121,7 +123,10 @@ def ingress_incremental(
     *,
     tol: float | None = None,
 ) -> tuple[pd.Series, RunStats]:
-    """I_A(A(G), ΔG) — returns the states of A(G ⊕ ΔG) plus run stats."""
+    """I_A(A(G), ΔG) — returns the states of A(G ⊕ ΔG) plus run stats; a
+    ``tol`` given replaces ``algo.tol`` for the round."""
+    if tol is not None:
+        algo = replace(algo, tol=tol)
     stats = RunStats()
     with PhaseTimer(stats, "revision"):
         new_prepared, x, pend, _ = flat_revision(old_edges, delta, old_states, algo, stats)
@@ -129,5 +134,5 @@ def ingress_incremental(
         x.loc[pend.index] = old + pend if algo.is_sum else np.minimum(old, pend)
 
     with PhaseTimer(stats, "propagate"):
-        out, stats = superstep_loop(spark, x, pend, new_prepared, algo, tol=tol, stats=stats)
+        out, stats = superstep_loop(spark, x, pend, new_prepared, algo, stats=stats)
     return out.x, stats

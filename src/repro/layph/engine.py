@@ -91,7 +91,8 @@ def assign(
 
 
 class LayphEngine:
-    """Stateful Layph runtime: offline build once, then per-ΔG increments."""
+    """Stateful Layph runtime: offline build once, then per-ΔG increments,
+    every phase at ``algo.tol``."""
 
     def __init__(
         self,
@@ -101,12 +102,10 @@ class LayphEngine:
         *,
         membership: pd.DataFrame | None = None,
         replicate: bool = True,
-        tol: float | None = None,
     ):
         self.spark = spark
         self.algo = algo
-        self.tol = algo.tol if tol is None else tol
-        self._build_args = dict(membership=membership, replicate=replicate, tol=self.tol)
+        self._build_args = dict(membership=membership, replicate=replicate)
         self._edges0 = edges
         self.lg: LayeredGraph | None = None
         self.x: pd.Series | None = None  # states over the sorted layer universe (+proxies)
@@ -120,9 +119,7 @@ class LayphEngine:
         layer graph (proxies are semantics-preserving, so real-vertex states
         equal the batch run on the original graph)."""
         with PhaseTimer(self.offline_stats, "offline"):
-            self.lg, acts = build_layered(
-                self.spark, self._edges0, self.algo, **self._build_args
-            )
+            self.lg, acts = build_layered(self._edges0, self.algo, **self._build_args)
             self.offline_stats.activations += acts
         with PhaseTimer(self.batch_stats, "batch"):
             ids = self.algo.with_source(self.lg.vertex_ids)
@@ -130,11 +127,8 @@ class LayphEngine:
             # messages (a proxy with a PageRank root would inject extra mass).
             real = np.setdiff1d(ids, self.lg.proxies.proxy)
             run = converge(
-                self.lg.layer_edges,
-                self.algo.initial_states(ids),
-                self.algo.root_messages(real),
-                self.algo,
-                tol=self.tol,
+                self.lg.layer_edges, self.algo.initial_states(ids),
+                self.algo.root_messages(real), self.algo,
             )
             self.x = run.states
             self.batch_stats.activations += run.activations
@@ -153,9 +147,7 @@ class LayphEngine:
         """Incremental computation I_A(A(G), ΔG) on the layered graph."""
         stats = RunStats()
         with PhaseTimer(stats, "layered_update"):
-            new_lg, diff, affected, acts = update_layered(
-                self.spark, self.lg, delta, tol=self.tol
-            )
+            new_lg, diff, affected, acts = update_layered(self.lg, delta)
             stats.activations += acts
 
         # Ingress's vertex universe over the layer graph (proxies persist),
@@ -187,7 +179,6 @@ class LayphEngine:
             mstates, uploads, acts = upload_messages(
                 self.spark, new_lg.intra_edges, new_lg.members.frame(), is_entry | is_exit,
                 pd.Series(x, index=index), pd.Series(val[member], index=v[member]), algo,
-                tol=self.tol,
             )
             stats.activations += acts
             m = batch.positions(index, mstates.index)
@@ -200,7 +191,7 @@ class LayphEngine:
             x_up, dcache = upper_sum_loop(
                 self.spark, new_lg.upper_graph, pd.Series(x[up], index=index[up]),
                 pd.Series(val[outlier], index=v[outlier]), uploads, new_lg.entry_ids, algo,
-                stats=stats, tol=self.tol,
+                stats=stats,
             )
             x[up] = x_up.to_numpy()  # sorted by id, as index[up] is
 

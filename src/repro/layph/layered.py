@@ -28,6 +28,8 @@ sources ΔG touches, splices them into the table
 (:func:`repro.graphs.schema.splice_runs`, as ``apply_delta`` splices the
 real graph), and recomputes the shortcuts of the affected subgraphs only,
 handing the pass arrays and the old graph's membership as its cells.
+Both run in the driver and take no ``spark``; the shortcut pass runs at
+the workload's tolerance ``algo.tol``.
 """
 from __future__ import annotations
 
@@ -36,7 +38,6 @@ from functools import cached_property
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.engine.algorithms import Algorithm
 from repro.graphs.schema import canonical_edges, edge_frame, pair_order, source_rows, splice_runs
@@ -200,13 +201,11 @@ def layout(
 
 
 def build_layered(
-    spark: SparkSession,
     edges: pd.DataFrame,
     algo: Algorithm,
     *,
     membership: pd.DataFrame | None = None,
     replicate: bool = True,
-    tol: float | None = None,
 ) -> tuple[LayeredGraph, int]:
     """Offline layering (§IV-A): discovery → replication plan on every
     candidate → Def. 2 on the candidate layout → layout of the dense
@@ -241,17 +240,13 @@ def build_layered(
         plan[plan["sub"].isin(kept)].reset_index(drop=True), forced,
     )
     shortcuts, acts = compute_shortcuts(
-        spark, lg.intra_edges, _entries(lg.members, lg.roles[0]), algo, cells=lg.members, tol=tol
+        lg.intra_edges, _entries(lg.members, lg.roles[0]), algo, cells=lg.members
     )
     return replace(lg, shortcuts=shortcuts), acts
 
 
 def update_layered(
-    spark: SparkSession,
-    lg: LayeredGraph,
-    delta: GraphDelta,
-    *,
-    tol: float | None = None,
+    lg: LayeredGraph, delta: GraphDelta,
 ) -> tuple[LayeredGraph, pd.DataFrame, np.ndarray, int]:
     """Apply ΔG to the layered graph (§IV-B).
 
@@ -264,7 +259,8 @@ def update_layered(
     roles changed, or members deleted), with the old graph's membership as
     the pass's cells, which still hold the deleted members. The pass gets
     its tables as arrays, and its fresh rows go after the kept rows of the
-    other subgraphs.
+    other subgraphs; ``update_shortcuts`` gets ``None`` for the ``spark``
+    it keeps for the tracer.
     Returns ``(new_lg, layer_diff, affected_subs, activations)`` where
     ``layer_diff`` is the prepared-weight diff on the layer graph, in
     (src, dst) order.
@@ -329,10 +325,10 @@ def update_layered(
 
     mine = np.flatnonzero(is_affected[sub])
     fresh, acts = update_shortcuts(
-        spark, {"sub": sub[mine], "src": src[mine], "dst": dst[mine], "w": w[mine]},
+        None, {"sub": sub[mine], "src": src[mine], "dst": dst[mine], "w": w[mine]},
         _entries(new_members, new_e), lg.shortcuts,
         {"sub": d_sub[same], **{c: v[same] for c, v in d.items()}},
-        algo, subs=affected, cells=members, tol=tol,
+        algo, subs=affected, cells=members,
     )
     old = [lg.shortcuts[c].to_numpy() for c in fresh.columns]
     new = [fresh[c].to_numpy() for c in fresh.columns]

@@ -14,12 +14,12 @@ order), and during an update the old graph's, which still hold the members
 ΔG deletes. The tables are frames or dicts of column arrays;
 :func:`repro.layph.layered.update_layered` hands over arrays.
 
-Both run in the driver and stay separate names because
-``perfbench/tracing.py`` times each at its call site; their ``spark``
-argument is unused and kept because the tracer reads the later arguments
-by position (the old shortcut table, a frame, at position 3 of
-:func:`update_shortcuts`, and its ``subs`` keyword) and reads the returned
-table as a frame.
+Both run in the driver, at the workload's one tolerance ``algo.tol``, and
+stay separate names because ``perfbench/tracing.py`` times each at its call
+site. :func:`compute_shortcuts` takes no ``spark``; :func:`update_shortcuts`
+keeps an unused one at position 0 because the tracer reads its later
+arguments by position (the old shortcut table, a frame, at position 3, and
+its ``subs`` keyword) and reads the returned table as a frame.
 """
 from __future__ import annotations
 
@@ -33,13 +33,11 @@ from repro.layph.structure import Members
 
 
 def compute_shortcuts(
-    spark: SparkSession,
     intra_edges,  # src, dst, w, sub
     entries,  # id, sub
     algo: Algorithm,
     *,
     cells: Members,
-    tol: float | None = None,
 ) -> tuple[pd.DataFrame, int]:
     """Shortcut tables of every subgraph with entries, plus total
     activations.
@@ -47,7 +45,7 @@ def compute_shortcuts(
     Returns a frame with columns ``sub, entry, dst, w`` covering, per Def. 3,
     every (entry, subgraph-vertex) pair reachable through subgraph edges.
     """
-    return shortcut_pass(intra_edges, entries, algo, cells=cells, tol=tol)
+    return shortcut_pass(intra_edges, entries, algo, cells=cells)
 
 
 def update_shortcuts(
@@ -60,7 +58,6 @@ def update_shortcuts(
     *,
     subs: np.ndarray,
     cells: Members,
-    tol: float | None = None,
 ) -> tuple[pd.DataFrame, int]:
     """Incremental shortcut update for the affected subgraphs ``subs``
     (§IV-B), as one flattened pass: sum rows are corrected by exact delta
@@ -70,5 +67,5 @@ def update_shortcuts(
     mine = np.isin(np.asarray(entries["sub"]), subs)
     entries = {c: np.asarray(entries[c])[mine] for c in ("sub", "id")}
     return shortcut_pass(
-        intra_edges, entries, algo, cells=cells, old=old_shortcuts, changed=changed, tol=tol
+        intra_edges, entries, algo, cells=cells, old=old_shortcuts, changed=changed
     )

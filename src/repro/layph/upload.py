@@ -8,9 +8,10 @@ subgraphs, its vertices in the order of the member frame, which the
 layered graph keeps in (sub, id) order. Member states absorb the local
 effects; boundary vertices additionally report the G-aggregate of
 everything they received — the uploaded initial messages for the L_up
-iteration. It runs in the driver; the ``spark`` argument is unused and
-kept because ``perfbench/tracing.py`` reads the later arguments by
-position.
+iteration. It runs in the driver at ``algo.tol``; the ``spark`` argument
+is unused and kept at position 0 because ``perfbench/tracing.py`` reads
+the later arguments by position (the member frame at 2, the injections
+at 5).
 """
 from __future__ import annotations
 
@@ -32,8 +33,6 @@ def upload_messages(
     states: pd.Series,
     injections: pd.Series,  # id-indexed, member targets only
     algo: Algorithm,
-    *,
-    tol: float | None = None,
 ) -> tuple[pd.Series, pd.Series, int]:
     """Run the local upload phase on every sub that received injections.
 
@@ -56,7 +55,7 @@ def upload_messages(
     x0 = np.append(states.to_numpy(float), algo.zero_state)[batch.positions(states.index, ids)]
     e = np.isin(intra_edges["sub"].to_numpy(np.int64), inj_subs)
     edges = pd.DataFrame({c: intra_edges[c].to_numpy()[e] for c in EDGE_COLUMNS}, copy=False)
-    run = converge(edges, pd.Series(x0, index=ids), injections, algo, tol=tol)
+    run = converge(edges, pd.Series(x0, index=ids), injections, algo)
 
     b = is_boundary[rows]
     up = run.arrivals.to_numpy()[b]

@@ -14,7 +14,8 @@ the assignment phase (Eq. 9). Uploaded messages enter in the shortcut
 channel (their interior effects were served by the local upload phase).
 
 Both loops are thin adapters over ``engine.batch.superstep_loop``, which
-applies the channel rule whenever a sum workload's edges carry ``etype``.
+applies the channel rule whenever a sum workload's edges carry ``etype``,
+at ``algo.tol``; ``spark`` only reaches that loop's Spark backend.
 """
 from __future__ import annotations
 
@@ -61,7 +62,6 @@ def upper_sum_loop(
     algo: Algorithm,
     *,
     stats: RunStats,
-    tol: float | None = None,
     max_supersteps: int = 10_000,
 ) -> tuple[pd.Series, pd.Series]:
     """Channel-aware sum propagation on L_up.
@@ -75,7 +75,7 @@ def upper_sum_loop(
         return x_up, pd.Series(dtype=float)
     out, _ = batch.superstep_loop(
         spark, x_up, pend_orig, up_graph, algo,
-        pend_sc=pend_sc, tol=tol, stats=stats, max_supersteps=max_supersteps,
+        pend_sc=pend_sc, stats=stats, max_supersteps=max_supersteps,
     )
     dc = _nonzero(out.recv)
     return out.x, dc[np.isin(dc.index.to_numpy(), entry_ids)]

@@ -1,11 +1,20 @@
-"""One subgraph's shortcut tables through the engine's own pass, the cell
-universe the pass once derived from its tables, and a membership that
-keeps no subgraph."""
+"""A batch run through the local kernel, one subgraph's shortcut tables
+through the engine's own pass, the cell universe the pass once derived
+from its tables, and a membership that keeps no subgraph."""
 import numpy as np
 import pandas as pd
 
-from repro.engine.local import shortcut_pass
+from repro.engine.local import LocalRun, converge, shortcut_pass
+from repro.graphs.schema import vertex_ids
 from repro.layph.structure import Members
+
+
+def batch_run(edges, algo, extra_ids=()) -> LocalRun:
+    """``converge`` from scratch on ``edges`` at ``algo.tol``: every vertex,
+    ``extra_ids`` and the source included, at its initial state, with the
+    root messages. Pass ``replace(algo, tol=...)`` for a tighter reference."""
+    ids = algo.with_source(np.union1d(vertex_ids(edges), np.asarray(extra_ids, np.int64)))
+    return converge(algo.prepare(edges), algo.initial_states(ids), algo.root_messages(ids), algo)
 
 
 def table_cells(edges, entries, old=None, changed=None) -> Members:

@@ -1,4 +1,6 @@
 """Algorithm abstraction: preparation, roots, classification (pure pandas)."""
+from dataclasses import replace
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -128,3 +130,18 @@ def test_algorithms_registry_complete():
     for name, factory in alg.ALGORITHMS.items():
         a = factory(source=0)
         assert a.name == name
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-6])
+def test_a_tolerance_that_cannot_converge_is_rejected(tol):
+    """NaN or +inf would stop every sum message at once, a negative one
+    would fire every vertex every superstep."""
+    for make in (alg.pagerank, lambda tol: alg.sssp(0, tol=tol)):
+        with pytest.raises(ValueError, match="tol"):
+            make(tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        replace(alg.pagerank(), tol=tol)
+
+
+def test_a_zero_tolerance_is_accepted():
+    assert alg.pagerank(tol=0.0).tol == 0.0

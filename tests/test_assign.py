@@ -38,7 +38,7 @@ def _reference(table, interior, entries, values, index, algo):
 def test_assign_equals_merge_groupby_on_an_updated_table(no_spark, name):
     algo = alg.pagerank(d=0.85, tol=1e-4) if name == "pagerank" else alg.sssp(source=0)
     edges, membership = dataset("uk_lite", sf=0.003, seed=7)
-    lg, _ = build_layered(no_spark, edges, algo, membership=membership)
+    lg, _ = build_layered(edges, algo, membership=membership)
     sc = lg.shortcuts
     subs = np.unique(sc["sub"].to_numpy())
     fresh = sc["sub"].isin(subs[: len(subs) // 2]).to_numpy()

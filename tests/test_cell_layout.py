@@ -125,16 +125,16 @@ def test_update_layered_passes_equal_table_universe(monkeypatch, no_spark, name)
     what the same tables give on their own universe."""
     edges, membership = dataset("uk_lite", sf=0.002, seed=0)
     algo = alg.pagerank(d=0.85, tol=1e-10) if name == "pagerank" else alg.sssp(source=0)
-    lg, _ = build_layered(no_spark, edges, algo, membership=membership)
+    lg, _ = build_layered(edges, algo, membership=membership)
     calls = []
     update = layered.update_shortcuts
 
-    def recorded(spark, intra, entries, old, changed, algo, *, subs, cells, tol):
-        got = update(spark, intra, entries, old, changed, algo, subs=subs, cells=cells, tol=tol)
+    def recorded(spark, intra, entries, old, changed, algo, *, subs, cells):
+        got = update(spark, intra, entries, old, changed, algo, subs=subs, cells=cells)
         mine = np.isin(entries["sub"], subs)
         entries = {c: np.asarray(entries[c])[mine] for c in ("sub", "id")}
         want = shortcut_pass(
-            intra, entries, algo, old=old, changed=changed, tol=tol,
+            intra, entries, algo, old=old, changed=changed,
             cells=table_cells(intra, entries, old, changed),
         )
         calls.append((got, want))
@@ -145,7 +145,7 @@ def test_update_layered_passes_equal_table_universe(monkeypatch, no_spark, name)
     for r in range(6):
         delta = random_vertex_delta(cur, n_add=2, n_del=3, seed=40 + r)
         deleted += len(delta.deleted_vertices)
-        lg, _, _, _ = update_layered(no_spark, lg, delta, tol=algo.tol)
+        lg, _, _, _ = update_layered(lg, delta)
         cur = lg.base_edges
         members = set(lg.members.id.tolist())
         assert set(lg.shortcuts.dst.tolist()) <= members

@@ -48,7 +48,7 @@ def _tables():
     # Sub 2's entry has no old row, as a newly promoted entry.
     old_entries = entries[entries["sub"] != 2]
     old_sc, _ = compute_shortcuts(
-        None, old_edges, old_entries, ALGO, cells=table_cells(old_edges, old_entries)
+        old_edges, old_entries, ALGO, cells=table_cells(old_edges, old_entries)
     )
     return new_edges, entries, old_sc, changed
 
@@ -56,9 +56,7 @@ def _tables():
 def _fresh(subs, new_edges, entries, old_sc, changed):
     """Reference: a fresh deduction on the new tables, exact for min rows."""
     entries = entries[entries["sub"].isin(subs)]
-    want, _ = compute_shortcuts(
-        None, new_edges, entries, ALGO, cells=table_cells(new_edges, entries)
-    )
+    want, _ = compute_shortcuts(new_edges, entries, ALGO, cells=table_cells(new_edges, entries))
     return want
 
 

@@ -185,7 +185,7 @@ def test_deduction_equals_one_subgraph_calls(no_spark, branch):
     _assert_same(got, want)
     assert acts == want_acts > 0
     assert 2 not in set(got["sub"])  # entries but no intra edges: no rows
-    sc, sc_acts = compute_shortcuts(no_spark, prep, OLD_ENTRIES, algo, cells=cells)
+    sc, sc_acts = compute_shortcuts(prep, OLD_ENTRIES, algo, cells=cells)
     _assert_same(sc, want)
     assert sc_acts == acts
 

@@ -8,6 +8,8 @@ no more rows than the old and new runs of ``GraphDelta.sources()`` hold,
 and never sort a canonical frame in pandas. ``canonical_edges``' early
 return on canonical input must equal its pandas path.
 """
+from dataclasses import replace
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -57,7 +59,7 @@ def _whole_graph_round(spark, old_edges, delta, old_states, algo):
         seeds = seeds[seeds.to_numpy() < x.reindex(seeds.index).to_numpy() + 1e-12]
         x.loc[seeds.index] = np.minimum(x.loc[seeds.index], seeds)
         pend = seeds
-    out, stats = superstep_loop(spark, x, pend, new_p, algo, tol=algo.tol, stats=stats)
+    out, stats = superstep_loop(spark, x, pend, new_p, algo, stats=stats)
     return out.x, stats, revised
 
 
@@ -225,6 +227,29 @@ def test_every_engine_keeps_an_isolated_added_vertex(no_spark):
         assert {name: x[v] for name, x in got.items()} == pytest.approx(
             dict.fromkeys(got, want), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("name", ["pagerank", "php"])
+def test_sum_competitors_are_ingress_at_a_finer_tolerance(no_spark, name):
+    """GraphBolt and DZiG are Ingress at 1/100 and 1/10 of the workload's
+    tolerance: equal states, activations and supersteps, and activations
+    ordered GraphBolt >= DZiG >= Ingress."""
+    algo = ALGOS[name]
+    cur, _ = dataset("uk_lite", sf=0.003, seed=0)
+    states = batch_states(cur, algo)
+    for r in range(3):
+        delta = random_edge_delta(cur, n_add=8, n_del=8, seed=600 + r)
+        acts = []
+        for runner, scale in ((baselines.graphbolt, 1e-2), (baselines.dzig, 1e-1)):
+            got, s_got = runner(no_spark, cur, delta, states, algo)
+            finer = replace(algo, tol=algo.tol * scale)
+            want, s_want = ingress_incremental(no_spark, cur, delta, states, finer)
+            pd.testing.assert_series_equal(got, want, check_exact=True)
+            assert (s_got.activations, s_got.supersteps) == (s_want.activations, s_want.supersteps)
+            acts.append(s_got.activations)
+        states, stats = ingress_incremental(no_spark, cur, delta, states, algo)
+        assert acts[0] >= acts[1] >= stats.activations > 0, (r, acts, stats.activations)
+        cur = apply_delta(cur, delta)
 
 
 def test_kickstarter_diffs_runs_and_reports_phases(no_spark, monkeypatch):

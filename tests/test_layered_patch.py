@@ -205,9 +205,7 @@ def _check(lg, algo, base, real0, plan, dead):
 
 def _check_shortcuts(lg, algo, intra, roles):
     entries = roles[roles.is_entry][["id", "sub"]]
-    want, _ = compute_shortcuts(
-        None, intra, entries, algo, cells=table_cells(intra, entries), tol=algo.tol
-    )
+    want, _ = compute_shortcuts(intra, entries, algo, cells=table_cells(intra, entries))
     key = ["sub", "entry", "dst"]
     got = lg.shortcuts.sort_values(key).reset_index(drop=True)
     # Every row leads to a member of its subgraph: none to a deleted vertex,
@@ -234,7 +232,7 @@ def test_patched_layered_graph_equals_full_recompute(no_spark, ds, name):
         "pagerank": alg.pagerank(d=0.85, tol=1e-10),
         "php": alg.php(source=0, d=0.85, tol=1e-10),
     }[name]
-    lg, _ = build_layered(no_spark, edges, algo, membership=membership)
+    lg, _ = build_layered(edges, algo, membership=membership)
     plan = lg.proxies.plan
     members = lg.members.frame()
     real0 = members[~members.id.isin(plan.proxy)]
@@ -245,7 +243,7 @@ def test_patched_layered_graph_equals_full_recompute(no_spark, ds, name):
     for r in range(22):
         delta = _schedule(cur, lg, dead, r)
         kinds.add("vertex" if len(delta.deleted_vertices) else "edge")
-        new_lg, diff, affected, _ = update_layered(no_spark, lg, delta, tol=algo.tol)
+        new_lg, diff, affected, _ = update_layered(lg, delta)
         cur = _apply_delta_ref(cur, delta)
         dead |= set(int(v) for v in delta.deleted_vertices)
         new_layer, new_mem, new_roles, intra = _check(new_lg, algo, cur, real0, plan, dead)

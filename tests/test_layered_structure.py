@@ -55,7 +55,7 @@ def test_density_filter_on_fig2():
     edges, membership = fig2_graph()
     n_in, n_out, n_e = _layout(edges, membership).density_counts()
     assert (n_in.tolist(), n_out.tolist(), n_e.tolist()) == ([0, 1, 1], [0, 1, 1], [0, 3, 5])
-    lg, _ = build_layered(None, edges, alg.pagerank(), membership=membership, replicate=False)
+    lg, _ = build_layered(edges, alg.pagerank(), membership=membership, replicate=False)
     assert lg.sizes()["n_subgraphs"] == 2
     assert len(lg.members.id) == 9
 
@@ -78,7 +78,7 @@ def test_density_filter_rejects_sparse_sub():
     # keeps the community above the planted-community minimum size of 4.
     edges = pd.concat([edges, pd.DataFrame({"src": [2], "dst": [3], "w": [1.0]})])
     membership = pd.DataFrame({"id": [0, 1, 2, 3], "sub": [0, 0, 0, 0]})
-    lg, _ = build_layered(None, edges, alg.pagerank(), membership=membership, replicate=False)
+    lg, _ = build_layered(edges, alg.pagerank(), membership=membership, replicate=False)
     assert len(lg.members.id) == 0 and (lg.sub == -1).all() and len(lg.shortcuts) == 0
 
 
@@ -86,7 +86,7 @@ def test_internal_edge_counts_matches_duckdb(spark):
     """|V_I|, |V_O| and |E_i| per subgraph of a built layered graph, against
     SQL over its layer edges and members."""
     edges, membership = dataset("uk_lite", sf=0.004, seed=1)
-    lg, _ = build_layered(None, edges, alg.pagerank(), membership=membership)
+    lg, _ = build_layered(edges, alg.pagerank(), membership=membership)
     assert len(lg.proxies)
     n_in, n_out, n_e = lg.density_counts()
     subs = np.unique(lg.members.sub)
@@ -119,7 +119,7 @@ def test_internal_edge_counts_matches_duckdb(spark):
 def test_forced_entries_mark_root():
     edges, membership = fig2_graph()
     assert _roles(_layout(edges, membership, forced={2})).loc[2].is_entry
-    lg, _ = build_layered(None, edges, alg.sssp(source=2), membership=membership, replicate=False)
+    lg, _ = build_layered(edges, alg.sssp(source=2), membership=membership, replicate=False)
     assert 2 in lg.entry_ids
 
 
@@ -198,7 +198,7 @@ def test_membership_listing_an_id_twice_is_rejected():
 def test_build_layered_fig2(spark, name):
     edges, membership = fig2_graph()
     algo = alg.sssp(source=0) if name == "sssp" else alg.pagerank(d=0.5)
-    lg, acts = build_layered(spark, edges, algo, membership=membership, replicate=False)
+    lg, acts = build_layered(edges, algo, membership=membership, replicate=False)
     sizes = lg.sizes()
     assert sizes["orig_vertices"] == 9 and sizes["orig_edges"] == 10
     assert sizes["upper_vertices"] == 3  # v0, v4, v5
@@ -214,7 +214,7 @@ def test_build_layered_fig2(spark, name):
 def test_build_layered_reduces_upper_size(spark):
     edges, membership = dataset("uk_lite", sf=0.004, seed=0)
     algo = alg.sssp(source=0)
-    lg, _ = build_layered(spark, edges, algo, membership=membership)
+    lg, _ = build_layered(edges, algo, membership=membership)
     s = lg.sizes()
     assert s["upper_vertices"] < s["orig_vertices"]
     assert s["upper_edges"] < s["orig_edges"]
@@ -225,9 +225,9 @@ def test_update_layered_recomputes_only_affected(spark):
 
     edges, membership = dataset("uk_lite", sf=0.004, seed=0)
     algo = alg.sssp(source=0)
-    lg, _ = build_layered(spark, edges, algo, membership=membership)
+    lg, _ = build_layered(edges, algo, membership=membership)
     delta = random_edge_delta(edges, n_add=2, n_del=2, seed=5)
-    new_lg, diff, affected, acts = update_layered(spark, lg, delta)
+    new_lg, diff, affected, acts = update_layered(lg, delta)
     assert len(diff) >= delta.size  # at least the unit updates appear
     n_subs = len(np.unique(lg.members.sub))
     assert len(affected) < n_subs  # constrained scope
@@ -243,7 +243,7 @@ def test_update_layered_recomputes_only_affected(spark):
 def test_upper_graph_has_both_edge_types(spark):
     edges, membership = fig2_graph()
     algo = alg.sssp(source=0)
-    lg, _ = build_layered(spark, edges, algo, membership=membership, replicate=False)
+    lg, _ = build_layered(edges, algo, membership=membership, replicate=False)
     up = lg.upper_graph
     assert set(up.etype.unique()) == {0, 1}
     # Fig 2d: L_up has edges (v4->v5), (v5->v0) and shortcut v0->v4.
@@ -271,14 +271,14 @@ def test_update_of_subgraph_without_entries_keeps_types(subs):
     membership = pd.DataFrame({"id": np.arange(1, 9), "sub": [1] * 4 + [2] * 4})
     membership = membership[membership["sub"].isin(subs)]
     algo = alg.sssp(source=0)
-    lg, _ = build_layered(None, edges, algo, membership=membership, replicate=False)
+    lg, _ = build_layered(edges, algo, membership=membership, replicate=False)
     b = int(lg.members.sub_of(np.array([5]))[0])
     assert b not in set(lg.members.sub[lg.roles[0]])
     delta = GraphDelta(
         added=pd.DataFrame({"src": [6], "dst": [8], "w": [1.0]}),
         deleted=pd.DataFrame({"src": pd.Series(dtype=np.int64), "dst": pd.Series(dtype=np.int64)}),
     )
-    new_lg, _, affected, _ = update_layered(None, lg, delta)
+    new_lg, _, affected, _ = update_layered(lg, delta)
     assert affected.tolist() == [b]
     pd.testing.assert_frame_equal(new_lg.shortcuts, lg.shortcuts)
     ids, w = np.dtype(np.int64), np.dtype(np.float64)

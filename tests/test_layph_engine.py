@@ -1,24 +1,17 @@
 """Layph incremental == batch on the updated graph (Theorems 1 & 2)."""
+from dataclasses import replace
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.engine import algorithms as alg
-from repro.engine.local import converge
 from repro.graphs.generators import dataset, fig2_delta, fig2_graph
-from repro.graphs.schema import vertex_ids
 from repro.graphs.updates import GraphDelta, apply_delta, random_edge_delta, random_vertex_delta
 from repro.incremental.ingress import ingress_incremental
 from repro.layph.engine import LayphEngine
 from repro.reference import assert_states_close
-
-
-def local_batch(edges, algo, extra_ids=(), tol=None):
-    ids = algo.with_source(np.union1d(vertex_ids(edges), np.asarray(extra_ids, np.int64)))
-    return converge(
-        algo.prepare(edges), algo.initial_states(ids), algo.root_messages(ids),
-        algo, tol=tol,
-    ).states
+from tests.blocks import batch_run
 
 
 def make_algo(name, source=0):
@@ -31,7 +24,9 @@ def make_algo(name, source=0):
 
 
 def check(got, edges, algo, delta, extra=()):
-    expected = local_batch(apply_delta(edges, delta), algo, extra_ids=extra, tol=1e-10)
+    expected = batch_run(
+        apply_delta(edges, delta), replace(algo, tol=1e-10), extra_ids=extra
+    ).states
     if len(delta.deleted_vertices):
         expected = expected[~expected.index.isin(delta.deleted_vertices)]
         got = got[got.index.isin(expected.index)]
@@ -181,7 +176,7 @@ def test_driver_path_starts_no_spark_job(no_spark, name):
     edges, membership = dataset("uk_lite", sf=0.003, seed=9)
     algo = make_algo(name)
     eng = LayphEngine(no_spark, edges, algo, membership=membership).initialize()
-    cur, x = edges, local_batch(edges, algo)
+    cur, x = edges, batch_run(edges, algo).states
     for r in range(2):
         delta = random_edge_delta(cur, n_add=3, n_del=3, seed=2000 + r)
         got, _ = eng.run_delta(delta)
@@ -199,7 +194,7 @@ def test_backends_agree_end_to_end(spark, on_each_backend, name):
     edges, membership = dataset("uk_lite", sf=0.003, seed=4)
     algo = make_algo(name)
     delta = random_edge_delta(edges, n_add=3, n_del=3, seed=31)
-    x = local_batch(edges, algo)
+    x = batch_run(edges, algo).states
 
     def run():
         eng = LayphEngine(spark, edges, algo, membership=membership).initialize()

@@ -1,4 +1,6 @@
 """Local numpy kernel vs the independent pure-python references."""
+from dataclasses import replace
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -14,13 +16,7 @@ from repro.reference import (
     php_reference,
     sssp_reference,
 )
-from tests.blocks import one_block
-
-
-def _run_local(edges, algo, tol=None):
-    prepared = algo.prepare(edges)
-    ids = algo.with_source(vertex_ids(edges))
-    return converge(prepared, algo.initial_states(ids), algo.root_messages(ids), algo, tol=tol)
+from tests.blocks import batch_run, one_block
 
 
 def small_graph(seed=0, n=40):
@@ -34,14 +30,14 @@ def small_graph(seed=0, n=40):
 @pytest.mark.parametrize("seed", range(6))
 def test_sssp_matches_dijkstra(seed):
     edges = small_graph(seed)
-    run = _run_local(edges, alg.sssp(source=0))
+    run = batch_run(edges, alg.sssp(source=0))
     assert_states_close(run.states, sssp_reference(edges, 0))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_bfs_matches_reference(seed):
     edges = small_graph(seed)
-    run = _run_local(edges, alg.bfs(source=0))
+    run = batch_run(edges, alg.bfs(source=0))
     assert_states_close(run.states, bfs_reference(edges, 0))
 
 
@@ -49,27 +45,27 @@ def test_bfs_matches_reference(seed):
 @pytest.mark.parametrize("d", [0.5, 0.85])
 def test_pagerank_matches_linear_solve(seed, d):
     edges = small_graph(seed)
-    run = _run_local(edges, alg.pagerank(d=d, tol=1e-9))
+    run = batch_run(edges, alg.pagerank(d=d, tol=1e-9))
     assert_states_close(run.states, pagerank_reference(edges, d), atol=1e-5, rtol=1e-4)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_php_matches_linear_solve(seed):
     edges = small_graph(seed)
-    run = _run_local(edges, alg.php(source=1, d=0.8, tol=1e-9))
+    run = batch_run(edges, alg.php(source=1, d=0.8, tol=1e-9))
     assert_states_close(run.states, php_reference(edges, 1, 0.8), atol=1e-5, rtol=1e-4)
 
 
 def test_activations_positive_and_bounded():
     edges = small_graph(0)
-    run = _run_local(edges, alg.sssp(source=0))
+    run = batch_run(edges, alg.sssp(source=0))
     assert run.activations > 0
     assert run.activations <= len(edges) * (run.iterations + 1)
 
 
 def test_unreachable_vertices_stay_inf():
     edges = pd.DataFrame({"src": [0, 5], "dst": [1, 6], "w": [2.0, 1.0]})
-    run = _run_local(edges, alg.sssp(source=0))
+    run = batch_run(edges, alg.sssp(source=0))
     assert run.states[1] == 2.0
     assert np.isinf(run.states[5]) and np.isinf(run.states[6])
 
@@ -77,7 +73,7 @@ def test_unreachable_vertices_stay_inf():
 def test_fig2_sssp_states():
     """Example 4: converged states on the paper's Fig. 2a graph."""
     edges, _ = fig2_graph()
-    run = _run_local(edges, alg.sssp(source=0))
+    run = batch_run(edges, alg.sssp(source=0))
     expected = pd.Series([0, 1, 4, 1, 2, 5, 6, 7, 7], index=range(9), dtype=float)
     assert_states_close(run.states, expected)
 
@@ -116,14 +112,9 @@ def test_shortcut_weights_sum_reproduce_unit_propagation():
     prepared = algo.prepare(edges)
     ids = vertex_ids(edges)
     entry = ids[0]
-    sc, _ = one_block(prepared, [entry], algo, tol=1e-12)
-    run = converge(
-        prepared,
-        pd.Series(0.0, index=ids),
-        pd.Series({entry: 1.0}),
-        algo,
-        tol=1e-12,
-    )
+    fine = replace(algo, tol=1e-12)
+    sc, _ = one_block(prepared, [entry], fine)
+    run = converge(prepared, pd.Series(0.0, index=ids), pd.Series({entry: 1.0}), fine)
     # converge() aggregates the unit message into the entry's state; the
     # shortcut table only stores >=1-hop arrivals.
     expect = run.states.copy()

@@ -53,7 +53,7 @@ def test_fig2a_converged_states(fig2):
 
 def _fig2_layered(fig2):
     edges, membership, _ = fig2
-    lg, _ = build_layered(None, edges, alg.pagerank(), membership=membership, replicate=False)
+    lg, _ = build_layered(edges, alg.pagerank(), membership=membership, replicate=False)
     return lg
 
 

@@ -6,7 +6,6 @@ import pytest
 from repro.engine import algorithms as alg
 from repro.engine.local import converge
 from repro.graphs.generators import fig2_graph, planted_partition
-from repro.graphs.schema import vertex_ids
 from repro.graphs.updates import GraphDelta, apply_delta, random_edge_delta
 from repro.incremental.revision import (
     min_parents,
@@ -16,6 +15,7 @@ from repro.incremental.revision import (
     sum_revision,
 )
 from repro.reference import assert_states_close, pagerank_reference
+from tests.blocks import batch_run
 
 
 def small_graph(seed=0, n=40):
@@ -24,13 +24,6 @@ def small_graph(seed=0, n=40):
         community_fraction=0.8, intra_out_deg=3.0, inter_edge_fraction=0.3, seed=seed,
     )
     return edges
-
-
-def converged(edges, algo, tol=None):
-    ids = algo.with_source(vertex_ids(edges))
-    return converge(
-        algo.prepare(edges), algo.initial_states(ids), algo.root_messages(ids), algo, tol=tol
-    ).states
 
 
 def test_prepared_edge_diff_classifies_adds_deletes_changes():
@@ -46,7 +39,7 @@ def test_prepared_edge_diff_classifies_adds_deletes_changes():
 def test_min_parents_on_fig2():
     edges, _ = fig2_graph()
     algo = alg.sssp(source=0)
-    states = converged(edges, algo)
+    states = batch_run(edges, algo).states
     parents = min_parents(algo.prepare(edges), states, algo).set_index("id").parent
     # v0 is root-supported -> no parent; everyone else has exactly one.
     assert 0 not in parents.index
@@ -83,7 +76,7 @@ def _trim_set_ref(parents, seeds):
 def test_min_trim_set_matches_set_walk(seed):
     edges = small_graph(seed, n=200)
     algo = alg.sssp(source=0)
-    parents = min_parents(algo.prepare(edges), converged(edges, algo), algo)
+    parents = min_parents(algo.prepare(edges), batch_run(edges, algo).states, algo)
     rng = np.random.default_rng(seed)
     seeds = rng.choice(np.r_[parents.id.to_numpy(), 10**6, 0], size=3 + seed)
     got = min_trim_set(parents.sample(frac=1.0, random_state=seed), seeds)
@@ -95,7 +88,7 @@ def test_min_trim_set_matches_set_walk(seed):
 def test_min_revision_then_local_propagation_matches_batch(seed):
     edges = small_graph(seed)
     algo = alg.sssp(source=0)
-    states = converged(edges, algo)
+    states = batch_run(edges, algo).states
     delta = random_edge_delta(edges, n_add=4, n_del=4, seed=seed + 100)
     new_edges = apply_delta(edges, delta)
 
@@ -104,7 +97,7 @@ def test_min_revision_then_local_propagation_matches_batch(seed):
     x = states.copy()
     x.loc[x.index.isin(set(int(r) for r in reset))] = float("inf")
     run = converge(algo.prepare(new_edges), x, seeds, algo)
-    assert_states_close(run.states, converged(new_edges, algo))
+    assert_states_close(run.states, batch_run(new_edges, algo).states)
     assert acts >= 0
 
 
@@ -112,7 +105,7 @@ def test_min_revision_then_local_propagation_matches_batch(seed):
 def test_sum_revision_then_local_propagation_matches_batch(seed):
     edges = small_graph(seed)
     algo = alg.pagerank(d=0.8, tol=1e-10)
-    states = converged(edges, algo)
+    states = batch_run(edges, algo).states
     delta = random_edge_delta(edges, n_add=4, n_del=4, seed=seed + 200)
     new_edges = apply_delta(edges, delta)
 
@@ -124,7 +117,7 @@ def test_sum_revision_then_local_propagation_matches_batch(seed):
 def test_sum_revision_empty_when_no_changes():
     edges = small_graph(1)
     algo = alg.pagerank(d=0.8)
-    states = converged(edges, algo)
+    states = batch_run(edges, algo).states
     inj = sum_revision(algo.prepare(edges), algo.prepare(edges), states, algo)
     assert len(inj) == 0
 
@@ -148,7 +141,7 @@ def test_sum_revision_covers_outdegree_side_effect():
 def test_php_revision_roundtrip():
     edges = small_graph(2)
     algo = alg.php(source=1, d=0.7, tol=1e-10)
-    states = converged(edges, algo)
+    states = batch_run(edges, algo).states
     delta = random_edge_delta(edges, n_add=3, n_del=3, seed=9)
     new_edges = apply_delta(edges, delta)
     inj = sum_revision(algo.prepare(edges), algo.prepare(new_edges), states, algo)

@@ -1,4 +1,6 @@
 """Incremental shortcut kernels == full recomputation (pure pandas)."""
+from dataclasses import replace
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -22,8 +24,8 @@ def sub_graph(seed, n=25):
     return edges
 
 
-def _full(edges, entries, algo, tol=None):
-    sc, _ = one_block(algo.prepare(edges), entries, algo, tol=tol)
+def _full(edges, entries, algo):
+    sc, _ = one_block(algo.prepare(edges), entries, algo)
     return sc.set_index(["entry", "dst"]).w.sort_index()
 
 
@@ -51,13 +53,14 @@ def test_min_update_matches_full(seed):
 def test_sum_update_matches_full(seed):
     edges = sub_graph(seed)
     algo = alg.pagerank(d=0.6, tol=1e-10)
+    fine = replace(algo, tol=1e-12)
     entries = vertex_ids(edges)[:3]
-    old_sc, _ = one_block(algo.prepare(edges), entries, algo, tol=1e-12)
+    old_sc, _ = one_block(algo.prepare(edges), entries, fine)
     delta = random_edge_delta(edges, n_add=2, n_del=2, seed=seed + 5)
     new_edges = apply_delta(edges, delta)
     ch = _changed(algo.prepare(edges), algo.prepare(new_edges))
-    got, _ = one_block(algo.prepare(new_edges), entries, algo, old=old_sc, changed=ch, tol=1e-12)
-    expect = _full(new_edges, entries, algo, tol=1e-12)
+    got, _ = one_block(algo.prepare(new_edges), entries, fine, old=old_sc, changed=ch)
+    expect = _full(new_edges, entries, fine)
     g = got.set_index(["entry", "dst"]).w.sort_index()
     idx = expect.index.union(g.index)
     np.testing.assert_allclose(
@@ -109,13 +112,14 @@ def test_min_update_prunes_unaffected_entries():
 def test_sum_update_new_entry_gets_full_row():
     edges = sub_graph(2)
     algo = alg.pagerank(d=0.6, tol=1e-10)
+    fine = replace(algo, tol=1e-12)
     ids = vertex_ids(edges)
     old_entries = ids[:2]
-    old_sc, _ = one_block(algo.prepare(edges), old_entries, algo, tol=1e-12)
+    old_sc, _ = one_block(algo.prepare(edges), old_entries, fine)
     new_entries = ids[:3]  # one extra entry, graph unchanged
     ch = pd.DataFrame(columns=["src", "dst", "w_old", "w_new"])
-    got, _ = one_block(algo.prepare(edges), new_entries, algo, old=old_sc, changed=ch, tol=1e-12)
-    expect = _full(edges, new_entries, algo, tol=1e-12)
+    got, _ = one_block(algo.prepare(edges), new_entries, fine, old=old_sc, changed=ch)
+    expect = _full(edges, new_entries, fine)
     g = got.set_index(["entry", "dst"]).w.sort_index()
     idx = expect.index.union(g.index)
     np.testing.assert_allclose(

@@ -6,19 +6,41 @@ Layph PageRank round, one Layph SSSP round and one Ingress round under the
 unchanged tracer, without Spark, and checks that every patched name resolves,
 that every span with a counts function got its counts, that the counts read
 by position are the ones they name, and that the min caches are traced in
-both the set-up and the round.
+both the set-up and the round. The parameters the tracer reads by position
+must also carry the names it assumes.
 """
 import importlib
+import inspect
 from pathlib import Path
+
+import pytest
 
 from repro.engine import algorithms as alg
 from repro.experiments.common import batch_states
 from repro.graphs.generators import dataset
 from repro.graphs.updates import random_edge_delta
 from repro.incremental import ingress
+from repro.layph import shortcuts, upload, upper
 from repro.layph.engine import LayphEngine
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+#: Per function, the positions ``perfbench/tracing.py`` reads and the
+#: parameter each must be.
+POSITIONAL_READS = {
+    upper.upper_sum_loop: {1: "up_graph", 2: "x_up"},
+    upper.upper_min_loop: {1: "up_graph", 2: "x_up"},
+    shortcuts.update_shortcuts: {3: "old_shortcuts"},
+    upload.upload_messages: {2: "members", 5: "injections"},
+}
+
+
+@pytest.mark.parametrize("fn", list(POSITIONAL_READS), ids=lambda fn: fn.__name__)
+def test_positional_reads_name_their_parameters(fn):
+    params = list(inspect.signature(fn).parameters.values())
+    for at, name in POSITIONAL_READS[fn].items():
+        assert params[at].name == name, (fn.__name__, at)
+        assert params[at].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD, (fn.__name__, name)
 
 
 def test_tracer_targets_resolve_and_count(monkeypatch, no_spark):

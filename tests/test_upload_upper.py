@@ -32,7 +32,7 @@ def test_upload_propagates_locally_and_reports_boundary(spark):
     x = pd.Series({0: 1.0, 1: 1.0, 2: 1.0})
     algo = alg.pagerank(d=0.5, tol=1e-10)
     st, up, acts = upload_messages(
-        spark, intra, members, is_boundary, x, pd.Series({0: 1.0}), algo, tol=1e-10
+        spark, intra, members, is_boundary, x, pd.Series({0: 1.0}), algo
     )
     # states: x0 += 1, x1 += 0.5, x2 += 0.25
     assert abs(st[0] - 2.0) < 1e-9 and abs(st[1] - 1.5) < 1e-9 and abs(st[2] - 1.25) < 1e-9
@@ -99,7 +99,7 @@ def _upper_sum_on_each_backend(spark, on_each_backend, up, x, pend, pend_sc, ent
 
     def run():
         stats = RunStats()
-        xs, dc = upper_sum_loop(spark, up, x, pend, pend_sc, entries, algo, stats=stats, tol=1e-9)
+        xs, dc = upper_sum_loop(spark, up, x, pend, pend_sc, entries, algo, stats=stats)
         return xs, dc, stats
 
     runs = on_each_backend(run)
