@@ -106,8 +106,9 @@ def superstep_loop(
     by id, with the converged ``x``, plus ``recv`` when the channel rule is
     on. Both backends keep one contract:
 
-    * ``x`` covers the whole state set and already includes ``pend`` (and
-      ``pend_sc``); ``edges`` (``src, dst, w``) must be prepared.
+    * ``x`` covers the whole state set, its index sorted by id, and
+      already includes ``pend`` (and ``pend_sc``); ``edges`` (``src, dst,
+      w``) must be prepared.
     * Every id of the state set present in ``pend`` is active on superstep
       1, even when its value is 0 or does not improve ``x``.
     * Activations count one per message sent. Messages to ids outside the
@@ -129,6 +130,8 @@ def superstep_loop(
     ``edges`` of at most ``DRIVER_MAX_EDGES`` rows run in the driver, larger
     ones on Spark.
     """
+    if not x.index.is_monotonic_increasing:
+        raise ValueError("superstep_loop: the states' index must be sorted by id")
     stats = stats or RunStats()
     if algo.is_sum and "etype" in edges.columns:
         pend_sc = pd.Series(dtype=float) if pend_sc is None else pend_sc
@@ -151,7 +154,7 @@ def positions(ids: pd.Index, keys) -> np.ndarray:
 
 
 def propagate(
-    x, pend, src, dst, w, algo, max_steps, over_cap, *, etype=None, pend_sc=None, recv=None
+    x, pend, src, dst, w, algo, max_steps, over_cap, *, split=None, pend_sc=None, recv=None
 ):
     """The one (F, G) kernel, over position arrays, until no message
     remains. Returns ``(x, recv, activations, supersteps)``.
@@ -162,50 +165,63 @@ def propagate(
     where inactive; it is not folded into ``x`` here. Edges are taken in
     the caller's order, so each destination sums its arrivals in edge
     order; a ``dst`` of −1 lies outside the state set. Activations,
-    supersteps, the ``algo.tol`` cut, the channel rule (``etype``,
-    ``pend_sc``) and the cap, raised as ``RuntimeError(over_cap)``, follow
-    ``superstep_loop``'s contract. ``recv``, when given, G-aggregates every
-    original-channel arrival onto its starting values.
+    supersteps, the ``algo.tol`` cut, the channel rule and the cap, raised
+    as ``RuntimeError(over_cap)``, follow ``superstep_loop``'s contract.
+    ``recv``, when given, G-aggregates every original-channel arrival onto
+    its starting values.
+
+    A ``split`` turns the channel rule on, with ``pend_sc`` pending in the
+    shortcut channel: the edges are two runs, the original edges
+    ``[:split]`` and the shortcuts ``[split:]``, and each superstep gathers
+    each run once.
     """
     n, tol = len(x), algo.tol
-    channels = etype is not None
-    if channels:
-        orig = etype == 0
+    channels = split is not None
     inside = dst >= 0
     dropped = not inside.all()
     acts = steps = 0
     while True:
-        fire = ~np.isnan(pend)[src]
+        active = ~np.isnan(pend)
         if channels:
-            # Shortcuts carry only original-channel mass.
-            fire |= orig & ~np.isnan(pend_sc)[src]
-        n_msgs = int(np.count_nonzero(fire))
+            # Original edges carry both channels' mass; shortcuts carry only
+            # original-channel mass.
+            has_sc = ~np.isnan(pend_sc)
+            fire, fire_sc = (active | has_sc)[src[:split]], active[src[split:]]
+            n_msgs = int(np.count_nonzero(fire)) + int(np.count_nonzero(fire_sc))
+        else:
+            fire = active[src]
+            n_msgs = int(np.count_nonzero(fire))
         if n_msgs == 0:
             return x, recv, acts, steps
         if steps == max_steps:
             raise RuntimeError(over_cap)
         steps += 1
         acts += n_msgs
-        if dropped:
-            fire &= inside
-        s, d, ws = src[fire], dst[fire], w[fire]
         if algo.is_min:
+            if dropped:
+                fire &= inside
+            s, d = src[fire], dst[fire]
             m = np.full(n, np.inf)
-            np.minimum.at(m, d, pend[s] + ws)
+            np.minimum.at(m, d, pend[s] + w[fire])
             pend = np.where(m < x, m, np.nan)
             x = np.minimum(x, m)
         elif not channels:
+            if dropped:
+                fire &= inside
             # An id that received nothing sums to 0, never above tol (≥ 0).
-            m = np.bincount(d, pend[s] * ws, minlength=n)
+            m = np.bincount(dst[fire], pend[src[fire]] * w[fire], minlength=n)
             x = x + m
             pend = np.where(np.abs(m) > tol, m, np.nan)
         else:
-            o = orig[fire]
-            ps = np.where(np.isnan(pend[s]), 0.0, pend[s])
-            both = ps + np.where(np.isnan(pend_sc[s]), 0.0, pend_sc[s])
-            val = np.where(o, both, ps) * ws
-            m = np.bincount(d[o], val[o], minlength=n)
-            m_sc = np.bincount(d[~o], val[~o], minlength=n)
+            if dropped:
+                fire &= inside[:split]
+                fire_sc &= inside[split:]
+            p = np.where(active, pend, 0.0)
+            both = p + np.where(has_sc, pend_sc, 0.0)
+            s, d, ws = src[:split][fire], dst[:split][fire], w[:split][fire]
+            m = np.bincount(d, both[s] * ws, minlength=n)
+            s, d, ws = src[split:][fire_sc], dst[split:][fire_sc], w[split:][fire_sc]
+            m_sc = np.bincount(d, p[s] * ws, minlength=n)
             x = x + m + m_sc
             pend = np.where(np.abs(m) > tol, m, np.nan)
             pend_sc = np.where(np.abs(m_sc) > tol, m_sc, np.nan)
@@ -214,9 +230,13 @@ def propagate(
 
 
 def _driver_loop(x, pend, pend_sc, edges, algo, max_supersteps, stats):
-    """numpy backend: ids mapped to positions, then one :func:`propagate`.
-    Pending values are NaN where inactive, as the Spark states hold NULL."""
-    ids = pd.Index(x.index.to_numpy(np.int64))
+    """numpy backend: ids mapped to positions in ``x``'s own (sorted)
+    index, then one :func:`propagate`; the states come back on that index.
+    Pending values are NaN where inactive, as the Spark states hold NULL.
+    With channels, the edges are ordered stably by ``etype`` (a no-op for
+    ``layph.layered.upper_graph``, which lays out its cross rows first), so
+    the kernel gets each channel as one run in table order."""
+    ids = x.index
     n = len(ids)
 
     def pending(s: pd.Series) -> np.ndarray:
@@ -226,21 +246,22 @@ def _driver_loop(x, pend, pend_sc, edges, algo, max_supersteps, stats):
         return p
 
     src, dst = positions(ids, edges.src), positions(ids, edges.dst)
-    sends = src >= 0  # ids outside the state set never send (the join drops them)
+    sends = np.flatnonzero(src >= 0)  # ids outside the state set never send (the join drops them)
     channels = pend_sc is not None
+    split = None
+    if channels:
+        etype = edges.etype.to_numpy()[sends]
+        sends = sends[np.argsort(etype, kind="stable")]
+        split = int(np.count_nonzero(etype == 0))
     xs, recv, acts, steps = propagate(
         x.to_numpy(float), pending(pend), src[sends], dst[sends],
         edges.w.to_numpy(float)[sends], algo, max_supersteps, _over_cap(max_supersteps),
-        etype=edges.etype.to_numpy()[sends] if channels else None,
-        pend_sc=pending(pend_sc) if channels else None,
+        split=split, pend_sc=pending(pend_sc) if channels else None,
         recv=np.zeros(n) if channels else None,
     )
     stats.activations += acts
     stats.supersteps += steps
-    out = pd.DataFrame({"x": xs}, index=ids)
-    if channels:
-        out["recv"] = recv
-    return out.sort_index()
+    return pd.DataFrame({"x": xs, "recv": recv} if channels else {"x": xs}, index=ids, copy=False)
 
 
 def _states_to_spark(

@@ -63,37 +63,54 @@ def converge(
     id-indexed series of initial messages (root messages for a batch run,
     revision messages for an incremental one — including negative deltas
     for sum-cancellations). Every vertex forwards; the caller restricts the
-    edge set to restrict propagation scope.
+    edge set to restrict propagation scope. Messages to ids outside ``x0``
+    are dropped; an edge endpoint outside it raises ``ValueError``.
 
-    The messages are G-aggregated per id and folded into ``x0``; only a min
-    message that improves its state, or a sum message above ``algo.tol``, is
-    active on the first superstep. Then one ``batch.propagate`` runs over
-    the edges sorted by source.
+    Maps ids to positions and runs :func:`converge_at` over the edges
+    sorted by source.
     """
     ids = pd.Index(x0.index.to_numpy(np.int64))
     src, dst = batch.positions(ids, prepared.src), batch.positions(ids, prepared.dst)
     if (src < 0).any() or (dst < 0).any():
         raise ValueError("prepared edges reference ids outside the vertex set")
     order = np.argsort(src, kind="stable")
-    x = x0.to_numpy(float)
     at = batch.positions(ids, m0.index)
-    seeds = np.full(len(ids), INF if algo.is_min else 0.0)
-    (np.minimum if algo.is_min else np.add).at(seeds, at[at >= 0], m0.to_numpy(float)[at >= 0])
+    seeded = at >= 0
+    x, arrivals, acts, steps = converge_at(
+        x0.to_numpy(float), at[seeded], m0.to_numpy(float)[seeded],
+        src[order], dst[order], prepared.w.to_numpy(float)[order], algo, max_iter=max_iter,
+    )
+    return LocalRun(
+        states=pd.Series(x, index=ids),
+        arrivals=pd.Series(arrivals, index=ids),
+        activations=acts,
+        iterations=steps,
+    )
+
+
+def converge_at(x, at, m, src, dst, w, algo: Algorithm, *, max_iter: int = 100_000):
+    """:func:`converge` on positions: the states ``x``, the messages ``m``
+    at the positions ``at`` and the edges ``(src, dst, w)``, every position
+    inside ``x``. Returns ``(x, arrivals, activations, supersteps)``,
+    ``arrivals`` the G-aggregate of the messages and of everything received.
+
+    The seeding rule: the messages are G-aggregated per position and folded
+    into ``x``; only a min message that improves its state, or a sum
+    message above ``algo.tol``, is active on the first superstep. Then one
+    ``batch.propagate`` runs over the edges in the given order, so each
+    position sums its arrivals in edge order.
+    """
+    seeds = np.full(len(x), INF if algo.is_min else 0.0)
+    (np.minimum if algo.is_min else np.add).at(seeds, at, m)
     if algo.is_min:
         pend = np.where(seeds < x, seeds, np.nan)
         x = np.minimum(x, seeds)
     else:
         pend = np.where(np.abs(seeds) > algo.tol, seeds, np.nan)
         x = x + seeds
-    x, recv, acts, steps = batch.propagate(
-        x, pend, src[order], dst[order], prepared.w.to_numpy(float)[order], algo, max_iter,
+    return batch.propagate(
+        x, pend, src, dst, w, algo, max_iter,
         f"converge: messages still pending after max_iter={max_iter}", recv=seeds,
-    )
-    return LocalRun(
-        states=pd.Series(x, index=ids),
-        arrivals=pd.Series(recv, index=ids),
-        activations=acts,
-        iterations=steps,
     )
 
 

@@ -55,9 +55,11 @@ def new_vertex_universe(ids: np.ndarray, delta: GraphDelta, algo: Algorithm) -> 
 def align_states(
     old_states: pd.Series, ids: np.ndarray, algo: Algorithm
 ) -> pd.Series:
-    """Old states restricted/extended to the new vertex universe."""
-    x = old_states.reindex(ids)
-    return x.fillna(algo.zero_state)
+    """Old states restricted/extended to the new vertex universe ``ids``:
+    one gather, an id without an old state taking ``algo.zero_state``."""
+    # Position -1 (an id without an old state) reads the appended zero state.
+    at = old_states.index.get_indexer(ids)
+    return pd.Series(np.append(old_states.to_numpy(float), algo.zero_state)[at], index=ids)
 
 
 def changed_runs(

@@ -74,16 +74,19 @@ def sum_revision(
     *,
     new_vertices: np.ndarray | None = None,
 ) -> pd.Series:
-    """Injected revision deltas, id-indexed and aggregated per target.
+    """Injected revision deltas, id-indexed and aggregated per target: the
+    Series form of :func:`sum_injections`, for a caller that indexes its
+    messages by id.
 
     The two frames are prepared edges before and after ΔG: the whole
     graphs, or the out-edge runs of the same sources in both (the runs of
     every source ΔG names, :meth:`GraphDelta.sources`), since no other
     prepared weight changes.
     """
-    return sum_injections(
+    targets, deltas = sum_injections(
         prepared_edge_diff(old_prepared, new_prepared), states, algo, new_vertices=new_vertices
     )
+    return pd.Series(deltas, index=targets)
 
 
 def sum_injections(
@@ -92,22 +95,31 @@ def sum_injections(
     algo: Algorithm,
     *,
     new_vertices: np.ndarray | None = None,
-) -> pd.Series:
+) -> tuple[np.ndarray, np.ndarray]:
     """The revision deltas of a prepared-edge ``diff`` (see
     :func:`prepared_edge_diff`): ``(x*_u − x0_u) · dw`` at ``v`` per changed
     edge ``(u, v)``, plus the root messages of ``new_vertices``, summed per
     target id. A target whose sum is exactly 0 is dropped: its message
-    would change no state, yet fire every out-edge."""
-    dw = diff.w_new.fillna(0.0).to_numpy() - diff.w_old.fillna(0.0).to_numpy()
-    mass = (states - algo.zero_state).reindex(diff.src).fillna(0.0).to_numpy()
-    inj = pd.Series(mass * dw, index=diff.dst.to_numpy(np.int64))
+    would change no state, yet fire every out-edge.
+
+    Returns the sorted, unique target ids and their deltas as arrays. A
+    source outside ``states`` forwarded no mass. Each target adds its terms
+    in turn, diff rows first and in diff order, then its root message."""
+    w_old, w_new = diff.w_old.to_numpy(float), diff.w_new.to_numpy(float)
+    dw = np.where(np.isnan(w_new), 0.0, w_new) - np.where(np.isnan(w_old), 0.0, w_old)
+    # Position -1 (a source without a state) reads the appended 0.
+    at = states.index.get_indexer(diff.src.to_numpy(np.int64))
+    mass = np.append(states.to_numpy(float) - algo.zero_state, 0.0)[at]
+    targets, terms = diff.dst.to_numpy(np.int64), mass * dw
     if new_vertices is not None and len(new_vertices):
         roots = algo.root_messages(np.asarray(new_vertices, np.int64))
-        roots = roots[roots.index.isin(new_vertices)]
-        inj = pd.concat([inj, roots])
-    inj = inj.groupby(level=0).sum()
-    zero = inj.to_numpy() == 0
-    return inj[~zero] if zero.any() else inj
+        new = roots.index.isin(new_vertices)
+        targets = np.concatenate([targets, roots.index.to_numpy(np.int64)[new]])
+        terms = np.concatenate([terms, roots.to_numpy(float)[new]])
+    targets, group = np.unique(targets, return_inverse=True)
+    deltas = np.bincount(group, terms, minlength=len(targets))
+    keep = deltas != 0
+    return targets[keep], deltas[keep]
 
 
 # --------------------------------------------------------------------------

@@ -169,8 +169,7 @@ class LayphEngine:
         ``x`` over ``index``, which it updates and returns."""
         algo = self.algo
         with PhaseTimer(stats, "upload"):
-            inj = sum_injections(diff, self.x, algo, new_vertices=delta.added_vertices)
-            v, val = inj.index.to_numpy(np.int64), inj.to_numpy(float)
+            v, val = sum_injections(diff, self.x, algo, new_vertices=delta.added_vertices)
             at = batch.positions(index, v)
             member = (at >= 0) & (new_lg.members.index(v) >= 0)
             outlier = (at >= 0) & ~member
@@ -188,17 +187,15 @@ class LayphEngine:
         with PhaseTimer(stats, "upper"):
             up = batch.positions(index, new_lg.upper_vertex_ids)
             up = up[up >= 0]
-            x_up, dcache = upper_sum_loop(
+            x_up, entries, dcache = upper_sum_loop(
                 self.spark, new_lg.upper_graph, pd.Series(x[up], index=index[up]),
                 pd.Series(val[outlier], index=v[outlier]), uploads, new_lg.entry_ids, algo,
                 stats=stats,
             )
-            x[up] = x_up.to_numpy()  # sorted by id, as index[up] is
+            x[up] = x_up  # in index[up]'s order, sorted by id as the loop requires
 
         with PhaseTimer(stats, "assign"):
-            add, rows = assign(
-                new_lg, dcache.index.to_numpy(np.int64), dcache.to_numpy(float), index, algo
-            )
+            add, rows = assign(new_lg, entries, dcache, index, algo)
             stats.activations += rows
             x += add
         return x

@@ -26,9 +26,14 @@ class Members:
         # any order, where a binary search costs several times more.
         self._index = pd.Index(ids)
         self._sub = np.append(sub, -1)  # position -1 (a non-member) reads sub -1
+        self._frame = None
 
     def frame(self) -> pd.DataFrame:
-        return pd.DataFrame({"id": self.id, "sub": self.sub})
+        """The members as an ``id, sub`` frame, in table order. Built once
+        and shared, as the membership never changes: read, never modify."""
+        if self._frame is None:
+            self._frame = pd.DataFrame({"id": self.id, "sub": self.sub})
+        return self._frame
 
     def subset(self, keep: np.ndarray) -> "Members":
         return Members(self.id[keep], self.sub[keep])

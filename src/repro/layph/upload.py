@@ -3,10 +3,12 @@
 Revision deltas targeting subgraph members are propagated *inside* their
 subgraph until quiescence. The subgraphs are independent (Eq. 7 note):
 they are disjoint and intra edges never leave them, so the upload is one
-:func:`repro.engine.local.converge` call over the union of the injected
-subgraphs, its vertices in the order of the member frame, which the
-layered graph keeps in (sub, id) order. Member states absorb the local
-effects; boundary vertices additionally report the G-aggregate of
+:func:`repro.engine.local.converge_at` run over the union of the injected
+subgraphs, on positions. The layered graph keeps its members in (sub, id)
+order, so each injected subgraph is one block of member rows: the run's
+vertices are those blocks, sliced with ``graphs.schema.ranges``, and the
+intra endpoints map to them by one id lookup. Member states absorb the
+local effects; boundary vertices additionally report the G-aggregate of
 everything they received — the uploaded initial messages for the L_up
 iteration. It runs in the driver at ``algo.tol``; the ``spark`` argument
 is unused and kept at position 0 because ``perfbench/tracing.py`` reads
@@ -21,8 +23,8 @@ from pyspark.sql import SparkSession
 
 from repro.engine import batch
 from repro.engine.algorithms import Algorithm
-from repro.engine.local import converge
-from repro.graphs.schema import EDGE_COLUMNS
+from repro.engine.local import converge_at
+from repro.graphs.schema import ranges
 
 
 def upload_messages(
@@ -31,33 +33,51 @@ def upload_messages(
     members: pd.DataFrame,  # id, sub, in (sub, id) order
     is_boundary: np.ndarray,  # per row of ``members``
     states: pd.Series,
-    injections: pd.Series,  # id-indexed, member targets only
+    injections: pd.Series,  # id-indexed
     algo: Algorithm,
 ) -> tuple[pd.Series, pd.Series, int]:
     """Run the local upload phase on every sub that received injections.
 
     Returns ``(member_states, uploads, activations)`` — updated states for
-    every member of an affected sub, and the uploaded (aggregated) message
-    per boundary vertex of those subs.
+    every member of an affected sub, in member order, and the uploaded
+    (aggregated) message per boundary vertex of those subs. Injections at
+    ids that are no member are dropped; a member without a state starts
+    from ``algo.zero_state``.
     """
     mid, sub = members.id.to_numpy(np.int64), members["sub"].to_numpy(np.int64)
-    inj_subs = np.unique(sub[np.isin(mid, injections.index.to_numpy(np.int64))])
+    by_id = pd.Index(mid)
+    at = by_id.get_indexer(injections.index.to_numpy(np.int64))
+    seeded = at >= 0
+    inj_subs = np.unique(sub[at[seeded]])
     if len(inj_subs) == 0:
         return pd.Series(dtype=float), pd.Series(dtype=float), 0
 
-    # Subgraphs are disjoint and intra edges stay inside them, so one run
-    # over the union of the injected subgraphs is every per-subgraph run,
-    # its vertices in the members' (sub, id) order. ``converge``
-    # G-aggregates the injections and drops those of other ids.
-    rows = np.flatnonzero(np.isin(sub, inj_subs))
+    # The run's vertices: the injected subgraphs' blocks of member rows.
+    lo = np.searchsorted(sub, inj_subs)
+    rows = ranges(lo, np.searchsorted(sub, inj_subs, "right") - lo)
+    local = np.full(len(mid) + 1, -1)  # member row -> run position; row -1 reads -1
+    local[rows] = np.arange(len(rows))
     ids = mid[rows]
     # Position -1 (an id without a state) reads the appended zero state.
     x0 = np.append(states.to_numpy(float), algo.zero_state)[batch.positions(states.index, ids)]
-    e = np.isin(intra_edges["sub"].to_numpy(np.int64), inj_subs)
-    edges = pd.DataFrame({c: intra_edges[c].to_numpy()[e] for c in EDGE_COLUMNS}, copy=False)
-    run = converge(edges, pd.Series(x0, index=ids), injections, algo)
+
+    # Their intra edges, in table order: every arrival at a vertex comes from
+    # its own block, whose positions ascend with id as the table's sources
+    # do, so each vertex sums its arrivals in the order converge's sort by
+    # source gives.
+    esub = intra_edges["sub"].to_numpy(np.int64)
+    hit = np.zeros(max(esub.max(initial=-1), inj_subs[-1]) + 1, bool)
+    hit[inj_subs] = True
+    e = np.flatnonzero(hit[esub])
+    ends = local[by_id.get_indexer(
+        np.concatenate([intra_edges.src.to_numpy(np.int64)[e], intra_edges.dst.to_numpy(np.int64)[e]])
+    )]
+    x, arrivals, acts, _ = converge_at(
+        x0, local[at[seeded]], injections.to_numpy(float)[seeded],
+        ends[:len(e)], ends[len(e):], intra_edges.w.to_numpy(float)[e], algo,
+    )
 
     b = is_boundary[rows]
-    up = run.arrivals.to_numpy()[b]
+    up = arrivals[b]
     keep = np.abs(up) > 0 if algo.is_sum else np.isfinite(up)
-    return run.states, pd.Series(up[keep], index=ids[b][keep]), run.activations
+    return pd.Series(x, index=ids), pd.Series(up[keep], index=ids[b][keep]), acts

@@ -63,26 +63,25 @@ def upper_sum_loop(
     *,
     stats: RunStats,
     max_supersteps: int = 10_000,
-) -> tuple[pd.Series, pd.Series]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Channel-aware sum propagation on L_up.
 
-    ``pend_orig`` seeds (injections at outliers / new vertices) must already
-    be applied to ``x_up`` by the caller; ``pend_sc`` seeds (uploads) were
-    applied by the local upload phase. Returns ``(states, Δcache)``, the
-    Δcache being the original-channel arrivals at ``entry_ids``.
+    ``x_up``'s index must be sorted by id. ``pend_orig`` seeds (injections
+    at outliers / new vertices) must already be applied to ``x_up`` by the
+    caller; ``pend_sc`` seeds (uploads) were applied by the local upload
+    phase. Returns ``(states, entries, dcache)`` as arrays: the converged
+    states in ``x_up``'s order, and the Δcache, the nonzero original-channel
+    arrivals at ``entry_ids``, by sorted entry id.
     """
     if len(pend_orig) == 0 and len(pend_sc) == 0:
-        return x_up, pd.Series(dtype=float)
+        return x_up.to_numpy(float), np.empty(0, np.int64), np.empty(0)
     out, _ = batch.superstep_loop(
         spark, x_up, pend_orig, up_graph, algo,
         pend_sc=pend_sc, stats=stats, max_supersteps=max_supersteps,
     )
-    dc = _nonzero(out.recv)
-    return out.x, dc[np.isin(dc.index.to_numpy(), entry_ids)]
-
-
-def _nonzero(s: pd.Series) -> pd.Series:
-    """The entries of ``s`` whose value is not 0 (nor NaN)."""
-    v = s.to_numpy(float)
-    keep = np.abs(v) > 0
-    return pd.Series(v[keep], index=s.index[keep])
+    recv = out["recv"].to_numpy(float)
+    is_entry = np.zeros(len(recv), bool)
+    at = batch.positions(out.index, entry_ids)
+    is_entry[at[at >= 0]] = True
+    got = np.flatnonzero(is_entry & (np.abs(recv) > 0))
+    return out["x"].to_numpy(float), out.index.to_numpy(np.int64)[got], recv[got]

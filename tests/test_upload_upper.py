@@ -83,24 +83,24 @@ def test_upper_sum_loop_empty_pendings(spark):
     up = pd.DataFrame({"src": [0], "dst": [1], "w": [0.5], "etype": [0]})
     x = pd.Series({0: 1.0, 1: 1.0})
     stats = RunStats()
-    xs, dc = upper_sum_loop(
+    xs, entries, dc = upper_sum_loop(
         spark, up, x, pd.Series(dtype=float), pd.Series(dtype=float),
         np.array([1]), alg.pagerank(d=0.5), stats=stats,
     )
-    pd.testing.assert_series_equal(xs, x)
-    assert len(dc) == 0 and stats.supersteps == 0
+    np.testing.assert_array_equal(xs, x.to_numpy())
+    assert len(entries) == len(dc) == 0 and stats.supersteps == 0
 
 
 def _upper_sum_on_each_backend(spark, on_each_backend, up, x, pend, pend_sc, entries):
     """upper_sum_loop on both backends; they agree on supersteps and
     activations, and on states and Δcache within 1e-12. Returns both runs'
-    ``(xs, dc)``."""
+    ``(xs, dc)`` as Series, by id."""
     algo = alg.pagerank(d=0.5, tol=1e-9)
 
     def run():
         stats = RunStats()
-        xs, dc = upper_sum_loop(spark, up, x, pend, pend_sc, entries, algo, stats=stats)
-        return xs, dc, stats
+        xs, dc_ids, dc = upper_sum_loop(spark, up, x, pend, pend_sc, entries, algo, stats=stats)
+        return pd.Series(xs, index=x.index), pd.Series(dc, index=dc_ids), stats
 
     runs = on_each_backend(run)
     (d_xs, d_dc, d_st), (s_xs, s_dc, s_st) = runs["driver"], runs["spark"]
