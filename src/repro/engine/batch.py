@@ -197,25 +197,23 @@ def propagate(
             raise RuntimeError(over_cap)
         steps += 1
         acts += n_msgs
+        if dropped:  # split is None without channels: fire covers every edge
+            fire &= inside[:split]
+            if channels:
+                fire_sc &= inside[split:]
         if algo.is_min:
-            if dropped:
-                fire &= inside
-            s, d = src[fire], dst[fire]
+            s, d, ws = src[fire], dst[fire], w[fire]
             m = np.full(n, np.inf)
-            np.minimum.at(m, d, pend[s] + w[fire])
+            np.minimum.at(m, d, pend[s] + ws)
             pend = np.where(m < x, m, np.nan)
             x = np.minimum(x, m)
         elif not channels:
-            if dropped:
-                fire &= inside
+            s, d, ws = src[fire], dst[fire], w[fire]
             # An id that received nothing sums to 0, never above tol (≥ 0).
-            m = np.bincount(dst[fire], pend[src[fire]] * w[fire], minlength=n)
+            m = np.bincount(d, pend[s] * ws, minlength=n)
             x = x + m
             pend = np.where(np.abs(m) > tol, m, np.nan)
         else:
-            if dropped:
-                fire &= inside[:split]
-                fire_sc &= inside[split:]
             p = np.where(active, pend, 0.0)
             both = p + np.where(has_sc, pend_sc, 0.0)
             s, d, ws = src[:split][fire], dst[:split][fire], w[:split][fire]

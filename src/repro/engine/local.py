@@ -5,8 +5,10 @@ deduction (§IV-A2), shortcut update (§IV-B) and message upload (§V-A).
 Each maps its tables to positions and runs ``batch.propagate``, the kernel
 behind the superstep loop's driver backend. Subgraphs are disjoint and
 intra edges never leave their subgraph, so the union of the affected
-subgraphs is a block-diagonal graph: the upload is one :func:`converge`
-over that union, and shortcut deduction and the min and sum updates are
+subgraphs is a block-diagonal graph: the upload is one
+:func:`converge_at` run over that union, on positions (the seeding rule
+:func:`converge` applies to id-indexed input), and shortcut deduction and
+the min and sum updates are
 one :func:`shortcut_pass` over every (subgraph, entry) row. That pass is
 the only way into the shortcut work; a single subgraph is a table whose
 ``sub`` column holds one value. Its cells are laid out from a membership

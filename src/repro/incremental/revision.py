@@ -9,7 +9,10 @@ Two algorithm classes, mirroring Ingress's memoization policies:
   ``(x*_u − x0_u) · (w_new − w_old)`` at ``v`` (cancellation when negative,
   compensation when positive). Diffing *prepared* edges captures PageRank's
   out-degree side effects for free. New vertices contribute their root
-  messages.
+  messages. :func:`sum_injections` works on arrays (one gather of the
+  sources' old states, one ``np.unique`` and ``np.bincount`` per target)
+  and returns arrays, which Layph's round reads; :func:`sum_revision`
+  gives Ingress the same deltas as an id-indexed Series.
 
 * **min** (selective, non-invertible — SSSP, BFS): deletions cannot be
   inverted; instead we derive the dependency tree from the converged states
@@ -117,7 +120,8 @@ def sum_injections(
         targets = np.concatenate([targets, roots.index.to_numpy(np.int64)[new]])
         terms = np.concatenate([terms, roots.to_numpy(float)[new]])
     targets, group = np.unique(targets, return_inverse=True)
-    deltas = np.bincount(group, terms, minlength=len(targets))
+    # astype: bincount returns integer zeros for an empty input, even weighted.
+    deltas = np.bincount(group, terms, minlength=len(targets)).astype(float, copy=False)
     keep = deltas != 0
     return targets[keep], deltas[keep]
 

@@ -15,8 +15,11 @@ Per ΔG batch, four phases (timed separately for the Fig. 7 breakdown):
 Both rounds map ids to positions once, over the sorted vertex universe of
 G ⊕ ΔG: :meth:`LayphEngine.run_delta` aligns the states to it, each round
 updates one float array from the upload to the assignment, and the one
-id-indexed Series is built at the end. Series exist in between only where
-a layer function takes them: the upload's injections, the revision's old
+id-indexed Series is built at the end. In a sum round the revision
+returns its targets and deltas as arrays and the L_up loop returns its
+states and the entry Δcache as arrays; Series exist in between only where
+a layer function takes them: the upload's states and injections (it
+returns its member states and uploads as Series), the revision's old
 states, and the L_up loop's states and seeds. Both workloads assign through
 :func:`assign`, one gather of each entry's run of the cross-layer table
 and one G-aggregate (``np.bincount`` for sum, ``np.minimum.at`` for min).

@@ -61,17 +61,16 @@ def upload_messages(
     # Position -1 (an id without a state) reads the appended zero state.
     x0 = np.append(states.to_numpy(float), algo.zero_state)[batch.positions(states.index, ids)]
 
-    # Their intra edges, in table order: every arrival at a vertex comes from
-    # its own block, whose positions ascend with id as the table's sources
-    # do, so each vertex sums its arrivals in the order converge's sort by
-    # source gives.
+    # Their intra rows, in table order, (src, dst): every arrival at a vertex
+    # comes from its own block, whose positions ascend with id, so each
+    # vertex already sums its arrivals in the order of the sort by source
+    # position that converge makes.
     esub = intra_edges["sub"].to_numpy(np.int64)
     hit = np.zeros(max(esub.max(initial=-1), inj_subs[-1]) + 1, bool)
     hit[inj_subs] = True
     e = np.flatnonzero(hit[esub])
-    ends = local[by_id.get_indexer(
-        np.concatenate([intra_edges.src.to_numpy(np.int64)[e], intra_edges.dst.to_numpy(np.int64)[e]])
-    )]
+    src, dst = (intra_edges[c].to_numpy(np.int64)[e] for c in ("src", "dst"))
+    ends = local[by_id.get_indexer(np.concatenate([src, dst]))]
     x, arrivals, acts, _ = converge_at(
         x0, local[at[seeded]], injections.to_numpy(float)[seeded],
         ends[:len(e)], ends[len(e):], intra_edges.w.to_numpy(float)[e], algo,

@@ -15,7 +15,10 @@ channel (their interior effects were served by the local upload phase).
 
 Both loops are thin adapters over ``engine.batch.superstep_loop``, which
 applies the channel rule whenever a sum workload's edges carry ``etype``,
-at ``algo.tol``; ``spark`` only reaches that loop's Spark backend.
+at ``algo.tol``; ``spark`` only reaches that loop's Spark backend. The sum
+loop hands back arrays: the states in the order of its input (sorted by
+id, as ``superstep_loop`` requires), and the entry Δcache filtered by one
+position lookup of the entries in the loop's own index.
 """
 from __future__ import annotations
 

@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.engine import algorithms as alg
-from repro.engine.batch import initial_states, run_batch, superstep_loop
+from repro.engine.batch import initial_states, propagate, run_batch, superstep_loop
 from repro.engine.local import converge
 from repro.graphs.generators import fig2_graph, planted_partition
 from repro.graphs.schema import degrees
@@ -217,6 +217,114 @@ def test_first_superstep_rules(no_spark, case):
     out, stats = superstep_loop(no_spark, folded, seed, edges, algo)
     assert (stats.supersteps, stats.activations) == (1, 1)
     assert not out.x.equals(folded)  # its message moved a state
+
+
+# -- the channel rule as two runs ---------------------------------------------
+
+def _masked_channels(x, pend, pend_sc, src, dst, w, etype, algo, max_steps):
+    """The channel branch of ``propagate`` as it was before the two runs:
+    one ``etype`` mask over every row, each fired row masked twice each
+    superstep. Kept as the reference. Returns ``(x, recv, activations,
+    supersteps)``."""
+    n, tol = len(x), algo.tol
+    orig, inside = etype == 0, dst >= 0
+    recv = np.zeros(n)
+    acts = steps = 0
+    while True:
+        fire = ~np.isnan(pend)[src]
+        fire |= orig & ~np.isnan(pend_sc)[src]
+        n_msgs = int(np.count_nonzero(fire))
+        if n_msgs == 0:
+            return x, recv, acts, steps
+        if steps == max_steps:
+            raise RuntimeError(f"cap {max_steps}")
+        steps += 1
+        acts += n_msgs
+        fire &= inside
+        s, d, ws = src[fire], dst[fire], w[fire]
+        o = orig[fire]
+        ps = np.where(np.isnan(pend[s]), 0.0, pend[s])
+        both = ps + np.where(np.isnan(pend_sc[s]), 0.0, pend_sc[s])
+        val = np.where(o, both, ps) * ws
+        m = np.bincount(d[o], val[o], minlength=n)
+        m_sc = np.bincount(d[~o], val[~o], minlength=n)
+        x = x + m + m_sc
+        pend = np.where(np.abs(m) > tol, m, np.nan)
+        pend_sc = np.where(np.abs(m_sc) > tol, m_sc, np.nan)
+        recv = recv + m
+
+
+def _channel_graph(seed):
+    """Prepared PageRank edges of a small graph, ``etype`` shuffled (about a
+    third shortcuts), one edge leaving the state set (dst −1), and mass
+    pending in both channels."""
+    algo = alg.pagerank(d=0.85, tol=1e-6)
+    edges = algo.prepare(tiny_graph(seed, n=40))
+    rng = np.random.default_rng(seed)
+    n = int(edges[["src", "dst"]].to_numpy().max()) + 1
+    src, dst = edges.src.to_numpy(), edges.dst.to_numpy().copy()
+    dst[rng.integers(len(dst))] = -1
+    etype = (rng.random(len(src)) < 0.35).astype(np.int64)
+    pend, pend_sc = np.full(n, np.nan), np.full(n, np.nan)
+    pend[rng.choice(n, 5, replace=False)] = rng.random(5)
+    pend_sc[rng.choice(n, 5, replace=False)] = rng.random(5)
+    x = rng.random(n)
+    return algo, x, pend, pend_sc, src, dst, edges.w.to_numpy(), etype
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_two_channel_runs_equal_the_masked_kernel(seed):
+    """``propagate`` on the rows ordered stably by ``etype`` with the split
+    point gives the states, ``recv``, activations and supersteps of the
+    masked channel branch on the shuffled rows, bit for bit, and raises
+    at the same too-small cap."""
+    algo, x, pend, pend_sc, src, dst, w, etype = _channel_graph(seed)
+    want = _masked_channels(x, pend, pend_sc, src, dst, w, etype, algo, 10_000)
+    o = np.argsort(etype, kind="stable")
+    split = int(np.count_nonzero(etype == 0))
+
+    def runs(cap):
+        return propagate(
+            x, pend, src[o], dst[o], w[o], algo, cap, f"cap {cap}",
+            split=split, pend_sc=pend_sc, recv=np.zeros(len(x)),
+        )
+
+    got = runs(10_000)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    assert got[2:] == want[2:] and want[3] > 2
+    cap = want[3] - 1
+    for run in (lambda: runs(cap), lambda: _masked_channels(
+            x, pend, pend_sc, src, dst, w, etype, algo, cap)):
+        with pytest.raises(RuntimeError, match=f"cap {cap}$"):
+            run()
+    assert runs(want[3])[2:] == want[2:]  # exactly enough
+
+
+def test_driver_loop_orders_shuffled_channels_stably(no_spark):
+    """``superstep_loop`` on a frame whose ``etype`` is shuffled equals the
+    masked kernel on the frame's own row order: states, ``recv``,
+    activations and supersteps."""
+    algo, x, pend, pend_sc, src, dst, w, etype = _channel_graph(0)
+    ids = np.arange(len(x))
+    edges = pd.DataFrame({"src": src, "dst": np.where(dst < 0, 10**6, dst), "w": w, "etype": etype})
+    x0 = x + np.nan_to_num(pend) + np.nan_to_num(pend_sc)  # the contract: pending folded in
+    want = _masked_channels(x0, pend, pend_sc, src, dst, w, etype, algo, 10_000)
+    live = ~np.isnan(pend), ~np.isnan(pend_sc)
+    out, stats = superstep_loop(
+        no_spark, pd.Series(x0, index=ids), pd.Series(pend[live[0]], index=ids[live[0]]),
+        edges, algo, pend_sc=pd.Series(pend_sc[live[1]], index=ids[live[1]]),
+    )
+    assert out.x.to_numpy().tobytes() == want[0].tobytes()
+    assert out.recv.to_numpy().tobytes() == want[1].tobytes()
+    assert (stats.activations, stats.supersteps) == want[2:]
+
+
+def test_superstep_loop_requires_sorted_states(no_spark):
+    """The driver backend returns the states on the index it was given, so
+    the contract's sorted index is checked."""
+    x = pd.Series(0.0, index=[2, 0, 1])
+    with pytest.raises(ValueError, match="sorted"):
+        superstep_loop(no_spark, x, pd.Series({0: 1.0}), _chain(), alg.pagerank(d=0.5))
 
 
 def test_degrees_matches_duckdb(spark):

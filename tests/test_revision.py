@@ -6,12 +6,13 @@ import pytest
 from repro.engine import algorithms as alg
 from repro.engine.local import converge
 from repro.graphs.generators import fig2_graph, planted_partition
-from repro.graphs.updates import GraphDelta, apply_delta, random_edge_delta
+from repro.graphs.updates import GraphDelta, apply_delta, random_edge_delta, random_vertex_delta
 from repro.incremental.revision import (
     min_parents,
     min_revision,
     min_trim_set,
     prepared_edge_diff,
+    sum_injections,
     sum_revision,
 )
 from repro.reference import assert_states_close, pagerank_reference
@@ -149,6 +150,80 @@ def test_php_revision_roundtrip():
     from repro.reference import php_reference
 
     assert_states_close(run.states, php_reference(new_edges, 1, 0.7), atol=1e-5, rtol=1e-4)
+
+
+def _pandas_sum_injections(diff, states, algo, new_vertices=None):
+    """``sum_injections`` as a pandas ``reindex``/``concat``/``groupby``,
+    the formulation the array version replaced, kept as its reference."""
+    dw = diff.w_new.fillna(0.0).to_numpy() - diff.w_old.fillna(0.0).to_numpy()
+    mass = (states - algo.zero_state).reindex(diff.src).fillna(0.0).to_numpy()
+    inj = pd.Series(mass * dw, index=diff.dst.to_numpy(np.int64))
+    if new_vertices is not None and len(new_vertices):
+        roots = algo.root_messages(np.asarray(new_vertices, np.int64))
+        roots = roots[roots.index.isin(new_vertices)]
+        inj = pd.concat([inj, roots])
+    inj = inj.groupby(level=0).sum()
+    zero = inj.to_numpy() == 0
+    return inj[~zero] if zero.any() else inj
+
+
+def _assert_sum_injections_match_pandas(diff, states, algo, new_vertices=None):
+    """Same targets as the pandas reference; byte-equal deltas where a
+    target adds at most 2 terms. pandas' groupby sum is Kahan-compensated
+    while ``sum_injections`` adds each target's terms in turn, so with 3 or
+    more terms the last bits may differ: within 1e-15 relative there.
+    Returns ``(targets, deltas, terms per target)``."""
+    targets, deltas = sum_injections(diff, states, algo, new_vertices=new_vertices)
+    want = _pandas_sum_injections(diff, states, algo, new_vertices)
+    np.testing.assert_array_equal(targets, want.index.to_numpy(np.int64))
+    nv = [] if new_vertices is None else list(new_vertices)
+    terms = pd.Series(np.r_[diff.dst.to_numpy(np.int64), nv]).value_counts()
+    terms = terms.reindex(targets).to_numpy()
+    few = terms <= 2
+    assert deltas[few].tobytes() == want.to_numpy()[few].tobytes()
+    np.testing.assert_allclose(deltas[~few], want.to_numpy()[~few], rtol=1e-15, atol=0)
+    return targets, deltas, terms
+
+
+def test_sum_injections_cases_match_pandas():
+    """Hand-made PageRank diff: a deleted source's mass read from the old
+    states, a source without a state, a target hit by 3 rows, an exact
+    cancellation, and new vertices with root messages (one also a target)."""
+    algo = alg.pagerank(d=0.85)
+    states = pd.Series({0: 0.65, 1: 0.4, 2: 0.35, 3: 0.5, 5: 0.2, 10: 0.5})
+    diff = pd.DataFrame({
+        "src": [0, 1, 1, 2, 3, 5, 8, 10],
+        "dst": [7, 7, 12, 7, 6, 4, 4, 6],
+        "w_old": [0.85 / 2, np.nan, np.nan, 0.4, 0.4, 0.85, np.nan, 0.2],
+        "w_new": [0.85 / 3, 0.85 / 3, 0.85 / 3, np.nan, 0.2, np.nan, 0.85, 0.4],
+    })
+    new = np.array([11, 12])
+    targets, deltas, terms = _assert_sum_injections_match_pandas(diff, states, algo, new)
+    got = dict(zip(targets.tolist(), deltas.tolist()))
+    # 5 was deleted: its old mass leaves along its old edge; 8 has no state.
+    assert got[4] == 0.2 * -0.85
+    assert 6 not in got  # 0.5 · (0.2 − 0.4) + 0.5 · (0.4 − 0.2) = 0 exactly
+    assert got[11] == algo.uniform_root and got[12] == 0.4 * 0.85 / 3 + algo.uniform_root
+    assert terms[targets.tolist().index(7)] == 3
+    # An empty diff gives an empty float Series, as pandas did.
+    empty = pd.DataFrame({"src": [0], "dst": [7], "w": [0.5]})
+    want = _pandas_sum_injections(diff.iloc[:0], states, algo)
+    pd.testing.assert_series_equal(sum_revision(empty, empty, states, algo), want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sum_injections_match_pandas_on_vertex_batches(seed):
+    """Vertex batches: deleted vertices' out-edges, added vertices' roots,
+    and targets that several changed edges reach."""
+    edges = small_graph(seed, n=200)
+    algo = alg.pagerank(d=0.85, tol=1e-10)
+    states = batch_run(edges, algo).states
+    delta = random_vertex_delta(edges, n_add=3, n_del=3, seed=seed + 300)
+    diff = prepared_edge_diff(algo.prepare(edges), algo.prepare(apply_delta(edges, delta)))
+    _, _, terms = _assert_sum_injections_match_pandas(
+        diff, states, algo, delta.added_vertices
+    )
+    assert len(terms) and terms.max() >= 3
 
 
 _CHAIN = pd.DataFrame({"src": [0, 1], "dst": [1, 2], "w": [1.0, 4.0]})

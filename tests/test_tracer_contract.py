@@ -13,6 +13,7 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.engine import algorithms as alg
@@ -20,6 +21,7 @@ from repro.experiments.common import batch_states
 from repro.graphs.generators import dataset
 from repro.graphs.updates import random_edge_delta
 from repro.incremental import ingress
+from repro.layph import engine as layph_engine
 from repro.layph import shortcuts, upload, upper
 from repro.layph.engine import LayphEngine
 
@@ -55,6 +57,13 @@ def test_tracer_targets_resolve_and_count(monkeypatch, no_spark):
     pagerank, sssp = alg.pagerank(d=0.85, tol=1e-4), alg.sssp(source=0)
     tracer = tracing.Tracer()  # no SparkContext: no job counts
     lup = {}
+    # Installed before the tracer, so the tracer's span wraps this recorder.
+    uploads = []
+    real_upload = layph_engine.upload_messages
+    monkeypatch.setattr(
+        layph_engine, "upload_messages",
+        lambda *a: uploads.append((a[5], real_upload(*a))) or uploads[-1][1],
+    )
     with tracer.installed():
         for i, algo in enumerate((pagerank, sssp)):
             with tracer.recording(f"setup-{i}"):
@@ -62,6 +71,8 @@ def test_tracer_targets_resolve_and_count(monkeypatch, no_spark):
             with tracer.recording(i):
                 eng.run_delta(delta)
             lup[algo.name] = eng.lg.sizes()  # L_up of the layered graph the round ran on
+            if algo is pagerank:
+                members = eng.lg.members  # frozen: the members the upload read
         states = batch_states(edges, sssp)
         with tracer.recording(2):
             # Called through its module, as the benchmark calls it.
@@ -75,6 +86,13 @@ def test_tracer_targets_resolve_and_count(monkeypatch, no_spark):
     # The upload reads the member frame and the injections by position.
     upload = [s for s in spans if s.name == "layph.upload.upload_messages"]
     assert any(s.counts["subgraphs"] > 0 for s in upload)
+    # On the PageRank round they count what they name: the subgraphs among
+    # the member injections, and the uploads returned.
+    (span,) = [s for s in upload if s.round == 0]
+    ((injections, (_, returned, _)),) = uploads  # the min round uploads nothing
+    subs = members.sub_of(injections.index.to_numpy())
+    assert span.counts["subgraphs"] == len(np.unique(subs[subs >= 0])) > 0
+    assert span.counts["uploads"] == len(returned) > 0
     # Each loop's span reads the L_up edges and states by position: their
     # lengths are the round's L_up edge and vertex counts.
     for kind, algo in (("sum", pagerank), ("min", sssp)):
