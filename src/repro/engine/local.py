@@ -16,7 +16,8 @@ in (sub, id) order that the caller keeps (the layered graph's members, in
 the one order it holds them, frozen across ΔG), so a call looks its table
 ids up instead of deriving a vertex universe from them, and a sum update
 copies edges only for the rows that hold an active cell: the pass costs
-about what its ``propagate`` costs.
+about what its ``propagate`` costs; a min update hands its changed edges
+to one ``revision.min_revision_at`` on cells, with no frame between.
 
 Everything operates on *prepared* edges (see ``engine.algorithms``): min
 workloads relax ``m + w`` under ``min``; sum workloads propagate deltas
@@ -28,7 +29,7 @@ than returning unconverged states.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -36,7 +37,7 @@ import pandas as pd
 from repro.engine import batch
 from repro.engine.algorithms import Algorithm
 from repro.graphs.schema import ranges
-from repro.incremental.revision import SEED_TOL, min_revision, prepared_edge_diff
+from repro.incremental.revision import SEED_TOL, min_revision_at
 
 INF = float("inf")
 
@@ -161,14 +162,14 @@ def _chunks(sizes: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _cell_edges(table, rows, rsub, rb, n_subs):
-    """One copy of a sub-major edge table (sub, src, dst, w; vertices as
-    cell positions) per entry row in ``rows``: the copies' ``(src, dst, w)``
-    on cells, row by row in table order."""
-    sub, src, dst, w = table
+    """One copy of a sub-major edge table (sub, src, dst and its weight
+    columns; vertices as cell positions) per entry row in ``rows``: the
+    copies' ``(src, dst, *weights)`` on cells, row by row in table order."""
+    sub, src, dst, *ws = table
     bounds = np.searchsorted(sub, np.arange(n_subs + 1))
     cnt = np.diff(bounds)[rsub[rows]]
     c, e = np.repeat(rows, cnt), ranges(bounds[rsub[rows]], cnt)
-    return rb[c] + src[e], rb[c] + dst[e], np.asarray(w[e], float)
+    return (rb[c] + src[e], rb[c] + dst[e], *(np.asarray(w[e], float) for w in ws))
 
 
 def _pass_chunk(cells, blo, bn, R, E, O, C, algo, max_iter):
@@ -180,13 +181,15 @@ def _pass_chunk(cells, blo, bn, R, E, O, C, algo, max_iter):
     grouped sub-major, subgraphs as chunk positions and vertices as
     positions in ``cells``; ``R`` is in cell order, and an old entry that is
     no member is -1. Returns ``(sub, entry, dst, w, activations)`` of the
-    kept cells, in (sub, entry, dst) order.
+    kept cells, in (sub, entry, dst) order. Cells lie in (sub, id) order
+    within a row, so ``min_revision_at``'s smallest position is the
+    smallest id.
     """
     n_subs = len(blo)
     rsub, rat = R
-    esub, esrc, edst, ew = E
+    _, esrc, edst, _ = E
     _, oentry, odst, ow = O
-    csub, csrc, cdst, cw_old, cw_new = C[:3] + [a.astype(float) for a in C[3:]]
+    csub, csrc, cdst, cw_old, cw_new = C = C[:3] + [a.astype(float) for a in C[3:]]
     # One row per entry, holding its subgraph's block of cells: the cell of
     # row r and the vertex at position p is rb[r] + p.
     nrow = bn[rsub]
@@ -237,35 +240,20 @@ def _pass_chunk(cells, blo, bn, R, E, O, C, algo, max_iter):
     acts = 0
     trim = np.flatnonzero(live & had_old) if is_min else []
     if len(trim):
-        # The subgraphs' old edges: the unchanged new ones plus the old
-        # weights of the changed ones.
+        def copies(table, keep=slice(None)):  # one copy per affected row
+            return _cell_edges([c[keep] for c in table], trim, rsub, rb, n_subs)
+
+        # The old edges are the unchanged new ones plus the changed ones' old
+        # weights. Trim and seed every affected old row at once, each entry
+        # cell a root at 0; the copies are freed before the propagation.
         n = len(cells.id)
-        same = ~np.isin(esrc * n + edst, csrc * n + cdst)
-        restored = ~np.isnan(cw_old)
-        old_sub = np.concatenate([esub[same], csub[restored]])
-        by_sub = np.argsort(old_sub, kind="stable")
-        old = [old_sub[by_sub]] + [
-            np.concatenate(p)[by_sub]
-            for p in ([esrc[same], csrc[restored]], [edst[same], cdst[restored]],
-                      [ew[same].astype(float), cw_old[restored]])
-        ]
-
-        def frame(table):
-            src, dst, w = _cell_edges(table, trim, rsub, rb, n_subs)
-            return pd.DataFrame({"src": src, "dst": dst, "w": w})
-
-        ids = ranges(row_base[trim], nrow[trim])
-        old_cells, new_cells = frame(old), frame(E)
-        # Trim and seed every affected old row at once, each entry cell a root at 0.
-        reset, seeds, acts = min_revision(
-            prepared_edge_diff(old_cells, new_cells), old_cells, new_cells,
-            pd.Series(acc[ids], index=ids),
-            replace(algo, roots=dict.fromkeys(ecell[trim].tolist(), 0.0)),
+        same, restored = ~np.isin(esrc * n + edst, csrc * n + cdst), ~np.isnan(cw_old)
+        reset, at, seeds, acts = min_revision_at(
+            copies(C), [np.r_[a, b] for a, b in zip(copies(E, same), copies(C[:4], restored))],
+            copies(E), acc, (ecell[trim], np.zeros(len(trim))),
         )
-        del old_cells, new_cells  # freed before the propagation
         acc[reset] = INF
-        at = seeds.index.to_numpy(np.int64)
-        pend[at] = acc[at] = seeds.to_numpy(float)
+        pend[at] = acc[at] = seeds
 
     # Rows without an old row start from a fresh unit injection (for sum,
     # pending mass and not an arrival).
@@ -334,10 +322,10 @@ def shortcut_pass(
       others send nothing and keep their corrected cells.
     * Min: a row is affected when a changed edge can touch its old tree
       (its old distance used a deleted or raised edge, or an added or
-      lowered edge improves it). One ``min_revision`` over the affected
-      rows' cells, each entry cell a root at 0, trims them KickStarter-style
-      and seeds their re-relaxation; unaffected rows keep their old cells
-      and cost no activation.
+      lowered edge improves it). One ``min_revision_at`` on the affected
+      rows' cells (``changed`` copied per row, each entry cell a root at 0)
+      trims them KickStarter-style and seeds their re-relaxation; unaffected
+      rows keep their old cells and cost no activation.
 
     Tables are frames or dicts of column arrays. Layout: ``cells`` (a
     :class:`repro.layph.structure.Members` in (sub, id) order) lays out each

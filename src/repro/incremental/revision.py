@@ -19,6 +19,10 @@ Two algorithm classes, mirroring Ingress's memoization policies:
   (parent = the support edge achieving ``x*_v``), trim the subtree under any
   vertex whose chosen parent edge disappeared or grew (KickStarter-style),
   and seed re-relaxation from intact in-neighbors plus inserted edges.
+  :func:`min_revision_at` does all three on position arrays, with
+  ``np.minimum.at`` for the parents and the seeds; Layph's shortcut pass
+  calls it on cells. :func:`min_revision` maps ids to positions for
+  Layph's ``L_up`` round, Ingress and KickStarter.
 """
 from __future__ import annotations
 
@@ -130,49 +134,77 @@ def sum_injections(
 # min workloads
 # --------------------------------------------------------------------------
 
-def min_parents(prepared: pd.DataFrame, states: pd.Series, algo: Algorithm) -> pd.DataFrame:
-    """Dependency tree: chosen parent edge per vertex (columns id, parent).
+def dependency_parents(old, x, roots) -> np.ndarray:
+    """Each position's parent over the prepared edges ``old = (src, dst,
+    w)``, ``len(x)`` for none: the smallest source position among the edges
+    that achieve its finite state in ``x`` within ``_EPS``. A root of
+    ``roots = (at, value)`` holding its root value has none."""
+    src, dst, w = old
+    at, value = roots
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN: achieves nothing
+        achieves = (np.abs(x[src] + w - x[dst]) <= _EPS) & np.isfinite(x[dst])
+        held = np.abs(x[at] - value) <= _EPS
+    parent = np.full(len(x), len(x))
+    np.minimum.at(parent, dst[achieves], src[achieves])
+    parent[at[held]] = len(x)
+    return parent
 
-    A vertex supported by its root message has no parent and is never
-    trimmed. Among in-edges achieving ``x_u + w == x_v`` the smallest src id
-    is chosen (deterministic, KickStarter-style single dependency).
+
+def dependency_trim(parent: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """The mask of the positions ``seeds`` and their descendants under
+    ``parent``: a frontier walk over the children sorted by parent."""
+    n = len(parent)
+    seen = np.zeros(n, bool)
+    seen[seeds] = True
+    frontier = np.flatnonzero(seen)
+    if len(frontier):
+        child = np.flatnonzero(parent < n)
+        child = child[np.argsort(parent[child], kind="stable")]
+        # The children of p are child[bound[p]:bound[p + 1]].
+        bound = np.searchsorted(parent[child], np.arange(n + 1))
+        while len(frontier):
+            kids = child[ranges(bound[frontier], bound[frontier + 1] - bound[frontier])]
+            frontier = kids[~seen[kids]]
+            seen[frontier] = True
+    return seen
+
+
+def min_revision_at(diff, old, new, x, roots, *, extra_seeds=None):
+    """The min revision on positions ``0..len(x)-1``. ``diff`` is ``(src,
+    dst, w_old, w_new)`` (NaN on the missing side), ``old`` and ``new`` the
+    prepared edges ``(src, dst, w)`` before and after ΔG, ``x`` the
+    converged states (+inf for none) and ``roots`` ``(at, value)``.
+
+    Trims the targets of deleted or raised parent edges
+    (:func:`dependency_parents`) and ``extra_seeds``, with all their
+    descendants. Seeds are one ``np.minimum.at`` of ``x_u + w`` over the new
+    edges from intact positions into trimmed ones and the inserted or
+    lowered edges from intact sources (each one counted F application), and
+    of the trimmed roots' values; those below the revised state by more
+    than :data:`SEED_TOL` are kept. Every caller ranks positions in id
+    order (a sorted universe, or cells in (sub, id) order within a row), so
+    the smallest parent position breaks ties by the smallest src id.
+
+    Returns ``(reset, seed_at, seed_val, activations)``, positions ascending.
     """
-    x_src = states.reindex(prepared.src).to_numpy()
-    x_dst = states.reindex(prepared.dst).to_numpy()
-    with np.errstate(invalid="ignore"):  # inf-state vertices compare to NaN
-        achieves = np.abs(x_src + prepared.w.to_numpy() - x_dst) <= _EPS
-    achieves &= np.isfinite(x_dst)
-    cand = prepared[achieves][["src", "dst"]]
-    parents = (
-        cand.groupby("dst").src.min().rename("parent").rename_axis("id").reset_index()
-    )
-    roots = pd.Series(algo.roots, dtype=float)
+    src, dst, w_old, w_new = diff
+    nsrc, ndst, nw = new
+    at, value = roots
     with np.errstate(invalid="ignore"):
-        held = np.abs(states.reindex(roots.index).to_numpy(float) - roots.to_numpy()) <= _EPS
-    return parents[~parents.id.isin(roots.index[held])].reset_index(drop=True)
-
-
-def min_trim_set(parents: pd.DataFrame, seeds: np.ndarray) -> np.ndarray:
-    """All dependency-tree descendants of ``seeds`` (inclusive), ascending.
-
-    A frontier walk over the parent edges sorted by parent: each level's
-    children are the runs of its vertices, found by ``searchsorted``.
-    """
-    seeds = np.asarray(seeds, np.int64)
-    par, child = parents.parent.to_numpy(np.int64), parents.id.to_numpy(np.int64)
-    ids = np.unique(np.concatenate([par, child, seeds]))
-    o = np.argsort(par, kind="stable")
-    child = np.searchsorted(ids, child[o])  # as positions in ids
-    # The children of ids[i] are child[start[i]:end[i]].
-    start, end = np.searchsorted(par[o], ids), np.searchsorted(par[o], ids, side="right")
-    seen = np.zeros(len(ids), bool)
-    frontier = np.searchsorted(ids, seeds)
-    seen[frontier] = True
-    while len(frontier):
-        kids = child[ranges(start[frontier], end[frontier] - start[frontier])]
-        frontier = kids[~seen[kids]]
-        seen[frontier] = True
-    return ids[seen]
+        worse = np.isnan(w_new) | (w_new > w_old)
+        better = np.isnan(w_old) | (w_new < w_old)
+    parent = dependency_parents(old, x, roots)
+    cut = dst[worse & (parent[dst] == src)]
+    reset = dependency_trim(parent, cut if extra_seeds is None else np.r_[cut, extra_seeds])
+    x = np.where(reset, INF, x)
+    into, low = reset[ndst] & ~reset[nsrc], better & ~reset[src]
+    seed = np.full(len(x), INF)
+    np.minimum.at(seed, ndst[into], x[nsrc[into]] + nw[into])
+    np.minimum.at(seed, dst[low], x[src[low]] + w_new[low])
+    np.minimum.at(seed, at[reset[at]], value[reset[at]])
+    seed_at = np.flatnonzero(seed < x - SEED_TOL)
+    acts = int(np.count_nonzero(into) + np.count_nonzero(low))
+    return np.flatnonzero(reset), seed_at, seed[seed_at], acts
 
 
 def min_revision(
@@ -184,53 +216,27 @@ def min_revision(
     *,
     extra_seeds: np.ndarray | None = None,
 ) -> tuple[np.ndarray, pd.Series, int]:
-    """Trim set + re-relaxation seed messages + activation count.
-
-    ``diff`` is the :func:`prepared_edge_diff` of ``old_prepared`` and
-    ``new_prepared``, which the caller takes from the rows it knows changed.
-    Returns ``(reset_ids, seed_messages, activations)``. Seed messages are
-    min-aggregated candidates ``x_u + w`` over new-graph edges from intact
-    vertices into the reset region, plus candidates along inserted /
-    lowered edges (weights read from ``diff.w_new``), plus root messages of
-    reset roots. Each candidate evaluation is one F application and is
-    counted. Only the seeds that beat their target's revised state (+inf
-    for a reset id and for an id outside ``states``) by more than
-    :data:`SEED_TOL` are returned: any other seed changes no state.
+    """Trim set + re-relaxation seed messages + activation count, by id:
+    :func:`min_revision_at` over the sorted ids of every state, root, extra
+    seed and table endpoint (an id outside ``states`` has no state). ``diff``
+    is the :func:`prepared_edge_diff` of the two prepared tables, which the
+    caller takes from the rows it knows changed; tables are read by column
+    name. Returns ``(reset_ids, seeds, activations)``, seeds by ascending id.
     """
-    # Edge deleted or weight increased -> the old support may be invalid.
-    worse = diff[diff.w_new.isna() | (diff.w_new > diff.w_old)]
-    parents = min_parents(old_prepared, states, algo)
-    dep = worse.merge(parents, left_on=["src", "dst"], right_on=["parent", "id"])
-    seeds = dep.dst.unique().astype(np.int64)
-    if extra_seeds is not None and len(extra_seeds):
-        # Conservative extra invalidation roots (e.g. vertices whose layered
-        # role changed so their old supports are no longer represented).
-        seeds = np.union1d(seeds, np.asarray(extra_seeds, np.int64))
-    reset = min_trim_set(parents, seeds) if len(seeds) else np.empty(0, np.int64)
-    reset_set = set(int(r) for r in reset)
-
-    x = states.copy()
-    x.loc[x.index.isin(reset_set)] = INF
-
-    # Support edges from intact vertices into the reset region.
-    into = new_prepared[
-        new_prepared.dst.isin(reset_set) & ~new_prepared.src.isin(reset_set)
+    parts = [states.index, list(algo.roots), [] if extra_seeds is None else extra_seeds] + [
+        t[c] for t in (diff, old_prepared, new_prepared) for c in ("src", "dst")
     ]
-    # Edge inserted or weight lowered anywhere (improvement candidates).
-    better = diff[diff.w_old.isna() | (diff.w_new < diff.w_old)]
-    low = better[~better.src.isin(reset_set)]
-    cand = pd.concat(
-        [into, pd.DataFrame({"src": low.src, "dst": low.dst, "w": low.w_new})],
-        ignore_index=True,
+    # Hashing, then sorting the distinct ids, is several times faster than
+    # np.unique's argsort of every id.
+    at, ids = pd.factorize(np.concatenate([np.asarray(p, np.int64) for p in parts]), sort=True)
+    s_at, r_at, e_at, dsrc, ddst, osrc, odst, nsrc, ndst = np.split(
+        at, np.cumsum([len(p) for p in parts])[:-1])
+    x = np.full(len(ids), INF)
+    x[s_at] = states.to_numpy(float)
+    reset, seed_at, seed_val, acts = min_revision_at(
+        (dsrc, ddst, np.asarray(diff["w_old"], float), np.asarray(diff["w_new"], float)),
+        (osrc, odst, np.asarray(old_prepared["w"], float)),
+        (nsrc, ndst, np.asarray(new_prepared["w"], float)),
+        x, (r_at, np.array(list(algo.roots.values()), float)), extra_seeds=e_at,
     )
-    acts = len(cand)
-    m = (x.reindex(cand.src).to_numpy() + cand.w.to_numpy())
-    seed_msgs = pd.Series(m, index=cand.dst.to_numpy(np.int64))
-    seed_msgs = seed_msgs[np.isfinite(seed_msgs.to_numpy())]
-    root_rows = pd.Series(
-        {v: m0 for v, m0 in algo.roots.items() if v in reset_set}, dtype=float
-    )
-    seed_msgs = pd.concat([seed_msgs, root_rows])
-    seed_msgs = seed_msgs.groupby(level=0).min()
-    target = x.reindex(seed_msgs.index, fill_value=INF).to_numpy(float)
-    return reset, seed_msgs[seed_msgs.to_numpy() < target - SEED_TOL], acts
+    return ids[reset], pd.Series(seed_val, index=ids[seed_at]), acts

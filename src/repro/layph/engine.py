@@ -210,8 +210,7 @@ class LayphEngine:
         interiors of the subgraphs whose caches or shortcuts changed."""
         algo, old_lg = self.algo, self.lg
         with PhaseTimer(stats, "upload"):
-            old_up = old_lg.upper_graph[["src", "dst", "w"]]
-            new_up = new_lg.upper_graph[["src", "dst", "w"]]
+            old_up, new_up = old_lg.upper_graph, new_lg.upper_graph
             # Vertices newly on the boundary lost the representation of their
             # old (interior) supports — conservatively invalidate them.
             promoted = np.setdiff1d(new_lg.boundary_ids, old_lg.boundary_ids)

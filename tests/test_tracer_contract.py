@@ -64,6 +64,15 @@ def test_tracer_targets_resolve_and_count(monkeypatch, no_spark):
         layph_engine, "upload_messages",
         lambda *a: uploads.append((a[5], real_upload(*a))) or uploads[-1][1],
     )
+    # Each min revision's result, in call order: the Layph SSSP round's, then
+    # the Ingress round's.
+    revisions = []
+    for module in (layph_engine, ingress):
+        real = module.min_revision
+        monkeypatch.setattr(
+            module, "min_revision",
+            lambda *a, real=real, **kw: revisions.append(real(*a, **kw)) or revisions[-1],
+        )
     with tracer.installed():
         for i, algo in enumerate((pagerank, sssp)):
             with tracer.recording(f"setup-{i}"):
@@ -99,6 +108,13 @@ def test_tracer_targets_resolve_and_count(monkeypatch, no_spark):
         (loop,) = [s for s in spans if s.name == f"layph.upper.upper_{kind}_loop"]
         assert loop.counts["lup_edges"] == lup[algo.name]["upper_edges"] > 0, kind
         assert loop.counts["lup_vertices"] == lup[algo.name]["upper_vertices"] > 0, kind
+    # On the min path the revision's span counts the reset ids and the seeds
+    # it returned.
+    min_spans = [s for s in spans if s.name == "incremental.revision.min_revision"]
+    assert [s.round for s in min_spans] == [1, 2]
+    for s, (reset, seeds, _) in zip(min_spans, revisions, strict=True):
+        assert s.counts == {"reset_vertices": len(reset), "seeds": len(seeds)}
+    assert any(len(reset) for reset, _, _ in revisions)
     # The min caches are recomputed in the SSSP set-up and again in its round.
     caches = [s.round for s in tracer.spans if s.name == "layph.engine.compute_caches_min"]
     assert caches == ["setup-1", 1]
