@@ -65,6 +65,12 @@ LOOP_PARTITIONS = 8
 #: copied edges one chunk of its flattened pass may hold.
 DRIVER_MAX_EDGES = 2_000_000
 
+#: The one iteration cap: every (F, G) loop (``propagate``, the Spark
+#: backend and KickStarter's pull loop) raises ``RuntimeError`` when it
+#: would run superstep ``MAX_SUPERSTEPS + 1``, rather than return states
+#: that have not converged. Read at call time, like ``DRIVER_MAX_EDGES``.
+MAX_SUPERSTEPS = 10_000
+
 
 def on_driver(n_rows: int) -> bool:
     """The size rule: a loop over ``n_rows`` edges runs in the driver process.
@@ -97,7 +103,6 @@ def superstep_loop(
     algo: Algorithm,
     *,
     pend_sc: pd.Series | None = None,
-    max_supersteps: int = 10_000,
     stats: RunStats | None = None,
 ) -> tuple[pd.DataFrame, RunStats]:
     """Iterate (F, G) until no messages remain.
@@ -117,7 +122,7 @@ def superstep_loop(
       sent on only when its magnitude is above ``algo.tol``, the one
       tolerance of the run.
     * A superstep is counted only when it sends messages.
-    * Reaching ``max_supersteps`` with messages still pending raises
+    * Reaching ``MAX_SUPERSTEPS`` with messages still pending raises
       ``RuntimeError`` rather than returning unconverged states.
 
     A sum workload whose ``edges`` carry an ``etype`` column (0 original,
@@ -138,14 +143,10 @@ def superstep_loop(
     else:
         pend_sc = None
     if on_driver(len(edges)):
-        states = _driver_loop(x, pend, pend_sc, edges, algo, max_supersteps, stats)
+        states = _driver_loop(x, pend, pend_sc, edges, algo, stats)
     else:
-        states = _spark_loop(spark, x, pend, pend_sc, edges, algo, max_supersteps, stats)
+        states = _spark_loop(spark, x, pend, pend_sc, edges, algo, stats)
     return states, stats
-
-
-def _over_cap(max_supersteps: int) -> str:
-    return f"superstep_loop: messages still pending after max_supersteps={max_supersteps}"
 
 
 def positions(ids: pd.Index, keys) -> np.ndarray:
@@ -153,9 +154,7 @@ def positions(ids: pd.Index, keys) -> np.ndarray:
     return ids.get_indexer(np.asarray(keys, np.int64))
 
 
-def propagate(
-    x, pend, src, dst, w, algo, max_steps, over_cap, *, split=None, pend_sc=None, recv=None
-):
+def propagate(x, pend, src, dst, w, algo, *, split=None, pend_sc=None, recv=None):
     """The one (F, G) kernel, over position arrays, until no message
     remains. Returns ``(x, recv, activations, supersteps)``.
 
@@ -165,8 +164,8 @@ def propagate(
     where inactive; it is not folded into ``x`` here. Edges are taken in
     the caller's order, so each destination sums its arrivals in edge
     order; a ``dst`` of −1 lies outside the state set. Activations,
-    supersteps, the ``algo.tol`` cut, the channel rule and the cap, raised
-    as ``RuntimeError(over_cap)``, follow ``superstep_loop``'s contract.
+    supersteps, the ``algo.tol`` cut, the channel rule and the cap,
+    ``MAX_SUPERSTEPS``, follow ``superstep_loop``'s contract.
     ``recv``, when given, G-aggregates every original-channel arrival onto
     its starting values.
 
@@ -193,8 +192,8 @@ def propagate(
             n_msgs = int(np.count_nonzero(fire))
         if n_msgs == 0:
             return x, recv, acts, steps
-        if steps == max_steps:
-            raise RuntimeError(over_cap)
+        if steps == MAX_SUPERSTEPS:
+            raise RuntimeError(f"messages still pending after MAX_SUPERSTEPS={MAX_SUPERSTEPS}")
         steps += 1
         acts += n_msgs
         if dropped:  # split is None without channels: fire covers every edge
@@ -227,7 +226,7 @@ def propagate(
             recv = np.minimum(recv, m) if algo.is_min else recv + m
 
 
-def _driver_loop(x, pend, pend_sc, edges, algo, max_supersteps, stats):
+def _driver_loop(x, pend, pend_sc, edges, algo, stats):
     """numpy backend: ids mapped to positions in ``x``'s own (sorted)
     index, then one :func:`propagate`; the states come back on that index.
     Pending values are NaN where inactive, as the Spark states hold NULL.
@@ -252,9 +251,8 @@ def _driver_loop(x, pend, pend_sc, edges, algo, max_supersteps, stats):
         sends = sends[np.argsort(etype, kind="stable")]
         split = int(np.count_nonzero(etype == 0))
     xs, recv, acts, steps = propagate(
-        x.to_numpy(float), pending(pend), src[sends], dst[sends],
-        edges.w.to_numpy(float)[sends], algo, max_supersteps, _over_cap(max_supersteps),
-        split=split, pend_sc=pending(pend_sc) if channels else None,
+        x.to_numpy(float), pending(pend), src[sends], dst[sends], edges.w.to_numpy(float)[sends],
+        algo, split=split, pend_sc=pending(pend_sc) if channels else None,
         recv=np.zeros(n) if channels else None,
     )
     stats.activations += acts
@@ -287,7 +285,7 @@ def _states_to_spark(
     return spark.createDataFrame(pdf, schema=CHANNEL_STATE_SCHEMA)
 
 
-def _spark_loop(spark, x, pend, pend_sc, edges, algo, max_supersteps, stats):
+def _spark_loop(spark, x, pend, pend_sc, edges, algo, stats):
     """Spark backend: one message join, ``count()``, ``groupBy`` and state
     join per superstep; ``edges`` is cached for the loop."""
     channels, tol = pend_sc is not None, algo.tol
@@ -345,9 +343,9 @@ def _spark_loop(spark, x, pend, pend_sc, edges, algo, max_supersteps, stats):
             if n_msgs == 0:
                 msgs.unpersist()
                 break
-            if steps == max_supersteps:
+            if steps == MAX_SUPERSTEPS:
                 msgs.unpersist()
-                raise RuntimeError(_over_cap(max_supersteps))
+                raise RuntimeError(f"messages still pending after MAX_SUPERSTEPS={MAX_SUPERSTEPS}")
             steps += 1
             stats.activations += n_msgs
             stats.supersteps += 1

@@ -23,9 +23,10 @@ Everything operates on *prepared* edges (see ``engine.algorithms``): min
 workloads relax ``m + w`` under ``min``; sum workloads propagate deltas
 ``m · w`` under ``+``. Activations are counted exactly as the paper counts
 them: one per F application (one per out-edge of an active vertex per
-superstep). A superstep counts only when it sends messages. Reaching
-``max_iter`` with messages still pending raises ``RuntimeError`` rather
-than returning unconverged states.
+superstep). A superstep counts only when it sends messages. Every run
+stops at ``batch.MAX_SUPERSTEPS``, read by ``propagate``: reaching it with
+messages still pending raises ``RuntimeError`` rather than returning
+unconverged states.
 """
 from __future__ import annotations
 
@@ -52,14 +53,7 @@ class LocalRun:
     iterations: int  # supersteps that sent messages
 
 
-def converge(
-    prepared: pd.DataFrame,
-    x0: pd.Series,
-    m0: pd.Series,
-    algo: Algorithm,
-    *,
-    max_iter: int = 100_000,
-) -> LocalRun:
+def converge(prepared: pd.DataFrame, x0: pd.Series, m0: pd.Series, algo: Algorithm) -> LocalRun:
     """Run the accumulative engine to convergence on one (sub)graph.
 
     ``x0`` indexes the *complete* local vertex set; ``m0`` is a sparse
@@ -70,7 +64,8 @@ def converge(
     are dropped; an edge endpoint outside it raises ``ValueError``.
 
     Maps ids to positions and runs :func:`converge_at` over the edges
-    sorted by source.
+    sorted by source. Raises ``RuntimeError`` when messages are still
+    pending after ``batch.MAX_SUPERSTEPS`` supersteps.
     """
     ids = pd.Index(x0.index.to_numpy(np.int64))
     src, dst = batch.positions(ids, prepared.src), batch.positions(ids, prepared.dst)
@@ -81,7 +76,7 @@ def converge(
     seeded = at >= 0
     x, arrivals, acts, steps = converge_at(
         x0.to_numpy(float), at[seeded], m0.to_numpy(float)[seeded],
-        src[order], dst[order], prepared.w.to_numpy(float)[order], algo, max_iter=max_iter,
+        src[order], dst[order], prepared.w.to_numpy(float)[order], algo,
     )
     return LocalRun(
         states=pd.Series(x, index=ids),
@@ -91,7 +86,7 @@ def converge(
     )
 
 
-def converge_at(x, at, m, src, dst, w, algo: Algorithm, *, max_iter: int = 100_000):
+def converge_at(x, at, m, src, dst, w, algo: Algorithm):
     """:func:`converge` on positions: the states ``x``, the messages ``m``
     at the positions ``at`` and the edges ``(src, dst, w)``, every position
     inside ``x``. Returns ``(x, arrivals, activations, supersteps)``,
@@ -111,10 +106,7 @@ def converge_at(x, at, m, src, dst, w, algo: Algorithm, *, max_iter: int = 100_0
     else:
         pend = np.where(np.abs(seeds) > algo.tol, seeds, np.nan)
         x = x + seeds
-    return batch.propagate(
-        x, pend, src, dst, w, algo, max_iter,
-        f"converge: messages still pending after max_iter={max_iter}", recv=seeds,
-    )
+    return batch.propagate(x, pend, src, dst, w, algo, recv=seeds)
 
 
 # -- the flattened shortcut pass --------------------------------------------
@@ -172,7 +164,7 @@ def _cell_edges(table, rows, rsub, rb, n_subs):
     return (rb[c] + src[e], rb[c] + dst[e], *(np.asarray(w[e], float) for w in ws))
 
 
-def _pass_chunk(cells, blo, bn, R, E, O, C, algo, max_iter):
+def _pass_chunk(cells, blo, bn, R, E, O, C, algo):
     """One block-diagonal pass over the subgraphs ``0..len(blo)-1`` of a chunk.
 
     Subgraph ``i`` holds the ``bn[i]`` positions of ``cells`` from
@@ -264,10 +256,8 @@ def _pass_chunk(cells, blo, bn, R, E, O, C, algo, max_iter):
         live[np.searchsorted(row_base, np.flatnonzero(active), "right") - 1] = True
     # Every live row gets its own copy of its subgraph's intra edges.
     src_cell, dst_cell, w = _cell_edges(E, np.flatnonzero(live), rsub, rb, n_subs)
-    acc, _, a, _ = batch.propagate(
-        acc, np.where(active, pend, np.nan), src_cell, dst_cell, w, algo, max_iter,
-        f"shortcut_pass: messages still pending after max_iter={max_iter}",
-    )
+    pend = np.where(active, pend, np.nan)
+    acc, _, a, _ = batch.propagate(acc, pend, src_cell, dst_cell, w, algo)
 
     # A sum cell at or below tol is dropped, negative ones too: prepared
     # weights are >= 0, so a negative cell is only the delta correction's
@@ -297,7 +287,6 @@ def shortcut_pass(
     cells,  # members in (sub, id) order: Members.sub_major()
     old=None,  # sub, entry, dst, w
     changed=None,  # sub, src, dst, w_old, w_new (NaN = absent)
-    max_iter: int = 100_000,
 ) -> tuple[pd.DataFrame, int]:
     """Shortcut tables of every subgraph in ``entries``, as one flattened
     pass over all of them.
@@ -368,7 +357,7 @@ def shortcut_pass(
             [cols[0][b[lo]:b[hi]] - lo] + [c[b[lo]:b[hi]] for c in cols[1:]]
             for cols, b in [([rsub, rat], rbound), (E, eb), (O, ob), (C, cb)]
         ]
-        *cols, a = _pass_chunk(cells, blo[lo:hi], bn[lo:hi], *chunk, algo, max_iter)
+        *cols, a = _pass_chunk(cells, blo[lo:hi], bn[lo:hi], *chunk, algo)
         out.append(cols)
         acts += a
     sub, entry, dst, w = (np.concatenate(c) for c in zip(*out))

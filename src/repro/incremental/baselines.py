@@ -35,8 +35,8 @@ from dataclasses import replace
 import numpy as np
 import pandas as pd
 
+from repro.engine import batch
 from repro.engine.algorithms import Algorithm
-from repro.engine.batch import positions, run_batch
 from repro.graphs.schema import source_rows
 from repro.graphs.updates import GraphDelta, apply_delta
 from repro.incremental.ingress import flat_revision, ingress_incremental
@@ -47,7 +47,7 @@ INF = float("inf")
 
 def restart(spark, old_edges, delta, old_states, algo):
     """Recompute from scratch on the updated graph."""
-    return run_batch(spark, apply_delta(old_edges, delta), algo)
+    return batch.run_batch(spark, apply_delta(old_edges, delta), algo)
 
 
 def kickstarter(
@@ -75,7 +75,6 @@ def _pull_min_jacobi(
     affected: np.ndarray,
     algo: Algorithm,
     stats: RunStats,
-    max_iters: int = 10_000,
 ) -> pd.Series:
     """Pull loop in the driver: every affected vertex recomputes
     ``min(root, min(x_u + w))`` from ALL its in-edges each round, against
@@ -84,24 +83,25 @@ def _pull_min_jacobi(
     one activation per in-edge scanned and one superstep per round.
 
     Every endpoint of ``prepared`` must be in ``x``'s index. Reaching
-    ``max_iters`` with the affected set non-empty raises ``RuntimeError``.
+    ``batch.MAX_SUPERSTEPS`` rounds with the affected set non-empty raises
+    ``RuntimeError``.
     """
     ids = pd.Index(x.index.to_numpy(np.int64))
-    src, dst = positions(ids, prepared.src), positions(ids, prepared.dst)
+    src, dst = batch.positions(ids, prepared.src), batch.positions(ids, prepared.dst)
     w = prepared.w.to_numpy(float)
     by_dst, by_src = np.argsort(dst, kind="stable"), np.argsort(src, kind="stable")
     in_dst, in_src, in_w = dst[by_dst], src[by_dst], w[by_dst]
     out_src, out_dst = src[by_src], dst[by_src]
     root = np.full(len(ids), INF)
-    at = positions(ids, list(algo.roots))
+    at = batch.positions(ids, list(algo.roots))
     root[at[at >= 0]] = np.asarray(list(algo.roots.values()), float)[at >= 0]
     xs = x.to_numpy(float).copy()
-    aff = np.unique(positions(ids, affected))
+    aff = np.unique(batch.positions(ids, affected))
     rounds = 0
     while len(aff):
-        if rounds == max_iters:
+        if rounds == batch.MAX_SUPERSTEPS:
             raise RuntimeError(
-                f"_pull_min_jacobi: affected vertices left after max_iters={max_iters}"
+                f"affected vertices left after MAX_SUPERSTEPS={batch.MAX_SUPERSTEPS}"
             )
         rounds += 1
         rows = source_rows(in_dst, aff)

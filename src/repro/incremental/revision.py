@@ -180,10 +180,13 @@ def min_revision_at(diff, old, new, x, roots, *, extra_seeds=None):
     descendants. Seeds are one ``np.minimum.at`` of ``x_u + w`` over the new
     edges from intact positions into trimmed ones and the inserted or
     lowered edges from intact sources (each one counted F application), and
-    of the trimmed roots' values; those below the revised state by more
-    than :data:`SEED_TOL` are kept. Every caller ranks positions in id
-    order (a sorted universe, or cells in (sub, id) order within a row), so
-    the smallest parent position breaks ties by the smallest src id.
+    of every root's value; those below the revised state by more than
+    :data:`SEED_TOL` are kept. So a root seeds when the trim resets it and
+    when it has no old state (+inf: a source that ΔG deleted and brought
+    back), but not while it holds its value. Every caller ranks positions
+    in id order (a sorted universe, or cells in (sub, id) order within a
+    row), so the smallest parent position breaks ties by the smallest src
+    id.
 
     Returns ``(reset, seed_at, seed_val, activations)``, positions ascending.
     """
@@ -201,7 +204,7 @@ def min_revision_at(diff, old, new, x, roots, *, extra_seeds=None):
     seed = np.full(len(x), INF)
     np.minimum.at(seed, ndst[into], x[nsrc[into]] + nw[into])
     np.minimum.at(seed, dst[low], x[src[low]] + w_new[low])
-    np.minimum.at(seed, at[reset[at]], value[reset[at]])
+    np.minimum.at(seed, at, value)
     seed_at = np.flatnonzero(seed < x - SEED_TOL)
     acts = int(np.count_nonzero(into) + np.count_nonzero(low))
     return np.flatnonzero(reset), seed_at, seed[seed_at], acts

@@ -225,6 +225,10 @@ class LayphEngine:
             up = batch.positions(index, new_lg.upper_vertex_ids)
             up = up[up >= 0]
             x[up[np.isin(index[up], reset)]] = INF
+            # A seed off L_up is an isolated root: nothing relays its value.
+            at = batch.positions(index, seeds.index)
+            off = (at >= 0) & ~np.isin(at, up)
+            x[at[off]] = np.minimum(x[at[off]], seeds.to_numpy()[off])
             x_up = upper_min_loop(
                 self.spark, new_lg.upper_graph, pd.Series(x[up], index=index[up]), seeds, algo,
                 stats=stats,

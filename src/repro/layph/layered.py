@@ -86,8 +86,14 @@ class LayeredGraph:
 
     @cached_property
     def vertex_ids(self) -> np.ndarray:
-        """Sorted ids of every endpoint of the layer graph."""
-        return np.unique(np.concatenate([self.src, self.dst]))
+        """Sorted ids of every endpoint of the layer graph, and of every
+        real vertex with an edge into the source: preparing may drop those
+        edges (PHP's source absorbs), and with them the vertex."""
+        ids = [self.src, self.dst]
+        if self.algo.source is not None:
+            base = self.base_edges
+            ids.append(base.src.to_numpy()[base.dst.to_numpy() == self.algo.source])
+        return np.unique(np.concatenate(ids))
 
     @cached_property
     def entry_ids(self) -> np.ndarray:

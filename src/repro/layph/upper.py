@@ -39,7 +39,6 @@ def upper_min_loop(
     algo: Algorithm,
     *,
     stats: RunStats,
-    max_supersteps: int = 10_000,
 ) -> pd.Series:
     """Min relaxation over L_up. ``x_up`` must already have trimmed vertices
     reset to +inf; ``seeds`` are the revision seed messages, which
@@ -49,9 +48,7 @@ def upper_min_loop(
         return x_up
     x = x_up.copy()
     x.loc[seeds.index] = np.minimum(x.loc[seeds.index], seeds)
-    out, _ = batch.superstep_loop(
-        spark, x, seeds, up_graph, algo, stats=stats, max_supersteps=max_supersteps
-    )
+    out, _ = batch.superstep_loop(spark, x, seeds, up_graph, algo, stats=stats)
     return out.x
 
 
@@ -65,7 +62,6 @@ def upper_sum_loop(
     algo: Algorithm,
     *,
     stats: RunStats,
-    max_supersteps: int = 10_000,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Channel-aware sum propagation on L_up.
 
@@ -79,8 +75,7 @@ def upper_sum_loop(
     if len(pend_orig) == 0 and len(pend_sc) == 0:
         return x_up.to_numpy(float), np.empty(0, np.int64), np.empty(0)
     out, _ = batch.superstep_loop(
-        spark, x_up, pend_orig, up_graph, algo,
-        pend_sc=pend_sc, stats=stats, max_supersteps=max_supersteps,
+        spark, x_up, pend_orig, up_graph, algo, pend_sc=pend_sc, stats=stats
     )
     recv = out["recv"].to_numpy(float)
     is_entry = np.zeros(len(recv), bool)

@@ -4,6 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.engine import algorithms as alg
+from repro.engine import batch
 from repro.engine.batch import initial_states, propagate, run_batch, superstep_loop
 from repro.engine.local import converge
 from repro.graphs.generators import fig2_graph, planted_partition
@@ -273,7 +274,7 @@ def _channel_graph(seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_two_channel_runs_equal_the_masked_kernel(seed):
+def test_two_channel_runs_equal_the_masked_kernel(seed, monkeypatch):
     """``propagate`` on the rows ordered stably by ``etype`` with the split
     point gives the states, ``recv``, activations and supersteps of the
     masked channel branch on the shuffled rows, bit for bit, and raises
@@ -284,8 +285,9 @@ def test_two_channel_runs_equal_the_masked_kernel(seed):
     split = int(np.count_nonzero(etype == 0))
 
     def runs(cap):
+        monkeypatch.setattr(batch, "MAX_SUPERSTEPS", cap)
         return propagate(
-            x, pend, src[o], dst[o], w[o], algo, cap, f"cap {cap}",
+            x, pend, src[o], dst[o], w[o], algo,
             split=split, pend_sc=pend_sc, recv=np.zeros(len(x)),
         )
 
@@ -293,10 +295,10 @@ def test_two_channel_runs_equal_the_masked_kernel(seed):
     assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
     assert got[2:] == want[2:] and want[3] > 2
     cap = want[3] - 1
-    for run in (lambda: runs(cap), lambda: _masked_channels(
-            x, pend, pend_sc, src, dst, w, etype, algo, cap)):
-        with pytest.raises(RuntimeError, match=f"cap {cap}$"):
-            run()
+    with pytest.raises(RuntimeError, match=f"MAX_SUPERSTEPS={cap}$"):
+        runs(cap)
+    with pytest.raises(RuntimeError, match=f"cap {cap}$"):
+        _masked_channels(x, pend, pend_sc, src, dst, w, etype, algo, cap)
     assert runs(want[3])[2:] == want[2:]  # exactly enough
 
 

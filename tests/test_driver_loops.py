@@ -11,6 +11,7 @@ import pandas as pd
 import pytest
 
 from repro.engine import algorithms as alg
+from repro.engine import batch
 from repro.experiments.common import batch_states
 from repro.graphs.generators import dataset, planted_partition
 from repro.graphs.updates import apply_delta, random_edge_delta
@@ -52,18 +53,20 @@ def _chain():
     return edges, pd.Series({0: 0.0, 1: INF, 2: INF})
 
 
-def test_pull_loop_raises_at_its_cap():
+def test_pull_loop_raises_at_its_cap(monkeypatch):
     edges, x = _chain()
-    with pytest.raises(RuntimeError, match="max_iters=1"):
-        _pull_min_jacobi(edges, x, np.array([1, 2]), alg.sssp(source=0), RunStats(), max_iters=1)
+    monkeypatch.setattr(batch, "MAX_SUPERSTEPS", 1)
+    with pytest.raises(RuntimeError, match="MAX_SUPERSTEPS=1$"):
+        _pull_min_jacobi(edges, x, np.array([1, 2]), alg.sssp(source=0), RunStats())
 
 
-def test_pull_loop_counts_in_edges_per_round():
+def test_pull_loop_counts_in_edges_per_round(monkeypatch):
     """Rounds scan {1, 2}, {1, 2}, {2}: five in-edges in three supersteps;
     the third round empties the set at the cap, which is not an error."""
     edges, x = _chain()
     stats = RunStats()
-    out = _pull_min_jacobi(edges, x, np.array([1, 2]), alg.sssp(source=0), stats, max_iters=3)
+    monkeypatch.setattr(batch, "MAX_SUPERSTEPS", 3)
+    out = _pull_min_jacobi(edges, x, np.array([1, 2]), alg.sssp(source=0), stats)
     assert out.to_dict() == {0: 0.0, 1: 1.0, 2: 2.0}
     assert (stats.activations, stats.supersteps) == (5, 3)
 

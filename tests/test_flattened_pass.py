@@ -300,21 +300,25 @@ CHAIN = pd.DataFrame({"src": [0, 1, 2], "dst": [1, 2, 3], "w": [0.5, 0.5, 0.5]})
 
 
 @pytest.mark.parametrize("branch", ["sum", "min"])
-def test_converge_raises_at_cap(branch):
+def test_converge_raises_at_cap(branch, monkeypatch):
     algo = alg.pagerank(d=0.85, tol=1e-9) if branch == "sum" else alg.sssp(source=0)
     x0 = pd.Series(INF if algo.is_min else 0.0, index=range(4))
     m0 = pd.Series({0: 0.0 if algo.is_min else 1.0})
-    with pytest.raises(RuntimeError, match="max_iter=1"):
-        converge(CHAIN, x0, m0, algo, max_iter=1)
-    run = converge(CHAIN, x0, m0, algo, max_iter=3)  # exactly enough
+    monkeypatch.setattr(batch, "MAX_SUPERSTEPS", 1)
+    with pytest.raises(RuntimeError, match="MAX_SUPERSTEPS=1$"):
+        converge(CHAIN, x0, m0, algo)
+    monkeypatch.setattr(batch, "MAX_SUPERSTEPS", 3)
+    run = converge(CHAIN, x0, m0, algo)  # exactly enough
     assert run.iterations == 3 and run.activations == 3
 
 
 @pytest.mark.parametrize("branch", ["sum", "min"])
-def test_shortcut_pass_raises_at_cap(branch):
+def test_shortcut_pass_raises_at_cap(branch, monkeypatch):
     algo = alg.pagerank(d=0.85, tol=1e-9) if branch == "sum" else alg.sssp(source=0)
     edges, entries = CHAIN.assign(sub=0), pd.DataFrame({"id": [0], "sub": [0]})
-    with pytest.raises(RuntimeError, match="max_iter=1"):
-        shortcut_pass(edges, entries, algo, cells=table_cells(edges, entries), max_iter=1)
-    sc, acts = shortcut_pass(edges, entries, algo, cells=table_cells(edges, entries), max_iter=3)
+    monkeypatch.setattr(batch, "MAX_SUPERSTEPS", 1)
+    with pytest.raises(RuntimeError, match="MAX_SUPERSTEPS=1$"):
+        shortcut_pass(edges, entries, algo, cells=table_cells(edges, entries))
+    monkeypatch.setattr(batch, "MAX_SUPERSTEPS", 3)
+    sc, acts = shortcut_pass(edges, entries, algo, cells=table_cells(edges, entries))
     assert sc.dst.tolist() == [1, 2, 3] and acts == 3

@@ -4,6 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.engine import algorithms as alg
+from repro.engine import batch
 from repro.layph.upload import upload_messages
 from repro.layph.upper import upper_min_loop, upper_sum_loop
 from repro.metrics import RunStats
@@ -164,7 +165,6 @@ def test_upper_sum_uploads_forward_only_via_orig(spark, on_each_backend):
 def test_loop_partitions_read_at_call_time(spark, monkeypatch):
     """Setting ``batch.LOOP_PARTITIONS`` (the T5 sweep, which also holds
     every loop on Spark) reaches the upper sum loop."""
-    from repro.engine import batch
 
     conf_cls = type(spark.conf)
     real_set = conf_cls.set
@@ -186,7 +186,7 @@ def test_loop_partitions_read_at_call_time(spark, monkeypatch):
     assert seen[0] == "3"
 
 
-def test_upper_min_loop_honours_max_supersteps(spark, on_each_backend):
+def test_upper_min_loop_honours_max_supersteps(spark, on_each_backend, monkeypatch):
     """Reaching the cap with messages still pending is an error; reaching it
     as the last messages are delivered is not."""
     up = pd.DataFrame(
@@ -195,15 +195,76 @@ def test_upper_min_loop_honours_max_supersteps(spark, on_each_backend):
     x = pd.Series(INF, index=[0, 1, 2, 3])
 
     def run(cap):
+        monkeypatch.setattr(batch, "MAX_SUPERSTEPS", cap)
         return upper_min_loop(
-            spark, up, x, pd.Series({0: 0.0}), alg.sssp(source=0), stats=RunStats(),
-            max_supersteps=cap,
+            spark, up, x, pd.Series({0: 0.0}), alg.sssp(source=0), stats=RunStats()
         )
 
     def both_caps():
-        with pytest.raises(RuntimeError, match="max_supersteps=2"):
+        with pytest.raises(RuntimeError, match="MAX_SUPERSTEPS=2$"):
             run(2)
         return run(3)
 
     for out in on_each_backend(both_caps).values():
         assert out.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+# -- the one iteration cap, on the loops the tests above do not cap ----------
+
+_CHAIN = pd.DataFrame({"src": [0, 1, 2], "dst": [1, 2, 3], "w": [0.5, 0.5, 0.5]})
+_MASS = [1.0, 0.5, 0.25, 0.125]  # a unit at 0 down ``_CHAIN``: three supersteps
+
+
+def _cap_upper_sum(spark, algo):
+    x, _, _ = upper_sum_loop(
+        spark, _CHAIN.assign(etype=0), pd.Series([1.0, 0, 0, 0]), pd.Series({0: 1.0}),
+        pd.Series(dtype=float), np.array([3]), algo, stats=RunStats(),
+    )
+    return x
+
+
+def _cap_upload(spark, algo):
+    members = pd.DataFrame({"id": range(4), "sub": 0})
+    st, _, _ = upload_messages(
+        spark, _CHAIN.assign(sub=0), members, np.array([False, False, False, True]),
+        pd.Series(0.0, index=range(4)), pd.Series({0: 1.0}), algo,
+    )
+    return st.sort_index().to_numpy()
+
+
+def _cap_superstep(channels):
+    def run(spark, algo):
+        edges = _CHAIN.assign(etype=0) if channels else _CHAIN
+        out, _ = batch.superstep_loop(
+            spark, pd.Series([1.0, 0, 0, 0]), pd.Series({0: 1.0}), edges, algo
+        )
+        return out.x.to_numpy()
+    return run
+
+
+@pytest.mark.parametrize(
+    "loop, backend",
+    [
+        (_cap_upper_sum, "driver"), (_cap_upper_sum, "spark"),
+        (_cap_upload, "driver"),
+        (_cap_superstep(False), "driver"), (_cap_superstep(False), "spark"),
+        (_cap_superstep(True), "driver"), (_cap_superstep(True), "spark"),
+    ],
+    ids=[
+        "upper_sum_loop-driver", "upper_sum_loop-spark", "upload-driver",
+        "superstep_loop-driver", "superstep_loop-spark",
+        "superstep_loop_channels-driver", "superstep_loop_channels-spark",
+    ],
+)
+def test_every_loop_stops_at_the_one_cap(loop, backend, request, monkeypatch):
+    """``batch.MAX_SUPERSTEPS`` one short of the chain's three supersteps
+    raises; exactly three returns the converged states."""
+    spark = request.getfixturevalue("no_spark" if backend == "driver" else "spark")
+    if backend == "spark":
+        monkeypatch.setattr(batch, "DRIVER_MAX_EDGES", 0)
+    algo = alg.pagerank(tol=1e-9)  # the chain's weights stand for prepared ones
+    monkeypatch.setattr(batch, "MAX_SUPERSTEPS", 2)
+    with pytest.raises(RuntimeError, match="MAX_SUPERSTEPS=2$"):
+        loop(spark, algo)
+    monkeypatch.setattr(batch, "MAX_SUPERSTEPS", 3)  # exactly enough
+    np.testing.assert_allclose(loop(spark, algo), _MASS, rtol=0, atol=1e-12)
