@@ -121,8 +121,13 @@ class Algorithm:
         if self.name != "php":  # pragma: no cover - presets only
             raise ValueError(self.name)
         w = self.damping * w / np.repeat(_run_sums(w, starts, counts), counts)
-        keep = dst != self.source
+        keep = self.kept(dst)
         return src[keep], dst[keep], w[keep]
+
+    def kept(self, dst: np.ndarray) -> np.ndarray:
+        """The rows :meth:`prepare_rows` keeps, by target: all but PHP's
+        edges into its source, which absorbs."""
+        return dst != self.source if self.name == "php" else np.ones(len(dst), bool)
 
     # ---- initial conditions -----------------------------------------------
     def with_source(self, vertex_ids: np.ndarray) -> np.ndarray:

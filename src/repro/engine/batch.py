@@ -12,9 +12,11 @@ contract spelled out in ``superstep_loop``.
 
 This loop is the Restart baseline, computes the initial converged states
 every incremental engine starts from, and is the loop behind Ingress, the
-competitor models and both of Layph's upper-layer loops. The L_up sum loop
-adds the original/shortcut message channels of DESIGN.md §6, which live
-here too (see ``superstep_loop``).
+competitor models and Layph's L_up min loop. The L_up sum loop adds the
+original/shortcut message channels of DESIGN.md §6, which live here too
+(see ``superstep_loop`` and :func:`propagate`); Layph's engine calls
+:func:`propagate` on its L_up positions directly in the driver, and this
+loop's Spark backend above ``DRIVER_MAX_EDGES``.
 """
 from __future__ import annotations
 
@@ -172,10 +174,13 @@ def propagate(x, pend, src, dst, w, algo, *, split=None, pend_sc=None, recv=None
     A ``split`` turns the channel rule on, with ``pend_sc`` pending in the
     shortcut channel: the edges are two runs, the original edges
     ``[:split]`` and the shortcuts ``[split:]``, and each superstep gathers
-    each run once.
+    each run once. With no shortcut and nothing pending in the shortcut
+    channel, the rule reduces to the plain one, which runs instead.
     """
     n, tol = len(x), algo.tol
-    channels = split is not None
+    # Without shortcuts and without shortcut-channel mass the channel rule
+    # is the plain one (the flat L_up): take the plain branch, bit for bit.
+    channels = split is not None and (split < len(src) or not np.isnan(pend_sc).all())
     inside = dst >= 0
     dropped = not inside.all()
     acts = steps = 0
@@ -231,8 +236,8 @@ def _driver_loop(x, pend, pend_sc, edges, algo, stats):
     index, then one :func:`propagate`; the states come back on that index.
     Pending values are NaN where inactive, as the Spark states hold NULL.
     With channels, the edges are ordered stably by ``etype`` (a no-op for
-    ``layph.layered.upper_graph``, which lays out its cross rows first), so
-    the kernel gets each channel as one run in table order."""
+    an L_up graph laid out cross rows first), so the kernel gets each
+    channel as one run in table order."""
     ids = x.index
     n = len(ids)
 

@@ -14,7 +14,9 @@ the only way into the shortcut work; a single subgraph is a table whose
 ``sub`` column holds one value. Its cells are laid out from a membership
 in (sub, id) order that the caller keeps (the layered graph's members, in
 the one order it holds them, frozen across ΔG), so a call looks its table
-ids up instead of deriving a vertex universe from them, and a sum update
+ids up instead of deriving a vertex universe from them — by slot, one
+gather of a dense array, when the layered graph keys its cells by slot
+(``Members.by_slot``) — and a sum update
 copies edges only for the rows that hold an active cell: the pass costs
 about what its ``propagate`` costs; a min update hands its changed edges
 to one ``revision.min_revision_at`` on cells, with no frame between.

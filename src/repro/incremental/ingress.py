@@ -54,12 +54,15 @@ def new_vertex_universe(ids: np.ndarray, delta: GraphDelta, algo: Algorithm) -> 
 
 def align_states(
     old_states: pd.Series, ids: np.ndarray, algo: Algorithm
-) -> pd.Series:
+) -> tuple[pd.Series, np.ndarray]:
     """Old states restricted/extended to the new vertex universe ``ids``:
-    one gather, an id without an old state taking ``algo.zero_state``."""
+    one gather, an id without an old state taking ``algo.zero_state``.
+    Returns the states and the ids without an old state, which a sum
+    round gives their root messages."""
     # Position -1 (an id without an old state) reads the appended zero state.
     at = old_states.index.get_indexer(ids)
-    return pd.Series(np.append(old_states.to_numpy(float), algo.zero_state)[at], index=ids)
+    x = pd.Series(np.append(old_states.to_numpy(float), algo.zero_state)[at], index=ids)
+    return x, ids[at < 0]
 
 
 def changed_runs(
@@ -95,17 +98,20 @@ def flat_revision(
     the aligned states, with every vertex the min trim resets at +inf; the
     sum injections or min seeds at vertices of G ⊕ ΔG, not yet applied to
     ``x``; and the reset ids (none for sum). The trim's activations are
-    added to ``stats``.
+    added to ``stats``. Every vertex of G ⊕ ΔG without an old state gets
+    its root message in a sum round: a vertex ΔG adds, and one back in the
+    vertex set after it lost all its edges or was deleted (the PHP source
+    rejoins by ``algo.with_source``).
     """
     old_edges = canonical_edges(old_edges)
     new_edges = apply_delta(old_edges, delta)
     new_prepared = algo.prepare(new_edges)
     old_runs, new_runs = changed_runs(old_edges, new_prepared, delta, algo)
     ids = new_vertex_universe(vertex_ids(new_edges), delta, algo)
-    x = align_states(old_states, ids, algo)
+    x, entrants = align_states(old_states, ids, algo)
     if algo.is_sum:
         reset = np.empty(0, np.int64)
-        msgs = sum_revision(old_runs, new_runs, old_states, algo, new_vertices=delta.added_vertices)
+        msgs = sum_revision(old_runs, new_runs, old_states, algo, new_vertices=entrants)
     else:
         reset, msgs, acts = min_revision(
             prepared_edge_diff(old_runs, new_runs), algo.prepare(old_edges), new_prepared,

@@ -8,11 +8,14 @@ Two algorithm classes, mirroring Ingress's memoization policies:
   ``w_old → w_new`` on ``(u,v)`` is therefore revised by one injected delta
   ``(x*_u − x0_u) · (w_new − w_old)`` at ``v`` (cancellation when negative,
   compensation when positive). Diffing *prepared* edges captures PageRank's
-  out-degree side effects for free. New vertices contribute their root
-  messages. :func:`sum_injections` works on arrays (one gather of the
-  sources' old states, one ``np.unique`` and ``np.bincount`` per target)
-  and returns arrays, which Layph's round reads; :func:`sum_revision`
-  gives Ingress the same deltas as an id-indexed Series.
+  out-degree side effects for free. Every vertex without an old state (new
+  to the graph, or back in its vertex set) contributes its root message.
+  :func:`sum_injections` works on arrays (one gather of the sources' old
+  states, then :func:`injection_totals`: one ``np.unique`` and
+  ``np.bincount`` per target) and returns arrays; :func:`sum_revision`
+  gives Ingress the same deltas as an id-indexed Series, and Layph's round
+  gathers its old states by slot and calls :func:`injection_totals` on
+  slots.
 
 * **min** (selective, non-invertible — SSSP, BFS): deletions cannot be
   inverted; instead we derive the dependency tree from the converged states
@@ -43,13 +46,15 @@ SEED_TOL = 1e-12
 # sum workloads
 # --------------------------------------------------------------------------
 
-def prepared_edge_diff(old_prepared, new_prepared) -> pd.DataFrame:
+def prepared_edge_diff(old_prepared, new_prepared, *, carry=()) -> pd.DataFrame:
     """Per-(src,dst) prepared-weight diff of two edge tables (frames, or
     dicts of ``src, dst, w`` arrays), each holding a pair at most once.
 
     Columns ``src, dst, w_old, w_new`` (NaN on the missing side) restricted
     to pairs whose weight changed, appeared, or disappeared, in (src, dst)
-    order.
+    order. The ``carry`` columns, which both tables hold and which are the
+    same for a pair on both sides (the layered graph's slot columns),
+    follow, read from either side.
     """
     old, new = old_prepared, new_prepared
     src = np.concatenate([np.asarray(old["src"], np.int64), np.asarray(new["src"], np.int64)])
@@ -67,9 +72,13 @@ def prepared_edge_diff(old_prepared, new_prepared) -> pd.DataFrame:
     w_new[pair[is_new]] = w[is_new]
     with np.errstate(invalid="ignore"):
         changed = np.isnan(w_old) | np.isnan(w_new) | (np.abs(w_new - w_old) > _EPS)
+    kept = np.flatnonzero(first)[changed]
+    carried = {
+        c: np.concatenate([np.asarray(old[c]), np.asarray(new[c])])[o[kept]] for c in carry
+    }
     return pd.DataFrame(
-        {"src": src[first][changed], "dst": dst[first][changed],
-         "w_old": w_old[changed], "w_new": w_new[changed]}, copy=False,
+        {"src": src[kept], "dst": dst[kept],
+         "w_old": w_old[changed], "w_new": w_new[changed], **carried}, copy=False,
     )
 
 
@@ -106,24 +115,45 @@ def sum_injections(
     """The revision deltas of a prepared-edge ``diff`` (see
     :func:`prepared_edge_diff`): ``(x*_u − x0_u) · dw`` at ``v`` per changed
     edge ``(u, v)``, plus the root messages of ``new_vertices``, summed per
-    target id. A target whose sum is exactly 0 is dropped: its message
-    would change no state, yet fire every out-edge.
-
-    Returns the sorted, unique target ids and their deltas as arrays. A
-    source outside ``states`` forwarded no mass. Each target adds its terms
-    in turn, diff rows first and in diff order, then its root message."""
-    w_old, w_new = diff.w_old.to_numpy(float), diff.w_new.to_numpy(float)
-    dw = np.where(np.isnan(w_new), 0.0, w_new) - np.where(np.isnan(w_old), 0.0, w_old)
+    target id by :func:`injection_totals`. A source outside ``states``
+    forwarded no mass."""
     # Position -1 (a source without a state) reads the appended 0.
     at = states.index.get_indexer(diff.src.to_numpy(np.int64))
     mass = np.append(states.to_numpy(float) - algo.zero_state, 0.0)[at]
-    targets, terms = diff.dst.to_numpy(np.int64), mass * dw
-    if new_vertices is not None and len(new_vertices):
-        roots = algo.root_messages(np.asarray(new_vertices, np.int64))
-        new = roots.index.isin(new_vertices)
-        targets = np.concatenate([targets, roots.index.to_numpy(np.int64)[new]])
-        terms = np.concatenate([terms, roots.to_numpy(float)[new]])
-    targets, group = np.unique(targets, return_inverse=True)
+    new = np.asarray([] if new_vertices is None else new_vertices, np.int64)
+    r, msgs = root_terms(algo, new)
+    return injection_totals(diff.dst.to_numpy(np.int64), mass * weight_change(diff), new[r], msgs)
+
+
+def weight_change(diff: pd.DataFrame) -> np.ndarray:
+    """``w_new − w_old`` per row of a prepared-edge diff, a missing side 0."""
+    w_old, w_new = diff.w_old.to_numpy(float), diff.w_new.to_numpy(float)
+    return np.where(np.isnan(w_new), 0.0, w_new) - np.where(np.isnan(w_old), 0.0, w_old)
+
+
+def root_terms(algo: Algorithm, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions in ``ids`` whose vertex has a root message
+    (``algo.root_messages``), and the messages."""
+    if not len(ids):
+        return np.empty(0, np.int64), np.empty(0)
+    roots = algo.root_messages(ids)
+    at = pd.Index(ids).get_indexer(roots.index)
+    return at[at >= 0], roots.to_numpy(float)[at >= 0]
+
+
+def injection_totals(
+    targets: np.ndarray, terms: np.ndarray, roots: np.ndarray, root_msgs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The revision deltas summed per target: the diff's ``terms`` at
+    ``targets``, then the root messages ``root_msgs`` at ``roots``. A
+    target whose sum is exactly 0 is dropped: its message would change no
+    state, yet fire every out-edge.
+
+    Returns the sorted, unique targets and their deltas as arrays. Each
+    target adds its terms in turn, diff rows first and in diff order, then
+    its root message. Targets are ids or slots alike."""
+    targets, group = np.unique(np.concatenate([targets, roots]), return_inverse=True)
+    terms = np.concatenate([terms, root_msgs])
     # astype: bincount returns integer zeros for an empty input, even weighted.
     deltas = np.bincount(group, terms, minlength=len(targets)).astype(float, copy=False)
     keep = deltas != 0

@@ -12,17 +12,22 @@ Per ΔG batch, four phases (timed separately for the Fig. 7 breakdown):
 4. ``assign``   — push the external messages accumulated at entry vertices
    down to interior vertices through shortcuts in one hop (§V-C).
 
-Both rounds map ids to positions once, over the sorted vertex universe of
-G ⊕ ΔG: :meth:`LayphEngine.run_delta` aligns the states to it, each round
-updates one float array from the upload to the assignment, and the one
-id-indexed Series is built at the end. In a sum round the revision
-returns its targets and deltas as arrays and the L_up loop returns its
-states and the entry Δcache as arrays; Series exist in between only where
-a layer function takes them: the upload's states and injections (it
-returns its member states and uploads as Series), the revision's old
-states, and the L_up loop's states and seeds. Both workloads assign through
-:func:`assign`, one gather of each entry's run of the cross-layer table
-and one G-aggregate (``np.bincount`` for sum, ``np.minimum.at`` for min).
+The engine keeps one float array of states over the layered graph's slots
+(``layph.slots``) across rounds: a slot is a fixed position per vertex id,
+and ``update_layered`` keeps the round's vertex set as a per-slot mask.
+A vertex that enters the set (new, or back after it left) starts from the
+zero state, and in a sum round a real one gets its root message. The sum
+round runs by slot from the revision to the assignment: the revision
+gathers its sources' old states by slot, the upload, the L_up loop
+(``LayeredGraph.upper``, by position) and the assignment
+(``LayeredGraph.assignment_runs``) read slot columns, and the one
+id-indexed Series is :meth:`LayphEngine.states`. Ids appear only where a
+traced call site reads them: the upload's member frame and injections.
+The min round translates at its boundary: it runs over the vertex set
+sorted by id, as before, and writes its states back by slot. Both
+workloads assign through :func:`assign`, one gather of each entry's run of
+the cross-layer table and one G-aggregate (``np.bincount`` for sum,
+``np.minimum.at`` for min), over slots.
 
 Min workloads exploit idempotence: entry caches are *recomputed* from the
 converged L_up states, one ``np.minimum.at`` over the cross rows, and
@@ -41,9 +46,11 @@ from repro.engine.algorithms import Algorithm
 from repro.engine.local import converge
 from repro.graphs.schema import source_rows
 from repro.graphs.updates import GraphDelta
-from repro.incremental.ingress import align_states, new_vertex_universe
-from repro.incremental.revision import min_revision, prepared_edge_diff, sum_injections
+from repro.incremental.revision import (
+    injection_totals, min_revision, prepared_edge_diff, root_terms, weight_change,
+)
 from repro.layph.layered import LayeredGraph, build_layered, update_layered
+from repro.layph.slots import Messages
 from repro.layph.upload import upload_messages
 from repro.layph.upper import upper_min_loop, upper_sum_loop
 from repro.metrics import PhaseTimer, RunStats
@@ -69,33 +76,31 @@ def compute_caches_min(lg: LayeredGraph, x: np.ndarray, index: pd.Index) -> pd.S
 
 
 def assign(
-    lg: LayeredGraph, entries: np.ndarray, values: np.ndarray, index: pd.Index, algo: Algorithm
+    lg: LayeredGraph, entries: np.ndarray, values: np.ndarray, algo: Algorithm
 ) -> tuple[np.ndarray, int]:
-    """Assignment (§V-C): push the values of the sorted, unique ``entries``
-    down their rows of the cross-layer table (``lg.assignment_runs``) in one
-    hop.
+    """Assignment (§V-C): push the values of the sorted, unique entry slots
+    ``entries`` down their rows of the cross-layer table
+    (``lg.assignment_runs``) in one hop.
 
-    Returns, per position of ``index``, the G-aggregate of ``value ⊗ w``
-    over the rows reaching it (sum: Σ value · w, else 0; min: the least
-    value + w, else +inf), and the rows read, one activation each. A
-    target outside ``index`` is read and dropped."""
+    Returns, per slot of ``lg``, the G-aggregate of ``value ⊗ w`` over the
+    rows reaching it (sum: Σ value · w, else 0; min: the least value + w,
+    else +inf), and the rows read, one activation each."""
     entry, dst, w = lg.assignment_runs
     rows = source_rows(entry, entries)
     val = values[np.searchsorted(entries, entry[rows])]
-    d = batch.positions(index, dst[rows])
-    inside = d >= 0
-    d, val, w = d[inside], val[inside], w[rows][inside]
+    d, w = dst[rows], w[rows]
     if algo.is_min:
-        out = np.full(len(index), INF)
+        out = np.full(len(lg.slots), INF)
         np.minimum.at(out, d, val + w)
     else:
-        out = np.bincount(d, val * w, minlength=len(index))
+        out = np.bincount(d, val * w, minlength=len(lg.slots))
     return out, len(rows)
 
 
 class LayphEngine:
     """Stateful Layph runtime: offline build once, then per-ΔG increments,
-    every phase at ``algo.tol``."""
+    every phase at ``algo.tol``. The states are one float array over the
+    layered graph's slots (``layph.slots``), kept across rounds."""
 
     def __init__(
         self,
@@ -111,7 +116,7 @@ class LayphEngine:
         self._build_args = dict(membership=membership, replicate=replicate)
         self._edges0 = edges
         self.lg: LayeredGraph | None = None
-        self.x: pd.Series | None = None  # states over the sorted layer universe (+proxies)
+        self.x: np.ndarray | None = None  # states by slot; read only in the vertex set
         self.caches: pd.Series | None = None  # min workloads only
         self.offline_stats = RunStats()
         self.batch_stats = RunStats()
@@ -125,25 +130,31 @@ class LayphEngine:
             self.lg, acts = build_layered(self._edges0, self.algo, **self._build_args)
             self.offline_stats.activations += acts
         with PhaseTimer(self.batch_stats, "batch"):
-            ids = self.algo.with_source(self.lg.vertex_ids)
+            at = _by_id(self.lg)
+            ids = self.lg.slots.ids[at]
             # Proxies are auxiliary relay vertices: they carry NO root
             # messages (a proxy with a PageRank root would inject extra mass).
-            real = np.setdiff1d(ids, self.lg.proxies.proxy)
+            real = ids[~self.lg.slots.proxy[at]]
             run = converge(
                 self.lg.layer_edges, self.algo.initial_states(ids),
                 self.algo.root_messages(real), self.algo,
             )
-            self.x = run.states
+            self.x = np.full(len(self.lg.slots), self.algo.zero_state)
+            self.x[at] = run.states.to_numpy()
             self.batch_stats.activations += run.activations
         if self.algo.is_min:
-            self.caches = compute_caches_min(self.lg, self.x.to_numpy(), self.x.index)
+            self.caches = compute_caches_min(self.lg, self.x[at], pd.Index(ids))
         return self
+
+    def layer_states(self) -> pd.Series:
+        """States of the vertex set, proxies included, by id."""
+        at = _by_id(self.lg)
+        return pd.Series(self.x[at], index=self.lg.slots.ids[at])
 
     def states(self) -> pd.Series:
         """Converged states of real (non-proxy) vertices, by id."""
-        ids = self.x.index
-        real = ~np.isin(ids.to_numpy(), self.lg.proxies.proxy)
-        return pd.Series(self.x.to_numpy()[real], index=ids[real])
+        at = _by_id(self.lg, real=True)
+        return pd.Series(self.x[at], index=self.lg.slots.ids[at])
 
     # ------------------------------------------------------------------
     def run_delta(self, delta: GraphDelta) -> tuple[pd.Series, RunStats]:
@@ -153,62 +164,75 @@ class LayphEngine:
             new_lg, diff, affected, acts = update_layered(self.lg, delta)
             stats.activations += acts
 
-        # Ingress's vertex universe over the layer graph (proxies persist),
-        # mapped to positions once: both rounds work on one float array.
-        ids = new_vertex_universe(new_lg.vertex_ids, delta, self.algo)
-        x = align_states(self.x, ids, self.algo)
-        index, x = x.index, x.to_numpy(float, copy=True)
+        # The states over the new slots: a slot that enters the vertex set
+        # (new, or back after it left) starts from the zero state.
+        slots, old = new_lg.slots, self.lg
+        x = slots.pad(self.x, self.algo.zero_state)
+        entrants = new_lg.universe & ~slots.pad(old.universe, False)
+        x[entrants] = self.algo.zero_state
         if self.algo.is_sum:
-            x = self._run_sum(new_lg, diff, x, index, delta, stats)
+            x = self._run_sum(new_lg, diff, x, entrants, stats)
         else:
-            x = self._run_min(new_lg, affected, x, index, stats)
+            x = self._run_min(new_lg, affected, x, stats)
 
-        self.lg, self.x = new_lg, pd.Series(x, index=index)
+        self.lg, self.x = new_lg, x
         return self.states(), stats
 
     # ------------------------------------------------------------------
-    def _run_sum(self, new_lg, diff, x, index, delta, stats) -> np.ndarray:
-        """One sum round: upload, upper and assign on the aligned states
-        ``x`` over ``index``, which it updates and returns."""
+    def _run_sum(self, new_lg, diff, x, entrants, stats) -> np.ndarray:
+        """One sum round by slot on the states ``x``, which it updates and
+        returns. Every real vertex that enters the vertex set gets its root
+        message."""
         algo = self.algo
         with PhaseTimer(stats, "upload"):
-            v, val = sum_injections(diff, self.x, algo, new_vertices=delta.added_vertices)
-            at = batch.positions(index, v)
-            member = (at >= 0) & (new_lg.members.index(v) >= 0)
-            outlier = (at >= 0) & ~member
+            # A diff row's source ends a row of the old or the new table, so
+            # it holds its old state or, entering, the zero state: no mass.
+            s_src, s_dst = diff["s_src"].to_numpy(), diff["s_dst"].to_numpy()
+            mass = x[s_src] - algo.zero_state
+            new = np.flatnonzero(entrants & ~new_lg.slots.proxy)
+            r, msgs = root_terms(algo, new_lg.slots.ids[new])
+            v, val = injection_totals(s_dst, mass * weight_change(diff), new[r], msgs)
+            inside = new_lg.universe[v]
+            member = inside & (new_lg.members.at(v) >= 0)
+            outlier = inside & ~member
 
             is_entry, is_exit = new_lg.roles
-            mstates, uploads, acts = upload_messages(
-                self.spark, new_lg.intra_edges, new_lg.members.frame(), is_entry | is_exit,
-                pd.Series(x, index=index), pd.Series(val[member], index=v[member]), algo,
+            x, uploads, acts = upload_messages(
+                self.spark, new_lg.intra_edges, new_lg.members.frame(), is_entry | is_exit, x,
+                pd.Series(val[member], index=new_lg.slots.ids[v[member]]), algo,
+                new_lg.members, v[member],
             )
             stats.activations += acts
-            m = batch.positions(index, mstates.index)
-            x[m[m >= 0]] = mstates.to_numpy()[m >= 0]
-            x[at[outlier]] += val[outlier]
+            x[v[outlier]] += val[outlier]
 
         with PhaseTimer(stats, "upper"):
-            up = batch.positions(index, new_lg.upper_vertex_ids)
-            up = up[up >= 0]
+            up = new_lg.upper
             x_up, entries, dcache = upper_sum_loop(
-                self.spark, new_lg.upper_graph, pd.Series(x[up], index=index[up]),
-                pd.Series(val[outlier], index=v[outlier]), uploads, new_lg.entry_ids, algo,
-                stats=stats,
+                self.spark, up, x[up.slots], Messages(v[outlier], val[outlier]), uploads,
+                new_lg.members.slot[is_entry], algo, stats=stats,
             )
-            x[up] = x_up  # in index[up]'s order, sorted by id as the loop requires
+            x[up.slots] = x_up
 
         with PhaseTimer(stats, "assign"):
-            add, rows = assign(new_lg, entries, dcache, index, algo)
+            add, rows = assign(new_lg, entries, dcache, algo)
             stats.activations += rows
             x += add
         return x
 
     # ------------------------------------------------------------------
-    def _run_min(self, new_lg, affected, x, index, stats) -> np.ndarray:
-        """One min round on the aligned states ``x`` over ``index``, which it
-        updates and returns: trim and relax on L_up, then rebuild the
-        interiors of the subgraphs whose caches or shortcuts changed."""
+    def _run_min(self, new_lg, affected, xs, stats) -> np.ndarray:
+        """One min round on the states ``xs`` by slot, which it updates and
+        returns: trim and relax on L_up, then rebuild the interiors of the
+        subgraphs whose caches or shortcuts changed. It runs by id over the
+        vertex set, sorted: slots are translated at its boundary."""
         algo, old_lg = self.algo, self.lg
+        by_id = _by_id(new_lg)
+        index = pd.Index(new_lg.slots.ids[by_id])
+        x = xs[by_id]
+        pos = np.full(len(new_lg.slots), -1)  # slot -> position in index
+        pos[by_id] = np.arange(len(by_id))
+        old_at = _by_id(old_lg)
+        old_x = pd.Series(self.x[old_at], index=old_lg.slots.ids[old_at])
         with PhaseTimer(stats, "upload"):
             old_up, new_up = old_lg.upper_graph, new_lg.upper_graph
             # Vertices newly on the boundary lost the representation of their
@@ -216,14 +240,13 @@ class LayphEngine:
             promoted = np.setdiff1d(new_lg.boundary_ids, old_lg.boundary_ids)
             promoted = promoted[batch.positions(index, promoted) >= 0]
             reset, seeds, dacts = min_revision(
-                prepared_edge_diff(old_up, new_up), old_up, new_up, self.x, algo,
+                prepared_edge_diff(old_up, new_up), old_up, new_up, old_x, algo,
                 extra_seeds=promoted,
             )
             stats.activations += dacts
 
         with PhaseTimer(stats, "upper"):
-            up = batch.positions(index, new_lg.upper_vertex_ids)
-            up = up[up >= 0]
+            up = np.sort(pos[new_lg.upper.slots])
             x[up[np.isin(index[up], reset)]] = INF
             # A seed off L_up is an isolated root: nothing relays its value.
             at = batch.positions(index, seeds.index)
@@ -252,13 +275,26 @@ class LayphEngine:
 
             if len(target_subs):
                 # A proxy whose links all vanished has no state to rebuild.
-                interior = new_lg.interior_ids
-                at = batch.positions(index, interior)
-                at = at[np.isin(new_lg.members.sub_of(interior), target_subs) & (at >= 0)]
+                members = new_lg.members
+                boundary = new_lg.roles[0] | new_lg.roles[1]
+                inner = members.slot[~boundary]
+                at = pos[inner[np.isin(members.sub[~boundary], target_subs)]]
+                at = at[at >= 0]
+                # Members keep id order among their slots: the sorted entry
+                # slots run as ``entries`` do.
+                e_slots = np.sort(members.slot[new_lg.roles[0]])
                 pick = np.isin(new_lg.members.sub_of(entries), target_subs)
-                best, rows = assign(new_lg, entries[pick], cache[pick], index, algo)
+                best, rows = assign(new_lg, e_slots[pick], cache[pick], algo)
                 stats.activations += rows
-                x[at] = best[at]
+                x[at] = best[by_id[at]]
             self.caches = caches
-        return x
+        xs[by_id] = x
+        return xs
 
+
+def _by_id(lg: LayeredGraph, *, real: bool = False) -> np.ndarray:
+    """The slots of ``lg``'s vertex set in id order; with ``real``, less
+    the proxies."""
+    order = lg.slots.order
+    keep = lg.universe & ~lg.slots.proxy if real else lg.universe
+    return order[keep[order]]

@@ -17,7 +17,8 @@ layered structure stays stable across small ΔG (as in the paper).
 
 Membership is read through :class:`repro.layph.structure.Members` alone:
 :func:`build_plan` counts a host's distinct targets per subgraph from the
-candidates' members, and :func:`route` reroutes with the kept ones.
+candidates' members, and :func:`route` reroutes by the subgraphs the kept
+ones give each endpoint (looked up by id at build time, by slot after).
 A prepared row is rerouted by its own endpoints alone, so the layered
 graph can re-route just the rows ΔG touches. A host↔proxy link exists
 while at least one rerouted row passes through its proxy.
@@ -122,16 +123,17 @@ class Proxies:
 
 
 def route(
-    src: np.ndarray, dst: np.ndarray, members: Members, proxies: Proxies
+    src: np.ndarray, dst: np.ndarray, s_sub: np.ndarray, d_sub: np.ndarray, proxies: Proxies
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reroute prepared rows through the plan's proxies: per row its new
     ``(src, dst)`` and the plan row it passes through (-1: not rerouted).
+    ``s_sub`` and ``d_sub`` are the subgraphs of each row's endpoints (-1
+    for a non-member), as the kept membership places them.
 
     'in': a cross row host → t into a subgraph with a proxy for host becomes
     proxy → t. 'out': a cross row s → host out of a subgraph with a proxy
     for host becomes s → proxy. Weights are kept.
     """
-    s_sub, d_sub = members.sub_of(src), members.sub_of(dst)
     cross = (s_sub < 0) | (s_sub != d_sub)
     via_in = np.where(cross, proxies.find(src, d_sub, inward=True), -1)
     via_out = np.where(cross & (via_in < 0), proxies.find(dst, s_sub, inward=False), -1)
@@ -149,7 +151,7 @@ def apply_plan(
     (src, dst), with the plan row each row passes through (-1 for a row not
     rerouted and for a link). A proxy with no rerouted row gets no link and
     so disappears from the edge list."""
-    r_src, r_dst, via = route(src, dst, members, proxies)
+    r_src, r_dst, via = route(src, dst, members.sub_of(src), members.sub_of(dst), proxies)
     l_src, l_dst = proxies.links(np.flatnonzero(proxies.count(via)))
     s = np.concatenate([r_src, l_src])
     d = np.concatenate([r_dst, l_dst])

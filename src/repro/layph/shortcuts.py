@@ -11,8 +11,10 @@ workloads alike. :func:`compute_shortcuts` runs that pass as it is, and
 Membership is frozen across ΔG, so the pass takes it as its cells: the
 layered graph's members (``LayeredGraph.members``, in its one (sub, id)
 order), and during an update the old graph's, which still hold the members
-ΔG deletes. The tables are frames or dicts of column arrays;
-:func:`repro.layph.layered.update_layered` hands over arrays.
+ΔG deletes. The tables are frames or dicts of column arrays, and name
+vertices by whatever key the cells look up: the layered graph hands over
+slot arrays with its members keyed by slot (``Members.by_slot``), and
+gets back rows by slot.
 
 Both run in the driver, at the workload's one tolerance ``algo.tol``, and
 stay separate names because ``perfbench/tracing.py`` times each at its call

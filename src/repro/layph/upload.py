@@ -7,13 +7,16 @@ they are disjoint and intra edges never leave them, so the upload is one
 subgraphs, on positions. The layered graph keeps its members in (sub, id)
 order, so each injected subgraph is one block of member rows: the run's
 vertices are those blocks, sliced with ``graphs.schema.ranges``, and the
-intra endpoints map to them by one id lookup. Member states absorb the
-local effects; boundary vertices additionally report the G-aggregate of
-everything they received — the uploaded initial messages for the L_up
-iteration. It runs in the driver at ``algo.tol``; the ``spark`` argument
-is unused and kept at position 0 because ``perfbench/tracing.py`` reads
-the later arguments by position (the member frame at 2, the injections
-at 5).
+intra endpoints map to them by one lookup — a gather of the membership's
+dense slot → row array when the engine passes its tables by slot, an id
+lookup otherwise. Member states absorb the local effects; boundary
+vertices additionally report the G-aggregate of everything they received
+— the uploaded initial messages for the L_up iteration. It runs in the
+driver at ``algo.tol``; the ``spark`` argument is unused and kept at
+position 0 because ``perfbench/tracing.py`` reads the later arguments by
+position (the member frame at 2, the injections by id at 5), so the
+engine passes those two by id beside its slots, which follow at 7 and 8,
+positionally as well.
 """
 from __future__ import annotations
 
@@ -25,58 +28,101 @@ from repro.engine import batch
 from repro.engine.algorithms import Algorithm
 from repro.engine.local import converge_at
 from repro.graphs.schema import ranges
+from repro.layph.slots import Messages
+from repro.layph.structure import Members
 
 
 def upload_messages(
     spark: SparkSession,
-    intra_edges: pd.DataFrame,  # src, dst, w, sub — full intra table
+    intra_edges,  # src, dst, w, sub — full intra table
     members: pd.DataFrame,  # id, sub, in (sub, id) order
     is_boundary: np.ndarray,  # per row of ``members``
-    states: pd.Series,
+    states,
     injections: pd.Series,  # id-indexed
     algo: Algorithm,
-) -> tuple[pd.Series, pd.Series, int]:
+    cells: Members | None = None,
+    at: np.ndarray | None = None,
+):
     """Run the local upload phase on every sub that received injections.
 
-    Returns ``(member_states, uploads, activations)`` — updated states for
-    every member of an affected sub, in member order, and the uploaded
-    (aggregated) message per boundary vertex of those subs. Injections at
-    ids that are no member are dropped; a member without a state starts
-    from ``algo.zero_state``.
+    By id: ``intra_edges`` names ids and ``states`` is an id-indexed
+    Series. Returns ``(member_states, uploads, activations)`` — updated
+    states for every member of an affected sub, in member order, and the
+    uploaded (aggregated) message per boundary vertex of those subs, both
+    id-indexed Series. A member without a state starts from
+    ``algo.zero_state``.
+
+    By slot (the engine's): ``cells`` is the layered graph's
+    :class:`Members`, placed on slots, and ``at`` the slot of each
+    injection; ``intra_edges`` names slots and ``states`` is the float
+    array over slots, which the upload updates in place for the members it
+    runs on. Returns ``(states, uploads, activations)``, the uploads as
+    :class:`Messages` by slot. ``members`` and ``injections`` name the same
+    members and messages by id.
+
+    Injections at ids that are no member are dropped.
     """
     mid, sub = members.id.to_numpy(np.int64), members["sub"].to_numpy(np.int64)
-    by_id = pd.Index(mid)
-    at = by_id.get_indexer(injections.index.to_numpy(np.int64))
-    seeded = at >= 0
-    inj_subs = np.unique(sub[at[seeded]])
+    inj = injections.to_numpy(float)
+    if cells is None:
+        by_id = pd.Index(mid)
+
+        def place(v):  # member rows of ids
+            return by_id.get_indexer(np.asarray(v, np.int64))
+
+        def start(rows):  # an id without a state reads the appended zero state
+            ids = mid[rows]
+            return np.append(states.to_numpy(float), algo.zero_state)[
+                batch.positions(states.index, ids)]
+
+        seed = place(injections.index.to_numpy(np.int64))
+    else:
+        place, seed = cells.at, cells.at(at)
+
+        def start(rows):
+            return states[cells.slot[rows]]
+
+    rows, x, b, up, acts = _upload(sub, is_boundary, seed, inj, intra_edges, place, start, algo)
+    if cells is None:
+        return pd.Series(x, index=mid[rows]), pd.Series(up, index=mid[b]), acts
+    states[cells.slot[rows]] = x
+    return states, Messages(cells.slot[b], up), acts
+
+
+def _upload(sub, is_boundary, seed, inj, intra_edges, place, start, algo):
+    """The upload on member rows: the messages ``inj`` at the rows
+    ``seed`` (-1: no member); ``place`` maps the intra endpoints to member
+    rows and ``start`` gives the starting states of member rows. Returns
+    the run's member rows, their states, and the boundary rows that upload
+    with their messages, plus the activations."""
+    seeded = seed >= 0
+    inj_subs = np.unique(sub[seed[seeded]])
     if len(inj_subs) == 0:
-        return pd.Series(dtype=float), pd.Series(dtype=float), 0
+        nothing = np.empty(0, np.int64)
+        return nothing, np.empty(0), nothing, np.empty(0), 0
 
     # The run's vertices: the injected subgraphs' blocks of member rows.
     lo = np.searchsorted(sub, inj_subs)
     rows = ranges(lo, np.searchsorted(sub, inj_subs, "right") - lo)
-    local = np.full(len(mid) + 1, -1)  # member row -> run position; row -1 reads -1
+    local = np.full(len(sub) + 1, -1)  # member row -> run position; row -1 reads -1
     local[rows] = np.arange(len(rows))
-    ids = mid[rows]
-    # Position -1 (an id without a state) reads the appended zero state.
-    x0 = np.append(states.to_numpy(float), algo.zero_state)[batch.positions(states.index, ids)]
 
     # Their intra rows, in table order, (src, dst): every arrival at a vertex
     # comes from its own block, whose positions ascend with id, so each
     # vertex already sums its arrivals in the order of the sort by source
     # position that converge makes.
-    esub = intra_edges["sub"].to_numpy(np.int64)
+    esub = np.asarray(intra_edges["sub"], np.int64)
     hit = np.zeros(max(esub.max(initial=-1), inj_subs[-1]) + 1, bool)
     hit[inj_subs] = True
     e = np.flatnonzero(hit[esub])
-    src, dst = (intra_edges[c].to_numpy(np.int64)[e] for c in ("src", "dst"))
-    ends = local[by_id.get_indexer(np.concatenate([src, dst]))]
+    ends = local[place(np.concatenate(
+        [np.asarray(intra_edges["src"])[e], np.asarray(intra_edges["dst"])[e]]))]
     x, arrivals, acts, _ = converge_at(
-        x0, local[at[seeded]], injections.to_numpy(float)[seeded],
-        ends[:len(e)], ends[len(e):], intra_edges.w.to_numpy(float)[e], algo,
+        start(rows), local[seed[seeded]], inj[seeded],
+        ends[:len(e)], ends[len(e):], np.asarray(intra_edges["w"], float)[e], algo,
     )
 
     b = is_boundary[rows]
     up = arrivals[b]
     keep = np.abs(up) > 0 if algo.is_sum else np.isfinite(up)
-    return pd.Series(x, index=ids), pd.Series(up[keep], index=ids[b][keep]), acts
+    return rows, x, rows[b][keep], up[keep], acts

@@ -13,14 +13,22 @@ original edges AND shortcuts, and accumulates into the entry's Δcache for
 the assignment phase (Eq. 9). Uploaded messages enter in the shortcut
 channel (their interior effects were served by the local upload phase).
 
-Both loops are thin adapters over ``engine.batch.superstep_loop``, which
-applies the channel rule whenever a sum workload's edges carry ``etype``,
-at ``algo.tol``; ``spark`` only reaches that loop's Spark backend. The sum
-loop hands back arrays: the states in the order of its input (sorted by
-id, as ``superstep_loop`` requires), and the entry Δcache filtered by one
-position lookup of the entries in the loop's own index.
+The min loop is a thin adapter over ``engine.batch.superstep_loop``. The
+sum loop takes its graph in one of two forms. By slot, the engine's: an
+:class:`UpperGraph` (``LayeredGraph.upper``) whose rows are positions of
+the L_up vertices, the states as an array over them and the pending
+messages as ``layph.slots.Messages``; in the driver it runs
+``batch.propagate``'s channel rule on those positions, with no id lookup,
+and above ``batch.DRIVER_MAX_EDGES`` it hands the same graph, by id, to
+``superstep_loop``'s Spark backend. By id — a frame with ``etype`` and
+id-indexed Series — it places its input on positions first and runs the
+same way. Either way it runs at ``algo.tol`` and hands back arrays: the states in the order
+of its input, and the entry Δcache, the nonzero original-channel arrivals
+at the entries, by entry slot (or id).
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -28,7 +36,27 @@ from pyspark.sql import SparkSession
 
 from repro.engine import batch
 from repro.engine.algorithms import Algorithm
+from repro.layph.slots import Messages
 from repro.metrics import RunStats
+
+
+@dataclass(frozen=True)
+class UpperGraph:
+    """L_up by position: vertex ``i`` is slot ``slots[i]`` (ascending) and id
+    ``ids[i]``; ``pos`` maps a slot to its position, -1 off L_up (slot -1
+    included). The rows ``(src, dst, w)`` are positions, the original cross
+    edges ``[:split]`` and the shortcuts ``[split:]``, each in table order."""
+
+    slots: np.ndarray
+    ids: np.ndarray
+    pos: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    w: np.ndarray
+    split: int
+
+    def __len__(self) -> int:
+        return len(self.src)
 
 
 def upper_min_loop(
@@ -54,10 +82,10 @@ def upper_min_loop(
 
 def upper_sum_loop(
     spark: SparkSession,
-    up_graph: pd.DataFrame,  # src, dst, w, etype
-    x_up: pd.Series,
-    pend_orig: pd.Series,
-    pend_sc: pd.Series,
+    up_graph: UpperGraph | pd.DataFrame,
+    x_up: np.ndarray | pd.Series,
+    pend_orig: Messages | pd.Series,
+    pend_sc: Messages | pd.Series,
     entry_ids: np.ndarray,
     algo: Algorithm,
     *,
@@ -65,21 +93,89 @@ def upper_sum_loop(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Channel-aware sum propagation on L_up.
 
-    ``x_up``'s index must be sorted by id. ``pend_orig`` seeds (injections
-    at outliers / new vertices) must already be applied to ``x_up`` by the
-    caller; ``pend_sc`` seeds (uploads) were applied by the local upload
-    phase. Returns ``(states, entries, dcache)`` as arrays: the converged
-    states in ``x_up``'s order, and the Δcache, the nonzero original-channel
-    arrivals at ``entry_ids``, by sorted entry id.
+    By slot: ``up_graph`` an :class:`UpperGraph`, ``x_up`` the states of its
+    vertices in its order, the pending messages and ``entry_ids`` by slot.
+    By id: ``up_graph`` a frame (``src, dst, w, etype``), ``x_up`` an
+    id-indexed Series, the pending messages id-indexed Series and
+    ``entry_ids`` ids; they are placed on ``x_up``'s positions first.
+    ``pend_orig`` seeds (injections at outliers / new vertices) must
+    already be applied to ``x_up`` by the caller; ``pend_sc`` seeds
+    (uploads) were applied by the local upload phase. Returns ``(states,
+    entries, dcache)`` as arrays: the converged states in ``x_up``'s order,
+    and the Δcache, the nonzero original-channel arrivals at ``entry_ids``,
+    by sorted entry slot (or id).
     """
     if len(pend_orig) == 0 and len(pend_sc) == 0:
-        return x_up.to_numpy(float), np.empty(0, np.int64), np.empty(0)
-    out, _ = batch.superstep_loop(
-        spark, x_up, pend_orig, up_graph, algo, pend_sc=pend_sc, stats=stats
-    )
-    recv = out["recv"].to_numpy(float)
-    is_entry = np.zeros(len(recv), bool)
-    at = batch.positions(out.index, entry_ids)
+        return np.asarray(x_up, float), np.empty(0, np.int64), np.empty(0)
+    if isinstance(up_graph, UpperGraph):
+        return _sum_loop(spark, up_graph, x_up, pend_orig, pend_sc, entry_ids, algo, stats)
+    g, pend_orig, pend_sc, entries = _placed(up_graph, x_up.index, pend_orig, pend_sc, entry_ids)
+    xs, at, dcache = _sum_loop(spark, g, x_up.to_numpy(float), pend_orig, pend_sc, entries, algo,
+                               stats)
+    return xs, g.ids[at], dcache
+
+
+def _placed(up_graph: pd.DataFrame, index: pd.Index, pend_orig, pend_sc, entry_ids):
+    """The by-id form on the positions of ``index``, each position its own
+    slot: the rows whose source is in ``index`` (no other row sends), the
+    original ones first, stably; the messages and entries by position."""
+    ids = index.to_numpy(np.int64)
+    at = np.arange(len(ids))
+    src, dst = batch.positions(index, up_graph.src), batch.positions(index, up_graph.dst)
+    sends = np.flatnonzero(src >= 0)
+    etype = up_graph.etype.to_numpy()[sends]
+    sends = sends[np.argsort(etype, kind="stable")]
+    g = UpperGraph(at, ids, np.append(at, -1), src[sends], dst[sends],
+                   up_graph.w.to_numpy(float)[sends], int(np.count_nonzero(etype == 0)))
+
+    def by_position(s: pd.Series) -> Messages:
+        return Messages(batch.positions(index, s.index), s.to_numpy(float))
+
+    return g, by_position(pend_orig), by_position(pend_sc), batch.positions(index, entry_ids)
+
+
+def _sum_loop(spark, g: UpperGraph, x, pend_orig, pend_sc, entries, algo, stats):
+    """:func:`upper_sum_loop` by slot: ``propagate``'s channel rule on
+    ``g``'s positions in the driver, ``superstep_loop``'s Spark backend by
+    id above ``batch.DRIVER_MAX_EDGES``."""
+    n = len(g.slots)
+
+    def pending(msgs: Messages) -> np.ndarray:  # NaN where inactive
+        at = g.pos[msgs.at]
+        p = np.full(n, np.nan)
+        p[at[at >= 0]] = msgs.m[at >= 0]
+        return p
+
+    if batch.on_driver(len(g)):
+        xs, recv, acts, steps = batch.propagate(
+            x, pending(pend_orig), g.src, g.dst, g.w, algo,
+            split=g.split, pend_sc=pending(pend_sc), recv=np.zeros(n),
+        )
+        stats.activations += acts
+        stats.supersteps += steps
+    else:
+        # Spark's states are by id, sorted. A row's target off L_up (-1)
+        # gets an id no state holds: its messages are counted, then dropped.
+        o = np.argsort(g.ids, kind="stable")
+        outside = g.ids.max(initial=-1) + 1
+        edges = pd.DataFrame({
+            "src": g.ids[g.src], "dst": np.where(g.dst >= 0, g.ids[g.dst], outside), "w": g.w,
+            "etype": np.repeat(np.array([0, 1], np.int64), [g.split, len(g) - g.split]),
+        })
+
+        def by_id(msgs: Messages) -> pd.Series:
+            p = pending(msgs)
+            on = ~np.isnan(p)
+            return pd.Series(p[on], index=g.ids[on])
+
+        out, _ = batch.superstep_loop(
+            spark, pd.Series(x[o], index=g.ids[o]), by_id(pend_orig), edges, algo,
+            pend_sc=by_id(pend_sc), stats=stats,
+        )
+        xs, recv = np.empty(n), np.empty(n)
+        xs[o], recv[o] = out["x"].to_numpy(float), out["recv"].to_numpy(float)
+    is_entry = np.zeros(n, bool)
+    at = g.pos[entries]
     is_entry[at[at >= 0]] = True
     got = np.flatnonzero(is_entry & (np.abs(recv) > 0))
-    return out["x"].to_numpy(float), out.index.to_numpy(np.int64)[got], recv[got]
+    return xs, g.slots[got], recv[got]

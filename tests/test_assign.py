@@ -1,7 +1,8 @@
 """The assignment routine (§V-C) on a cross-layer table laid out as
 ``update_layered`` leaves it: the kept subgraphs' rows first, then the
 fresh rows of the affected ones, so the entries' runs are not in entry
-order. The reference is the pandas merge and groupby the engine used
+order. The assignment reads and returns slots; the checks translate them
+to ids. The reference is the pandas merge and groupby the engine used
 before, as it is for the min entry caches (Eq. 9) the assignment reads. A
 layered graph whose subgraphs all fail Def. 2 has an empty cross-layer
 table, and its rounds must still run and match the reference."""
@@ -39,33 +40,35 @@ def test_assign_equals_merge_groupby_on_an_updated_table(no_spark, name):
     algo = alg.pagerank(d=0.85, tol=1e-4) if name == "pagerank" else alg.sssp(source=0)
     edges, membership = dataset("uk_lite", sf=0.003, seed=7)
     lg, _ = build_layered(edges, algo, membership=membership)
-    sc = lg.shortcuts
+    sc = lg.shortcut_slots
     subs = np.unique(sc["sub"].to_numpy())
     fresh = sc["sub"].isin(subs[: len(subs) // 2]).to_numpy()
-    lg = replace(lg, shortcuts=pd.concat([sc[~fresh], sc[fresh]], ignore_index=True))
+    lg = replace(lg, shortcut_slots=pd.concat([sc[~fresh], sc[fresh]], ignore_index=True))
 
     in_table_order = lg.shortcuts.entry.to_numpy()[np.isin(lg.shortcuts.dst, lg.interior_ids)]
     assert (np.diff(in_table_order) < 0).any()  # runs out of entry order
     entry, dst, _ = lg.assignment_runs
     assert (np.diff(entry) >= 0).all() and len(entry) == len(in_table_order)
+    # By slot, in the order of the entry ids: members keep id order.
+    ids = lg.slots.ids
+    np.testing.assert_array_equal(ids[entry], np.sort(in_table_order, kind="stable"))
 
-    # Every other entry with rows, plus two ids without rows; three targets
-    # fall outside the state index.
+    # Every other entry with rows, plus two slots without rows.
     rng = np.random.default_rng(0)
-    entries = np.unique(np.r_[np.unique(entry)[::2], entry.max() + 1, -1])
+    without = np.setdiff1d(np.arange(len(ids)), entry)
+    entries = np.unique(np.r_[np.unique(entry)[::2], without[[0, -1]]])
     values = rng.uniform(0.5, 2.0, len(entries))
-    index = pd.Index(np.setdiff1d(lg.vertex_ids, dst[:3]))
-    got, rows = assign(lg, entries, values, index, algo)
-    want, n_joined = _reference(lg.shortcuts, lg.interior_ids, entries, values, index, algo)
+    got, rows = assign(lg, entries, values, algo)
+    want, n_joined = _reference(lg.shortcuts, lg.interior_ids, ids[entries], values, ids, algo)
 
-    assert rows == n_joined > 0
-    at = index.get_indexer(want.index)
+    assert rows == n_joined > 0 and len(got) == len(ids)
+    at = lg.slots.find(want.index)
     assert (at >= 0).all() and len(want) > 0
     if algo.is_min:
         np.testing.assert_array_equal(got[at], want.to_numpy())
     else:
         np.testing.assert_allclose(got[at], want.to_numpy(), rtol=1e-12, atol=0)
-    rest = np.ones(len(index), bool)
+    rest = np.ones(len(ids), bool)
     rest[at] = False
     assert (got[rest] == (INF if algo.is_min else 0.0)).all()
 
@@ -79,7 +82,7 @@ def test_min_caches_equal_merge_groupby_after_a_deletion(no_spark):
     delta = random_edge_delta(edges, n_add=4, n_del=4, seed=41)
     assert len(delta.deleted) > 0
     eng.run_delta(delta)
-    lg, x = eng.lg, eng.x
+    lg, x = eng.lg, eng.layer_states()
     assert algo.source in lg.entry_ids
 
     cross = lg.upper_graph[lg.upper_graph.etype == 0]
@@ -103,8 +106,7 @@ def test_rounds_run_on_an_empty_cross_layer_table(no_spark, name):
     eng = LayphEngine(no_spark, edges, algo, membership=singletons(membership)).initialize()
     assert len(eng.lg.shortcuts) == 0 and len(eng.lg.assignment_runs[0]) == 0
 
-    index = pd.Index(eng.lg.vertex_ids)
-    got, rows = assign(eng.lg, np.array([0, 1]), np.array([1.0, 2.0]), index, algo)
+    got, rows = assign(eng.lg, np.array([0, 1]), np.array([1.0, 2.0]), algo)
     assert rows == 0 and (got == (INF if algo.is_min else 0.0)).all()
 
     cur = edges

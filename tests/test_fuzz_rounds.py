@@ -2,12 +2,14 @@
 
 Small random graphs (8–40 vertices) with random memberships, some vertices
 in singleton groups and some in none, run 3–4 rounds of mixed ΔG: edge
-inserts, deletes and weight changes, vertex adds and deletes (the source
-among the candidates), an empty ΔG, and the source deleted or re-added.
-Every round both engines must equal ``repro.reference`` on G ⊕ ΔG on all
-four algorithms, less the vertices deleted and not re-added (as
-``perfbench/checks.py`` leaves them out): min exactly (1e-9), sum within a
-max abs error of 1e-6 at tol 1e-10.
+inserts (also re-linking ids the graph held before, orphaned or deleted),
+deletes and weight changes, vertex adds and deletes (the source among the
+candidates), an empty ΔG, and the source deleted or re-added. Every round
+both engines must equal ``repro.reference`` on G ⊕ ΔG on all four
+algorithms, the source included in every round but the one that deletes
+it, less the other vertices deleted and not back (as ``perfbench/checks.py``
+leaves them out): min exactly (1e-9), sum within a max abs error of 1e-6 at
+tol 1e-10.
 """
 import numpy as np
 import pandas as pd
@@ -61,8 +63,9 @@ def _graph(rng):
     return edges, pd.DataFrame({"id": np.flatnonzero(keep), "sub": sub[keep]})
 
 
-def _delta(rng, kind, cur, next_id, source_out):
-    """One ΔG of ``kind`` on the current graph ``cur``."""
+def _delta(rng, kind, cur, next_id, source_out, seen):
+    """One ΔG of ``kind`` on the current graph ``cur``; ``seen`` holds every
+    id the graph has held."""
     ids = vertex_ids(cur)
     src, dst = cur.src.to_numpy(), cur.dst.to_numpy()
     if kind == "empty":
@@ -87,13 +90,16 @@ def _delta(rng, kind, cur, next_id, source_out):
         added = added.drop_duplicates().assign(w=lambda f: _weights(rng, len(f)))
         return GraphDelta(added=added, deleted=cur.loc[hit, ["src", "dst"]],
                           added_vertices=new, deleted_vertices=np.asarray(gone, np.int64))
-    # Edge inserts between current vertices, deletes and weight changes.
+    # Edge inserts between current vertices and ones the graph held before
+    # (orphaned or deleted, re-linked without a vertex update), deletes and
+    # weight changes.
     n_del = min(len(cur) // 3, int(rng.integers(0, 4)))
     n_changed = min(len(cur) - n_del, int(rng.integers(0, 3)))
     rows = rng.choice(len(cur), n_del + n_changed, replace=False)
     changed = cur.iloc[rows[n_del:]][["src", "dst"]].assign(w=lambda f: _weights(rng, len(f)))
     have = set(zip(src.tolist(), dst.tolist()))
-    pairs = {(int(a), int(b)) for a, b in rng.choice(ids, (int(rng.integers(0, 5)), 2))}
+    pool = np.array(sorted(seen), np.int64)
+    pairs = {(int(a), int(b)) for a, b in rng.choice(pool, (int(rng.integers(0, 5)), 2))}
     pairs = sorted(p for p in pairs if p[0] != p[1] and p not in have)
     fresh = pd.DataFrame(pairs, columns=["src", "dst"], dtype=np.int64)
     return GraphDelta(
@@ -117,8 +123,9 @@ def test_layph_and_ingress_equal_the_reference_every_round(name, seed, kinds):
     eng = LayphEngine(NO_SPARK, edges, algo, membership=membership).initialize()
     x, _ = run_batch(NO_SPARK, edges, algo)
     cur, dead, next_id, source_out = edges, set(), int(vertex_ids(edges).max()) + 1, None
+    seen = set(vertex_ids(edges).tolist())
     for r, kind in enumerate(kinds):
-        delta = _delta(rng, kind, cur, next_id, source_out)
+        delta = _delta(rng, kind, cur, next_id, source_out, seen)
         if SOURCE in delta.deleted_vertices:
             source_out = cur.loc[cur.src == SOURCE, ["src", "dst", "w"]]
         elif SOURCE in delta.added_vertices:
@@ -127,11 +134,21 @@ def test_layph_and_ingress_equal_the_reference_every_round(name, seed, kinds):
         got, _ = eng.run_delta(delta)
         x, _ = ingress_incremental(NO_SPARK, cur, delta, x, algo)
         cur = apply_delta(cur, delta)
+        now = set(vertex_ids(cur).tolist())
+        seen |= now
         dead = (dead | set(delta.deleted_vertices.tolist())) - set(delta.added_vertices.tolist())
+        rooted = algo.source is not None
+        dead -= now | ({SOURCE} if rooted else set())  # back, or the source: checked
         want = reference(cur)
         want = want[~want.index.isin(list(dead))]
+        # The round that deletes the source leaves it out of the vertex set
+        # (``new_vertex_universe``'s rule); every later round brings it back.
+        gone = rooted and SOURCE in delta.deleted_vertices
+        if gone:
+            want = want.drop(SOURCE)
         for engine, states in (("layph", got), ("ingress", x)):
             try:
+                assert not rooted or (SOURCE in states.index) != gone
                 assert_states_close(states, want, atol=atol, rtol=0)
             except AssertionError as e:
                 raise AssertionError(f"{engine}, round {r} ({kind}): {e}") from None

@@ -41,10 +41,10 @@ def _whole_graph_round(spark, old_edges, delta, old_states, algo):
     new_edges = apply_delta(old_edges, delta)
     old_p, new_p = algo.prepare(old_edges), algo.prepare(new_edges)
     ids = new_vertex_universe(vertex_ids(new_edges), delta, algo)
-    x = align_states(old_states, ids, algo)
+    x, entrants = align_states(old_states, ids, algo)
     stats, revised = RunStats(), None
     if algo.is_sum:
-        inj = sum_revision(old_p, new_p, old_states, algo, new_vertices=delta.added_vertices)
+        inj = sum_revision(old_p, new_p, old_states, algo, new_vertices=entrants)
         inj = inj[inj.index.isin(ids)]
         x.loc[inj.index] = x.loc[inj.index] + inj
         pend = inj

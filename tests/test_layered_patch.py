@@ -5,6 +5,9 @@ whole of G ⊕ ΔG, reroute every row through the frozen plan, classify roles
 over every edge, split cross from intra edges, diff by an outer merge. Each
 round, every table of the patched graph, its diff and its affected
 subgraphs must equal that recompute on the same frozen membership and plan.
+The slot space the graph keeps across rounds is checked the same way: its
+slot columns, per-slot counts, vertex set and slot views, translated to
+ids, must equal the same things rebuilt by id from the recomputed tables.
 """
 import numpy as np
 import pandas as pd
@@ -14,6 +17,7 @@ from repro.engine import algorithms as alg
 from repro.graphs.generators import dataset
 from repro.graphs.schema import canonical_edges, vertex_ids
 from repro.graphs.updates import GraphDelta, random_edge_delta, random_vertex_delta
+from repro.incremental.ingress import new_vertex_universe
 from repro.layph.layered import build_layered, update_layered
 from repro.layph.shortcuts import compute_shortcuts
 from tests.blocks import table_cells
@@ -149,7 +153,15 @@ def _drop(cur, vertices):
     return GraphDelta(added=_NO_EDGES, deleted=inc.reset_index(drop=True), deleted_vertices=vs)
 
 
-def _schedule(cur, lg, dead, r):
+def _cut(cur, v, memo, key):
+    """Delete every edge of ``v`` by edge deletions, ``v`` not deleted; the
+    edges are kept in ``memo[key]`` to be restored."""
+    inc = cur[(cur.src == v) | (cur.dst == v)]
+    memo[key] = inc.reset_index(drop=True)
+    return GraphDelta(added=_NO_EDGES, deleted=inc[["src", "dst"]].reset_index(drop=True))
+
+
+def _schedule(cur, lg, dead, r, memo):
     """Round ``r``'s ΔG on the current graph: the hostile cases first, then
     random edge and vertex batches."""
     live = np.setdiff1d(vertex_ids(cur), list(dead))
@@ -182,6 +194,17 @@ def _schedule(cur, lg, dead, r):
         absent = (int(live[0]), int(next(v for v in live[1:] if v not in taken)))
         return GraphDelta(added=_edges([row.src], [row.dst], [row.w + 3.0]),
                           deleted=_edges([absent[0]], [absent[1]], [0.0])[["src", "dst"]])
+    hosts = set(plan.host.tolist())
+    if r == 8:  # a real vertex, no plan host, loses every edge and stays
+        return _cut(cur, int(next(v for v in live[::-1] if v not in hosts)), memo, "orphan")
+    if r == 9:  # ... and an edge insert reaches it again
+        e = memo["orphan"]
+        return GraphDelta(added=e.iloc[[0, -1]].drop_duplicates().reset_index(drop=True),
+                          deleted=_NO_EDGES[["src", "dst"]])
+    if r == 10:  # a plan host loses every link, its proxies with it
+        return _cut(cur, int(next(h for h in plan.host if h in set(live))), memo, "host")
+    if r == 11:  # ... and regains them all
+        return GraphDelta(added=memo["host"], deleted=_NO_EDGES[["src", "dst"]])
     if r % 3 == 2:
         return random_vertex_delta(cur, n_add=2, n_del=2, seed=700 + r)
     return random_edge_delta(cur, n_add=6, n_del=6, seed=500 + r)
@@ -192,7 +215,10 @@ def _check(lg, algo, base, real0, plan, dead):
     layer, mem, roles, intra, up = _recompute(algo, base, real, plan, lg.forced_entries)
     pd.testing.assert_frame_equal(lg.base_edges, base)
     pd.testing.assert_frame_equal(lg.layer_edges, layer)
-    pd.testing.assert_frame_equal(lg.intra_edges, intra)
+    ids = lg.slots.ids
+    intra_ids = pd.DataFrame({"src": ids[lg.intra_edges["src"]], "dst": ids[lg.intra_edges["dst"]],
+                              "w": lg.intra_edges["w"], "sub": lg.intra_edges["sub"]})
+    pd.testing.assert_frame_equal(intra_ids, intra)
     cross = lg.upper_graph[lg.upper_graph.etype == 0][["src", "dst", "w"]]
     pd.testing.assert_frame_equal(cross.reset_index(drop=True), up)
     pd.testing.assert_frame_equal(lg.members.frame(), mem)
@@ -200,7 +226,65 @@ def _check(lg, algo, base, real0, plan, dead):
     np.testing.assert_array_equal(lg.cross_in, roles.cross_in.to_numpy())
     np.testing.assert_array_equal(lg.cross_out, roles.cross_out.to_numpy())
     np.testing.assert_array_equal(lg.link_count, _rows_through(layer, plan))
-    return layer, mem, roles, intra
+    return layer, mem, roles, intra, up
+
+
+def _check_slots(lg, algo, layer, roles, up, delta, held):
+    """The kept slot space against a rebuild by id: every id held so far
+    keeps its slot, the slot columns and per-slot counts match the table,
+    the vertex set follows ``new_vertex_universe``'s rule, and every slot
+    view, translated to ids, equals the same view built from the tables by
+    id."""
+    slots = lg.slots
+    ids = slots.ids
+    np.testing.assert_array_equal(ids[:len(held)], held)  # no slot moves
+    assert len(np.unique(ids)) == len(ids)
+    np.testing.assert_array_equal(ids[slots.order], np.sort(ids))
+    np.testing.assert_array_equal(slots.proxy, np.isin(ids, lg.proxies.proxy))
+    np.testing.assert_array_equal(slots.find(ids), np.arange(len(ids)))
+    np.testing.assert_array_equal(ids[lg.s_src], lg.src)
+    np.testing.assert_array_equal(ids[lg.s_dst], lg.dst)
+    m = lg.members
+    np.testing.assert_array_equal(ids[m.slot], m.id)
+    np.testing.assert_array_equal(m.at(m.slot), np.arange(len(m.id)))
+    assert (m.at(np.setdiff1d(np.arange(len(ids)), m.slot)) == -1).all()
+
+    # The per-slot row counts and the vertex set, from scratch.
+    base = lg.base_edges
+    dropped = base.src.to_numpy()[~algo.kept(base.dst.to_numpy())]
+    want = np.bincount(slots.find(np.concatenate([layer.src, layer.dst, dropped])),
+                       minlength=len(ids))
+    np.testing.assert_array_equal(lg.ends, want)
+    ends = np.unique(np.concatenate([layer.src, layer.dst, dropped]))
+    universe = (algo.with_source(ends) if delta is None
+                else new_vertex_universe(ends, delta, algo))
+    np.testing.assert_array_equal(np.sort(ids[lg.universe]), universe)
+
+    # L_up: every boundary member and every other endpoint, in the vertex
+    # set; its rows are the cross rows, then the shortcuts to the boundary.
+    boundary = roles[roles.is_entry | roles.is_exit].id.to_numpy()
+    g = lg.upper
+    want = np.intersect1d(np.union1d(np.setdiff1d(ends, roles.id), boundary), universe)
+    np.testing.assert_array_equal(np.sort(g.ids), want)
+    np.testing.assert_array_equal(ids[g.slots], g.ids)
+    assert (np.diff(g.slots) > 0).all()
+    np.testing.assert_array_equal(g.pos[g.slots], np.arange(len(g.slots)))
+    assert (g.src >= 0).all() and (g.dst >= 0).all()  # every endpoint is on L_up
+    sc = lg.shortcuts
+    to_b = np.isin(sc.dst, boundary)
+    rows = pd.concat([up, sc[to_b].rename(columns={"entry": "src"})[["src", "dst", "w"]]],
+                     ignore_index=True)
+    got = pd.DataFrame({"src": g.ids[g.src], "dst": g.ids[g.dst], "w": g.w})
+    pd.testing.assert_frame_equal(got, rows)
+    assert g.split == len(up) and len(g) == len(lg.upper_graph)
+
+    # The cross-layer table: the rows to interior members, stably by entry.
+    inner = sc[~to_b]
+    inner = inner.iloc[np.argsort(inner.entry.to_numpy(), kind="stable")]
+    entry, dst, w = lg.assignment_runs
+    np.testing.assert_array_equal(ids[entry], inner.entry.to_numpy())
+    np.testing.assert_array_equal(ids[dst], inner.dst.to_numpy())
+    np.testing.assert_array_equal(w, inner.w.to_numpy())
 
 
 def _check_shortcuts(lg, algo, intra, roles):
@@ -237,17 +321,22 @@ def test_patched_layered_graph_equals_full_recompute(no_spark, ds, name):
     members = lg.members.frame()
     real0 = members[~members.id.isin(plan.proxy)]
     assert len(plan) and (plan.groupby("host").direction.nunique() == 2).any()
-    cur, dead = edges, set()
-    layer, mem, roles, _ = _check(lg, algo, cur, real0, plan, dead)
+    cur, dead, memo = edges, set(), {}
+    layer, mem, roles, _, up = _check(lg, algo, cur, real0, plan, dead)
+    _check_slots(lg, algo, layer, roles, up, None, lg.slots.ids)
     kinds = set()
     for r in range(22):
-        delta = _schedule(cur, lg, dead, r)
+        delta = _schedule(cur, lg, dead, r, memo)
         kinds.add("vertex" if len(delta.deleted_vertices) else "edge")
         new_lg, diff, affected, _ = update_layered(lg, delta)
         cur = _apply_delta_ref(cur, delta)
         dead |= set(int(v) for v in delta.deleted_vertices)
-        new_layer, new_mem, new_roles, intra = _check(new_lg, algo, cur, real0, plan, dead)
-        pd.testing.assert_frame_equal(diff, _diff_ref(layer, new_layer))
+        new_layer, new_mem, new_roles, intra, up = _check(new_lg, algo, cur, real0, plan, dead)
+        _check_slots(new_lg, algo, new_layer, new_roles, up, delta, lg.slots.ids)
+        cols = ["src", "dst", "w_old", "w_new"]
+        pd.testing.assert_frame_equal(diff[cols], _diff_ref(layer, new_layer))
+        for c in ("src", "dst"):
+            np.testing.assert_array_equal(new_lg.slots.ids[diff[f"s_{c}"]], diff[c])
         np.testing.assert_array_equal(
             affected, _affected_ref(roles, new_roles, mem, new_mem, diff))
         _check_shortcuts(new_lg, algo, intra, new_roles)
