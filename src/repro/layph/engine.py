@@ -24,7 +24,7 @@ gathers its sources' old states by slot, the upload, the L_up loop
 id-indexed Series is :meth:`LayphEngine.states`. Ids appear only where a
 traced call site reads them: the upload's member frame and injections.
 The min round translates at its boundary: it runs over the vertex set
-sorted by id, as before, and writes its states back by slot. Both
+sorted by id and writes its states back by slot. Both
 workloads assign through :func:`assign`, one gather of each entry's run of
 the cross-layer table and one G-aggregate (``np.bincount`` for sum,
 ``np.minimum.at`` for min), over slots.
