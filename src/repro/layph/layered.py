@@ -25,8 +25,9 @@ views, each a ``cached_property`` built once per graph by gathers: by slot
 ``upper_graph`` and the id arrays derived from the roles.
 
 :func:`layout` lays out one membership and plan. :func:`build_layered` runs
-it twice: once on every candidate community with the full replication plan,
-whose per-subgraph counts decide Def. 2, and once on the kept communities.
+its rows twice: once on every candidate community with the full replication
+plan, whose per-subgraph counts decide Def. 2, and once, with the slots, on
+the kept communities.
 Membership and the plan are then frozen across ΔG batches (DESIGN.md §5.3),
 and a prepared weight depends only on its source's out-edges, so
 :func:`update_layered` re-prepares and re-routes only the rows of the
@@ -118,10 +119,7 @@ class LayeredGraph:
     def density_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The terms of Def. 2 per subgraph id: entries |V_I|, exits |V_O|
         and intra rows |E_i|. A subgraph is dense when |V_I|·|V_O| < |E_i|."""
-        (is_entry, is_exit), sub = self.roles, self.members.sub
-        n = int(sub.max(initial=-1)) + 1
-        rows = (sub[is_entry], sub[is_exit], self.sub[self.sub >= 0])
-        return tuple(np.bincount(s, minlength=n) for s in rows)
+        return _density(self.roles, self.members.sub, self.sub)
 
     # ---- views that read the shortcut tables -------------------------------
     @cached_property
@@ -216,6 +214,31 @@ def _entries(members: Members, is_entry: np.ndarray) -> dict:
     return {"id": members.slot[is_entry], "sub": members.sub[is_entry]}
 
 
+def _density(roles, member_sub: np.ndarray, row_sub: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:meth:`LayeredGraph.density_counts` from the roles, the members'
+    subgraphs and the rows' subgraphs."""
+    is_entry, is_exit = roles
+    n = int(member_sub.max(initial=-1)) + 1
+    rows = (member_sub[is_entry], member_sub[is_exit], row_sub[row_sub >= 0])
+    return tuple(np.bincount(s, minlength=n) for s in rows)
+
+
+def _rows(algo: Algorithm, prepared, membership: pd.DataFrame, plan: pd.DataFrame, forced):
+    """Members plus proxies, the ``prepared`` rows ``(src, dst, w)``
+    rerouted through the plan with each row's plan row and subgraph, the
+    cross-row counts and the roles: ``(proxies, members, (src, dst, w,
+    via, sub), (cross_in, cross_out), roles)``."""
+    proxies = Proxies(plan)
+    members = Members(
+        np.concatenate([membership.id.to_numpy(np.int64), proxies.proxy]),
+        np.concatenate([membership["sub"].to_numpy(np.int64), proxies.sub]),
+    ).sub_major()
+    src, dst, w, via = apply_plan(*prepared, members, proxies, algo.identity)
+    sub, cross_in, cross_out = place_rows(members, src, dst)
+    roles = compute_roles(members, cross_in, cross_out, forced)
+    return proxies, members, (src, dst, w, via, sub), (cross_in, cross_out), roles
+
+
 def layout(
     algo: Algorithm,
     edges: pd.DataFrame,
@@ -224,37 +247,30 @@ def layout(
     plan: pd.DataFrame,
     forced_entries: frozenset,
 ) -> LayeredGraph:
-    """Lay out one membership (``id, sub``) and replication plan: members
-    plus proxies, the ``prepared`` rows ``(src, dst, w)`` of ``edges``
-    rerouted through the plan, each row's subgraph, the cross-row counts
-    and the roles; then the slots, in id order, of every endpoint, member,
-    plan host, real vertex whose rows preparing dropped, and the source,
-    and the round's vertex set over them. The result has no shortcut
-    tables yet."""
-    proxies = Proxies(plan)
-    members = Members(
-        np.concatenate([membership.id.to_numpy(np.int64), proxies.proxy]),
-        np.concatenate([membership["sub"].to_numpy(np.int64), proxies.sub]),
-    ).sub_major()
-    src, dst, w, via = apply_plan(*prepared, members, proxies, algo.identity)
-    sub, cross_in, cross_out = place_rows(members, src, dst)
+    """Lay out one membership (``id, sub``) and replication plan
+    (:func:`_rows`), then the slots, in id order, of every endpoint,
+    member, plan host, real vertex whose rows preparing dropped, and the
+    source, and the round's vertex set over them. The result has no
+    shortcut tables yet."""
+    proxies, members, (src, dst, w, via, sub), (cross_in, cross_out), roles = _rows(
+        algo, prepared, membership, plan, forced_entries)
 
     e_src, e_dst = edges.src.to_numpy(), edges.dst.to_numpy()
     dropped = e_src[~algo.kept(e_dst)]
     source = np.array([] if algo.source is None else [algo.source], np.int64)
-    slots = Slots.build(
-        np.unique(np.concatenate([src, dst, members.id, proxies.host, dropped, source])),
-        proxies.proxy,
-    )
-    s_src, s_dst = slots.find(src), slots.find(dst)
-    ends = np.bincount(np.concatenate([s_src, s_dst, slots.find(dropped)]), minlength=len(slots))
+    # One sort places every id: the slots are the sorted unique ids.
+    named = [src, dst, dropped, source, members.id, proxies.host, proxies.proxy]
+    ids, at = np.unique(np.concatenate(named), return_inverse=True)
+    s_src, s_dst, s_dropped, s_source, s_members, s_host, s_proxy = np.split(
+        at, np.cumsum([len(a) for a in named[:-1]]))
+    slots = Slots.build(ids, proxies.proxy)
+    ends = np.bincount(np.concatenate([s_src, s_dst, s_dropped]), minlength=len(slots))
     universe = ends > 0
-    universe[slots.find(source)] = True
+    universe[s_source] = True
     return LayeredGraph(
-        algo, edges, src, dst, w, sub, via, s_src, s_dst, members.placed(slots.find(members.id)),
-        proxies, (slots.find(proxies.host), slots.find(proxies.proxy)), forced_entries,
-        proxies.count(via), cross_in, cross_out,
-        compute_roles(members, cross_in, cross_out, forced_entries), slots, ends, universe, None,
+        algo, edges, src, dst, w, sub, via, s_src, s_dst, members.placed(s_members),
+        proxies, (s_host, s_proxy), forced_entries, proxies.count(via), cross_in, cross_out,
+        roles, slots, ends, universe, None,
     )
 
 
@@ -291,7 +307,8 @@ def build_layered(
         if replicate
         else pd.DataFrame(columns=["host", "sub", "direction", "proxy"])
     )
-    n_in, n_out, n_e = layout(algo, edges, prepared, membership, plan, forced).density_counts()
+    _, members, rows, _, roles = _rows(algo, prepared, membership, plan, forced)
+    n_in, n_out, n_e = _density(roles, members.sub, rows[4])
     kept = np.flatnonzero(n_in * n_out < n_e)
     lg = layout(
         algo, edges, prepared, membership[membership["sub"].isin(kept)],

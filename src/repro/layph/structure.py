@@ -4,10 +4,10 @@
 and, in a layered graph, each member's slot (``layph.slots``) with a dense
 slot lookup; :func:`place_rows` places edge rows in it (each row's
 subgraph, each member's cross rows) and :func:`compute_roles` turns the
-cross-row counts into ``(is_entry, is_exit)`` flags. This is the only form of membership and
-roles: ``layph.layered`` lays out the candidate and the kept layered graph
-with these functions, runs the Def. 2 density test on the candidate's
-counts, and patches the counts per ΔG.
+cross-row counts into ``(is_entry, is_exit)`` flags. This is the only
+form of membership and roles: ``layph.layered`` lays out the candidate and
+the kept layered graph with these functions, runs the Def. 2 density test
+on the candidate's counts, and patches the counts per ΔG.
 """
 from __future__ import annotations
 
