@@ -7,16 +7,14 @@ they are disjoint and intra edges never leave them, so the upload is one
 subgraphs, on positions. The layered graph keeps its members in (sub, id)
 order, so each injected subgraph is one block of member rows: the run's
 vertices are those blocks, sliced with ``graphs.schema.ranges``, and the
-intra endpoints map to them by one lookup — a gather of the membership's
-dense slot → row array when the engine passes its tables by slot, an id
-lookup otherwise. Member states absorb the local effects; boundary
+intra endpoints, slots, map to them by one gather of the membership's
+dense slot → row array. Member states absorb the local effects; boundary
 vertices additionally report the G-aggregate of everything they received
 — the uploaded initial messages for the L_up iteration. It runs in the
-driver at ``algo.tol``; the ``spark`` argument is unused and kept at
-position 0 because ``perfbench/tracing.py`` reads the later arguments by
-position (the member frame at 2, the injections by id at 5), so the
-engine passes those two by id beside its slots, which follow at 7 and 8,
-positionally as well.
+driver at ``algo.tol``. The ``spark`` argument and the member frame are
+unused: ``perfbench/tracing.py`` reads the arguments by position (the
+member frame at 2, the injections by id at 5), so the engine passes those
+by id beside its slots, which follow at 7 and 8.
 """
 from __future__ import annotations
 
@@ -24,7 +22,6 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.engine import batch
 from repro.engine.algorithms import Algorithm
 from repro.engine.local import converge_at
 from repro.graphs.schema import ranges
@@ -34,72 +31,34 @@ from repro.layph.structure import Members
 
 def upload_messages(
     spark: SparkSession,
-    intra_edges,  # src, dst, w, sub — full intra table
+    intra_edges: dict,  # src, dst (slots), w, sub — full intra table
     members: pd.DataFrame,  # id, sub, in (sub, id) order
     is_boundary: np.ndarray,  # per row of ``members``
-    states,
+    states: np.ndarray,  # by slot
     injections: pd.Series,  # id-indexed
     algo: Algorithm,
-    cells: Members | None = None,
-    at: np.ndarray | None = None,
-):
+    cells: Members,
+    at: np.ndarray,
+) -> tuple[np.ndarray, Messages, int]:
     """Run the local upload phase on every sub that received injections.
 
-    By id: ``intra_edges`` names ids and ``states`` is an id-indexed
-    Series. Returns ``(member_states, uploads, activations)`` — updated
-    states for every member of an affected sub, in member order, and the
-    uploaded (aggregated) message per boundary vertex of those subs, both
-    id-indexed Series. A member without a state starts from
-    ``algo.zero_state``.
+    ``cells`` is the layered graph's :class:`Members`, placed on slots
+    (``members`` names the same rows by id), and ``at`` the slot of each
+    of the ``injections``; ``intra_edges`` names slots, and ``states`` is
+    the float array over slots, which the upload updates in place for
+    every member of an injected sub. Injections at a slot that is no
+    member are dropped.
 
-    By slot (the engine's): ``cells`` is the layered graph's
-    :class:`Members`, placed on slots, and ``at`` the slot of each
-    injection; ``intra_edges`` names slots and ``states`` is the float
-    array over slots, which the upload updates in place for the members it
-    runs on. Returns ``(states, uploads, activations)``, the uploads as
-    :class:`Messages` by slot. ``members`` and ``injections`` name the same
-    members and messages by id.
-
-    Injections at ids that are no member are dropped.
+    Returns ``(states, uploads, activations)``: the uploads are the
+    G-aggregate of everything each boundary member of those subs received,
+    as :class:`Messages` by slot.
     """
-    mid, sub = members.id.to_numpy(np.int64), members["sub"].to_numpy(np.int64)
-    inj = injections.to_numpy(float)
-    if cells is None:
-        by_id = pd.Index(mid)
-
-        def place(v):  # member rows of ids
-            return by_id.get_indexer(np.asarray(v, np.int64))
-
-        def start(rows):  # an id without a state reads the appended zero state
-            ids = mid[rows]
-            return np.append(states.to_numpy(float), algo.zero_state)[
-                batch.positions(states.index, ids)]
-
-        seed = place(injections.index.to_numpy(np.int64))
-    else:
-        place, seed = cells.at, cells.at(at)
-
-        def start(rows):
-            return states[cells.slot[rows]]
-
-    rows, x, b, up, acts = _upload(sub, is_boundary, seed, inj, intra_edges, place, start, algo)
-    if cells is None:
-        return pd.Series(x, index=mid[rows]), pd.Series(up, index=mid[b]), acts
-    states[cells.slot[rows]] = x
-    return states, Messages(cells.slot[b], up), acts
-
-
-def _upload(sub, is_boundary, seed, inj, intra_edges, place, start, algo):
-    """The upload on member rows: the messages ``inj`` at the rows
-    ``seed`` (-1: no member); ``place`` maps the intra endpoints to member
-    rows and ``start`` gives the starting states of member rows. Returns
-    the run's member rows, their states, and the boundary rows that upload
-    with their messages, plus the activations."""
+    sub, inj = cells.sub, injections.to_numpy(float)
+    seed = cells.at(at)
     seeded = seed >= 0
     inj_subs = np.unique(sub[seed[seeded]])
     if len(inj_subs) == 0:
-        nothing = np.empty(0, np.int64)
-        return nothing, np.empty(0), nothing, np.empty(0), 0
+        return states, Messages(np.empty(0, np.int64), np.empty(0)), 0
 
     # The run's vertices: the injected subgraphs' blocks of member rows.
     lo = np.searchsorted(sub, inj_subs)
@@ -115,14 +74,14 @@ def _upload(sub, is_boundary, seed, inj, intra_edges, place, start, algo):
     hit = np.zeros(max(esub.max(initial=-1), inj_subs[-1]) + 1, bool)
     hit[inj_subs] = True
     e = np.flatnonzero(hit[esub])
-    ends = local[place(np.concatenate(
-        [np.asarray(intra_edges["src"])[e], np.asarray(intra_edges["dst"])[e]]))]
+    ends = local[cells.at(np.concatenate([intra_edges["src"][e], intra_edges["dst"][e]]))]
     x, arrivals, acts, _ = converge_at(
-        start(rows), local[seed[seeded]], inj[seeded],
+        states[cells.slot[rows]], local[seed[seeded]], inj[seeded],
         ends[:len(e)], ends[len(e):], np.asarray(intra_edges["w"], float)[e], algo,
     )
+    states[cells.slot[rows]] = x
 
     b = is_boundary[rows]
     up = arrivals[b]
     keep = np.abs(up) > 0 if algo.is_sum else np.isfinite(up)
-    return rows, x, rows[b][keep], up[keep], acts
+    return states, Messages(cells.slot[rows[b][keep]], up[keep]), acts

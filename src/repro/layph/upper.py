@@ -14,17 +14,14 @@ the assignment phase (Eq. 9). Uploaded messages enter in the shortcut
 channel (their interior effects were served by the local upload phase).
 
 The min loop is a thin adapter over ``engine.batch.superstep_loop``. The
-sum loop takes its graph in one of two forms. By slot, the engine's: an
-:class:`UpperGraph` (``LayeredGraph.upper``) whose rows are positions of
-the L_up vertices, the states as an array over them and the pending
-messages as ``layph.slots.Messages``; in the driver it runs
-``batch.propagate``'s channel rule on those positions, with no id lookup,
-and above ``batch.DRIVER_MAX_EDGES`` it hands the same graph, by id, to
-``superstep_loop``'s Spark backend. By id — a frame with ``etype`` and
-id-indexed Series — it places its input on positions first and runs the
-same way. Either way it runs at ``algo.tol`` and hands back arrays: the states in the order
-of its input, and the entry Δcache, the nonzero original-channel arrivals
-at the entries, by entry slot (or id).
+sum loop runs by slot: an :class:`UpperGraph` (``LayeredGraph.upper``)
+whose rows are positions of the L_up vertices, the states as an array over
+them and the pending messages as ``layph.slots.Messages``. In the driver it
+runs ``batch.propagate``'s channel rule on those positions, with no id
+lookup; above ``batch.DRIVER_MAX_EDGES`` it hands the same graph, by id, to
+``superstep_loop``'s Spark backend. It runs at ``algo.tol`` and hands back
+arrays: the states in the order of its input, and the entry Δcache, the
+nonzero original-channel arrivals at the entries, by entry slot.
 """
 from __future__ import annotations
 
@@ -82,63 +79,30 @@ def upper_min_loop(
 
 def upper_sum_loop(
     spark: SparkSession,
-    up_graph: UpperGraph | pd.DataFrame,
-    x_up: np.ndarray | pd.Series,
-    pend_orig: Messages | pd.Series,
-    pend_sc: Messages | pd.Series,
+    up_graph: UpperGraph,
+    x_up: np.ndarray,
+    pend_orig: Messages,
+    pend_sc: Messages,
     entry_ids: np.ndarray,
     algo: Algorithm,
     *,
     stats: RunStats,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Channel-aware sum propagation on L_up.
-
-    By slot: ``up_graph`` an :class:`UpperGraph`, ``x_up`` the states of its
-    vertices in its order, the pending messages and ``entry_ids`` by slot.
-    By id: ``up_graph`` a frame (``src, dst, w, etype``), ``x_up`` an
-    id-indexed Series, the pending messages id-indexed Series and
-    ``entry_ids`` ids; they are placed on ``x_up``'s positions first.
-    ``pend_orig`` seeds (injections at outliers / new vertices) must
-    already be applied to ``x_up`` by the caller; ``pend_sc`` seeds
-    (uploads) were applied by the local upload phase. Returns ``(states,
-    entries, dcache)`` as arrays: the converged states in ``x_up``'s order,
-    and the Δcache, the nonzero original-channel arrivals at ``entry_ids``,
-    by sorted entry slot (or id).
+    """Channel-aware sum propagation on L_up, by slot: ``x_up`` holds the
+    states of ``up_graph``'s vertices in its order, and the pending
+    messages and ``entry_ids`` name slots. ``pend_orig`` seeds (injections
+    at outliers / new vertices) must already be applied to ``x_up`` by the
+    caller; ``pend_sc`` seeds (uploads) were applied by the local upload
+    phase. Runs ``propagate``'s channel rule on ``up_graph``'s positions in
+    the driver, ``superstep_loop``'s Spark backend by id above
+    ``batch.DRIVER_MAX_EDGES``. Returns ``(states, entries, dcache)`` as
+    arrays: the converged states in ``x_up``'s order, and the Δcache, the
+    nonzero original-channel arrivals at ``entry_ids``, by sorted entry
+    slot.
     """
     if len(pend_orig) == 0 and len(pend_sc) == 0:
-        return np.asarray(x_up, float), np.empty(0, np.int64), np.empty(0)
-    if isinstance(up_graph, UpperGraph):
-        return _sum_loop(spark, up_graph, x_up, pend_orig, pend_sc, entry_ids, algo, stats)
-    g, pend_orig, pend_sc, entries = _placed(up_graph, x_up.index, pend_orig, pend_sc, entry_ids)
-    xs, at, dcache = _sum_loop(spark, g, x_up.to_numpy(float), pend_orig, pend_sc, entries, algo,
-                               stats)
-    return xs, g.ids[at], dcache
-
-
-def _placed(up_graph: pd.DataFrame, index: pd.Index, pend_orig, pend_sc, entry_ids):
-    """The by-id form on the positions of ``index``, each position its own
-    slot: the rows whose source is in ``index`` (no other row sends), the
-    original ones first, stably; the messages and entries by position."""
-    ids = index.to_numpy(np.int64)
-    at = np.arange(len(ids))
-    src, dst = batch.positions(index, up_graph.src), batch.positions(index, up_graph.dst)
-    sends = np.flatnonzero(src >= 0)
-    etype = up_graph.etype.to_numpy()[sends]
-    sends = sends[np.argsort(etype, kind="stable")]
-    g = UpperGraph(at, ids, np.append(at, -1), src[sends], dst[sends],
-                   up_graph.w.to_numpy(float)[sends], int(np.count_nonzero(etype == 0)))
-
-    def by_position(s: pd.Series) -> Messages:
-        return Messages(batch.positions(index, s.index), s.to_numpy(float))
-
-    return g, by_position(pend_orig), by_position(pend_sc), batch.positions(index, entry_ids)
-
-
-def _sum_loop(spark, g: UpperGraph, x, pend_orig, pend_sc, entries, algo, stats):
-    """:func:`upper_sum_loop` by slot: ``propagate``'s channel rule on
-    ``g``'s positions in the driver, ``superstep_loop``'s Spark backend by
-    id above ``batch.DRIVER_MAX_EDGES``."""
-    n = len(g.slots)
+        return x_up, np.empty(0, np.int64), np.empty(0)
+    g, n = up_graph, len(up_graph.slots)
 
     def pending(msgs: Messages) -> np.ndarray:  # NaN where inactive
         at = g.pos[msgs.at]
@@ -148,7 +112,7 @@ def _sum_loop(spark, g: UpperGraph, x, pend_orig, pend_sc, entries, algo, stats)
 
     if batch.on_driver(len(g)):
         xs, recv, acts, steps = batch.propagate(
-            x, pending(pend_orig), g.src, g.dst, g.w, algo,
+            x_up, pending(pend_orig), g.src, g.dst, g.w, algo,
             split=g.split, pend_sc=pending(pend_sc), recv=np.zeros(n),
         )
         stats.activations += acts
@@ -169,13 +133,13 @@ def _sum_loop(spark, g: UpperGraph, x, pend_orig, pend_sc, entries, algo, stats)
             return pd.Series(p[on], index=g.ids[on])
 
         out, _ = batch.superstep_loop(
-            spark, pd.Series(x[o], index=g.ids[o]), by_id(pend_orig), edges, algo,
+            spark, pd.Series(x_up[o], index=g.ids[o]), by_id(pend_orig), edges, algo,
             pend_sc=by_id(pend_sc), stats=stats,
         )
         xs, recv = np.empty(n), np.empty(n)
         xs[o], recv[o] = out["x"].to_numpy(float), out["recv"].to_numpy(float)
     is_entry = np.zeros(n, bool)
-    at = g.pos[entries]
+    at = g.pos[entry_ids]
     is_entry[at[at >= 0]] = True
     got = np.flatnonzero(is_entry & (np.abs(recv) > 0))
     return xs, g.slots[got], recv[got]

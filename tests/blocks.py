@@ -1,12 +1,17 @@
 """A batch run through the local kernel, one subgraph's shortcut tables
 through the engine's own pass, the cell universe the pass once derived
-from its tables, and a membership that keeps no subgraph."""
+from its tables, a membership that keeps no subgraph, and the upload and
+the L_up sum loop called by id."""
 import numpy as np
 import pandas as pd
 
+from repro.engine import batch
 from repro.engine.local import LocalRun, converge, shortcut_pass
 from repro.graphs.schema import vertex_ids
+from repro.layph.slots import Messages
 from repro.layph.structure import Members
+from repro.layph.upload import upload_messages
+from repro.layph.upper import UpperGraph, upper_sum_loop
 
 
 def batch_run(edges, algo, extra_ids=()) -> LocalRun:
@@ -52,3 +57,46 @@ def singletons(membership: pd.DataFrame) -> pd.DataFrame:
     Def. 2 keeps none, the shortcut table is empty and L_up is the whole
     graph."""
     return pd.DataFrame({"id": membership.id.to_numpy(), "sub": np.arange(len(membership))})
+
+
+def upload_by_id(spark, intra, members, is_boundary, states, injections, algo):
+    """``upload_messages`` on small non-negative ids, each id its own slot:
+    ``intra`` a frame by id, ``states`` an id-indexed Series (a member
+    without one starts from the zero state). Returns every member's state
+    after the upload, in member order, the uploads and the activations, as
+    id-indexed Series and an int."""
+    mid = members.id.to_numpy(np.int64)
+    inj = injections.index.to_numpy(np.int64)
+    ids = np.concatenate([mid, states.index.to_numpy(np.int64), inj])
+    x = np.full(int(ids.max(initial=-1)) + 1, algo.zero_state)
+    x[states.index.to_numpy(np.int64)] = states.to_numpy(float)
+    cells = Members(mid, members["sub"].to_numpy(np.int64), mid)
+    table = {c: intra[c].to_numpy() for c in ("src", "dst", "w", "sub")}
+    x, up, acts = upload_messages(
+        spark, table, members, is_boundary, x, injections, algo, cells, inj)
+    return pd.Series(x[mid], index=mid), pd.Series(up.m, index=up.at), acts
+
+
+def upper_sum_by_id(spark, up, x, pend_orig, pend_sc, entries, algo, *, stats):
+    """``upper_sum_loop`` by id: ``up`` a frame (``src, dst, w, etype``),
+    ``x`` an id-indexed Series, the pending messages id-indexed Series and
+    ``entries`` ids; each id's slot is its position in ``x``. Rows sending
+    from outside ``x`` are dropped, the original ones go first, stably.
+    Returns the states in ``x``'s order, and the Δcache's ids and values."""
+    ids = x.index.to_numpy(np.int64)
+    at = np.arange(len(ids))
+
+    def pos(v):
+        return batch.positions(x.index, np.asarray(v, np.int64))
+
+    src, dst = pos(up.src), pos(up.dst)
+    sends = np.flatnonzero(src >= 0)
+    etype = up.etype.to_numpy()[sends]
+    sends = sends[np.argsort(etype, kind="stable")]
+    g = UpperGraph(at, ids, np.append(at, -1), src[sends], dst[sends],
+                   up.w.to_numpy(float)[sends], int(np.count_nonzero(etype == 0)))
+    xs, got, dcache = upper_sum_loop(
+        spark, g, x.to_numpy(float), Messages(pos(pend_orig.index), pend_orig.to_numpy(float)),
+        Messages(pos(pend_sc.index), pend_sc.to_numpy(float)), pos(entries), algo, stats=stats,
+    )
+    return xs, ids[got], dcache

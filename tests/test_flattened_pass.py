@@ -16,8 +16,7 @@ from repro.graphs.generators import planted_partition
 from repro.graphs.updates import apply_delta, random_edge_delta
 from repro.incremental.revision import prepared_edge_diff
 from repro.layph.shortcuts import compute_shortcuts, update_shortcuts
-from repro.layph.upload import upload_messages
-from tests.blocks import one_block, table_cells
+from tests.blocks import one_block, table_cells, upload_by_id
 
 INF = float("inf")
 SC = ["entry", "dst", "w"]
@@ -280,7 +279,7 @@ def test_upload_equals_per_subgraph_converge(no_spark):
     boundary = members[is_boundary]
     states = pd.Series(0.01, index=members.id.to_numpy())
     inj = pd.Series({2: 0.5, 9: -0.25, 504: 0.125, 511: 1.0})  # subgraphs 0 and 5
-    got_x, got_up, acts = upload_messages(no_spark, intra, members, is_boundary, states, inj, algo)
+    got_x, got_up, acts = upload_by_id(no_spark, intra, members, is_boundary, states, inj, algo)
     want_x, want_up, want_acts = [], [], 0
     for s in (0, 5):
         ids = members[members["sub"] == s].id.to_numpy()
@@ -289,7 +288,10 @@ def test_upload_equals_per_subgraph_converge(no_spark):
         want_x.append(run.states)
         want_up.append(up[up.abs() > 0])
         want_acts += run.activations
-    pd.testing.assert_series_equal(got_x, pd.concat(want_x), check_exact=True)
+    # The injected subgraphs' members converged; every other member kept its state.
+    want_x = pd.concat(want_x)
+    want_x = pd.concat([want_x, states.drop(want_x.index)])
+    pd.testing.assert_series_equal(got_x, want_x.reindex(got_x.index), check_exact=True)
     pd.testing.assert_series_equal(got_up, pd.concat(want_up), check_exact=True)
     assert acts == want_acts > 0 and len(got_up) > 0
 

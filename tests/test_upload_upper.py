@@ -5,9 +5,9 @@ import pytest
 
 from repro.engine import algorithms as alg
 from repro.engine import batch
-from repro.layph.upload import upload_messages
-from repro.layph.upper import upper_min_loop, upper_sum_loop
+from repro.layph.upper import upper_min_loop
 from repro.metrics import RunStats
+from tests.blocks import upload_by_id, upper_sum_by_id
 
 INF = float("inf")
 
@@ -16,11 +16,12 @@ def test_upload_empty_injections(spark):
     intra = pd.DataFrame({"src": [0], "dst": [1], "w": [1.0], "sub": [0]})
     members = pd.DataFrame({"id": [0, 1], "sub": [0, 0]})
     is_boundary = np.array([True, False])  # per member row
-    st, up, acts = upload_messages(
-        spark, intra, members, is_boundary, pd.Series({0: 1.0, 1: 2.0}),
-        pd.Series(dtype=float), alg.pagerank(d=0.5),
+    x = pd.Series({0: 1.0, 1: 2.0})
+    st, up, acts = upload_by_id(
+        spark, intra, members, is_boundary, x, pd.Series(dtype=float), alg.pagerank(d=0.5),
     )
-    assert len(st) == 0 and len(up) == 0 and acts == 0
+    pd.testing.assert_series_equal(st, x, check_exact=True)
+    assert len(up) == 0 and acts == 0
 
 
 def test_upload_propagates_locally_and_reports_boundary(spark):
@@ -32,7 +33,7 @@ def test_upload_propagates_locally_and_reports_boundary(spark):
     is_boundary = np.array([False, False, True])  # per member row
     x = pd.Series({0: 1.0, 1: 1.0, 2: 1.0})
     algo = alg.pagerank(d=0.5, tol=1e-10)
-    st, up, acts = upload_messages(
+    st, up, acts = upload_by_id(
         spark, intra, members, is_boundary, x, pd.Series({0: 1.0}), algo
     )
     # states: x0 += 1, x1 += 0.5, x2 += 0.25
@@ -49,7 +50,7 @@ def test_upload_min_aggregates_boundary_arrivals(spark):
     is_boundary = np.array([False, False, True])  # per member row
     x = pd.Series({0: 10.0, 1: 10.0, 2: 10.0})
     algo = alg.sssp(source=0)
-    st, up, _ = upload_messages(
+    st, up, _ = upload_by_id(
         spark, intra, members, is_boundary, x, pd.Series({0: 3.0}), algo
     )
     assert st[0] == 3.0 and st[1] == 4.0 and st[2] == 6.0
@@ -84,7 +85,7 @@ def test_upper_sum_loop_empty_pendings(spark):
     up = pd.DataFrame({"src": [0], "dst": [1], "w": [0.5], "etype": [0]})
     x = pd.Series({0: 1.0, 1: 1.0})
     stats = RunStats()
-    xs, entries, dc = upper_sum_loop(
+    xs, entries, dc = upper_sum_by_id(
         spark, up, x, pd.Series(dtype=float), pd.Series(dtype=float),
         np.array([1]), alg.pagerank(d=0.5), stats=stats,
     )
@@ -100,7 +101,7 @@ def _upper_sum_on_each_backend(spark, on_each_backend, up, x, pend, pend_sc, ent
 
     def run():
         stats = RunStats()
-        xs, dc_ids, dc = upper_sum_loop(spark, up, x, pend, pend_sc, entries, algo, stats=stats)
+        xs, dc_ids, dc = upper_sum_by_id(spark, up, x, pend, pend_sc, entries, algo, stats=stats)
         return pd.Series(xs, index=x.index), pd.Series(dc, index=dc_ids), stats
 
     runs = on_each_backend(run)
@@ -179,7 +180,7 @@ def test_loop_partitions_read_at_call_time(spark, monkeypatch):
     monkeypatch.setattr(batch, "DRIVER_MAX_EDGES", 0)
     monkeypatch.setattr(conf_cls, "set", spy)
     up = pd.DataFrame({"src": [0], "dst": [1], "w": [0.5], "etype": [0]})
-    upper_sum_loop(
+    upper_sum_by_id(
         spark, up, pd.Series(0.0, index=[0, 1]), pd.Series({0: 1.0}),
         pd.Series(dtype=float), np.array([1]), alg.pagerank(d=0.5), stats=RunStats(),
     )
@@ -216,7 +217,7 @@ _MASS = [1.0, 0.5, 0.25, 0.125]  # a unit at 0 down ``_CHAIN``: three supersteps
 
 
 def _cap_upper_sum(spark, algo):
-    x, _, _ = upper_sum_loop(
+    x, _, _ = upper_sum_by_id(
         spark, _CHAIN.assign(etype=0), pd.Series([1.0, 0, 0, 0]), pd.Series({0: 1.0}),
         pd.Series(dtype=float), np.array([3]), algo, stats=RunStats(),
     )
@@ -225,7 +226,7 @@ def _cap_upper_sum(spark, algo):
 
 def _cap_upload(spark, algo):
     members = pd.DataFrame({"id": range(4), "sub": 0})
-    st, _, _ = upload_messages(
+    st, _, _ = upload_by_id(
         spark, _CHAIN.assign(sub=0), members, np.array([False, False, False, True]),
         pd.Series(0.0, index=range(4)), pd.Series({0: 1.0}), algo,
     )
